@@ -9,7 +9,8 @@ Subcommands:
     export-dot  Graphviz rendering of an interval's Bruhat graph
 
 Output is deterministic: identical arguments give byte-identical output,
-for any worker count. Exit codes: 0 success, 1 check failure, 2 bad usage.
+for any worker count. Exit codes: 0 success, 1 check failure, 2 bad usage,
+3 internal error (a library invariant failed; reported on one stderr line).
 Set BRUHAT_CACHE_DIR to keep on-disk snapshots of the polynomial memo
 tables between runs (one versioned, checksummed file per group).
 """
@@ -38,8 +39,9 @@ from .rpoly import (
     snapshot_path,
 )
 
-USAGE_ERROR = 2
 CHECK_FAILURE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class CliError(Exception):
@@ -222,14 +224,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _make_group(args.group)  # validate the spec before spending time
+    group = _make_group(args.group)  # validate the spec before spending time
     checks = None
     if args.suite and args.suite != "full":
         checks = [c.strip() for c in args.suite.split(",") if c.strip()]
     started = time.perf_counter()
     try:
         results = suite.run_suite(args.group, checks=checks, workers=args.workers,
-                                  max_interval_len=args.max_interval_len)
+                                  max_interval_len=args.max_interval_len, group=group)
     except ValueError as exc:
         raise CliError(str(exc))
     elapsed = time.perf_counter() - started
@@ -281,6 +283,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         max_interval_len=args.max_interval_len,
         extra_pairs=extra,
         exhaustive=args.exhaustive,
+        group=group,
     )
     suite.save_environment_snapshot(args.group)
     _emit(_json_text(report), args.out)
@@ -382,6 +385,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EmptyIntervalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except AssertionError as exc:
+        message = " ".join(str(exc).split()) or "invariant failed"
+        print(f"error: internal: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ A :class:`GroupTable` holds one group: canonical forms, lengths, product
 tables, the reflection set and Bruhat order queries. Type A rank n is the
 symmetric group on n+1 letters (one-line permutation forms); the dihedral
 group I2(m) of order 2m uses (rotation, flip) pairs. Tables are immutable
-after construction; the Bruhat-order memo is append-only, so sharing a
-table between worker processes (or rebuilding it per worker) gives
-identical answers.
+after construction. Bruhat order is answered by a walk down right descents
+(no memo); lower ideals are built lazily on first use and kept per table.
+A kept ideal is a pure function of its top element, so sharing a table
+between worker processes (or rebuilding it per worker) gives identical
+answers.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ class GroupTable:
                   if self.length[self.right[v][s]] < self.length[v]), -1)
             for v in range(len(self.forms))
         )
-        self._leq_memo: dict[tuple[int, int], bool] = {}
+        self._ideals: dict[int, tuple[int, ...]] = {self.identity: (self.identity,)}
 
     # -- construction helpers ------------------------------------------------
 
@@ -281,29 +283,42 @@ class GroupTable:
     # -- Bruhat order ----------------------------------------------------------
 
     def leq(self, u: int, w: int) -> bool:
-        """Bruhat order test, by the standard descent recursion (memoized).
+        """Bruhat order test by a walk down the first right descents of w.
 
-        Pick s with ws < w; then u <= w iff (us <= ws) when s lowers u,
-        else iff (u <= ws).
+        With s the first right descent of w: u <= w iff min(u, us) <= ws
+        (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2). The
+        identity is below everything, which ends the walk early.
         """
-        if u == w:
-            return True
-        if self.length[u] >= self.length[w]:
-            return False
-        memo = self._leq_memo
-        key = (u, w)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        s = self._first_descent[w]
-        ws = self.right[w][s]
-        us = self.right[u][s]
-        if self.length[us] < self.length[u]:
-            res = self.leq(us, ws)
-        else:
-            res = self.leq(u, ws)
-        memo[key] = res
-        return res
+        length, right, first = self.length, self.right, self._first_descent
+        while u != w:
+            lu = length[u]
+            if lu >= length[w]:
+                return False
+            if lu == 0:
+                return True
+            s = first[w]
+            us = right[u][s]
+            if length[us] < lu:
+                u = us
+            w = right[w][s]
+        return True
+
+    def lower_ideal(self, w: int) -> tuple[int, ...]:
+        """Ids of all v <= w in ascending order, built lazily and kept.
+
+        With s the first right descent of w: [e, w] = [e, ws] union [e, ws]*s.
+        """
+        ideals, right, first = self._ideals, self.right, self._first_descent
+        chain = []
+        while w not in ideals:
+            chain.append(w)
+            w = right[w][first[w]]
+        below = ideals[w]
+        for top in reversed(chain):
+            s = first[top]
+            below = tuple(sorted(set(below).union(right[v][s] for v in below)))
+            ideals[top] = below
+        return below
 
     def interval(self, u: int, w: int) -> Interval:
         """The Bruhat interval [u, w]; raises EmptyIntervalError if u is not below w."""
@@ -312,16 +327,15 @@ class GroupTable:
                 f"[{self.display(u)}, {self.display(w)}] is empty: endpoints are not comparable"
             )
         lu, lw = self.length[u], self.length[w]
-        members = tuple(
-            v for v in range(len(self.forms))
-            if lu <= self.length[v] <= lw and self.leq(u, v) and self.leq(v, w)
-        )
+        members = self.lower_ideal(w)
+        if u != self.identity:
+            length = self.length
+            members = tuple(v for v in members if length[v] >= lu and self.leq(u, v))
         return Interval(u, w, lw - lu, members)
 
     def comparable_pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs (u, w) with u <= w, in id order."""
-        n = len(self.forms)
-        return [(u, w) for u in range(n) for w in range(n) if self.leq(u, w)]
+        return sorted((u, w) for w in range(len(self.forms)) for u in self.lower_ideal(w))
 
     # -- words and display -------------------------------------------------------
 

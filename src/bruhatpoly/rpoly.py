@@ -109,14 +109,15 @@ class RContext:
         g = self.group
         if u == w:
             return ONE
-        if not g.leq(u, w):
-            return ZERO
         memo = self._memo[name]
         key = (u, w)
         cached = memo.get(key)
         if cached is not None:
             self.hits += 1
             return cached
+        # only comparable pairs enter the memo, so the order test can wait
+        if not g.leq(u, w):
+            return ZERO
         self.misses += 1
         low, high = _RULES[name]
         s = self._descent(w)
@@ -336,7 +337,7 @@ def load_snapshot(ctx: RContext, path: Path) -> bool:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return False
-    if doc.get("format") != SNAPSHOT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         return False
     if doc.get("group") != ctx.group.descriptor.spec_string():
         return False
@@ -346,11 +347,18 @@ def load_snapshot(ctx: RContext, path: Path) -> bool:
     body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
     if hashlib.sha256(body.encode()).hexdigest() != doc.get("checksum"):
         return False
+    loaded: dict[str, dict[tuple[int, int], IntPoly]] = {}
     try:
-        for name, memo in ctx._memo.items():
-            for key, coeffs in tables.get(name, {}).items():
+        for name in ctx._memo:
+            table = tables.get(name, {})
+            if not isinstance(table, dict):
+                return False
+            loaded[name] = {}
+            for key, coeffs in table.items():
                 u_str, w_str = key.split(":")
-                memo[(int(u_str), int(w_str))] = IntPoly(int(c) for c in coeffs)
+                loaded[name][(int(u_str), int(w_str))] = IntPoly(int(c) for c in coeffs)
     except (ValueError, TypeError):
         return False
+    for name, memo in ctx._memo.items():
+        memo.update(loaded[name])
     return True

@@ -75,10 +75,16 @@ class CheckResult:
 _ENVS: dict[str, dict] = {}
 
 
-def _environment(spec: str) -> dict:
+def _environment(spec: str, group: Optional[GroupTable] = None) -> dict:
+    """The per-process group, memo context and reflection orders of ``spec``.
+
+    ``group`` is an already enumerated table for ``spec``; without one the
+    group is enumerated here on first use.
+    """
     env = _ENVS.get(spec)
     if env is None:
-        group = enumerate_group(CoxeterDescriptor.parse(spec))
+        if group is None:
+            group = enumerate_group(CoxeterDescriptor.parse(spec))
         ctx = RContext(group)
         path = snapshot_path(spec)
         if path is not None:
@@ -206,6 +212,15 @@ _TASKS: dict[str, Callable] = {
 # -- scopes -------------------------------------------------------------------------
 
 
+def _cap_pairs(group: GroupTable, pairs: list[tuple[int, int]],
+               max_interval_len: Optional[int]) -> list[tuple[int, int]]:
+    """Keep the pairs (u, w) with length(w) - length(u) <= max_interval_len."""
+    if max_interval_len is None:
+        return pairs
+    return [(u, w) for u, w in pairs
+            if group.length[w] - group.length[u] <= max_interval_len]
+
+
 def _interval_scope(group: GroupTable,
                     max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
     """All comparable pairs for small groups, else lower intervals only."""
@@ -213,39 +228,39 @@ def _interval_scope(group: GroupTable,
         pairs = group.comparable_pairs()
     else:
         pairs = [(group.identity, w) for w in group.elements()]
-    if max_interval_len is not None:
-        pairs = [(u, w) for u, w in pairs
-                 if group.length[w] - group.length[u] <= max_interval_len]
-    return pairs
+    return _cap_pairs(group, pairs, max_interval_len)
+
+
+def _lower_scope(group: GroupTable, max_interval_len: Optional[int] = None) -> list[int]:
+    """Tops w of the lower intervals [e, w], capped at length(w) <= max_interval_len."""
+    if max_interval_len is None:
+        return list(group.elements())
+    return [w for w in group.elements() if group.length[w] <= max_interval_len]
 
 
 # -- checks -------------------------------------------------------------------------
 
 
-def _check_th1(spec: str, workers: int) -> tuple[CheckResult, CheckResult]:
+def _check_th1(spec: str, workers: int,
+               cap: Optional[int] = None) -> tuple[CheckResult, CheckResult]:
     env = _environment(spec)
     group: GroupTable = env["group"]
     ctx: RContext = env["ctx"]
     sizes = {v: ctx.bruhat_size(group.identity, v) for v in group.elements()}
-    odd_ok = all(s % 2 == 1 for s in sizes.values())
-    bad = 0
-    pairs = 0
-    for u in group.elements():
-        for w in group.elements():
-            if group.leq(u, w):
-                pairs += 1
-                if sizes[u] > sizes[w]:
-                    bad += 1
+    tops = _lower_scope(group, cap)
+    odd_ok = all(sizes[w] % 2 == 1 for w in tops)
+    pairs = _cap_pairs(group, group.comparable_pairs(), cap)
+    bad = sum(1 for u, w in pairs if sizes[u] > sizes[w])
     return (
-        CheckResult("th1-monotone", bad == 0, pairs,
+        CheckResult("th1-monotone", bad == 0, len(pairs),
                     "sizes never decrease up the order" if bad == 0 else f"{bad} violations"),
-        CheckResult("th1-odd", odd_ok, len(sizes), "every size is odd" if odd_ok else "even size found"),
+        CheckResult("th1-odd", odd_ok, len(tops), "every size is odd" if odd_ok else "even size found"),
     )
 
 
-def _check_th2(spec: str, workers: int) -> CheckResult:
+def _check_th2(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
     group = _environment(spec)["group"]
-    ws = list(group.elements())
+    ws = _lower_scope(group, cap)
     oks = _pmap(spec, "th2_w", ws, workers)
     return CheckResult("th2", all(oks), len(ws),
                        "fired averages all irregular" if all(oks) else "criterion misfired")
@@ -261,10 +276,7 @@ def _check_th3(spec: str, workers: int, cap: Optional[int] = None) -> CheckResul
 
 def _check_th4(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
     group = _environment(spec)["group"]
-    pairs = group.comparable_pairs()
-    if cap is not None:
-        pairs = [(u, w) for u, w in pairs
-                 if group.length[w] - group.length[u] <= cap]
+    pairs = _cap_pairs(group, group.comparable_pairs(), cap)
     oks = _pmap(spec, "th4_pair", pairs, workers)
     return CheckResult("th4-bounds", all(oks), len(pairs),
                        "shifted polynomials inside dihedral bounds" if all(oks) else "bound failed")
@@ -286,9 +298,9 @@ def _check_oracle(spec: str, workers: int, cap: Optional[int] = None) -> CheckRe
                        "recursions match path enumeration" if all(oks) else "oracle mismatch")
 
 
-def _check_fourway(spec: str, workers: int) -> CheckResult:
+def _check_fourway(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
     group = _environment(spec)["group"]
-    ws = list(group.elements())
+    ws = _lower_scope(group, cap)
     oks = _pmap(spec, "fourway_w", ws, workers)
     return CheckResult("cp-fourway", all(oks), len(ws),
                        "all regularity criteria agree" if all(oks) else "criteria disagree")
@@ -311,31 +323,35 @@ def _check_gen_func(spec: str, workers: int) -> CheckResult:
 
 def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
               workers: int = 1,
-              max_interval_len: Optional[int] = None) -> list[CheckResult]:
+              max_interval_len: Optional[int] = None,
+              group: Optional[GroupTable] = None) -> list[CheckResult]:
     """Run the named checks for one group, in the canonical order.
 
-    ``max_interval_len`` caps the interval scopes of the sweep checks;
-    capped runs are flagged as partial in the rendered output.
+    ``max_interval_len`` caps the scopes of the sweep checks: pairs (u, w)
+    keep length(w) - length(u) <= cap, lower intervals [e, w] keep
+    length(w) <= cap. Capped runs are flagged as partial in the rendered
+    output. ``group`` is the already enumerated table for ``spec``, if any.
     """
     selected = tuple(checks) if checks else CHECK_NAMES
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
+    _environment(spec, group)
     results: list[CheckResult] = []
     for name in CHECK_NAMES:
         if name not in selected:
             continue
         if name == "th1-monotone":
-            mono, odd = _check_th1(spec, workers)
+            mono, odd = _check_th1(spec, workers, max_interval_len)
             results.append(mono)
             if "th1-odd" in selected:
                 results.append(odd)
         elif name == "th1-odd":
             if "th1-monotone" not in selected:
-                _, odd = _check_th1(spec, workers)
+                _, odd = _check_th1(spec, workers, max_interval_len)
                 results.append(odd)
         elif name == "th2":
-            results.append(_check_th2(spec, workers))
+            results.append(_check_th2(spec, workers, max_interval_len))
         elif name == "th3":
             results.append(_check_th3(spec, workers, max_interval_len))
         elif name == "th4-bounds":
@@ -345,7 +361,7 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
         elif name == "oracle-eq":
             results.append(_check_oracle(spec, workers, max_interval_len))
         elif name == "cp-fourway":
-            results.append(_check_fourway(spec, workers))
+            results.append(_check_fourway(spec, workers, max_interval_len))
         elif name == "obs-sum":
             results.append(_check_obs(spec, workers))
         elif name == "gen-func":
@@ -374,21 +390,23 @@ def suite_text(spec: str, results: Sequence[CheckResult],
 def run_scan(spec: str, workers: int = 1, sample: Optional[int] = None,
              seed: int = 0, max_interval_len: Optional[int] = None,
              extra_pairs: Sequence[tuple[int, int]] = (),
-             exhaustive: bool = False) -> dict:
+             exhaustive: bool = False,
+             group: Optional[GroupTable] = None) -> dict:
     """Scan interval sums against the (1+q)^ell floor and tally edge sizes.
 
     ``sample`` draws that many pairs deterministically (seeded) from the
     scope; ``extra_pairs`` are always included; ``exhaustive`` forces the
-    all-pairs scope even for large groups. The result is JSON-ready with a
+    all-pairs scope even for large groups; ``group`` is the already
+    enumerated table for ``spec``, if any. The result is JSON-ready with a
     stable ordering.
     """
-    env = _environment(spec)
-    group: GroupTable = env["group"]
+    env = _environment(spec, group)
+    group = env["group"]
     ctx: RContext = env["ctx"]
-    pairs = group.comparable_pairs() if exhaustive else _interval_scope(group)
-    if max_interval_len is not None:
-        pairs = [(u, w) for u, w in pairs
-                 if group.length[w] - group.length[u] <= max_interval_len]
+    if exhaustive:
+        pairs = _cap_pairs(group, group.comparable_pairs(), max_interval_len)
+    else:
+        pairs = _interval_scope(group, max_interval_len)
     sampled = None
     if sample is not None and sample < len(pairs):
         rng = random.Random(seed)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and separate from the library's own
 algorithms: inversion counting, the dot-matrix comparison criterion for
-permutations, reachability closures and the Fibonacci recursion. Tests
-compare library output against these.
+permutations, reachability closures, the memoized descent recursion for
+Bruhat order and the Fibonacci recursion. Tests compare library output
+against these.
 """
 
 from __future__ import annotations
@@ -49,6 +50,31 @@ def reachability(group) -> dict[int, set[int]]:
             acc |= reach[y]
         reach[start] = acc
     return reach
+
+
+def descent_leq(group, u: int, w: int, memo: dict) -> bool:
+    """Bruhat order by the standard descent recursion, memoized in ``memo``.
+
+    Pick s with ws < w; then u <= w iff (us <= ws) when s lowers u,
+    else iff (u <= ws).
+    """
+    if u == w:
+        return True
+    if group.length[u] >= group.length[w]:
+        return False
+    key = (u, w)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    s = group.first_right_descent(w)
+    ws = group.right[w][s]
+    us = group.right[u][s]
+    if group.length[us] < group.length[u]:
+        res = descent_leq(group, us, ws, memo)
+    else:
+        res = descent_leq(group, u, ws, memo)
+    memo[key] = res
+    return res
 
 
 def fibonacci_rec(n: int) -> IntPoly:

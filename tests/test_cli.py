@@ -1,8 +1,15 @@
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
 
-from bruhatpoly.cli import main
+import pytest
+
+from bruhatpoly import analysis
+from bruhatpoly.cli import INTERNAL_ERROR, main
+from bruhatpoly.rpoly import SNAPSHOT_FORMAT
+from oracles import dot_leq, inversions
 
 
 def run_cli(args, **kwargs):
@@ -141,6 +148,24 @@ def test_verify_capped_run_is_flagged_partial(capsys):
     assert out.startswith("group: I2:4 (partial: intervals capped at length 2)\n")
 
 
+def test_verify_cap_applies_to_every_sweep(capsys):
+    code, out = capture(capsys, ["verify", "--group", "A4", "--max-interval-len", "3",
+                                 "--format", "json"])
+    assert code == 0
+    perms = list(itertools.permutations(range(1, 6)))
+    inv = {p: inversions(p) for p in perms}
+    short_pairs = sum(1 for u in perms for w in perms
+                      if 0 <= inv[w] - inv[u] <= 3 and dot_leq(u, w))
+    short_tops = sum(1 for w in perms if inv[w] <= 3)
+    # S5 has more than 48 elements, so the interval sweeps run over [e, w]
+    expected = {
+        "th1-monotone": short_pairs, "th1-odd": short_tops, "th2": short_tops,
+        "th3": short_tops, "th4-bounds": short_pairs, "el-unique": short_tops,
+        "oracle-eq": short_tops, "cp-fourway": short_tops, "obs-sum": 1, "gen-func": 21,
+    }
+    assert {c["name"]: c["scope"] for c in json.loads(out)["checks"]} == expected
+
+
 def test_verify_large_dihedral_group(capsys):
     code, out = capture(capsys, ["verify", "--group", "I2:12"])
     assert code == 0
@@ -248,3 +273,51 @@ def test_cache_dir_round_trip(tmp_path):
                          "--u", "e", "--w", "w0"], capture_output=True, text=True,
                         env=full_env)
     assert p3.returncode == 0 and p3.stdout == p1.stdout
+
+
+def test_corrupt_snapshot_table_is_ignored(tmp_path, monkeypatch, capsys):
+    args = ["interval", "--group", "A2", "--u", "e", "--w", "w0"]
+    monkeypatch.delenv("BRUHAT_CACHE_DIR", raising=False)
+    _, uncached = capture(capsys, args)
+    # a valid checksum over a table that is a list, not a dict
+    tables = {"r": [1, 2]}
+    body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    (tmp_path / "A2.json").write_text(json.dumps({
+        "format": SNAPSHOT_FORMAT, "group": "A2",
+        "checksum": hashlib.sha256(body.encode()).hexdigest(), "tables": tables,
+    }))
+    monkeypatch.setenv("BRUHAT_CACHE_DIR", str(tmp_path))
+    code, out = capture(capsys, args)
+    assert code == 0 and out == uncached
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(ctx):
+        raise AssertionError("sizes disagree\nsecond line")
+
+    monkeypatch.setattr(analysis, "observation_sum", broken)
+    code = main(["verify", "--group", "A2", "--suite", "obs-sum"])
+    captured = capsys.readouterr()
+    assert code == INTERNAL_ERROR == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal: sizes disagree second line\n"
+
+
+# SHA-256 of stdout as printed when Bruhat order was still a memoized
+# recursion and intervals were a scan over the whole group; the order
+# rewrite must not move a byte
+GOLDEN_STDOUT_SHA256 = {
+    ("scan", "--group", "A4", "--exhaustive"):
+        "ce22376a08e93292e718e391d938e44d7cddb992bee7186f2bdedd6b8df9a728",
+    ("verify", "--group", "A3"):
+        "930513606c1cf1219ca469efa8f1ecc03d65ba6d2b4b88b861ce112df581ef93",
+    ("table", "--table", "r-polys", "--group", "A4", "--format", "json"):
+        "44f872f395ae5f16eb195ae8015314f0fc67d168c078fcc7d332043620b2d5ee",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_golden_stdout(args, monkeypatch, capsys):
+    monkeypatch.delenv("BRUHAT_CACHE_DIR", raising=False)
+    _, out = capture(capsys, list(args))
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[args]

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bruhatpoly import CoxeterDescriptor, EmptyIntervalError, SizeLimitError, enumerate_group
-from oracles import dot_leq, inversions, reachability
+from oracles import descent_leq, dot_leq, inversions, reachability
 
 
 def test_descriptor_validation():
@@ -93,18 +93,43 @@ def test_bruhat_leq_examples(a3, pid):
     assert not a3.leq(w3412, w4231)
 
 
-def test_bruhat_matches_dot_criterion(a3, a4):
-    for group in (a3, a4):
-        for u in group.elements():
-            for w in group.elements():
-                assert group.leq(u, w) == dot_leq(group.forms[u], group.forms[w])
+def _assert_order_matches(group, below) -> None:
+    """leq, lower_ideal, interval and comparable_pairs against an oracle
+    relation: below(u, w) is the oracle's answer to u <= w."""
+    n = len(group)
+    rel = {(u, w) for u in range(n) for w in range(n) if below(u, w)}
+    for u in range(n):
+        for w in range(n):
+            assert group.leq(u, w) == ((u, w) in rel)
+    for w in range(n):
+        assert group.lower_ideal(w) == tuple(v for v in range(n) if (v, w) in rel)
+    for u, w in rel:
+        members = tuple(v for v in range(n) if (u, v) in rel and (v, w) in rel)
+        assert group.interval(u, w).members == members
+    assert group.comparable_pairs() == sorted(rel)
 
 
-def test_bruhat_matches_edge_reachability(a3):
-    reach = reachability(a3)
-    for u in a3.elements():
-        for w in a3.elements():
-            assert a3.leq(u, w) == (w in reach[u])
+def test_bruhat_matches_dot_criterion(a1, a2, a3, a4):
+    for group in (a1, a2, a3, a4):
+        _assert_order_matches(group, lambda u, w: dot_leq(group.forms[u], group.forms[w]))
+
+
+def test_bruhat_matches_descent_recursion(a1, a2, a3, a4):
+    for group in (a1, a2, a3, a4):
+        memo: dict = {}
+        _assert_order_matches(group, lambda u, w: descent_leq(group, u, w, memo))
+
+
+def test_bruhat_matches_edge_reachability(a3, i2_groups):
+    for group in (a3, *(i2_groups[m] for m in (2, 3, 5, 8, 12))):
+        reach = reachability(group)
+        _assert_order_matches(group, lambda u, w: w in reach[u])
+
+
+def test_interval_members_strictly_ascending(a3):
+    for u, w in a3.comparable_pairs():
+        members = a3.interval(u, w).members
+        assert all(a < b for a, b in zip(members, members[1:]))
 
 
 def test_bruhat_is_partial_order(a3, i2_groups):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from bruhatpoly import (
@@ -13,7 +16,7 @@ from bruhatpoly import (
     shift_plus_one,
 )
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
-from bruhatpoly.rpoly import load_snapshot, save_snapshot
+from bruhatpoly.rpoly import SNAPSHOT_FORMAT, load_snapshot, save_snapshot
 from oracles import fibonacci_rec
 
 # R-polynomials of the lower intervals of S4, grouped into the nine classes
@@ -244,3 +247,23 @@ def test_snapshot_rejects_wrong_group(tmp_path, a3, a2):
     save_snapshot(ctx, path)
     assert not load_snapshot(RContext(a2), path)
     assert not load_snapshot(RContext(a2), tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("tables", [
+    {"r": [1, 2]},
+    {"r": {}, "rtilde": "0:1"},
+    # the first entry is well formed; a rejected file must not merge it
+    {"r": {"0:5": ["1"], "bad-key": ["1"]}},
+])
+def test_snapshot_rejects_malformed_tables(tmp_path, a3, tables):
+    body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({
+        "format": SNAPSHOT_FORMAT, "group": "A3",
+        "checksum": hashlib.sha256(body.encode()).hexdigest(), "tables": tables,
+    }))
+    ctx = RContext(a3)
+    assert not load_snapshot(ctx, path)
+    assert all(not memo for memo in ctx._memo.values())
+    path.write_text("[1, 2]")
+    assert not load_snapshot(ctx, path)
