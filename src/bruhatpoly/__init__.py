@@ -23,6 +23,7 @@ from .graph import (
     absolute_distance,
     all_paths,
     build_graph,
+    count_increasing_chains,
     default_reflection_order,
     distinct_reflection_orders,
     edge_weight,

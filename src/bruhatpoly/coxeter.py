@@ -228,11 +228,20 @@ class GroupTable:
         return longest[0]
 
     def _find_reflections(self) -> tuple[int, ...]:
-        refl = set()
-        for v in range(len(self.forms)):
-            vi = self._inverse[v]
-            for s in range(self.num_generators):
-                refl.add(self.mul(self.mul(v, self.right[self.identity][s]), vi))
+        """The conjugates of the generators, as the closure of the generators
+        under t -> s t s, read from the product tables."""
+        left, right = self.left, self.right
+        refl = set(right[self.identity])
+        frontier = list(refl)
+        while frontier:
+            nxt = []
+            for t in frontier:
+                for s in range(self.num_generators):
+                    c = left[right[t][s]][s]
+                    if c not in refl:
+                        refl.add(c)
+                        nxt.append(c)
+            frontier = nxt
         out = tuple(sorted(refl))
         if len(out) != self.length[self.w0]:
             raise AssertionError("reflection count must equal the length of the longest element")

@@ -7,10 +7,20 @@ a height h = (length difference + 1)/2; height 1 edges are the covering
 whose restriction to every dihedral reflection subgroup is one of the two
 natural chains; such orders are built here from reduced words of the
 longest element.
+
+Paths are listed by depth-first search (``increasing_paths``,
+``short_paths``, ``all_paths``). Dyer's EL property (exactly one
+label-increasing maximal chain per interval, and it is the
+lexicographically first) is checked without listing chains:
+``count_increasing_chains`` counts the increasing ones by dynamic
+programming over (vertex, rank of the last label) on covering edges and
+finds the lexicographically first chain greedily, one lowest-ranked cover
+at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +50,7 @@ __all__ = [
     "increasing_paths",
     "short_paths",
     "all_paths",
+    "count_increasing_chains",
     "to_dot",
 ]
 
@@ -454,6 +465,69 @@ def all_paths(graph: BruhatGraph, u: int, w: int,
             labels.pop()
 
     yield from dfs(u, [u], [])
+
+
+# -- chain counting -------------------------------------------------------------
+
+
+def _cover_table(graph: BruhatGraph, w: int,
+                 order: ReflectionOrder) -> dict[int, list[tuple[int, int]]]:
+    """Each vertex below w -> its covering edges as (label rank, target), ascending."""
+    rank = order.rank
+    table = {}
+    for v, edges in graph.out_edges.items():
+        if v == w:
+            continue
+        up = sorted((rank[e.reflection], e.target) for e in edges if e.height == 1)
+        if not up:
+            raise AssertionError("every element below the top of an interval has a cover in it")
+        table[v] = up
+    return table
+
+
+def _lex_first_chain(table: dict[int, list[tuple[int, int]]], u: int, w: int) -> list[int]:
+    """Label ranks of the lexicographically first maximal chain from u to w.
+
+    The interval is graded and the out-edges of one vertex carry distinct
+    reflections, so the lowest-ranked cover at each step starts the
+    lexicographically first chain of what remains.
+    """
+    ranks = []
+    while u != w:
+        r, u = table[u][0]
+        ranks.append(r)
+    return ranks
+
+
+def count_increasing_chains(graph: BruhatGraph, u: int, w: int,
+                            order: ReflectionOrder) -> tuple[int, bool]:
+    """Count the label-increasing maximal chains of [u, w] without listing them.
+
+    ``graph`` is the Bruhat graph of [u, w]. Returns the number of maximal
+    chains whose labels strictly increase in ``order``, and whether the
+    lexicographically first maximal chain is one of them; Dyer's EL property
+    of a reflection order is that the answer is (1, True) on every interval.
+    The count is a dynamic program over (vertex, rank of the last label)
+    along covering edges, run from the top down: ``tails[v][i]`` counts the
+    increasing chains from v to w that start with v's i-th cover or a later
+    one, so the chains from v after a label of rank r are ``tails[v][i]``
+    for the first cover i ranked above r.
+    """
+    table = _cover_table(graph, w, order)
+    tails: dict[int, list[int]] = {}
+    for v in reversed(graph.interval.members):  # members ascend in length
+        up = table.get(v)
+        if up is None:
+            continue
+        acc = [0] * (len(up) + 1)
+        for i in range(len(up) - 1, -1, -1):
+            r, x = up[i]
+            after = 1 if x == w else tails[x][bisect_left(table[x], (r + 1,))]
+            acc[i] = acc[i + 1] + after
+        tails[v] = acc
+    count = 1 if u == w else tails[u][0]
+    first = _lex_first_chain(table, u, w)
+    return count, all(a < b for a, b in zip(first, first[1:]))
 
 
 def to_dot(graph: BruhatGraph, name: str = "bruhat") -> str:

@@ -11,6 +11,8 @@ order, so the output is identical for any worker count.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,12 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
-from .graph import (
-    build_graph,
-    distinct_reflection_orders,
-    increasing_paths,
-    short_paths,
-)
+from .graph import build_graph, count_increasing_chains, distinct_reflection_orders
 from .rpoly import (
     RContext,
     load_snapshot,
@@ -112,17 +109,32 @@ def _run_chunk(spec: str, task: str, chunk: list) -> list:
     return [fn(env, item) for item in chunk]
 
 
+# fork where the platform has it, so workers inherit the parent's environment
+_POOL_CONTEXT = (multiprocessing.get_context("fork")
+                 if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
+def _pool_size(workers: int, cpus: Optional[int], items: int) -> int:
+    """Worker processes for ``items`` work items: at most the requested count,
+    the CPU count (1 when unknown) and one per two items; 1 means no pool."""
+    return max(1, min(workers, cpus or 1, items // 2))
+
+
 def _pmap(spec: str, task: str, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) < 2 * workers:
+    processes = _pool_size(workers, os.cpu_count(), len(items))
+    if processes <= 1:
         env = _environment(spec)
         fn = _TASKS[task]
         return [fn(env, item) for item in items]
-    chunk_count = workers * 4
-    chunk_size = max(1, math.ceil(len(items) / chunk_count))
+    # four chunks per process; with two or more items per process this
+    # never makes fewer chunks than processes
+    chunk_size = max(1, math.ceil(len(items) / (processes * 4)))
     chunks = [list(items[i:i + chunk_size]) for i in range(0, len(items), chunk_size)]
-    _environment(spec)  # warm the parent before fork-based pools copy it
+    # warm the parent: forked workers inherit its environment, workers
+    # started any other way build their own on first use
+    _environment(spec)
     results: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=processes, mp_context=_POOL_CONTEXT) as pool:
         futures = [pool.submit(_run_chunk, spec, task, c) for c in chunks]
         for fut in futures:
             results.extend(fut.result())
@@ -163,16 +175,8 @@ def _task_el_pair(env: dict, pair: tuple[int, int]) -> bool:
     group: GroupTable = env["group"]
     u, w = pair
     graph = build_graph(group, group.interval(u, w))
-    chains = short_paths(graph, u, w)
-    for order in env["orders"]:
-        increasing = increasing_paths(graph, u, w, order, short_only=True)
-        if len(increasing) != 1:
-            return False
-        ranks = tuple(order.rank[t] for t in increasing[0].labels)
-        best = min(tuple(order.rank[t] for t in c.labels) for c in chains)
-        if ranks != best:
-            return False
-    return True
+    return all(count_increasing_chains(graph, u, w, order) == (1, True)
+               for order in env["orders"])
 
 
 def _task_fourway_w(env: dict, w: int) -> bool:
@@ -212,23 +216,25 @@ _TASKS: dict[str, Callable] = {
 # -- scopes -------------------------------------------------------------------------
 
 
-def _cap_pairs(group: GroupTable, pairs: list[tuple[int, int]],
-               max_interval_len: Optional[int]) -> list[tuple[int, int]]:
-    """Keep the pairs (u, w) with length(w) - length(u) <= max_interval_len."""
+def _comparable_pairs(group: GroupTable,
+                      max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
+    """The pairs u <= w with length(w) - length(u) <= max_interval_len, in id order.
+
+    The cap filters each lower ideal before any pair is built.
+    """
     if max_interval_len is None:
-        return pairs
-    return [(u, w) for u, w in pairs
-            if group.length[w] - group.length[u] <= max_interval_len]
+        return group.comparable_pairs()
+    length = group.length
+    return sorted((u, w) for w in group.elements() for u in group.lower_ideal(w)
+                  if length[w] - length[u] <= max_interval_len)
 
 
 def _interval_scope(group: GroupTable,
                     max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
     """All comparable pairs for small groups, else lower intervals only."""
     if len(group) <= SMALL_GROUP_LIMIT:
-        pairs = group.comparable_pairs()
-    else:
-        pairs = [(group.identity, w) for w in group.elements()]
-    return _cap_pairs(group, pairs, max_interval_len)
+        return _comparable_pairs(group, max_interval_len)
+    return [(group.identity, w) for w in _lower_scope(group, max_interval_len)]
 
 
 def _lower_scope(group: GroupTable, max_interval_len: Optional[int] = None) -> list[int]:
@@ -241,21 +247,27 @@ def _lower_scope(group: GroupTable, max_interval_len: Optional[int] = None) -> l
 # -- checks -------------------------------------------------------------------------
 
 
-def _check_th1(spec: str, workers: int,
-               cap: Optional[int] = None) -> tuple[CheckResult, CheckResult]:
+def _check_th1(spec: str, cap: Optional[int], selected: Sequence[str]) -> list[CheckResult]:
+    """The selected ones of th1-monotone and th1-odd, sharing one table of sizes."""
+    monotone = "th1-monotone" in selected
     env = _environment(spec)
     group: GroupTable = env["group"]
     ctx: RContext = env["ctx"]
-    sizes = {v: ctx.bruhat_size(group.identity, v) for v in group.elements()}
     tops = _lower_scope(group, cap)
-    odd_ok = all(sizes[w] % 2 == 1 for w in tops)
-    pairs = _cap_pairs(group, group.comparable_pairs(), cap)
-    bad = sum(1 for u, w in pairs if sizes[u] > sizes[w])
-    return (
-        CheckResult("th1-monotone", bad == 0, len(pairs),
-                    "sizes never decrease up the order" if bad == 0 else f"{bad} violations"),
-        CheckResult("th1-odd", odd_ok, len(tops), "every size is odd" if odd_ok else "even size found"),
-    )
+    needed = group.elements() if monotone else tops
+    sizes = {v: ctx.bruhat_size(group.identity, v) for v in needed}
+    results = []
+    if monotone:
+        pairs = _comparable_pairs(group, cap)
+        bad = sum(1 for u, w in pairs if sizes[u] > sizes[w])
+        results.append(CheckResult(
+            "th1-monotone", bad == 0, len(pairs),
+            "sizes never decrease up the order" if bad == 0 else f"{bad} violations"))
+    if "th1-odd" in selected:
+        odd_ok = all(sizes[w] % 2 == 1 for w in tops)
+        results.append(CheckResult("th1-odd", odd_ok, len(tops),
+                                   "every size is odd" if odd_ok else "even size found"))
+    return results
 
 
 def _check_th2(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
@@ -276,7 +288,7 @@ def _check_th3(spec: str, workers: int, cap: Optional[int] = None) -> CheckResul
 
 def _check_th4(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
     group = _environment(spec)["group"]
-    pairs = _cap_pairs(group, group.comparable_pairs(), cap)
+    pairs = _comparable_pairs(group, cap)
     oks = _pmap(spec, "th4_pair", pairs, workers)
     return CheckResult("th4-bounds", all(oks), len(pairs),
                        "shifted polynomials inside dihedral bounds" if all(oks) else "bound failed")
@@ -341,15 +353,9 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     for name in CHECK_NAMES:
         if name not in selected:
             continue
-        if name == "th1-monotone":
-            mono, odd = _check_th1(spec, workers, max_interval_len)
-            results.append(mono)
-            if "th1-odd" in selected:
-                results.append(odd)
-        elif name == "th1-odd":
-            if "th1-monotone" not in selected:
-                _, odd = _check_th1(spec, workers, max_interval_len)
-                results.append(odd)
+        # th1-odd is reported with th1-monotone when both are selected
+        if name == "th1-monotone" or (name == "th1-odd" and "th1-monotone" not in selected):
+            results.extend(_check_th1(spec, max_interval_len, selected))
         elif name == "th2":
             results.append(_check_th2(spec, workers, max_interval_len))
         elif name == "th3":
@@ -404,7 +410,7 @@ def run_scan(spec: str, workers: int = 1, sample: Optional[int] = None,
     group = env["group"]
     ctx: RContext = env["ctx"]
     if exhaustive:
-        pairs = _cap_pairs(group, group.comparable_pairs(), max_interval_len)
+        pairs = _comparable_pairs(group, max_interval_len)
     else:
         pairs = _interval_scope(group, max_interval_len)
     sampled = None

@@ -3,13 +3,14 @@
 Everything here is deliberately naive and separate from the library's own
 algorithms: inversion counting, the dot-matrix comparison criterion for
 permutations, reachability closures, the memoized descent recursion for
-Bruhat order and the Fibonacci recursion. Tests compare library output
-against these.
+Bruhat order, the reflections as all conjugates of the generators, Dyer's
+EL property by listing every maximal chain, and the Fibonacci recursion.
+Tests compare library output against these.
 """
 
 from __future__ import annotations
 
-from bruhatpoly import IntPoly
+from bruhatpoly import IntPoly, increasing_paths, short_paths
 
 
 def inversions(perm) -> int:
@@ -75,6 +76,29 @@ def descent_leq(group, u: int, w: int, memo: dict) -> bool:
         res = descent_leq(group, u, ws, memo)
     memo[key] = res
     return res
+
+
+def conjugate_reflections(group) -> tuple[int, ...]:
+    """Every conjugate v s v^-1 of every generator s, by a sweep over the group."""
+    refl = set()
+    for v in group.elements():
+        for s in range(group.num_generators):
+            refl.add(group.mul(group.mul(v, group.generator(s)), group.inv(v)))
+    return tuple(sorted(refl))
+
+
+def smallest_rank_word(chains, order) -> tuple[int, ...]:
+    """Smallest label-rank word over listed maximal chains (``short_paths``)."""
+    rank = order.rank.__getitem__
+    return min(tuple(map(rank, c.labels)) for c in chains)
+
+
+def el_holds(graph, u: int, w: int, order) -> bool:
+    """Exactly one increasing maximal chain, and its rank word is the smallest."""
+    increasing = increasing_paths(graph, u, w, order, short_only=True)
+    return (len(increasing) == 1
+            and tuple(order.rank[t] for t in increasing[0].labels)
+            == smallest_rank_word(short_paths(graph, u, w), order))
 
 
 def fibonacci_rec(n: int) -> IntPoly:

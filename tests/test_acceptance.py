@@ -7,6 +7,7 @@ below); those literals are kept as strict xfail tests right next to the
 corrected, fully cross-checked values.
 """
 
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import pytest
 from bruhatpoly import (
     IntPoly,
     RContext,
+    ReflectionOrder,
     build_graph,
     default_reflection_order,
     distinct_reflection_orders,
@@ -28,8 +30,9 @@ from bruhatpoly import (
     short_paths,
     validate_reflection_order,
 )
-from bruhatpoly import analysis
+from bruhatpoly import analysis, suite
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, average, monomial, size
+from oracles import el_holds
 from test_rpoly import S4_CLASSES
 
 
@@ -216,6 +219,21 @@ def test_c08_el_shellability(a3):
                 winner = tuple(order.rank[t] for t in inc[0].labels)
                 assert winner == min(tuple(order.rank[t] for t in c.labels)
                                      for c in chains)
+
+
+def test_c08_el_check_rejects_a_non_reflection_order(a3):
+    with criterion("c08 EL check fails off reflection orders"):
+        sequence = list(a3.reflections)
+        random.Random(3).shuffle(sequence)
+        order = ReflectionOrder(sequence)
+        assert not validate_reflection_order(a3, order).ok
+        env = {"group": a3, "orders": [order]}
+        verdicts = []
+        for u, w in a3.comparable_pairs():
+            graph = build_graph(a3, a3.interval(u, w))
+            verdicts.append(suite._task_el_pair(env, (u, w)))
+            assert verdicts[-1] == el_holds(graph, u, w, order)
+        assert any(verdicts) and not all(verdicts)
 
 
 def test_c09_four_way_regularity(a3, a3_ctx, a4, a4_ctx):

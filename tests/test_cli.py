@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from bruhatpoly import analysis
+from bruhatpoly import analysis, suite
 from bruhatpoly.cli import INTERNAL_ERROR, main
+from bruhatpoly.suite import _comparable_pairs, _pool_size
 from bruhatpoly.rpoly import SNAPSHOT_FORMAT
 from oracles import dot_leq, inversions
 
@@ -166,6 +167,26 @@ def test_verify_cap_applies_to_every_sweep(capsys):
     assert {c["name"]: c["scope"] for c in json.loads(out)["checks"]} == expected
 
 
+def test_capped_pairs_are_the_filtered_pairs(a3, i2_groups):
+    for group in (a3, i2_groups[7]):
+        every = group.comparable_pairs()
+        assert _comparable_pairs(group) == every
+        for cap in range(group.length[group.w0] + 1):
+            assert _comparable_pairs(group, cap) == [
+                (u, w) for u, w in every if group.length[w] - group.length[u] <= cap]
+
+
+def test_th1_odd_alone_builds_no_pair_list(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("pair list built")
+
+    monkeypatch.setattr(suite, "_comparable_pairs", refuse)
+    code, out = capture(capsys, ["verify", "--group", "A4", "--suite", "th1-odd",
+                                 "--max-interval-len", "3"])
+    assert code == 0
+    assert "th1-odd: PASS (scope=" in out
+
+
 def test_verify_large_dihedral_group(capsys):
     code, out = capture(capsys, ["verify", "--group", "I2:12"])
     assert code == 0
@@ -289,6 +310,16 @@ def test_corrupt_snapshot_table_is_ignored(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BRUHAT_CACHE_DIR", str(tmp_path))
     code, out = capture(capsys, args)
     assert code == 0 and out == uncached
+
+
+def test_worker_count_is_clamped():
+    # no process is started: only the count a pool would get is computed
+    assert _pool_size(10_000, 2, 3781) == 2
+    assert _pool_size(10_000, 64, 10) == 5  # two items per worker at least
+    assert _pool_size(10_000, None, 3781) == 1  # unknown CPU count: no pool
+    assert _pool_size(3, 8, 3781) == 3
+    assert _pool_size(4, 8, 3) == 1
+    assert _pool_size(1, 8, 3781) == 1
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bruhatpoly import CoxeterDescriptor, EmptyIntervalError, SizeLimitError, enumerate_group
-from oracles import descent_leq, dot_leq, inversions, reachability
+from oracles import conjugate_reflections, descent_leq, dot_leq, inversions, reachability
 
 
 def test_descriptor_validation():
@@ -79,6 +79,13 @@ def test_reflections_are_involutions_and_count(a3, a4, i2_groups):
         assert len(group.reflections) == group.length[group.w0]
         for t in group.reflections:
             assert group.mul(t, t) == group.identity
+
+
+def test_reflection_closure_matches_conjugation_sweep(a1, a2, a3, a4, i2_groups):
+    groups = [a1, a2, a3, a4] + [enumerate_group(CoxeterDescriptor("A", n)) for n in (5, 6)]
+    groups += [i2_groups[m] for m in (2, 3, 7, 12)]
+    for group in groups:
+        assert group.reflections == conjugate_reflections(group)
 
 
 def test_bruhat_leq_examples(a3, pid):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from bruhatpoly import (
     absolute_distance,
     all_paths,
     build_graph,
+    count_increasing_chains,
     default_reflection_order,
     distinct_reflection_orders,
     edge_weight,
@@ -23,8 +25,16 @@ from bruhatpoly import (
     to_dot,
     validate_reflection_order,
 )
-from bruhatpoly.graph import EnumerationCapError, InvalidWordError, lex_min_w0_word
+from bruhatpoly.graph import (
+    EnumerationCapError,
+    InvalidWordError,
+    _cover_table,
+    _lex_first_chain,
+    lex_min_w0_word,
+)
 from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, size
+from bruhatpoly.suite import _interval_scope
+from oracles import smallest_rank_word
 
 
 def lower_graph(group, w):
@@ -254,6 +264,40 @@ def test_short_paths_are_saturated(a3, pid):
     for v in g.interval.members[1:]:
         counts[v] = sum(counts[e.source] for e in g.in_edges[v] if e.is_short)
     assert len(chains) == counts[w]
+
+
+def shuffled_order(group, seed):
+    """A seeded random order on the reflections, mostly not a reflection order."""
+    sequence = list(group.reflections)
+    random.Random(seed).shuffle(sequence)
+    return ReflectionOrder(sequence)
+
+
+def test_chain_count_matches_enumeration(a1, a2, a3, a4, i2_groups):
+    failing = 0
+    for group in (a1, a2, a3, a4, i2_groups[3], i2_groups[5], i2_groups[8]):
+        orders = distinct_reflection_orders(group, want=3) + [shuffled_order(group, 7)]
+        for u, w in _interval_scope(group):
+            g = build_graph(group, group.interval(u, w))
+            chains = short_paths(g, u, w)
+            for order in orders:
+                count, first_increasing = count_increasing_chains(g, u, w, order)
+                assert count == len(increasing_paths(g, u, w, order, short_only=True))
+                first = tuple(_lex_first_chain(_cover_table(g, w, order), u, w))
+                assert first == smallest_rank_word(chains, order)
+                assert first_increasing == all(a < b for a, b in zip(first, first[1:]))
+                failing += (count, first_increasing) != (1, True)
+    assert failing > 0  # the shuffled orders exercise the failing side
+
+
+def test_chain_count_rejects_a_vertex_without_cover(a3, pid):
+    w = pid(a3, "3412")
+    g = lower_graph(a3, w)
+    order = default_reflection_order(a3)
+    assert count_increasing_chains(g, a3.identity, w, order) == (1, True)
+    below = g.in_edges[w][0].source
+    with pytest.raises(AssertionError):
+        count_increasing_chains(g, a3.identity, below, order)
 
 
 def test_dot_export(a3, i2_groups, pid):
