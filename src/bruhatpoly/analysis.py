@@ -71,7 +71,6 @@ __all__ = [
     "dihedral_bounds_ok",
     "conjecture_violation",
     "edge_size_tally",
-    "IntervalReport",
     "interval_report",
 ]
 
@@ -570,116 +569,55 @@ def _poly_json(f: IntPoly) -> dict:
     return {"coeffs": [str(c) for c in f.coeffs], "text": f.text()}
 
 
-@dataclass
-class IntervalReport:
-    group: str
-    u: str
-    w: str
-    ell: int
-    absolute_length: int
-    r: IntPoly
-    rtilde: IntPoly
-    shifted: IntPoly
-    gamma: dict[int, int]
-    bruhat_size: int
-    bruhat_total: int
-    bruhat_average: Optional[Fraction]
-    f_tilde: tuple[int, ...]
-    p1: int
-    p2: int
-    degree_regular: bool
-    upper_boolean_regular: bool
-    bruhat_boolean: bool
-    bounds_ok: bool
-    is_lower: bool
-    poincare: Optional[IntPoly] = None
-    poincare_average: Optional[Fraction] = None
-    average_criterion_equal: Optional[bool] = None
-    shifted_average: Optional[Fraction] = None
-    shifted_average_fired: Optional[bool] = None
-    pattern_singular: Optional[bool] = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "group": self.group,
-            "u": self.u,
-            "w": self.w,
-            "ell": self.ell,
-            "absolute_length": self.absolute_length,
-            "r": _poly_json(self.r),
-            "rtilde": _poly_json(self.rtilde),
-            "shifted_r": _poly_json(self.shifted),
-            "gamma": {str(k): v for k, v in sorted(self.gamma.items())},
-            "size": self.bruhat_size,
-            "total": self.bruhat_total,
-            "average": _frac_str(self.bruhat_average) if self.bruhat_average is not None else None,
-            "f_tilde": {f"f{i}": v for i, v in enumerate(self.f_tilde)},
-            "f1": self.f_tilde[1] if len(self.f_tilde) > 1 else 0,
-            "f2": self.f_tilde[2] if len(self.f_tilde) > 2 else 0,
-            "p1": self.p1,
-            "p2": self.p2,
-            "regularity": {
-                "regular": self.degree_regular,
-                "by_degrees": self.degree_regular,
-                "by_upper_boolean": self.upper_boolean_regular,
-            },
-            "bruhat_boolean": self.bruhat_boolean,
-            "dihedral_bounds_ok": self.bounds_ok,
-        }
-        if self.is_lower:
-            assert self.poincare is not None and self.poincare_average is not None
-            out["poincare"] = _poly_json(self.poincare)
-            out["poincare_average"] = _frac_str(self.poincare_average)
-            out["regularity"]["by_average"] = self.average_criterion_equal
-            out["bruhat_poincare_average"] = _frac_str(self.shifted_average)
-            out["regularity"]["average_criterion_fired"] = self.shifted_average_fired
-        if self.pattern_singular is not None:
-            out["regularity"]["by_pattern_smooth"] = not self.pattern_singular
-        return out
-
-
 def interval_report(ctx: RContext, u: int, w: int,
-                    order: Optional[ReflectionOrder] = None) -> IntervalReport:
-    """Everything this library knows about one interval, in one object."""
+                    order: Optional[ReflectionOrder] = None) -> dict:
+    """Everything this library knows about one interval, as a JSON-ready dict.
+
+    Lower intervals also get their Poincare polynomial and the two average
+    criteria, and in type A the pattern criterion.
+    """
     g = ctx.group
     if order is None:
         order = default_reflection_order(g)
     graph = build_graph(g, g.interval(u, w))
     gamma = ctx.gamma_vector(u, w)
     shifted = ctx.shifted(u, w)
-    avg = average(shifted) if shifted else None
+    f_vec = f_tilde_vector(ctx, u, w)
     p1, p2 = p1_p2(ctx, graph, order)
-    is_lower = u == g.identity
-    report = IntervalReport(
-        group=g.descriptor.spec_string(),
-        u=g.display(u),
-        w=g.display(w),
-        ell=graph.interval.ell,
-        absolute_length=gamma.absolute_length,
-        r=ctx.r(u, w),
-        rtilde=ctx.rtilde(u, w),
-        shifted=shifted,
-        gamma=gamma.as_dict(),
-        bruhat_size=ctx.bruhat_size(u, w),
-        bruhat_total=ctx.bruhat_total(u, w),
-        bruhat_average=avg,
-        f_tilde=f_tilde_vector(ctx, u, w),
-        p1=p1,
-        p2=p2,
-        degree_regular=is_regular(graph),
-        upper_boolean_regular=regular_via_upper_boolean(ctx, u, w),
-        bruhat_boolean=is_bruhat_boolean(ctx, u, w),
-        bounds_ok=dihedral_bounds_ok(ctx, u, w),
-        is_lower=is_lower,
-    )
-    if is_lower:
-        report.poincare = poincare(ctx, w)
-        avg_p, eq = carrell_peterson_equal(ctx, w)
-        report.poincare_average = avg_p
-        report.average_criterion_equal = eq
-        savg, fired = shifted_average_fires(ctx, w)
-        report.shifted_average = savg
-        report.shifted_average_fired = fired
+    regular = is_regular(graph)
+    regularity = {
+        "regular": regular,
+        "by_degrees": regular,
+        "by_upper_boolean": regular_via_upper_boolean(ctx, u, w),
+    }
+    out = {
+        "group": g.descriptor.spec_string(),
+        "u": g.display(u),
+        "w": g.display(w),
+        "ell": graph.interval.ell,
+        "absolute_length": gamma.absolute_length,
+        "r": _poly_json(ctx.r(u, w)),
+        "rtilde": _poly_json(ctx.rtilde(u, w)),
+        "shifted_r": _poly_json(shifted),
+        "gamma": {str(j): c for j, c in gamma.entries},
+        "size": ctx.bruhat_size(u, w),
+        "total": ctx.bruhat_total(u, w),
+        "average": _frac_str(average(shifted)) if shifted else None,
+        "f_tilde": {f"f{i}": v for i, v in enumerate(f_vec)},
+        "f1": f_vec[1] if len(f_vec) > 1 else 0,
+        "f2": f_vec[2] if len(f_vec) > 2 else 0,
+        "p1": p1,
+        "p2": p2,
+        "regularity": regularity,
+        "bruhat_boolean": is_bruhat_boolean(ctx, u, w),
+        "dihedral_bounds_ok": dihedral_bounds_ok(ctx, u, w),
+    }
+    if u == g.identity:
+        poincare_avg, regularity["by_average"] = carrell_peterson_equal(ctx, w)
+        shifted_avg, regularity["average_criterion_fired"] = shifted_average_fires(ctx, w)
+        out["poincare"] = _poly_json(poincare(ctx, w))
+        out["poincare_average"] = _frac_str(poincare_avg)
+        out["bruhat_poincare_average"] = _frac_str(shifted_avg)
         if g.descriptor.family == "A":
-            report.pattern_singular = is_singular(g.forms[w])
-    return report
+            regularity["by_pattern_smooth"] = not is_singular(g.forms[w])
+    return out

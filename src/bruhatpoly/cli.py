@@ -11,8 +11,6 @@ Subcommands:
 Output is deterministic: identical arguments give byte-identical output,
 for any worker count. Exit codes: 0 success, 1 check failure, 2 bad usage,
 3 internal error (a library invariant failed; reported on one stderr line).
-Set BRUHAT_CACHE_DIR to keep on-disk snapshots of the polynomial memo
-tables between runs (one versioned, checksummed file per group).
 """
 
 from __future__ import annotations
@@ -31,13 +29,7 @@ from .coxeter import CoxeterDescriptor, EmptyIntervalError, GroupTable, enumerat
 from .graph import build_graph, to_dot
 from .poly import size as poly_size
 from .poly import total as poly_total
-from .rpoly import (
-    RContext,
-    gamma_form_text,
-    load_snapshot,
-    save_snapshot,
-    snapshot_path,
-)
+from .rpoly import RContext, gamma_form_text
 
 CHECK_FAILURE = 1
 USAGE_ERROR = 2
@@ -119,25 +111,14 @@ def _make_group(spec: str) -> GroupTable:
         raise CliError(str(exc))
 
 
-def _make_context(group: GroupTable) -> RContext:
-    ctx = RContext(group)
-    path = snapshot_path(group.descriptor.spec_string())
-    if path is not None:
-        load_snapshot(ctx, path)
-    return ctx
-
-
-def _maybe_save(ctx: RContext) -> None:
-    path = snapshot_path(ctx.group.descriptor.spec_string())
-    if path is not None:
-        save_snapshot(ctx, path)
-
-
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _json_text(obj) -> str:
@@ -149,7 +130,7 @@ def _json_text(obj) -> str:
 
 def cmd_interval(args: argparse.Namespace) -> int:
     group = _make_group(args.group)
-    ctx = _make_context(group)
+    ctx = RContext(group)
     u = parse_element(group, args.u)
     w = parse_element(group, args.w)
     if not group.leq(u, w):
@@ -157,9 +138,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
             f"{group.display(u)} is not below {group.display(w)} in Bruhat order; "
             "the interval is empty"
         )
-    report = analysis.interval_report(ctx, u, w)
-    _maybe_save(ctx)
-    _emit(_json_text(report.to_json_dict()), args.out)
+    _emit(_json_text(analysis.interval_report(ctx, u, w)), args.out)
     return 0
 
 
@@ -189,9 +168,7 @@ def _r_classes(ctx: RContext) -> list[dict]:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.table == "r-polys":
         group = _make_group(args.group)
-        ctx = _make_context(group)
-        rows = _r_classes(ctx)
-        _maybe_save(ctx)
+        rows = _r_classes(RContext(group))
         if args.format == "json":
             _emit(_json_text({"group": args.group, "classes": rows}), args.out)
         else:
@@ -226,8 +203,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     group = _make_group(args.group)  # validate the spec before spending time
     checks = None
-    if args.suite and args.suite != "full":
+    if args.suite != "full":
         checks = [c.strip() for c in args.suite.split(",") if c.strip()]
+        if not checks:
+            raise CliError(f"--suite {args.suite!r} names no check")
     started = time.perf_counter()
     try:
         results = suite.run_suite(args.group, checks=checks, workers=args.workers,
@@ -245,7 +224,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(_json_text(payload), args.out)
     else:
         _emit(suite.suite_text(args.group, results, args.max_interval_len), args.out)
-    suite.save_environment_snapshot(args.group)
     # timing goes to stderr so stdout stays byte-identical across runs
     print(f"verify {args.group}: {elapsed:.2f}s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else CHECK_FAILURE
@@ -285,7 +263,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         exhaustive=args.exhaustive,
         group=group,
     )
-    suite.save_environment_snapshot(args.group)
     _emit(_json_text(report), args.out)
     return 0 if not report["violations"] else CHECK_FAILURE
 
@@ -307,6 +284,17 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 # -- parser -------------------------------------------------------------------------------
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type for counts and caps: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="R-polynomial classes or dihedral table")
     p_tab.add_argument("--table", required=True, choices=("r-polys", "dihedral"))
     p_tab.add_argument("--group", help="group spec (required for r-polys)")
-    p_tab.add_argument("--max-n", type=int, default=8,
+    p_tab.add_argument("--max-n", type=_nonnegative, default=8,
                        help="last row of the dihedral table (default 8)")
     p_tab.add_argument("--format", choices=("csv", "json"), default="csv")
     p_tab.add_argument("--out")
@@ -342,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="full",
                        help="'full' or comma-separated check names")
     p_ver.add_argument("--workers", type=int, default=1)
-    p_ver.add_argument("--max-interval-len", type=int, default=None,
+    p_ver.add_argument("--max-interval-len", type=_nonnegative, default=None,
                        help="cap sweep checks at this interval length (partial run)")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=cmd_verify)
@@ -350,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="conjecture scan over intervals")
     add_common(p_scan)
     p_scan.add_argument("--workers", type=int, default=1)
-    p_scan.add_argument("--sample", type=int, default=None,
+    p_scan.add_argument("--sample", type=_nonnegative, default=None,
                         help="sample this many intervals instead of all")
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--max-interval-len", type=int, default=None)
+    p_scan.add_argument("--max-interval-len", type=_nonnegative, default=None)
     p_scan.add_argument("--include-pair", action="append", default=None,
                         metavar="U..W", help="always include this interval")
     p_scan.add_argument("--exhaustive", action="store_true",
@@ -364,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_dot)
     p_dot.add_argument("--u", required=True)
     p_dot.add_argument("--w", required=True)
-    p_dot.add_argument("--max-interval-len", type=int, default=None)
+    p_dot.add_argument("--max-interval-len", type=_nonnegative, default=None)
     p_dot.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -17,12 +17,7 @@ the nonneg families live here too.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 from .coxeter import GroupTable
 from .graph import BruhatGraph, ReflectionOrder, increasing_paths, path_weight
@@ -44,9 +39,6 @@ __all__ = [
     "gamma_form_text",
     "rtilde_via_paths",
     "shifted_r_via_weights",
-    "save_snapshot",
-    "load_snapshot",
-    "snapshot_path",
 ]
 
 _RULES = {
@@ -286,79 +278,3 @@ def shifted_r_via_weights(graph: BruhatGraph, u: int, w: int,
     for path in increasing_paths(graph, u, w, order):
         out = out + path_weight(path)
     return out
-
-
-# -- on-disk memo snapshots ----------------------------------------------------
-
-SNAPSHOT_FORMAT = "bruhatpoly-cache-v1"
-SNAPSHOT_ENV_VAR = "BRUHAT_CACHE_DIR"
-
-
-def snapshot_path(group_spec: str) -> Optional[Path]:
-    """Snapshot file for a group under BRUHAT_CACHE_DIR; None when unset."""
-    root = os.environ.get(SNAPSHOT_ENV_VAR)
-    if not root:
-        return None
-    return Path(root) / (group_spec.replace(":", "_") + ".json")
-
-
-def _tables_payload(ctx: RContext) -> dict:
-    out: dict[str, dict[str, list[str]]] = {}
-    for name, memo in ctx._memo.items():
-        table = {}
-        for (u, w), f in sorted(memo.items()):
-            table[f"{u}:{w}"] = [str(c) for c in f.coeffs]
-        out[name] = table
-    return out
-
-
-def save_snapshot(ctx: RContext, path: Path) -> None:
-    """Write the memo tables with a group header and payload checksum."""
-    tables = _tables_payload(ctx)
-    body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(body.encode()).hexdigest()
-    doc = {
-        "format": SNAPSHOT_FORMAT,
-        "group": ctx.group.descriptor.spec_string(),
-        "checksum": checksum,
-        "tables": tables,
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def load_snapshot(ctx: RContext, path: Path) -> bool:
-    """Merge a snapshot into the context; False when missing or invalid."""
-    path = Path(path)
-    if not path.is_file():
-        return False
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
-        return False
-    if doc.get("group") != ctx.group.descriptor.spec_string():
-        return False
-    tables = doc.get("tables")
-    if not isinstance(tables, dict):
-        return False
-    body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(body.encode()).hexdigest() != doc.get("checksum"):
-        return False
-    loaded: dict[str, dict[tuple[int, int], IntPoly]] = {}
-    try:
-        for name in ctx._memo:
-            table = tables.get(name, {})
-            if not isinstance(table, dict):
-                return False
-            loaded[name] = {}
-            for key, coeffs in table.items():
-                u_str, w_str = key.split(":")
-                loaded[name][(int(u_str), int(w_str))] = IntPoly(int(c) for c in coeffs)
-    except (ValueError, TypeError):
-        return False
-    for name, memo in ctx._memo.items():
-        memo.update(loaded[name])
-    return True

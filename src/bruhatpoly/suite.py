@@ -21,15 +21,7 @@ from typing import Callable, Optional, Sequence
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
 from .graph import build_graph, count_increasing_chains, distinct_reflection_orders
-from .rpoly import (
-    RContext,
-    load_snapshot,
-    reassemble_r,
-    rtilde_via_paths,
-    save_snapshot,
-    shifted_r_via_weights,
-    snapshot_path,
-)
+from .rpoly import RContext, reassemble_r, rtilde_via_paths, shifted_r_via_weights
 
 __all__ = [
     "CHECK_NAMES",
@@ -82,31 +74,18 @@ def _environment(spec: str, group: Optional[GroupTable] = None) -> dict:
     if env is None:
         if group is None:
             group = enumerate_group(CoxeterDescriptor.parse(spec))
-        ctx = RContext(group)
-        path = snapshot_path(spec)
-        if path is not None:
-            load_snapshot(ctx, path)
         env = {
             "group": group,
-            "ctx": ctx,
+            "ctx": RContext(group),
             "orders": distinct_reflection_orders(group, want=3),
         }
         _ENVS[spec] = env
     return env
 
 
-def save_environment_snapshot(spec: str) -> None:
-    """Persist the current memo tables when BRUHAT_CACHE_DIR is configured."""
-    env = _ENVS.get(spec)
-    path = snapshot_path(spec)
-    if env is not None and path is not None:
-        save_snapshot(env["ctx"], path)
-
-
-def _run_chunk(spec: str, task: str, chunk: list) -> list:
+def _run_chunk(spec: str, task: Callable, chunk: list) -> list:
     env = _environment(spec)
-    fn = _TASKS[task]
-    return [fn(env, item) for item in chunk]
+    return [task(env, item) for item in chunk]
 
 
 # fork where the platform has it, so workers inherit the parent's environment
@@ -120,12 +99,12 @@ def _pool_size(workers: int, cpus: Optional[int], items: int) -> int:
     return max(1, min(workers, cpus or 1, items // 2))
 
 
-def _pmap(spec: str, task: str, items: Sequence, workers: int) -> list:
+def _pmap(spec: str, task: Callable, items: Sequence, workers: int) -> list:
+    """``task(env, item)`` for every item, in order; ``task`` must be a
+    module-level function, which pickles by reference."""
     processes = _pool_size(workers, os.cpu_count(), len(items))
     if processes <= 1:
-        env = _environment(spec)
-        fn = _TASKS[task]
-        return [fn(env, item) for item in items]
+        return _run_chunk(spec, task, items)
     # four chunks per process; with two or more items per process this
     # never makes fewer chunks than processes
     chunk_size = max(1, math.ceil(len(items) / (processes * 4)))
@@ -141,7 +120,7 @@ def _pmap(spec: str, task: str, items: Sequence, workers: int) -> list:
     return results
 
 
-# -- task functions (must stay module level for pickling) --------------------------
+# -- task functions (module level, so that they pickle) -----------------------------
 
 
 def _task_th4_pair(env: dict, pair: tuple[int, int]) -> bool:
@@ -202,17 +181,6 @@ def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
     return analysis.conjecture_violation(env["ctx"], pair[0], pair[1])
 
 
-_TASKS: dict[str, Callable] = {
-    "th4_pair": _task_th4_pair,
-    "oracle_pair": _task_oracle_pair,
-    "el_pair": _task_el_pair,
-    "fourway_w": _task_fourway_w,
-    "th2_w": _task_th2_w,
-    "deodhar_pair": _task_deodhar_pair,
-    "scan_pair": _task_scan_pair,
-}
-
-
 # -- scopes -------------------------------------------------------------------------
 
 
@@ -270,55 +238,33 @@ def _check_th1(spec: str, cap: Optional[int], selected: Sequence[str]) -> list[C
     return results
 
 
-def _check_th2(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
-    group = _environment(spec)["group"]
-    ws = _lower_scope(group, cap)
-    oks = _pmap(spec, "th2_w", ws, workers)
-    return CheckResult("th2", all(oks), len(ws),
-                       "fired averages all irregular" if all(oks) else "criterion misfired")
+# check -> (scope, task, pass detail, fail detail). The scope is named, not
+# held, so that it is looked up in this module when the check runs.
+_SWEEPS: dict[str, tuple[str, Callable, str, str]] = {
+    "th2": ("_lower_scope", _task_th2_w,
+            "fired averages all irregular", "criterion misfired"),
+    "th3": ("_interval_scope", _task_deodhar_pair,
+            "both degree inequalities hold", "inequality failed"),
+    "th4-bounds": ("_comparable_pairs", _task_th4_pair,
+                   "shifted polynomials inside dihedral bounds", "bound failed"),
+    "el-unique": ("_interval_scope", _task_el_pair,
+                  "unique lex-first increasing chain", "uniqueness failed"),
+    "oracle-eq": ("_interval_scope", _task_oracle_pair,
+                  "recursions match path enumeration", "oracle mismatch"),
+    "cp-fourway": ("_lower_scope", _task_fourway_w,
+                   "all regularity criteria agree", "criteria disagree"),
+}
 
 
-def _check_th3(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
-    group = _environment(spec)["group"]
-    pairs = _interval_scope(group, cap)
-    oks = _pmap(spec, "deodhar_pair", pairs, workers)
-    return CheckResult("th3", all(oks), len(pairs),
-                       "both degree inequalities hold" if all(oks) else "inequality failed")
+def _check_sweep(spec: str, name: str, workers: int, cap: Optional[int]) -> CheckResult:
+    """Run one task of ``_SWEEPS`` over its scope; pass when every item passes."""
+    scope, task, passed, failed = _SWEEPS[name]
+    items = globals()[scope](_environment(spec)["group"], cap)
+    ok = all(_pmap(spec, task, items, workers))
+    return CheckResult(name, ok, len(items), passed if ok else failed)
 
 
-def _check_th4(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
-    group = _environment(spec)["group"]
-    pairs = _comparable_pairs(group, cap)
-    oks = _pmap(spec, "th4_pair", pairs, workers)
-    return CheckResult("th4-bounds", all(oks), len(pairs),
-                       "shifted polynomials inside dihedral bounds" if all(oks) else "bound failed")
-
-
-def _check_el(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
-    group = _environment(spec)["group"]
-    pairs = _interval_scope(group, cap)
-    oks = _pmap(spec, "el_pair", pairs, workers)
-    return CheckResult("el-unique", all(oks), len(pairs),
-                       "unique lex-first increasing chain" if all(oks) else "uniqueness failed")
-
-
-def _check_oracle(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
-    group = _environment(spec)["group"]
-    pairs = _interval_scope(group, cap)
-    oks = _pmap(spec, "oracle_pair", pairs, workers)
-    return CheckResult("oracle-eq", all(oks), len(pairs),
-                       "recursions match path enumeration" if all(oks) else "oracle mismatch")
-
-
-def _check_fourway(spec: str, workers: int, cap: Optional[int] = None) -> CheckResult:
-    group = _environment(spec)["group"]
-    ws = _lower_scope(group, cap)
-    oks = _pmap(spec, "fourway_w", ws, workers)
-    return CheckResult("cp-fourway", all(oks), len(ws),
-                       "all regularity criteria agree" if all(oks) else "criteria disagree")
-
-
-def _check_obs(spec: str, workers: int) -> CheckResult:
+def _check_obs(spec: str) -> CheckResult:
     result = analysis.observation_sum(_environment(spec)["ctx"])
     detail = f"sum of sizes = {result.sum_of_sizes} = 2^length(w0)"
     if not result.ok:
@@ -326,7 +272,7 @@ def _check_obs(spec: str, workers: int) -> CheckResult:
     return CheckResult("obs-sum", result.ok, 1, detail)
 
 
-def _check_gen_func(spec: str, workers: int) -> CheckResult:
+def _check_gen_func() -> CheckResult:
     series = analysis.dihedral_series(GEN_FUNC_DEPTH + 1)
     ok = all(series[n] == analysis.dihedral_poly(n) for n in range(GEN_FUNC_DEPTH + 1))
     return CheckResult("gen-func", ok, GEN_FUNC_DEPTH + 1,
@@ -353,25 +299,15 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     for name in CHECK_NAMES:
         if name not in selected:
             continue
+        if name in _SWEEPS:
+            results.append(_check_sweep(spec, name, workers, max_interval_len))
         # th1-odd is reported with th1-monotone when both are selected
-        if name == "th1-monotone" or (name == "th1-odd" and "th1-monotone" not in selected):
+        elif name == "th1-monotone" or (name == "th1-odd" and "th1-monotone" not in selected):
             results.extend(_check_th1(spec, max_interval_len, selected))
-        elif name == "th2":
-            results.append(_check_th2(spec, workers, max_interval_len))
-        elif name == "th3":
-            results.append(_check_th3(spec, workers, max_interval_len))
-        elif name == "th4-bounds":
-            results.append(_check_th4(spec, workers, max_interval_len))
-        elif name == "el-unique":
-            results.append(_check_el(spec, workers, max_interval_len))
-        elif name == "oracle-eq":
-            results.append(_check_oracle(spec, workers, max_interval_len))
-        elif name == "cp-fourway":
-            results.append(_check_fourway(spec, workers, max_interval_len))
         elif name == "obs-sum":
-            results.append(_check_obs(spec, workers))
+            results.append(_check_obs(spec))
         elif name == "gen-func":
-            results.append(_check_gen_func(spec, workers))
+            results.append(_check_gen_func())
     return results
 
 
@@ -421,7 +357,7 @@ def run_scan(spec: str, workers: int = 1, sample: Optional[int] = None,
     for pair in extra_pairs:
         if pair not in pairs:
             pairs.append(pair)
-    violations = [v for v in _pmap(spec, "scan_pair", pairs, workers) if v is not None]
+    violations = [v for v in _pmap(spec, _task_scan_pair, pairs, workers) if v is not None]
     violations.sort(key=lambda v: (v["u"], v["w"]))
     tally = analysis.edge_size_tally(ctx)
     return {

@@ -468,8 +468,7 @@ def test_size_from_gamma_vector(a3, a3_ctx, i2_ctxs):
 
 
 def test_interval_report_contents(a3, a3_ctx, pid):
-    report = analysis.interval_report(a3_ctx, a3.identity, pid(a3, "3412"))
-    d = report.to_json_dict()
+    d = analysis.interval_report(a3_ctx, a3.identity, pid(a3, "3412"))
     assert d["size"] == 3
     assert d["f2"] == 8
     assert d["p1"] == 2 and d["p2"] == 6
@@ -479,6 +478,5 @@ def test_interval_report_contents(a3, a3_ctx, pid):
     assert d["regularity"]["regular"] is False
     assert d["gamma"] == {"2": 1, "4": 1}
     assert d["r"]["coeffs"] == ["1", "-3", "4", "-3", "1"]
-    trivial = analysis.interval_report(a3_ctx, a3.w0, a3.w0)
-    td = trivial.to_json_dict()
+    td = analysis.interval_report(a3_ctx, a3.w0, a3.w0)
     assert td["r"]["text"] == "1" and td["size"] == 1

@@ -6,10 +6,9 @@ import sys
 
 import pytest
 
-from bruhatpoly import analysis, suite
+from bruhatpoly import CoxeterDescriptor, analysis, enumerate_group, suite
 from bruhatpoly.cli import INTERNAL_ERROR, main
 from bruhatpoly.suite import _comparable_pairs, _pool_size
-from bruhatpoly.rpoly import SNAPSHOT_FORMAT
 from oracles import dot_leq, inversions
 
 
@@ -265,51 +264,33 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["size"] == 1
 
 
-def test_verify_populates_cache(tmp_path):
-    import os
-    env = {**os.environ, "BRUHAT_CACHE_DIR": str(tmp_path)}
-    proc = subprocess.run([sys.executable, "-m", "bruhatpoly", "verify", "--group", "I2:3"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert (tmp_path / "I2_3.json").is_file()
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["interval", "--group", "A3", "--u", "e", "--w", "1234",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
 
 
-def test_cache_dir_round_trip(tmp_path):
-    env = {"BRUHAT_CACHE_DIR": str(tmp_path)}
-    import os
-    full_env = {**os.environ, **env}
-    p1 = subprocess.run([sys.executable, "-m", "bruhatpoly", "interval", "--group", "A3",
-                         "--u", "e", "--w", "w0"], capture_output=True, text=True,
-                        env=full_env)
-    assert p1.returncode == 0
-    snap = tmp_path / "A3.json"
-    assert snap.is_file()
-    p2 = subprocess.run([sys.executable, "-m", "bruhatpoly", "interval", "--group", "A3",
-                         "--u", "e", "--w", "w0"], capture_output=True, text=True,
-                        env=full_env)
-    assert p2.stdout == p1.stdout
-    # corrupt snapshot is ignored, not fatal
-    snap.write_text(snap.read_text().replace("bruhatpoly-cache-v1", "bogus"))
-    p3 = subprocess.run([sys.executable, "-m", "bruhatpoly", "interval", "--group", "A3",
-                         "--u", "e", "--w", "w0"], capture_output=True, text=True,
-                        env=full_env)
-    assert p3.returncode == 0 and p3.stdout == p1.stdout
-
-
-def test_corrupt_snapshot_table_is_ignored(tmp_path, monkeypatch, capsys):
-    args = ["interval", "--group", "A2", "--u", "e", "--w", "w0"]
-    monkeypatch.delenv("BRUHAT_CACHE_DIR", raising=False)
-    _, uncached = capture(capsys, args)
-    # a valid checksum over a table that is a list, not a dict
-    tables = {"r": [1, 2]}
-    body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
-    (tmp_path / "A2.json").write_text(json.dumps({
-        "format": SNAPSHOT_FORMAT, "group": "A2",
-        "checksum": hashlib.sha256(body.encode()).hexdigest(), "tables": tables,
-    }))
-    monkeypatch.setenv("BRUHAT_CACHE_DIR", str(tmp_path))
-    code, out = capture(capsys, args)
-    assert code == 0 and out == uncached
+@pytest.mark.parametrize("args", [
+    ["verify", "--group", "A3", "--max-interval-len", "-1"],
+    ["scan", "--group", "A3", "--max-interval-len", "-1"],
+    ["export-dot", "--group", "A3", "--u", "e", "--w", "w0", "--max-interval-len", "-1"],
+    ["scan", "--group", "A3", "--sample", "-1"],
+    ["table", "--table", "dihedral", "--max-n", "-1"],
+    ["verify", "--group", "A3", "--suite", ","],
+], ids=" ".join)
+def test_negative_count_or_empty_suite_is_usage_error(args, capsys):
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must be >= 0" in captured.err or "names no check" in captured.err
 
 
 def test_worker_count_is_clamped():
@@ -334,9 +315,9 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert captured.err == "error: internal: sizes disagree second line\n"
 
 
-# SHA-256 of stdout as printed when Bruhat order was still a memoized
-# recursion and intervals were a scan over the whole group; the order
-# rewrite must not move a byte
+# SHA-256 of stdout, recorded before the change each entry guards: the
+# first three before the Bruhat order rewrite, the rest before the memo
+# snapshot, the check table and the interval report class were removed
 GOLDEN_STDOUT_SHA256 = {
     ("scan", "--group", "A4", "--exhaustive"):
         "ce22376a08e93292e718e391d938e44d7cddb992bee7186f2bdedd6b8df9a728",
@@ -344,11 +325,49 @@ GOLDEN_STDOUT_SHA256 = {
         "930513606c1cf1219ca469efa8f1ecc03d65ba6d2b4b88b861ce112df581ef93",
     ("table", "--table", "r-polys", "--group", "A4", "--format", "json"):
         "44f872f395ae5f16eb195ae8015314f0fc67d168c078fcc7d332043620b2d5ee",
+    # lower interval in type A: Poincare and pattern keys
+    ("interval", "--group", "A3", "--u", "e", "--w", "w0"):
+        "006aa814d8f686999ea3ec5129879a4f3608b03d0daf7fb02bbde86c2328859d",
+    # not a lower interval
+    ("interval", "--group", "A3", "--u", "2134", "--w", "w0"):
+        "ec77a9f895f127074d26dd092b896dd62dbe480cd1db651ef647c4c0ea7d9693",
+    # no pattern key
+    ("interval", "--group", "I2:7", "--u", "e", "--w", "w0"):
+        "fa4e95c4d96baced8adbdb2f6749a2d34cb4ec971388edca296a7973e40fb21d",
+    ("verify", "--group", "A3", "--format", "json"):
+        "e030ddac980699fb09fbe68565e3f9849baa634eb6e2b39b59382d455d6b9d91",
+    # partial header, every sweep scope under a cap
+    ("verify", "--group", "A4", "--max-interval-len", "3"):
+        "52b75cb327f793ade962678d107c098918ff4caff885116de608c6837334ed07",
 }
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN_STDOUT_SHA256), ids=" ".join)
-def test_golden_stdout(args, monkeypatch, capsys):
-    monkeypatch.delenv("BRUHAT_CACHE_DIR", raising=False)
+def test_golden_stdout(args, capsys):
     _, out = capture(capsys, list(args))
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[args]
+
+
+def poisoned_snapshot(spec):
+    """A memo snapshot for ``spec`` in the checksummed format that bruhatpoly
+    0.1.0 merged from $BRUHAT_CACHE_DIR, with a wrong value for every pair."""
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    tables = {name: {f"{u}:{w}": ["7"] for u, w in group.comparable_pairs() if u != w}
+              for name in ("r", "rtilde", "shifted")}
+    body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    return json.dumps({"format": "bruhatpoly-cache-v1", "group": spec,
+                       "checksum": hashlib.sha256(body.encode()).hexdigest(),
+                       "tables": tables})
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_golden_stdout_ignores_cache_dir(args, tmp_path, monkeypatch, capsys):
+    spec = args[args.index("--group") + 1]
+    (tmp_path / (spec.replace(":", "_") + ".json")).write_text(poisoned_snapshot(spec))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setenv("BRUHAT_CACHE_DIR", str(tmp_path))
+    # no group environment carried over from earlier tests in this process
+    monkeypatch.setattr(suite, "_ENVS", {})
+    _, out = capture(capsys, list(args))
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[args]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,8 +1,3 @@
-import hashlib
-import json
-
-import pytest
-
 from bruhatpoly import (
     BiPoly,
     IntPoly,
@@ -16,7 +11,6 @@ from bruhatpoly import (
     shift_plus_one,
 )
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
-from bruhatpoly.rpoly import SNAPSHOT_FORMAT, load_snapshot, save_snapshot
 from oracles import fibonacci_rec
 
 # R-polynomials of the lower intervals of S4, grouped into the nine classes
@@ -223,47 +217,3 @@ def test_memo_counters(a3):
     misses = ctx.misses
     ctx.r(a3.identity, a3.w0)
     assert ctx.misses == misses and ctx.hits > 0
-
-
-def test_snapshot_roundtrip(tmp_path, a3):
-    ctx = RContext(a3)
-    e = a3.identity
-    value = ctx.r(e, a3.w0)
-    path = tmp_path / "snap.json"
-    save_snapshot(ctx, path)
-    fresh = RContext(a3)
-    assert load_snapshot(fresh, path)
-    assert fresh._memo["r"][(e, a3.w0)] == value
-    # tampering invalidates the checksum
-    text = path.read_text().replace('"r"', '"r "', 1)
-    path.write_text(text)
-    assert not load_snapshot(RContext(a3), path)
-
-
-def test_snapshot_rejects_wrong_group(tmp_path, a3, a2):
-    ctx = RContext(a3)
-    ctx.r(a3.identity, a3.w0)
-    path = tmp_path / "snap.json"
-    save_snapshot(ctx, path)
-    assert not load_snapshot(RContext(a2), path)
-    assert not load_snapshot(RContext(a2), tmp_path / "missing.json")
-
-
-@pytest.mark.parametrize("tables", [
-    {"r": [1, 2]},
-    {"r": {}, "rtilde": "0:1"},
-    # the first entry is well formed; a rejected file must not merge it
-    {"r": {"0:5": ["1"], "bad-key": ["1"]}},
-])
-def test_snapshot_rejects_malformed_tables(tmp_path, a3, tables):
-    body = json.dumps(tables, sort_keys=True, separators=(",", ":"))
-    path = tmp_path / "snap.json"
-    path.write_text(json.dumps({
-        "format": SNAPSHOT_FORMAT, "group": "A3",
-        "checksum": hashlib.sha256(body.encode()).hexdigest(), "tables": tables,
-    }))
-    ctx = RContext(a3)
-    assert not load_snapshot(ctx, path)
-    assert all(not memo for memo in ctx._memo.values())
-    path.write_text("[1, 2]")
-    assert not load_snapshot(ctx, path)

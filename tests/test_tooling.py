@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from bruhatpoly import RContext, suite
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -21,3 +24,15 @@ def test_traced_layers_resolve_in_the_package():
             if not callable(obj):
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_run_suite_takes_spec_and_checks_first():
+    # the traced run passes ``checks`` to run_suite by position
+    assert list(inspect.signature(suite.run_suite).parameters)[:2] == ["spec", "checks"]
+
+
+def test_fresh_context_counts_memo_traffic(a2):
+    # the traced run reads these through getattr(..., 0): a rename would
+    # report zero memo traffic instead of failing
+    ctx = RContext(a2)
+    assert (ctx.hits, ctx.misses) == (0, 0)
