@@ -127,10 +127,12 @@ def carrell_peterson_equal(ctx: RContext, w: int) -> tuple[Fraction, bool]:
 
 def interval_shifted_sum(ctx: RContext, u: int, w: int) -> IntPoly:
     """Sum of the shifted polynomials from u over the whole interval [u, w]."""
-    out = ZERO
-    for v in ctx.group.interval(u, w).members:
-        out = out + ctx.shifted(u, v)
-    return out
+    g = ctx.group
+    out = [0] * (g.length[w] - g.length[u] + 1)
+    for v in g.interval(u, w).members:
+        for i, c in enumerate(ctx.shifted(u, v).coeffs):
+            out[i] += c
+    return IntPoly(out)
 
 
 def bruhat_poincare(ctx: RContext, w: int) -> IntPoly:
@@ -181,8 +183,8 @@ def out_degree(ctx: RContext, u: int, w: int) -> int:
     """Number of Bruhat edges from u staying inside [u, w]."""
     g = ctx.group
     count = 0
-    for t in g.reflections:
-        v = g.mul(u, t)
+    for col in g.reflection_columns().values():
+        v = col[u]
         if g.length[v] > g.length[u] and g.leq(v, w):
             count += 1
     return count
@@ -540,8 +542,8 @@ def edge_size_tally(ctx: RContext, max_examples: int = 5) -> EdgeSizeTally:
     equal_ex: list[tuple[str, str]] = []
     strict_ex: list[tuple[str, str]] = []
     for u in g.elements():
-        for t in g.reflections:
-            v = g.mul(u, t)
+        for col in g.reflection_columns().values():
+            v = col[u]
             if g.length[v] <= g.length[u]:
                 continue
             edges += 1

@@ -3,18 +3,22 @@
 A :class:`GroupTable` holds one group: canonical forms, lengths, product
 tables, the reflection set and Bruhat order queries. Type A rank n is the
 symmetric group on n+1 letters (one-line permutation forms); the dihedral
-group I2(m) of order 2m uses (rotation, flip) pairs. Tables are immutable
-after construction. Bruhat order is answered by a walk down right descents
-(no memo); lower ideals are built lazily on first use and kept per table.
-A kept ideal is a pure function of its top element, so sharing a table
-between worker processes (or rebuilding it per worker) gives identical
-answers.
+group I2(m) of order 2m uses (rotation, flip) pairs. Forms are multiplied
+only in the one breadth-first pass that builds the right product table;
+then all is integer tables, and forms serve only to parse and display.
+``mul`` walks the first right descents of its second factor, and the
+columns x -> x*t per reflection t are built on first use. Tables are
+immutable after construction. Bruhat order is answered by a walk down right
+descents (no memo); lower ideals are built lazily on first use and kept per
+table. A kept ideal is a pure function of its top element, so sharing a
+table between worker processes (or rebuilding it per worker) gives
+identical answers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -62,10 +66,17 @@ class CoxeterDescriptor:
     def num_generators(self) -> int:
         return self.param if self.family == "A" else 2
 
-    def order(self) -> int:
-        if self.family == "A":
-            return math.factorial(self.param + 1)
-        return 2 * self.param
+    def order(self, cap: int | None = None) -> int | None:
+        """The group order, or None once a running product passes ``cap``
+        with factors still to multiply, so a huge rank is refused at once."""
+        if self.family != "A":
+            return 2 * self.param
+        out = 1
+        for k in range(2, self.param + 2):
+            if cap is not None and out > cap:
+                return None
+            out *= k
+        return out
 
     def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
         n = self.num_generators
@@ -110,26 +121,13 @@ def _identity_form(desc: CoxeterDescriptor):
     return (0, 0)
 
 
-def _generator_forms(desc: CoxeterDescriptor) -> list:
-    if desc.family == "A":
-        gens = []
-        n = desc.param
-        for i in range(n):
-            form = list(range(1, n + 2))
-            form[i], form[i + 1] = form[i + 1], form[i]
-            gens.append(tuple(form))
-        return gens
+def _generator_maps(desc: CoxeterDescriptor) -> list:
+    """The maps f -> f*s on canonical forms, one per generator s."""
+    if desc.family == "A":  # s_i swaps the entries at positions i, i+1
+        n = desc.param + 1
+        return [itemgetter(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
     m = desc.param
-    return [(0, 1), (m - 1, 1)]
-
-
-def _mul_forms(desc: CoxeterDescriptor, a, b):
-    if desc.family == "A":
-        return tuple(a[x - 1] for x in b)
-    m = desc.param
-    i, e = a
-    j, d = b
-    return ((i + (-j if e else j)) % m, e ^ d)
+    return [lambda f: (f[0], f[1] ^ 1), lambda f: ((f[0] + (1 if f[1] else -1)) % m, f[1] ^ 1)]
 
 
 def _inv_form(desc: CoxeterDescriptor, a):
@@ -151,14 +149,8 @@ class Interval:
     ell: int
     members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "member_set", frozenset(self.members))
-
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.member_set
 
 
 class GroupTable:
@@ -166,35 +158,30 @@ class GroupTable:
 
     Elements are dense integer ids, assigned in (length, canonical form)
     order, so id 0 is the identity and the last id is the longest element.
+    Built by :func:`enumerate_group` from the forms, the form index, the
+    right product table and the inverses, all in that id order.
     """
 
-    def __init__(self, descriptor: CoxeterDescriptor, forms: Sequence) -> None:
+    def __init__(self, descriptor: CoxeterDescriptor, forms: tuple, index: dict,
+                 right: tuple, inverse: tuple) -> None:
         self.descriptor = descriptor
-        self.forms: tuple = tuple(forms)
-        self.index: dict = {f: i for i, f in enumerate(self.forms)}
-        gens = _generator_forms(descriptor)
-        self.num_generators = len(gens)
-
-        inv_forms = [_inv_form(descriptor, f) for f in self.forms]
-        self._inverse = tuple(self.index[f] for f in inv_forms)
-
-        self.right = tuple(
-            tuple(self.index[_mul_forms(descriptor, f, g)] for g in gens) for f in self.forms
-        )
-        self.left = tuple(
-            tuple(self.index[_mul_forms(descriptor, g, f)] for g in gens) for f in self.forms
-        )
+        self.forms = forms
+        self.index = index
+        self.num_generators = descriptor.num_generators
+        self._inverse = inverse
+        self.right = right
+        self.left = tuple(tuple(map(inverse.__getitem__, right[v])) for v in inverse)
+        self.identity = 0
         self.length = self._bfs_lengths()
 
-        self.identity = self.index[_identity_form(descriptor)]
         self.w0 = self._find_longest()
-        self.reflections = self._find_reflections()
-        self.reflection_set = frozenset(self.reflections)
         self._first_descent = tuple(
             next((s for s in range(self.num_generators)
                   if self.length[self.right[v][s]] < self.length[v]), -1)
             for v in range(len(self.forms))
         )
+        self.reflections = self._find_reflections()
+        self._columns: dict[int, tuple[int, ...]] | None = None
         self._ideals: dict[int, tuple[int, ...]] = {self.identity: (self.identity,)}
 
     # -- construction helpers ------------------------------------------------
@@ -202,9 +189,8 @@ class GroupTable:
     def _bfs_lengths(self) -> tuple[int, ...]:
         n = len(self.forms)
         length = [-1] * n
-        start = self.index[_identity_form(self.descriptor)]
-        length[start] = 0
-        frontier = [start]
+        length[self.identity] = 0
+        frontier = [self.identity]
         dist = 0
         while frontier:
             dist += 1
@@ -229,9 +215,10 @@ class GroupTable:
 
     def _find_reflections(self) -> tuple[int, ...]:
         """The conjugates of the generators, as the closure of the generators
-        under t -> s t s, read from the product tables."""
+        under t -> s t s, read from the product tables. Each reflection is
+        kept in discovery order with the (t, s) it came from."""
         left, right = self.left, self.right
-        refl = set(right[self.identity])
+        self._closure = refl = {g: (None, s) for s, g in enumerate(right[self.identity])}
         frontier = list(refl)
         while frontier:
             nxt = []
@@ -239,7 +226,7 @@ class GroupTable:
                 for s in range(self.num_generators):
                     c = left[right[t][s]][s]
                     if c not in refl:
-                        refl.add(c)
+                        refl[c] = (t, s)
                         nxt.append(c)
             frontier = nxt
         out = tuple(sorted(refl))
@@ -256,7 +243,33 @@ class GroupTable:
         return len(self.forms)
 
     def mul(self, a: int, b: int) -> int:
-        return self.index[_mul_forms(self.descriptor, self.forms[a], self.forms[b])]
+        """a*b, by a walk down the first right descents of b along ``right``."""
+        right, first = self.right, self._first_descent
+        word = []
+        while b:  # id 0 is the identity
+            s = first[b]
+            word.append(s)
+            b = right[b][s]
+        for s in reversed(word):
+            a = right[a][s]
+        return a
+
+    def reflection_columns(self) -> dict[int, tuple[int, ...]]:
+        """``columns[t][x]`` is x*t for every reflection t (keys ascending).
+
+        Built on first use, in the order the conjugation closure found the
+        reflections: x*(sts) = ((x*s)*t)*s, two lookups per entry.
+        """
+        if self._columns is None:
+            right, cols = self.right, {}
+            for c, (t, s) in self._closure.items():
+                if t is None:  # c is the generator s
+                    cols[c] = tuple(row[s] for row in right)
+                else:
+                    col = cols[t]
+                    cols[c] = tuple(right[col[row[s]]][s] for row in right)
+            self._columns = {t: cols[t] for t in self.reflections}
+        return self._columns
 
     def inv(self, a: int) -> int:
         return self._inverse[a]
@@ -382,33 +395,49 @@ class GroupTable:
 
 def enumerate_group(descriptor: CoxeterDescriptor,
                     max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Enumerate the group by breadth-first closure under the generators.
+    """Enumerate the group by one breadth-first pass under the generators.
 
-    Elements are collected level by level (BFS depth equals Coxeter length)
-    and then sorted by (length, canonical form) to fix the id assignment.
+    The pass records the right product table while it discovers elements
+    (BFS depth equals Coxeter length), one form product per (element,
+    generator) pair. The ids are then relabelled into (length, canonical
+    form) order; forms are not multiplied again.
     """
-    est = descriptor.order()
-    if est > max_order:
-        raise SizeLimitError(
-            f"group {descriptor.spec_string()} has order {est}, above the cap {max_order}"
-        )
-    ident = _identity_form(descriptor)
-    gens = _generator_forms(descriptor)
-    lengths = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = _mul_forms(descriptor, f, g)
-                if h not in lengths:
-                    lengths[h] = lengths[f] + 1
-                    nxt.append(h)
-        frontier = nxt
-    if len(lengths) != est:
-        raise AssertionError(f"enumerated {len(lengths)} elements, expected {est}")
-    forms = sorted(lengths, key=lambda f: (lengths[f], f))
-    table = GroupTable(descriptor, forms)
-    if tuple(lengths[f] for f in forms) != table.length:
+    est = descriptor.order(cap=max_order)
+    if est is None or est > max_order:
+        shown = "" if est is None else f"{est}, "
+        raise SizeLimitError(f"group {descriptor.spec_string()} has order {shown}"
+                             f"above the cap {max_order}")
+    gens = _generator_maps(descriptor)
+    forms = [_identity_form(descriptor)]
+    index = {forms[0]: 0}  # form -> BFS id, rebound below to the final id
+    lengths = [0]
+    bfs_right = []
+    for v, f in enumerate(forms):  # forms grows while the loop runs: a BFS queue
+        row = []
+        for times_g in gens:
+            h = times_g(f)
+            j = index.get(h)
+            if j is None:
+                j = index[h] = len(forms)
+                forms.append(h)
+                lengths.append(lengths[v] + 1)
+            row.append(j)
+        bfs_right.append(row)
+    if len(forms) != est:
+        raise AssertionError(f"enumerated {len(forms)} elements, expected {est}")
+    order = sorted(range(est), key=lambda v: (lengths[v], forms[v]))
+    new_id = [0] * est
+    for i, v in enumerate(order):
+        new_id[v] = i
+    for f, v in index.items():
+        index[f] = new_id[v]
+    right = tuple(tuple(map(new_id.__getitem__, bfs_right[v])) for v in order)
+    del bfs_right
+    forms = tuple(forms[v] for v in order)
+    lengths = tuple(lengths[v] for v in order)
+    del order, new_id
+    inverse = tuple(index[_inv_form(descriptor, f)] for f in forms)
+    table = GroupTable(descriptor, forms, index, right, inverse)
+    if lengths != table.length:
         raise AssertionError("BFS lengths disagree with table lengths")
     return table

@@ -125,15 +125,14 @@ class BruhatGraph:
 
 def build_graph(group: GroupTable, interval: Interval) -> BruhatGraph:
     """All edges x -> y with both ends in the interval and increasing length."""
-    members = interval.member_set
+    members = set(interval.members)
+    length = group.length
     edges = []
-    for x in interval.members:
-        lx = group.length[x]
-        for t in group.reflections:
-            y = group.mul(x, t)
-            ly = group.length[y]
-            if ly > lx and y in members:
-                diff = ly - lx
+    for t, col in group.reflection_columns().items():
+        for x in interval.members:
+            y = col[x]
+            if y in members and length[y] > length[x]:
+                diff = length[y] - length[x]
                 if diff % 2 == 0:
                     raise AssertionError("Bruhat edges must have odd length difference")
                 edges.append(BruhatEdge(x, y, t, (diff + 1) // 2))
@@ -217,9 +216,8 @@ def reflection_order_from_word(group: GroupTable, word: Sequence[int]) -> Reflec
     for pos, s in enumerate(word):
         if not 0 <= s < group.num_generators:
             raise InvalidWordError(f"generator index {s} out of range at position {pos}")
-        t = group.mul(group.mul(prefix, group.generator(s)), group.inv(prefix))
-        sequence.append(t)
         nxt = group.right[prefix][s]
+        sequence.append(group.mul(nxt, group.inv(prefix)))
         if group.length[nxt] != group.length[prefix] + 1:
             raise InvalidWordError(f"word is not reduced at position {pos}")
         prefix = nxt
@@ -309,13 +307,14 @@ class ValidationResult:
 
 
 def _subgroup_closure(group: GroupTable, generators: Sequence[int]) -> frozenset:
+    columns = [group.reflection_columns()[t] for t in generators]
     seen = {group.identity}
     frontier = [group.identity]
     while frontier:
         nxt = []
         for v in frontier:
-            for g in generators:
-                w = group.mul(v, g)
+            for col in columns:
+                w = col[v]
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -348,7 +347,8 @@ def _canonical_generator_pair(group: GroupTable, subgroup: frozenset) -> tuple[i
     canonical = []
     for t_prime in refl_in:
         lp = group.length[t_prime]
-        if not any(t != t_prime and group.length[group.mul(t, t_prime)] < lp
+        col = group.reflection_columns()[t_prime]
+        if not any(t != t_prime and group.length[col[t]] < lp
                    for t in refl_in):
             canonical.append(t_prime)
     if len(canonical) != 2:
@@ -360,12 +360,12 @@ def _canonical_generator_pair(group: GroupTable, subgroup: frozenset) -> tuple[i
 
 def _dihedral_chain(group: GroupTable, r: int, s: int, count: int) -> tuple[int, ...]:
     """The alternating chain r, rsr, rsrsr, ..., srs, s of a dihedral pair."""
-    rs = group.mul(r, s)
+    times_r, times_s = (group.reflection_columns()[t] for t in (r, s))
     chain = []
     p = group.identity
     for _ in range(count):
-        chain.append(group.mul(p, r))
-        p = group.mul(p, rs)
+        chain.append(times_r[p])
+        p = times_s[chain[-1]]
     return tuple(chain)
 
 

@@ -10,6 +10,9 @@ coefficient polynomials of the second branch:
     R-tilde:   q    * Rt[u, ws] +  1     * Rt[us, ws]
     shifted:   q    * Rs[u, ws] + (q+1)  * Rs[us, ws]
 
+``_RULES`` holds each (low, high) with a kernel that applies it in one
+pass over the two coefficient tuples, building a single polynomial.
+
 The shifted family is R evaluated at q+1 computed natively; the classic
 substitution is kept around as a cross-check. Path-enumeration oracles for
 the nonneg families live here too.
@@ -18,6 +21,7 @@ the nonneg families live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .coxeter import GroupTable
 from .graph import BruhatGraph, ReflectionOrder, increasing_paths, path_weight
@@ -41,10 +45,14 @@ __all__ = [
     "shifted_r_via_weights",
 ]
 
+# family -> (low, high, kernel computing low * a + high * b on coefficient tuples)
 _RULES = {
-    "r": (Q_MINUS_ONE, Q),
-    "rtilde": (Q, ONE),
-    "shifted": (Q, Q_PLUS_ONE),
+    "r": (Q_MINUS_ONE, Q, lambda a, b: IntPoly(  # q*(a+b) - a
+        [x + y - z for x, y, z in zip_longest((0,) + a, (0,) + b, a, fillvalue=0)])),
+    "rtilde": (Q, ONE, lambda a, b: IntPoly(  # q*a + b
+        [x + y for x, y in zip_longest((0,) + a, b, fillvalue=0)])),
+    "shifted": (Q, Q_PLUS_ONE, lambda a, b: IntPoly(  # q*(a+b) + b
+        [x + y + z for x, y, z in zip_longest((0,) + a, (0,) + b, b, fillvalue=0)])),
 }
 
 
@@ -111,14 +119,14 @@ class RContext:
         if not g.leq(u, w):
             return ZERO
         self.misses += 1
-        low, high = _RULES[name]
         s = self._descent(w)
         ws = g.right[w][s]
         us = g.right[u][s]
         if g.length[us] < g.length[u]:
             value = self._family(name, us, ws)
         else:
-            value = low * self._family(name, u, ws) + high * self._family(name, us, ws)
+            step = _RULES[name][2]
+            value = step(self._family(name, u, ws).coeffs, self._family(name, us, ws).coeffs)
         memo[key] = value
         return value
 
@@ -194,7 +202,7 @@ class RContext:
         g = self.group
         if g.length[u] >= g.length[w]:
             return False
-        return g.mul(g.inv(u), w) in g.reflection_set
+        return any(col[u] == w for col in g.reflection_columns().values())
 
     def characteristic_check(self, u: int, w: int) -> tuple[bool, bool]:
         """(is_vertex, is_edge) read off R at q=1, verified directly.

@@ -1,16 +1,42 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately naive and separate from the library's own
-algorithms: inversion counting, the dot-matrix comparison criterion for
-permutations, reachability closures, the memoized descent recursion for
-Bruhat order, the reflections as all conjugates of the generators, Dyer's
-EL property by listing every maximal chain, and the Fibonacci recursion.
+algorithms: the product of canonical forms, inversion counting, the
+dot-matrix comparison criterion for permutations, reachability closures,
+the memoized descent recursion for Bruhat order, the reflections as all
+conjugates of the generators, Dyer's EL property by listing every maximal
+chain, and the Fibonacci recursion.
 Tests compare library output against these.
 """
 
 from __future__ import annotations
 
 from bruhatpoly import IntPoly, increasing_paths, short_paths
+
+
+def form_product(group, a: int, b: int) -> int:
+    """a*b through the canonical forms: composition of one-line permutations
+    for type A, (rotation, flip) arithmetic for I2(m)."""
+    fa, fb = group.forms[a], group.forms[b]
+    if group.descriptor.family == "A":
+        return group.index[tuple(fa[x - 1] for x in fb)]
+    m = group.descriptor.param
+    (i, e), (j, d) = fa, fb
+    return group.index[((i + (-j if e else j)) % m, e ^ d)]
+
+
+def generator_ids(group) -> list[int]:
+    """Ids of the simple generators, read from their forms: adjacent
+    transpositions for type A, the flips (0, 1) and (m-1, 1) for I2(m)."""
+    desc = group.descriptor
+    if desc.family == "I2":
+        return [group.index[(0, 1)], group.index[(desc.param - 1, 1)]]
+    out = []
+    for i in range(desc.param):
+        form = list(range(1, desc.param + 2))
+        form[i], form[i + 1] = form[i + 1], form[i]
+        out.append(group.index[tuple(form)])
+    return out
 
 
 def inversions(perm) -> int:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bruhatpoly import CoxeterDescriptor, analysis, enumerate_group, suite
+from bruhatpoly import CoxeterDescriptor, GroupTable, analysis, enumerate_group, suite
 from bruhatpoly.cli import INTERNAL_ERROR, main
 from bruhatpoly.suite import _comparable_pairs, _pool_size
 from oracles import dot_leq, inversions
@@ -84,6 +84,13 @@ def test_bad_group_spec_is_usage_error():
     assert "order" in proc2.stderr
 
 
+def test_huge_type_a_rank_is_usage_error():
+    # a regression that computes the full order would hang; the timeout fails it
+    proc = run_cli(["table", "--table", "r-polys", "--group", "A1000000"], timeout=20)
+    assert proc.returncode == 2
+    assert "has order above the cap 1000000" in proc.stderr
+
+
 def test_usage_error_exit_code_from_argparse():
     proc = run_cli(["interval", "--group", "A3"])  # missing --u/--w
     assert proc.returncode == 2
@@ -97,6 +104,16 @@ def test_table_r_polys_csv(capsys):
     assert len(lines) == 10
     sizes = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert sizes == [1, 1, 1, 3, 1, 3, 9, 5, 11]
+
+
+def test_table_r_polys_never_builds_reflection_columns(capsys, monkeypatch):
+    # the columns hold |W| x |T| ids; the r-polys table must not pay for them
+    def refuse(self):
+        raise AssertionError("reflection columns built on the r-polys path")
+
+    monkeypatch.setattr(GroupTable, "reflection_columns", refuse)
+    code, out = capture(capsys, ["table", "--table", "r-polys", "--group", "A5"])
+    assert code == 0 and out.startswith("class,members,gamma_form,r,size\n")
 
 
 def test_table_dihedral_rows(capsys):

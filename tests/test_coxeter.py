@@ -3,7 +3,15 @@ import itertools
 import pytest
 
 from bruhatpoly import CoxeterDescriptor, EmptyIntervalError, SizeLimitError, enumerate_group
-from oracles import conjugate_reflections, descent_leq, dot_leq, inversions, reachability
+from oracles import (
+    conjugate_reflections,
+    descent_leq,
+    dot_leq,
+    form_product,
+    generator_ids,
+    inversions,
+    reachability,
+)
 
 
 def test_descriptor_validation():
@@ -86,6 +94,30 @@ def test_reflection_closure_matches_conjugation_sweep(a1, a2, a3, a4, i2_groups)
     groups += [i2_groups[m] for m in (2, 3, 7, 12)]
     for group in groups:
         assert group.reflections == conjugate_reflections(group)
+
+
+def test_tables_match_the_form_product(a1, a2, a3, a4, i2_groups):
+    groups = [a1, a2, a3, a4, enumerate_group(CoxeterDescriptor("A", 5))]
+    groups += [i2_groups[m] for m in (2, 3, 5, 8, 12)]
+    for group in groups:
+        gens = generator_ids(group)
+        e = form_product(group, gens[0], gens[0])
+        assert e == group.identity
+        columns = group.reflection_columns()
+        assert tuple(columns) == group.reflections
+        for v in group.elements():
+            assert group.right[v] == tuple(form_product(group, v, g) for g in gens)
+            assert group.left[v] == tuple(form_product(group, g, v) for g in gens)
+            assert form_product(group, v, group.inv(v)) == e
+            assert form_product(group, group.inv(v), v) == e
+            for t, col in columns.items():
+                assert col[v] == form_product(group, v, t)
+
+
+def test_mul_walk_matches_the_form_product(a3, i2_groups):
+    for group in (a3, i2_groups[7]):
+        for a, b in itertools.product(group.elements(), repeat=2):
+            assert group.mul(a, b) == form_product(group, a, b)
 
 
 def test_bruhat_leq_examples(a3, pid):

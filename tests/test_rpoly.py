@@ -1,3 +1,5 @@
+import itertools
+
 from bruhatpoly import (
     BiPoly,
     IntPoly,
@@ -11,6 +13,7 @@ from bruhatpoly import (
     shift_plus_one,
 )
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
+from bruhatpoly.rpoly import _RULES
 from oracles import fibonacci_rec
 
 # R-polynomials of the lower intervals of S4, grouped into the nine classes
@@ -217,3 +220,21 @@ def test_memo_counters(a3):
     misses = ctx.misses
     ctx.r(a3.identity, a3.w0)
     assert ctx.misses == misses and ctx.hits > 0
+
+
+# small coefficient tuples: the zero polynomial, constants, and pairs whose
+# top coefficients cancel in some family's combination
+KERNEL_INPUTS = [(), (1,), (-1,), (0, 1), (0, -1), (-1, 1), (2, -3, 1), (1, 1, -1), (0, 0, 0, 5)]
+
+
+def test_family_kernels_match_polynomial_arithmetic():
+    cancelled = set()
+    for name, (low, high, step) in _RULES.items():
+        for a, b in itertools.product(KERNEL_INPUTS, repeat=2):
+            expected = low * IntPoly(a) + high * IntPoly(b)
+            got = step(a, b)
+            assert got == expected and got.coeffs == expected.coeffs, (name, a, b)
+            top = max(low.degree + len(a), high.degree + len(b))  # length without cancelling
+            if a and b and len(got.coeffs) < top:
+                cancelled.add(name)
+    assert cancelled == set(_RULES)  # every family met a cancelling top coefficient

@@ -36,3 +36,13 @@ def test_fresh_context_counts_memo_traffic(a2):
     # report zero memo traffic instead of failing
     ctx = RContext(a2)
     assert (ctx.hits, ctx.misses) == (0, 0)
+
+
+def test_verify_a4_memo_traffic_is_pinned(monkeypatch):
+    # the traced verify-A4 run reports these counts; a change to the recursion
+    # or to which pairs enter the memo must move them on purpose
+    monkeypatch.setattr(suite, "_ENVS", {})
+    results = suite.run_suite("A4", suite.CHECK_NAMES)
+    assert all(r.passed for r in results)
+    ctx = suite._ENVS["A4"]["ctx"]
+    assert (ctx.hits, ctx.misses) == (64_005, 4_231)
