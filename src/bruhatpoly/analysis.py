@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from itertools import zip_longest
+from typing import Iterable, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
 from .graph import (
@@ -125,14 +126,20 @@ def carrell_peterson_equal(ctx: RContext, w: int) -> tuple[Fraction, bool]:
     return avg, avg == Fraction(ctx.group.length[w], 2)
 
 
+def _coeff_sum(polys: Iterable[IntPoly]) -> tuple[int, ...]:
+    """Coefficientwise sum, in one C-level pass over the coefficient tuples."""
+    return tuple(map(sum, zip_longest(*(f.coeffs for f in polys), fillvalue=0)))
+
+
+@lru_cache(maxsize=None)
+def _boolean_coeffs(ell: int) -> tuple[int, ...]:
+    """Coefficients of (1+q)^ell, the shifted sum of a Boolean interval."""
+    return (Q_PLUS_ONE ** ell).coeffs
+
+
 def interval_shifted_sum(ctx: RContext, u: int, w: int) -> IntPoly:
     """Sum of the shifted polynomials from u over the whole interval [u, w]."""
-    g = ctx.group
-    out = [0] * (g.length[w] - g.length[u] + 1)
-    for v in g.interval(u, w).members:
-        for i, c in enumerate(ctx.shifted(u, v).coeffs):
-            out[i] += c
-    return IntPoly(out)
+    return IntPoly(_coeff_sum(ctx.shifted(u, v) for v in ctx.group.interval(u, w).members))
 
 
 def bruhat_poincare(ctx: RContext, w: int) -> IntPoly:
@@ -147,9 +154,26 @@ def is_bruhat_boolean(ctx: RContext, u: int, w: int) -> bool:
 
 
 def regular_via_upper_boolean(ctx: RContext, u: int, w: int) -> bool:
-    """Regularity criterion: every upper subinterval [v, w] is Bruhat-Boolean."""
-    return all(is_bruhat_boolean(ctx, v, w)
-               for v in ctx.group.interval(u, w).members)
+    """Regularity criterion: every upper subinterval [v, w] is Bruhat-Boolean.
+
+    One pass: each x in [u, w] joins the list of every v of its kept lower
+    ideal inside [u, w], so the list of v is [v, w], found with no order
+    test. The verdict is kept on the context."""
+    key = ("upper-boolean", u, w)
+    verdict = ctx.verdicts.get(key)
+    if verdict is None:
+        g = ctx.group
+        members = g.interval(u, w).members
+        above: dict[int, list[int]] = {v: [] for v in members}
+        for x in members:
+            for v in g.lower_ideal(x):
+                if v in above:
+                    above[v].append(x)
+        shifted, length, top = ctx.shifted, g.length, g.length[w]
+        verdict = ctx.verdicts[key] = all(
+            _coeff_sum(shifted(v, x) for x in xs) == _boolean_coeffs(top - length[v])
+            for v, xs in above.items())
+    return verdict
 
 
 def shifted_average_fires(ctx: RContext, w: int) -> tuple[Fraction, bool]:
@@ -352,18 +376,23 @@ def fibonacci_poly(n: int) -> IntPoly:
 
 
 def dihedral_bounds_ok(ctx: RContext, u: int, w: int) -> bool:
-    """q^n <= shifted <= d_n and n q^(n-1) <= shifted' <= d_n' coefficientwise."""
+    """q^n <= shifted <= d_n and n q^(n-1) <= shifted' <= d_n' coefficientwise,
+    checked once per distinct (n, shifted) value and kept on the context."""
     n = ctx.group.length[w] - ctx.group.length[u]
     if n < 1:
         return True
     f = ctx.shifted(u, w)
-    fd = f.derivative()
-    return (
-        coeffwise_leq(monomial(n), f)
-        and coeffwise_leq(f, dihedral_poly(n))
-        and coeffwise_leq(monomial(n - 1, n), fd)
-        and coeffwise_leq(fd, dihedral_poly(n).derivative())
-    )
+    key = ("dihedral-bounds", n, f)
+    verdict = ctx.verdicts.get(key)
+    if verdict is None:
+        fd = f.derivative()
+        verdict = ctx.verdicts[key] = (
+            coeffwise_leq(monomial(n), f)
+            and coeffwise_leq(f, dihedral_poly(n))
+            and coeffwise_leq(monomial(n - 1, n), fd)
+            and coeffwise_leq(fd, dihedral_poly(n).derivative())
+        )
+    return verdict
 
 
 # -- pattern containment (type A) -------------------------------------------------

@@ -252,7 +252,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
             u_text, w_text = spec.split("..")
         except ValueError:
             raise CliError(f"pair {spec!r} must look like 'U..W'")
-        extra.append((parse_element(group, u_text), parse_element(group, w_text)))
+        u, w = parse_element(group, u_text), parse_element(group, w_text)
+        group.interval(u, w)  # raises EmptyIntervalError before any sweep, not after it
+        extra.append((u, w))
     report = suite.run_scan(
         args.group,
         workers=args.workers,

@@ -95,16 +95,16 @@ class CoxeterDescriptor:
     def parse(cls, text: str) -> "CoxeterDescriptor":
         """Parse "A3" or "I2:7" style group specs."""
         s = text.strip()
-        if s.startswith("I2:"):
-            try:
-                return cls("I2", int(s[3:]))
-            except ValueError as exc:
-                raise ValueError(f"bad dihedral group spec {text!r}") from exc
-        if s.startswith("A"):
-            try:
-                return cls("A", int(s[1:]))
-            except ValueError as exc:
-                raise ValueError(f"bad type A group spec {text!r}") from exc
+        for family, prefix, kind in (("I2", "I2:", "dihedral"), ("A", "A", "type A")):
+            if s.startswith(prefix):
+                try:
+                    param = int(s[len(prefix):])
+                except ValueError as exc:
+                    raise ValueError(f"bad {kind} group spec {text!r}") from exc
+                try:
+                    return cls(family, param)
+                except ValueError as exc:  # keep the reason the parameter is refused
+                    raise ValueError(f"bad {kind} group spec {text!r}: {exc}") from exc
         raise ValueError(f"unrecognized group spec {text!r} (expected e.g. 'A3' or 'I2:7')")
 
 

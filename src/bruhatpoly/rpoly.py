@@ -97,6 +97,10 @@ class RContext:
         self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {
             "r": {}, "rtilde": {}, "shifted": {}
         }
+        # every memo value, by its coefficients: equal polynomials share one object
+        self._interned: dict[tuple[int, ...], IntPoly] = {}
+        # analysis verdicts keyed by (question tag, *arguments), shared by the checks
+        self.verdicts: dict[tuple, bool] = {}
         self.hits = 0
         self.misses = 0
 
@@ -105,7 +109,7 @@ class RContext:
             return self.group.first_right_descent(w)
         return max(self.group.right_descents(w))
 
-    def _family(self, name: str, u: int, w: int) -> IntPoly:
+    def _family(self, name: str, u: int, w: int, comparable: bool = False) -> IntPoly:
         g = self.group
         if u == w:
             return ONE
@@ -115,18 +119,21 @@ class RContext:
         if cached is not None:
             self.hits += 1
             return cached
-        # only comparable pairs enter the memo, so the order test can wait
-        if not g.leq(u, w):
+        # only comparable pairs enter the memo, so the order test can wait. The
+        # lifting property (Bjorner-Brenti, Prop. 2.2.7) decides it for (us, ws)
+        # when s lowers u and for (u, ws) when not; (us, ws) then needs a test.
+        if not comparable and not g.leq(u, w):
             return ZERO
         self.misses += 1
         s = self._descent(w)
         ws = g.right[w][s]
         us = g.right[u][s]
         if g.length[us] < g.length[u]:
-            value = self._family(name, us, ws)
+            value = self._family(name, us, ws, True)
         else:
             step = _RULES[name][2]
-            value = step(self._family(name, u, ws).coeffs, self._family(name, us, ws).coeffs)
+            value = step(self._family(name, u, ws, True).coeffs, self._family(name, us, ws).coeffs)
+            value = self._interned.setdefault(value.coeffs, value)
         memo[key] = value
         return value
 

@@ -5,13 +5,16 @@ algorithms: the product of canonical forms, inversion counting, the
 dot-matrix comparison criterion for permutations, reachability closures,
 the memoized descent recursion for Bruhat order, the reflections as all
 conjugates of the generators, Dyer's EL property by listing every maximal
-chain, and the Fibonacci recursion.
+chain, the R recursion in polynomial arithmetic with an order test per
+pair, Booleanness of every upper subinterval one interval at a time,
+the dihedral bounds checked pair by pair, and the Fibonacci recursion.
 Tests compare library output against these.
 """
 
 from __future__ import annotations
 
-from bruhatpoly import IntPoly, increasing_paths, short_paths
+from bruhatpoly import IntPoly, analysis, increasing_paths, short_paths
+from bruhatpoly.poly import Q, Q_MINUS_ONE, ZERO, coeffwise_leq, monomial
 
 
 def form_product(group, a: int, b: int) -> int:
@@ -102,6 +105,40 @@ def descent_leq(group, u: int, w: int, memo: dict) -> bool:
         res = descent_leq(group, u, ws, memo)
     memo[key] = res
     return res
+
+
+def r_by_recursion(group, u: int, w: int, memo: dict) -> IntPoly:
+    """R[u, w] by the descent recursion with an order test on every pair:
+    R[us, ws] when s lowers u, else (q-1) R[u, ws] + q R[us, ws]."""
+    if u == w:
+        return IntPoly((1,))
+    if not descent_leq(group, u, w, {}):
+        return ZERO
+    if (u, w) not in memo:
+        s = group.first_right_descent(w)
+        ws, us = group.right[w][s], group.right[u][s]
+        if group.length[us] < group.length[u]:
+            memo[u, w] = r_by_recursion(group, us, ws, memo)
+        else:
+            memo[u, w] = (Q_MINUS_ONE * r_by_recursion(group, u, ws, memo)
+                          + Q * r_by_recursion(group, us, ws, memo))
+    return memo[u, w]
+
+
+def upper_boolean_per_v(ctx, u: int, w: int) -> bool:
+    """Every upper subinterval [v, w] of [u, w] is Bruhat-Boolean, one
+    interval and one shifted sum per v."""
+    return all(analysis.is_bruhat_boolean(ctx, v, w)
+               for v in ctx.group.interval(u, w).members)
+
+
+def dihedral_bounds_per_pair(f: IntPoly, n: int) -> bool:
+    """q^n <= f <= d_n and n q^(n-1) <= f' <= d_n', checked afresh."""
+    if n < 1:
+        return True
+    d, fd = analysis.dihedral_poly(n), f.derivative()
+    return (coeffwise_leq(monomial(n), f) and coeffwise_leq(f, d)
+            and coeffwise_leq(monomial(n - 1, n), fd) and coeffwise_leq(fd, d.derivative()))
 
 
 def conjugate_reflections(group) -> tuple[int, ...]:

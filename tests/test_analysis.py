@@ -4,15 +4,19 @@ from fractions import Fraction
 import pytest
 
 from bruhatpoly import (
+    CoxeterDescriptor,
     IntPoly,
+    RContext,
     build_graph,
     coeffwise_leq,
     default_reflection_order,
+    enumerate_group,
     increasing_paths,
     path_weight,
 )
 from bruhatpoly import analysis
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
+from oracles import dihedral_bounds_per_pair, upper_boolean_per_v
 
 
 def test_poincare_values(a3, a3_ctx, pid):
@@ -120,6 +124,25 @@ def test_regular_via_upper_boolean(a3, a3_ctx, i2_ctxs, pid):
     assert analysis.regular_via_upper_boolean(a3_ctx, a3.identity, s1)
     ctx7 = i2_ctxs[7]
     assert analysis.regular_via_upper_boolean(ctx7, ctx7.group.identity, ctx7.group.w0)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "I2:3", "I2:5", "I2:8"])
+def test_upper_boolean_sweep_matches_per_v_definition(spec):
+    g = enumerate_group(CoxeterDescriptor.parse(spec))
+    sweep_ctx, oracle_ctx = RContext(g), RContext(g)
+    verdicts = {(u, w): analysis.regular_via_upper_boolean(sweep_ctx, u, w)
+                for u, w in g.comparable_pairs()}
+    assert verdicts == {pair: upper_boolean_per_v(oracle_ctx, *pair) for pair in verdicts}
+    # S4 and S5 hold irregular intervals, so both verdicts are exercised
+    assert all(verdicts.values()) == (spec not in ("A3", "A4"))
+
+
+def test_upper_boolean_verdict_is_kept_per_pair(a3, pid, monkeypatch):
+    ctx = RContext(a3)
+    w = pid(a3, "3412")
+    assert not analysis.regular_via_upper_boolean(ctx, a3.identity, w)
+    monkeypatch.setattr(a3, "lower_ideal", None)  # a second sweep would fail
+    assert not analysis.regular_via_upper_boolean(ctx, a3.identity, w)
 
 
 def test_degree_and_boolean_regularity_agree_on_lower_intervals(a3, a3_ctx):
@@ -297,6 +320,30 @@ def test_bounds_check(a3, a3_ctx):
         assert analysis.dihedral_bounds_ok(a3_ctx, u, w)
 
 
+def test_bounds_per_value_match_per_pair(a4, i2_groups):
+    for g in (a4, i2_groups[12]):
+        ctx = RContext(g)
+        for u, w in g.comparable_pairs():
+            n = g.length[w] - g.length[u]
+            assert analysis.dihedral_bounds_ok(ctx, u, w) == \
+                dihedral_bounds_per_pair(ctx.shifted(u, w), n)
+        # one verdict per distinct (length, shifted) value
+        values = {(g.length[w] - g.length[u], ctx.shifted(u, w))
+                  for u, w in g.comparable_pairs() if u != w}
+        assert len(ctx.verdicts) == len(values) < len(g.comparable_pairs())
+
+
+def test_bounds_reject_a_polynomial_above_d_n(a4):
+    # q^3 + 3q is above q^3, but its q coefficient exceeds that of d_3 = q^3 + q^2 + q
+    ctx = RContext(a4)
+    u, w = next((u, w) for u, w in a4.comparable_pairs()
+                if a4.length[w] - a4.length[u] == 3)
+    bad = IntPoly((0, 3, 0, 1))
+    assert not dihedral_bounds_per_pair(bad, 3)
+    ctx.shifted = lambda *pair: bad
+    assert not analysis.dihedral_bounds_ok(ctx, u, w)
+
+
 def test_boolean_intervals_attain_lower_bound(a3, a3_ctx):
     found = 0
     for u, w in a3.comparable_pairs():
@@ -371,7 +418,6 @@ def test_dihedral_combinatorial_invariance(a3, a3_ctx, i2_ctxs):
 def test_rank_three_boolean_from_commuting_generators():
     # three commuting generators span a Boolean cube; its shifted sum is
     # (1+q)^3 and its rank generating function hits the Poincare ceiling
-    from bruhatpoly import CoxeterDescriptor, RContext, enumerate_group
     a5 = enumerate_group(CoxeterDescriptor("A", 5))
     ctx = RContext(a5)
     w = a5.index[(2, 1, 4, 3, 6, 5)]

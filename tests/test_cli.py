@@ -84,6 +84,15 @@ def test_bad_group_spec_is_usage_error():
     assert "order" in proc2.stderr
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("A0", "bad type A group spec 'A0': type A rank must be >= 1"),
+    ("I2:1", "bad dihedral group spec 'I2:1': dihedral parameter must be >= 2"),
+])
+def test_bad_group_spec_keeps_the_reason(spec, reason, capsys):
+    assert main(["table", "--table", "r-polys", "--group", spec]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def test_huge_type_a_rank_is_usage_error():
     # a regression that computes the full order would hang; the timeout fails it
     proc = run_cli(["table", "--table", "r-polys", "--group", "A1000000"], timeout=20)
@@ -242,6 +251,17 @@ def test_scan_include_pair(capsys):
     assert json.loads(out)["intervals_checked"] == 6
 
 
+def test_scan_refuses_incomparable_pair_before_any_sweep(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the scan swept intervals before checking the pairs")
+
+    monkeypatch.setattr(suite, "_pmap", never)
+    code = main(["scan", "--group", "A6", "--include-pair", "2134567..1234576"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: [2134567, 1234576] is empty: endpoints are not comparable\n"
+
+
 def test_scan_max_interval_len(capsys):
     code, out = capture(capsys, ["scan", "--group", "A3", "--max-interval-len", "2"])
     assert code == 0
@@ -333,8 +353,9 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 
 
 # SHA-256 of stdout, recorded before the change each entry guards: the
-# first three before the Bruhat order rewrite, the rest before the memo
-# snapshot, the check table and the interval report class were removed
+# first three before the Bruhat order rewrite, the next five before the
+# memo snapshot, the check table and the interval report class were
+# removed, the last two before the one-pass upper-Boolean sweep
 GOLDEN_STDOUT_SHA256 = {
     ("scan", "--group", "A4", "--exhaustive"):
         "ce22376a08e93292e718e391d938e44d7cddb992bee7186f2bdedd6b8df9a728",
@@ -356,6 +377,13 @@ GOLDEN_STDOUT_SHA256 = {
     # partial header, every sweep scope under a cap
     ("verify", "--group", "A4", "--max-interval-len", "3"):
         "52b75cb327f793ade962678d107c098918ff4caff885116de608c6837334ed07",
+    # the verify-A4 benchmark workload
+    ("verify", "--group", "A4"):
+        "3c0e5ddf98b3f6b0a373fce606bad7608508ae99a4f1610cd11d2d31743f48f0",
+    # upper-Boolean verdicts shared by th3 and cp-fourway, bounds per value
+    ("verify", "--group", "A5", "--max-interval-len", "3", "--suite",
+     "th3,th4-bounds,cp-fourway"):
+        "a0e478086d808d0379a051b5cd8e4abd8210b4e9d9f00ede285eb6d1232c96f8",
 }
 
 

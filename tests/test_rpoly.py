@@ -2,10 +2,12 @@ import itertools
 
 from bruhatpoly import (
     BiPoly,
+    CoxeterDescriptor,
     IntPoly,
     RContext,
     build_graph,
     default_reflection_order,
+    enumerate_group,
     gamma_form_text,
     reassemble_r,
     rtilde_via_paths,
@@ -13,8 +15,10 @@ from bruhatpoly import (
     shift_plus_one,
 )
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
+from bruhatpoly.cli import _r_classes
+from bruhatpoly.coxeter import GroupTable
 from bruhatpoly.rpoly import _RULES
-from oracles import fibonacci_rec
+from oracles import fibonacci_rec, r_by_recursion
 
 # R-polynomials of the lower intervals of S4, grouped into the nine classes
 # of equal polynomials (sizes 1,1,1,3,1,3,9,5,11 in this order)
@@ -220,6 +224,37 @@ def test_memo_counters(a3):
     misses = ctx.misses
     ctx.r(a3.identity, a3.w0)
     assert ctx.misses == misses and ctx.hits > 0
+
+
+def test_table_r_polys_skips_order_tests_the_lifting_property_decides(monkeypatch):
+    a5 = enumerate_group(CoxeterDescriptor("A", 5))
+    calls = []
+    leq = GroupTable.leq
+    monkeypatch.setattr(GroupTable, "leq", lambda g, u, w: calls.append(1) or leq(g, u, w))
+    ctx = RContext(a5)
+    _r_classes(ctx)  # what `table --table r-polys --group A5` computes
+    monkeypatch.undo()
+    # same memo traffic as when every miss ran its own order test, which
+    # took 5,070 leq calls here
+    assert (ctx.hits, ctx.misses) == (2_578, 3_731)
+    assert len(calls) == 3_769
+    memo, oracle = ctx._memo, {}
+    assert memo["r"] and memo["shifted"]
+    for (u, w), value in memo["r"].items():
+        assert value == r_by_recursion(a5, u, w, oracle)
+    for (u, w), value in memo["shifted"].items():
+        assert value == shift_plus_one(r_by_recursion(a5, u, w, oracle))
+
+
+def test_equal_memo_values_are_one_object(a4):
+    ctx = RContext(a4)
+    for u, w in a4.comparable_pairs():
+        ctx.r(u, w), ctx.rtilde(u, w), ctx.shifted(u, w)
+    by_coeffs = {}
+    for table in ctx._memo.values():
+        for value in table.values():
+            assert by_coeffs.setdefault(value.coeffs, value) is value
+    assert len(by_coeffs) < sum(map(len, ctx._memo.values()))
 
 
 # small coefficient tuples: the zero polynomial, constants, and pairs whose

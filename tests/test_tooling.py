@@ -40,9 +40,10 @@ def test_fresh_context_counts_memo_traffic(a2):
 
 def test_verify_a4_memo_traffic_is_pinned(monkeypatch):
     # the traced verify-A4 run reports these counts; a change to the recursion
-    # or to which pairs enter the memo must move them on purpose
+    # or to which pairs enter the memo must move them on purpose. Hits were
+    # 64,005 until cp-fourway read the upper-Boolean verdicts th3 keeps.
     monkeypatch.setattr(suite, "_ENVS", {})
     results = suite.run_suite("A4", suite.CHECK_NAMES)
     assert all(r.passed for r in results)
     ctx = suite._ENVS["A4"]["ctx"]
-    assert (ctx.hits, ctx.misses) == (64_005, 4_231)
+    assert (ctx.hits, ctx.misses) == (38_388, 4_231)
