@@ -47,8 +47,9 @@ for i, order in enumerate(orders):
 
 print("\nthe generating functions are order-independent and match the recursions:")
 for order in orders:
-    assert rtilde_via_paths(graph, e, w, order) == ctx.rtilde(e, w)
-    assert shifted_r_via_weights(graph, e, w, order) == ctx.shifted(e, w)
+    paths = increasing_paths(graph, e, w, order)
+    assert rtilde_via_paths(paths) == ctx.rtilde(e, w)
+    assert shifted_r_via_weights(paths) == ctx.shifted(e, w)
 print(f"  sum of q^(absolute length) = {ctx.rtilde(e, w).text()}")
 print(f"  sum of path weights        = {ctx.shifted(e, w).text()}")
 

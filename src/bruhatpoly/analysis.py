@@ -52,7 +52,6 @@ __all__ = [
     "shifted_average_fires",
     "f_tilde_vector",
     "f_tilde",
-    "out_degree",
     "p1_p2",
     "DeodharVerdict",
     "deodhar_check",
@@ -203,17 +202,6 @@ def f_tilde(ctx: RContext, u: int, w: int, i: int) -> int:
     return interval_shifted_sum(ctx, u, w).coefficient(i)
 
 
-def out_degree(ctx: RContext, u: int, w: int) -> int:
-    """Number of Bruhat edges from u staying inside [u, w]."""
-    g = ctx.group
-    count = 0
-    for col in g.reflection_columns().values():
-        v = col[u]
-        if g.length[v] > g.length[u] and g.leq(v, w):
-            count += 1
-    return count
-
-
 def p1_p2(ctx: RContext, graph: BruhatGraph, order: ReflectionOrder) -> tuple[int, int]:
     """Height excess over edges from the bottom, and increasing two-step paths.
 
@@ -275,18 +263,15 @@ class DeodharVerdict:
         )
 
 
-def deodhar_check(ctx: RContext, u: int, w: int,
-                  graph: Optional[BruhatGraph] = None) -> DeodharVerdict:
+def deodhar_check(ctx: RContext, u: int, w: int) -> DeodharVerdict:
     """Both degree inequalities for one interval, with strictness records."""
     g = ctx.group
-    if graph is None:
-        graph = build_graph(g, g.interval(u, w))
+    graph = build_graph(g, g.interval(u, w))
     ell = graph.interval.ell
     vec = f_tilde_vector(ctx, u, w)
     f1 = vec[1] if ell >= 1 else 0
     f2 = vec[2] if ell >= 2 else 0
-    direct_out = out_degree(ctx, u, w)
-    if f1 != direct_out:
+    if f1 != len(graph.out_edges[u]):
         raise AssertionError("q coefficient of the interval sum must be the out-degree")
     return DeodharVerdict(
         ell=ell,
@@ -309,7 +294,10 @@ def dihedral_poly(n: int) -> IntPoly:
         raise ValueError("index must be nonnegative")
     if n <= 2:
         return monomial(n)
-    return Q * dihedral_poly(n - 1) + Q_PLUS_ONE * dihedral_poly(n - 2)
+    before, last = Q, monomial(2)
+    for _ in range(n - 2):
+        before, last = last, Q * last + Q_PLUS_ONE * before
+    return last
 
 
 def dihedral_numbers(n: int) -> tuple[int, int]:
@@ -372,7 +360,10 @@ def fibonacci_poly(n: int) -> IntPoly:
         raise ValueError("index must be nonnegative")
     if n <= 2:
         return monomial(n)
-    return Q * fibonacci_poly(n - 1) + fibonacci_poly(n - 2)
+    before, last = Q, monomial(2)
+    for _ in range(n - 2):
+        before, last = last, Q * last + before
+    return last
 
 
 def dihedral_bounds_ok(ctx: RContext, u: int, w: int) -> bool:

@@ -291,13 +291,6 @@ class GroupTable:
         return tuple(s for s in range(self.num_generators)
                      if self.length[self.left[w][s]] < lw)
 
-    def descents(self, w: int, side: str = "right") -> tuple[int, ...]:
-        if side == "right":
-            return self.right_descents(w)
-        if side == "left":
-            return self.left_descents(w)
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-
     def first_right_descent(self, w: int) -> int:
         """Smallest-index right descent; -1 for the identity."""
         return self._first_descent[w]

@@ -8,21 +8,24 @@ whose restriction to every dihedral reflection subgroup is one of the two
 natural chains; such orders are built here from reduced words of the
 longest element.
 
-Paths are listed by depth-first search (``increasing_paths``,
-``short_paths``, ``all_paths``). Dyer's EL property (exactly one
-label-increasing maximal chain per interval, and it is the
-lexicographically first) is checked without listing chains:
-``count_increasing_chains`` counts the increasing ones by dynamic
-programming over (vertex, rank of the last label) on covering edges and
-finds the lexicographically first chain greedily, one lowest-ranked cover
-at a time.
+Paths are listed by one non-recursive depth-first walker behind three
+entry points (``increasing_paths``, ``short_paths``, ``all_paths``). Each
+call builds one table of every vertex's admissible out-edges: all edges or
+covering edges only, in target order or sorted by label rank. Dyer's EL
+property (exactly one label-increasing maximal chain per interval, and it
+is the lexicographically first) is checked without listing chains:
+``count_increasing_chains`` reads the same table of covering edges, counts
+the increasing chains by dynamic programming over (vertex, rank of the
+last label) and finds the lexicographically first chain greedily, one
+lowest-ranked cover at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
 from .poly import IntPoly, Q, Q_PLUS_ONE, monomial
@@ -248,24 +251,24 @@ def default_reflection_order(group: GroupTable) -> ReflectionOrder:
     return reflection_order_from_word(group, lex_min_w0_word(group))
 
 
-def _reduced_words_of_w0(group: GroupTable, limit: int) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration of reduced words for w0, in lexicographic order."""
-    yielded = 0
-
-    def rec(cur: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        nonlocal yielded
-        if yielded >= limit:
-            return
-        if cur == group.identity:
-            yielded += 1
-            yield tuple(prefix)
-            return
-        for s in group.left_descents(cur):
+def _reduced_words_of_w0(group: GroupTable) -> Iterator[tuple[int, ...]]:
+    """The reduced words of w0 in lexicographic order, depth first on an
+    explicit stack, so that a long w0 does not meet the recursion limit."""
+    prefix = [None]  # prefix[0] stands for the letter before w0
+    stack = [(group.w0, iter(group.left_descents(group.w0)))]
+    while stack:
+        cur, descents = stack[-1]
+        for s in descents:
+            nxt = group.left[cur][s]
+            if nxt == group.identity:
+                yield (*prefix[1:], s)
+                continue
             prefix.append(s)
-            yield from rec(group.left[cur][s], prefix)
+            stack.append((nxt, iter(group.left_descents(nxt))))
+            break
+        else:
+            stack.pop()
             prefix.pop()
-
-    yield from rec(group.w0, [])
 
 
 def distinct_reflection_orders(group: GroupTable, want: int = 3) -> list[ReflectionOrder]:
@@ -285,7 +288,7 @@ def distinct_reflection_orders(group: GroupTable, want: int = 3) -> list[Reflect
     add(reflection_order_from_word(group, lex_max_w0_word(group)))
     add(base.reversed())
     if len(orders) < want:
-        for word in _reduced_words_of_w0(group, limit=10000):
+        for word in islice(_reduced_words_of_w0(group), 10000):
             add(reflection_order_from_word(group, word))
             if len(orders) >= want:
                 break
@@ -392,6 +395,52 @@ def validate_reflection_order(group: GroupTable,
 # -- path enumeration ---------------------------------------------------------
 
 
+def _edge_table(graph: BruhatGraph, order: Optional[ReflectionOrder],
+                short_only: bool) -> dict[int, list[tuple[int, int, int]]]:
+    """Each vertex -> its admissible out-edges as (label rank, target, reflection):
+    every edge, or covering edges only, sorted by label rank in ``order``.
+    Without an order every rank is 0, which leaves the edges in target order.
+    """
+    rank = order.rank if order is not None else dict.fromkeys(graph.group.reflections, 0)
+    return {v: sorted([(rank[e.reflection], e.target, e.reflection)
+                       for e in edges if not short_only or e.height == 1])
+            for v, edges in graph.out_edges.items()}
+
+
+def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
+          short_only: bool) -> Iterator[BruhatPath]:
+    """Every path u -> ... -> w along the admissible edges of ``_edge_table``.
+
+    Depth first in table order, so with an order the paths whose labels
+    strictly increase come out in lexicographic rank order. The stack of
+    edge iterators is explicit: a recursive closure would refer to itself,
+    and that reference cycle would keep the graph alive until the cyclic
+    collector ran.
+    """
+    ell = graph.group.length[w] - graph.group.length[u]
+    if u == w:
+        yield BruhatPath((u,), (), ell)
+        return
+    table = _edge_table(graph, order, short_only)
+    vertices, labels = [u], [None]  # labels[0] stands for the edge into u
+    stack = [iter(table[u])]
+    while stack:
+        for r, x, t in stack[-1]:
+            if x == w:
+                yield BruhatPath((*vertices, x), (*labels[1:], t), ell)
+                continue
+            row = table[x]
+            vertices.append(x)
+            labels.append(t)
+            # later labels must rank above r, and the row ascends in rank
+            stack.append(iter(row[bisect_left(row, (r + 1,)):] if order is not None else row))
+            break
+        else:  # the top vertex has no edge left: step back
+            stack.pop()
+            vertices.pop()
+            labels.pop()
+
+
 def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
                      short_only: bool = False) -> list[BruhatPath]:
     """All paths u -> ... -> w whose labels strictly increase in the order.
@@ -401,47 +450,12 @@ def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
     increasing maximal chains. Results come out sorted lexicographically by
     label rank.
     """
-    ell = graph.group.length[w] - graph.group.length[u]
-    rank = order.rank
-    results: list[BruhatPath] = []
-
-    def dfs(v: int, last: int, vertices: list[int], labels: list[int]) -> None:
-        if v == w:
-            results.append(BruhatPath(tuple(vertices), tuple(labels), ell))
-            return
-        edges = sorted(graph.out_edges[v], key=lambda e: rank[e.reflection])
-        for e in edges:
-            r = rank[e.reflection]
-            if r > last and (not short_only or e.height == 1):
-                vertices.append(e.target)
-                labels.append(e.reflection)
-                dfs(e.target, r, vertices, labels)
-                vertices.pop()
-                labels.pop()
-
-    dfs(u, -1, [u], [])
-    return results
+    return list(_walk(graph, u, w, order, short_only))
 
 
 def short_paths(graph: BruhatGraph, u: int, w: int) -> list[BruhatPath]:
     """All saturated chains (paths of covering edges) from u to w."""
-    ell = graph.group.length[w] - graph.group.length[u]
-    results: list[BruhatPath] = []
-
-    def dfs(v: int, vertices: list[int], labels: list[int]) -> None:
-        if v == w:
-            results.append(BruhatPath(tuple(vertices), tuple(labels), ell))
-            return
-        for e in graph.out_edges[v]:
-            if e.height == 1:
-                vertices.append(e.target)
-                labels.append(e.reflection)
-                dfs(e.target, vertices, labels)
-                vertices.pop()
-                labels.pop()
-
-    dfs(u, [u], [])
-    return results
+    return list(_walk(graph, u, w, None, True))
 
 
 def all_paths(graph: BruhatGraph, u: int, w: int,
@@ -452,40 +466,23 @@ def all_paths(graph: BruhatGraph, u: int, w: int,
         raise EnumerationCapError(
             f"interval length {ell} exceeds the enumeration cap {max_len}"
         )
-
-    def dfs(v: int, vertices: list[int], labels: list[int]) -> Iterator[BruhatPath]:
-        if v == w:
-            yield BruhatPath(tuple(vertices), tuple(labels), ell)
-            return
-        for e in graph.out_edges[v]:
-            vertices.append(e.target)
-            labels.append(e.reflection)
-            yield from dfs(e.target, vertices, labels)
-            vertices.pop()
-            labels.pop()
-
-    yield from dfs(u, [u], [])
+    return _walk(graph, u, w, None, False)
 
 
 # -- chain counting -------------------------------------------------------------
 
 
 def _cover_table(graph: BruhatGraph, w: int,
-                 order: ReflectionOrder) -> dict[int, list[tuple[int, int]]]:
-    """Each vertex below w -> its covering edges as (label rank, target), ascending."""
-    rank = order.rank
-    table = {}
-    for v, edges in graph.out_edges.items():
-        if v == w:
-            continue
-        up = sorted((rank[e.reflection], e.target) for e in edges if e.height == 1)
-        if not up:
-            raise AssertionError("every element below the top of an interval has a cover in it")
-        table[v] = up
+                 order: ReflectionOrder) -> dict[int, list[tuple[int, int, int]]]:
+    """The walker's table of covering edges, without w."""
+    table = _edge_table(graph, order, short_only=True)
+    del table[w]
+    if not all(table.values()):
+        raise AssertionError("every element below the top of an interval has a cover in it")
     return table
 
 
-def _lex_first_chain(table: dict[int, list[tuple[int, int]]], u: int, w: int) -> list[int]:
+def _lex_first_chain(table: dict[int, list[tuple[int, int, int]]], u: int, w: int) -> list[int]:
     """Label ranks of the lexicographically first maximal chain from u to w.
 
     The interval is graded and the out-edges of one vertex carry distinct
@@ -494,7 +491,7 @@ def _lex_first_chain(table: dict[int, list[tuple[int, int]]], u: int, w: int) ->
     """
     ranks = []
     while u != w:
-        r, u = table[u][0]
+        r, u, _ = table[u][0]
         ranks.append(r)
     return ranks
 
@@ -521,7 +518,7 @@ def count_increasing_chains(graph: BruhatGraph, u: int, w: int,
             continue
         acc = [0] * (len(up) + 1)
         for i in range(len(up) - 1, -1, -1):
-            r, x = up[i]
+            r, x, _ = up[i]
             after = 1 if x == w else tails[x][bisect_left(table[x], (r + 1,))]
             acc[i] = acc[i + 1] + after
         tails[v] = acc

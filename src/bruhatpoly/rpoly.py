@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import Iterable
 
 from .coxeter import GroupTable
-from .graph import BruhatGraph, ReflectionOrder, increasing_paths, path_weight
+from .graph import BruhatPath, path_weight
 from .poly import (
     BiPoly,
     IntPoly,
@@ -277,19 +278,11 @@ def gamma_form_text(gamma: GammaVector) -> str:
     return " + ".join(terms)
 
 
-def rtilde_via_paths(graph: BruhatGraph, u: int, w: int,
-                     order: ReflectionOrder) -> IntPoly:
+def rtilde_via_paths(paths: Iterable[BruhatPath]) -> IntPoly:
     """Oracle: sum of q^(absolute length) over label-increasing paths."""
-    out = ZERO
-    for path in increasing_paths(graph, u, w, order):
-        out = out + monomial(path.absolute_length)
-    return out
+    return sum((monomial(path.absolute_length) for path in paths), ZERO)
 
 
-def shifted_r_via_weights(graph: BruhatGraph, u: int, w: int,
-                          order: ReflectionOrder) -> IntPoly:
+def shifted_r_via_weights(paths: Iterable[BruhatPath]) -> IntPoly:
     """Oracle: sum of path weights over label-increasing paths."""
-    out = ZERO
-    for path in increasing_paths(graph, u, w, order):
-        out = out + path_weight(path)
-    return out
+    return sum((path_weight(path) for path in paths), ZERO)

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Sequence
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
-from .graph import build_graph, count_increasing_chains, distinct_reflection_orders
+from .graph import (build_graph, count_increasing_chains, distinct_reflection_orders,
+                    increasing_paths)
 from .rpoly import RContext, reassemble_r, rtilde_via_paths, shifted_r_via_weights
 
 __all__ = [
@@ -143,9 +144,9 @@ def _task_oracle_pair(env: dict, pair: tuple[int, int]) -> bool:
     rt = ctx.rtilde(u, w)
     sh = ctx.shifted(u, w)
     for order in env["orders"]:
-        if rtilde_via_paths(graph, u, w, order) != rt:
-            return False
-        if shifted_r_via_weights(graph, u, w, order) != sh:
+        # one listing per (interval, order) feeds both path sums
+        paths = increasing_paths(graph, u, w, order)
+        if rtilde_via_paths(paths) != rt or shifted_r_via_weights(paths) != sh:
             return False
     return reassemble_r(ctx.gamma_vector(u, w)) == ctx.r(u, w)
 

@@ -4,7 +4,8 @@ Everything here is deliberately naive and separate from the library's own
 algorithms: the product of canonical forms, inversion counting, the
 dot-matrix comparison criterion for permutations, reachability closures,
 the memoized descent recursion for Bruhat order, the reflections as all
-conjugates of the generators, Dyer's EL property by listing every maximal
+conjugates of the generators, Bruhat paths listed by products with every
+reflection and an order test, Dyer's EL property by listing every maximal
 chain, the R recursion in polynomial arithmetic with an order test per
 pair, Booleanness of every upper subinterval one interval at a time,
 the dihedral bounds checked pair by pair, and the Fibonacci recursion.
@@ -13,7 +14,7 @@ Tests compare library output against these.
 
 from __future__ import annotations
 
-from bruhatpoly import IntPoly, analysis, increasing_paths, short_paths
+from bruhatpoly import BruhatPath, IntPoly, analysis, increasing_paths, short_paths
 from bruhatpoly.poly import Q, Q_MINUS_ONE, ZERO, coeffwise_leq, monomial
 
 
@@ -148,6 +149,33 @@ def conjugate_reflections(group) -> tuple[int, ...]:
         for s in range(group.num_generators):
             refl.add(group.mul(group.mul(v, group.generator(s)), group.inv(v)))
     return tuple(sorted(refl))
+
+
+def naive_paths(group, u: int, w: int, order=None, short_only: bool = False) -> list:
+    """Every Bruhat path u -> ... -> w, with no graph: the steps from x are
+    x*t over all reflections t that raise the length and stay <= w, taken in
+    target order, or with an order only those of higher label rank, taken in
+    rank order. ``short_only`` keeps the steps that raise the length by one."""
+    ell = group.length[w] - group.length[u]
+    out = []
+
+    def extend(vertices: tuple, labels: tuple) -> None:
+        x = vertices[-1]
+        if x == w:
+            out.append(BruhatPath(vertices, labels, ell))
+            return
+        steps = []
+        for t in group.reflections:
+            y = group.mul(x, t)
+            gain = group.length[y] - group.length[x]
+            if gain > 0 and (gain == 1 or not short_only) and group.leq(y, w):
+                steps.append((order.rank[t] if order is not None else y, y, t))
+        for key, y, t in sorted(steps):
+            if order is None or not labels or key > order.rank[labels[-1]]:
+                extend(vertices + (y,), labels + (t,))
+
+    extend((u,), ())
+    return out
 
 
 def smallest_rank_word(chains, order) -> tuple[int, ...]:

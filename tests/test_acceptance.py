@@ -200,8 +200,9 @@ def test_c07_oracle_equivalence(a3, a3_ctx, i2_groups, i2_ctxs):
                 rt = ctx.rtilde(u, w)
                 sh = ctx.shifted(u, w)
                 for order in orders:
-                    assert rtilde_via_paths(graph, u, w, order) == rt
-                    assert shifted_r_via_weights(graph, u, w, order) == sh
+                    paths = increasing_paths(graph, u, w, order)
+                    assert rtilde_via_paths(paths) == rt
+                    assert shifted_r_via_weights(paths) == sh
                 assert reassemble_r(ctx.gamma_vector(u, w)) == ctx.r(u, w)
         assert time.perf_counter() - start < 60.0
 

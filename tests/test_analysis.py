@@ -16,7 +16,7 @@ from bruhatpoly import (
 )
 from bruhatpoly import analysis
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
-from oracles import dihedral_bounds_per_pair, upper_boolean_per_v
+from oracles import dihedral_bounds_per_pair, fibonacci_rec, upper_boolean_per_v
 
 
 def test_poincare_values(a3, a3_ctx, pid):
@@ -286,6 +286,12 @@ def test_dihedral_polys_table(i2_ctxs):
 def test_dihedral_closed_form(i2_ctxs):
     for n in range(0, 21):
         assert analysis.dihedral_closed_form_ok(n)
+
+
+def test_bound_polynomials_of_high_index():
+    # n is above the interpreter's recursion limit; both are built by iteration
+    assert analysis.dihedral_closed_form_ok(1200)
+    assert analysis.fibonacci_poly(1200) == fibonacci_rec(1200)
 
 
 def test_dihedral_series_matches_recursion():

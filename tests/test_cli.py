@@ -100,6 +100,16 @@ def test_huge_type_a_rank_is_usage_error():
     assert "has order above the cap 1000000" in proc.stderr
 
 
+def test_long_w0_verifies_without_recursion_limit():
+    # the reduced words of w0 have 1200 letters; walking them must not
+    # recurse once per letter
+    proc = run_cli(["verify", "--group", "I2:1200", "--max-interval-len", "3",
+                    "--suite", "el-unique,oracle-eq"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "el-unique: PASS" in proc.stdout
+    assert "oracle-eq: PASS" in proc.stdout
+
+
 def test_usage_error_exit_code_from_argparse():
     proc = run_cli(["interval", "--group", "A3"])  # missing --u/--w
     assert proc.returncode == 2

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -30,11 +32,12 @@ from bruhatpoly.graph import (
     InvalidWordError,
     _cover_table,
     _lex_first_chain,
+    _reduced_words_of_w0,
     lex_min_w0_word,
 )
 from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, size
 from bruhatpoly.suite import _interval_scope
-from oracles import smallest_rank_word
+from oracles import naive_paths, smallest_rank_word
 
 
 def lower_graph(group, w):
@@ -252,6 +255,50 @@ def test_all_paths_examples(a3, i2_groups, pid):
     with pytest.raises(EnumerationCapError):
         big = enumerate_group(CoxeterDescriptor("I2", 12))
         list(all_paths(lower_graph(big, big.w0), big.identity, big.w0, max_len=8))
+
+
+@pytest.mark.parametrize("spec", ["A3", "I2:5"])
+def test_path_listings_match_naive_lister(spec):
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    orders = distinct_reflection_orders(group, want=3)
+    for u, w in group.comparable_pairs():
+        g = build_graph(group, group.interval(u, w))
+        assert list(all_paths(g, u, w)) == naive_paths(group, u, w)
+        assert short_paths(g, u, w) == naive_paths(group, u, w, short_only=True)
+        for order in orders:
+            for short_only in (False, True):
+                assert (increasing_paths(g, u, w, order, short_only)
+                        == naive_paths(group, u, w, order, short_only))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda g, u, w: increasing_paths(g, u, w, default_reflection_order(g.group)),
+    lambda g, u, w: short_paths(g, u, w),
+    lambda g, u, w: list(all_paths(g, u, w)),
+], ids=["increasing_paths", "short_paths", "all_paths"])
+def test_walk_keeps_no_graph_alive(a3, walk):
+    # with the cyclic collector off, only a reference cycle can outlive the
+    # last reference; the walk must not build one through the graph
+    g = lower_graph(a3, a3.w0)
+    gone = weakref.ref(g)
+    gc.disable()
+    try:
+        assert walk(g, a3.identity, a3.w0)
+        del g
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_reduced_words_of_w0_in_lexicographic_order(a3):
+    words = list(_reduced_words_of_w0(a3))
+    assert len(words) == 16 and words == sorted(set(words))
+    assert words[0] == lex_min_w0_word(a3)
+    for word in words:
+        reflection_order_from_word(a3, word)  # raises unless a reduced word of w0
+    # w0 of I2(m) has exactly the two alternating words, m letters deep
+    big = enumerate_group(CoxeterDescriptor("I2", 1200))
+    assert [word[:3] for word in _reduced_words_of_w0(big)] == [(0, 1, 0), (1, 0, 1)]
 
 
 def test_short_paths_are_saturated(a3, pid):

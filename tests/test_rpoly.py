@@ -9,6 +9,7 @@ from bruhatpoly import (
     default_reflection_order,
     enumerate_group,
     gamma_form_text,
+    increasing_paths,
     reassemble_r,
     rtilde_via_paths,
     shifted_r_via_weights,
@@ -133,9 +134,10 @@ def test_oracle_equivalence_spot(a3, a3_ctx, pid):
     w = pid(a3, "3412")
     graph = build_graph(a3, a3.interval(e, w))
     order = default_reflection_order(a3)
-    assert rtilde_via_paths(graph, e, w, order) == a3_ctx.rtilde(e, w)
-    assert shifted_r_via_weights(graph, e, w, order) == a3_ctx.shifted(e, w)
-    assert rtilde_via_paths(graph, e, e, order) == ONE
+    paths = increasing_paths(graph, e, w, order)
+    assert rtilde_via_paths(paths) == a3_ctx.rtilde(e, w)
+    assert shifted_r_via_weights(paths) == a3_ctx.shifted(e, w)
+    assert rtilde_via_paths(increasing_paths(graph, e, e, order)) == ONE
 
 
 def test_gamma_vector_examples(a3, a3_ctx, pid):
