@@ -16,7 +16,6 @@ from .coxeter import (
     enumerate_group,
 )
 from .graph import (
-    BruhatEdge,
     BruhatGraph,
     BruhatPath,
     ReflectionOrder,

@@ -211,13 +211,9 @@ def p1_p2(ctx: RContext, graph: BruhatGraph, order: ReflectionOrder) -> tuple[in
     coefficient of the interval's shifted sum.
     """
     u, w = graph.interval.bottom, graph.interval.top
-    p1 = sum(e.height - 1 for e in graph.out_edges[u])
-    rank = order.rank
-    p2 = 0
-    for e1 in graph.out_edges[u]:
-        for e2 in graph.out_edges[e1.target]:
-            if rank[e2.reflection] > rank[e1.reflection]:
-                p2 += 1
+    length, row, rank = graph.group.length, graph.out_edges[u], order.rank
+    p1 = sum((length[y] - length[u] - 1) // 2 for y, _ in row)
+    p2 = sum(rank[t2] > rank[t] for y, t in row for _, t2 in graph.out_edges[y])
     ell = graph.interval.ell
     if ell >= 2 and p1 + p2 != f_tilde(ctx, u, w, 2):
         raise AssertionError("p1 + p2 must equal the q^2 coefficient of the interval sum")
@@ -459,7 +455,7 @@ def is_dihedral_interval(graph: BruhatGraph) -> bool:
             return False
     for r in range(ell):
         for v in layers[r]:
-            covers = {e.target for e in graph.out_edges[v] if e.height == 1}
+            covers = {y for y, _ in graph.out_edges[v] if g.length[y] == g.length[v] + 1}
             if not set(layers[r + 1]) <= covers:
                 return False
     return True

@@ -22,7 +22,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import analysis, suite
 from .coxeter import CoxeterDescriptor, EmptyIntervalError, GroupTable, enumerate_group
@@ -165,37 +165,33 @@ def _r_classes(ctx: RContext) -> list[dict]:
     return rows
 
 
+def _emit_table(args: argparse.Namespace, payload: dict, header: list[str],
+                rows: Iterable[list]) -> None:
+    """One table: ``payload`` as JSON, or the CSV header and rows."""
+    if args.format == "json":
+        _emit(_json_text(payload), args.out)
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), args.out)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     if args.table == "r-polys":
-        group = _make_group(args.group)
-        rows = _r_classes(RContext(group))
-        if args.format == "json":
-            _emit(_json_text({"group": args.group, "classes": rows}), args.out)
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["class", "members", "gamma_form", "r", "size"])
-            for row in rows:
-                writer.writerow([row["class"], " ".join(row["members"]),
-                                 row["gamma_form"], row["r"], row["size"]])
-            _emit(buf.getvalue(), args.out)
+        rows = _r_classes(RContext(_make_group(args.group)))
+        _emit_table(args, {"group": args.group, "classes": rows},
+                    ["class", "members", "gamma_form", "r", "size"],
+                    ([r["class"], " ".join(r["members"]), r["gamma_form"], r["r"], r["size"]]
+                     for r in rows))
         return 0
     if args.table == "dihedral":
-        rows = []
-        for n in range(args.max_n + 1):
-            d = analysis.dihedral_poly(n)
-            rows.append({"n": n, "polynomial": d.text(),
-                         "coeffs": [str(c) for c in d.coeffs],
-                         "size": poly_size(d), "total": poly_total(d)})
-        if args.format == "json":
-            _emit(_json_text({"table": "dihedral", "rows": rows}), args.out)
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["n", "polynomial", "size", "total"])
-            for row in rows:
-                writer.writerow([row["n"], row["polynomial"], row["size"], row["total"]])
-            _emit(buf.getvalue(), args.out)
+        rows = [{"n": n, "polynomial": d.text(), "coeffs": [str(c) for c in d.coeffs],
+                 "size": poly_size(d), "total": poly_total(d)}
+                for n, d in enumerate(map(analysis.dihedral_poly, range(args.max_n + 1)))]
+        _emit_table(args, {"table": "dihedral", "rows": rows}, ["n", "polynomial", "size", "total"],
+                    ([r["n"], r["polynomial"], r["size"], r["total"]] for r in rows))
         return 0
     raise CliError(f"unknown table {args.table!r} (expected 'r-polys' or 'dihedral')")
 

@@ -1,12 +1,13 @@
 """Bruhat graphs on intervals, reflection orders and weighted path counting.
 
 The directed Bruhat graph has an edge x -> y whenever y = x*t for a
-reflection t and the length goes up. Edges inside an interval [u, w] carry
-a height h = (length difference + 1)/2; height 1 edges are the covering
-("short") edges. A reflection order is a total order on the reflection set
-whose restriction to every dihedral reflection subgroup is one of the two
-natural chains; such orders are built here from reduced words of the
-longest element.
+reflection t and the length goes up. The graph of an interval [u, w] keeps
+one row per vertex x: the pairs (y, t) of its out-edges, in target order.
+An edge's height h = (length difference + 1)/2 is read off the lengths;
+height 1 edges are the covering ("short") edges. A reflection order is a
+total order on the reflection set whose restriction to every dihedral
+reflection subgroup is one of the two natural chains; such orders are built
+here from reduced words of the longest element.
 
 Paths are listed by one non-recursive depth-first walker behind three
 entry points (``increasing_paths``, ``short_paths``, ``all_paths``). Each
@@ -31,7 +32,6 @@ from .coxeter import GroupTable, Interval
 from .poly import IntPoly, Q, Q_PLUS_ONE, monomial
 
 __all__ = [
-    "BruhatEdge",
     "BruhatGraph",
     "BruhatPath",
     "ReflectionOrder",
@@ -69,18 +69,6 @@ class EnumerationCapError(ValueError):
 
 
 @dataclass(frozen=True)
-class BruhatEdge:
-    source: int
-    target: int
-    reflection: int
-    height: int
-
-    @property
-    def is_short(self) -> bool:
-        return self.height == 1
-
-
-@dataclass(frozen=True)
 class BruhatPath:
     """A directed path in a Bruhat graph.
 
@@ -98,21 +86,18 @@ class BruhatPath:
         return len(self.labels)
 
 
+@dataclass(frozen=True, eq=False)
 class BruhatGraph:
-    """The Bruhat graph induced on one interval (immutable after build)."""
+    """The Bruhat graph induced on one interval.
 
-    def __init__(self, group: GroupTable, interval: Interval,
-                 edges: Sequence[BruhatEdge]) -> None:
-        self.group = group
-        self.interval = interval
-        self.edges: tuple[BruhatEdge, ...] = tuple(edges)
-        out: dict[int, list[BruhatEdge]] = {v: [] for v in interval.members}
-        inc: dict[int, list[BruhatEdge]] = {v: [] for v in interval.members}
-        for e in self.edges:
-            out[e.source].append(e)
-            inc[e.target].append(e)
-        self.out_edges = {v: tuple(es) for v, es in out.items()}
-        self.in_edges = {v: tuple(es) for v, es in inc.items()}
+    ``out_edges[x]`` is the row of x: one (y, t) per edge x -> y = x*t, in
+    target order. ``in_degree[y]`` counts the edges into y.
+    """
+
+    group: GroupTable
+    interval: Interval
+    out_edges: dict[int, tuple[tuple[int, int], ...]]
+    in_degree: dict[int, int]
 
     @property
     def num_vertices(self) -> int:
@@ -120,27 +105,30 @@ class BruhatGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(self.in_degree.values())
 
     def degree(self, v: int) -> int:
-        return len(self.out_edges[v]) + len(self.in_edges[v])
+        return len(self.out_edges[v]) + self.in_degree[v]
 
 
 def build_graph(group: GroupTable, interval: Interval) -> BruhatGraph:
     """All edges x -> y with both ends in the interval and increasing length."""
-    members = set(interval.members)
+    in_degree = dict.fromkeys(interval.members, 0)
     length = group.length
-    edges = []
-    for t, col in group.reflection_columns().items():
-        for x in interval.members:
+    columns = tuple(group.reflection_columns().items())
+    out_edges = {}
+    for x in interval.members:
+        lx = length[x]
+        row = []
+        for t, col in columns:
             y = col[x]
-            if y in members and length[y] > length[x]:
-                diff = length[y] - length[x]
-                if diff % 2 == 0:
+            if y in in_degree and length[y] > lx:
+                if (length[y] - lx) % 2 == 0:
                     raise AssertionError("Bruhat edges must have odd length difference")
-                edges.append(BruhatEdge(x, y, t, (diff + 1) // 2))
-    edges.sort(key=lambda e: (e.source, e.target))
-    return BruhatGraph(group, interval, edges)
+                row.append((y, t))
+                in_degree[y] += 1
+        out_edges[x] = tuple(sorted(row))
+    return BruhatGraph(group, interval, out_edges, in_degree)
 
 
 def absolute_distance(graph: BruhatGraph, u: int, w: int) -> int:
@@ -152,12 +140,12 @@ def absolute_distance(graph: BruhatGraph, u: int, w: int) -> int:
     while frontier:
         nxt = []
         for v in frontier:
-            for e in graph.out_edges[v]:
-                if e.target not in dist:
-                    dist[e.target] = dist[v] + 1
-                    if e.target == w:
-                        return dist[e.target]
-                    nxt.append(e.target)
+            for y, _ in graph.out_edges[v]:
+                if y not in dist:
+                    dist[y] = dist[v] + 1
+                    if y == w:
+                        return dist[y]
+                    nxt.append(y)
         frontier = nxt
     raise AssertionError("no directed path between comparable interval endpoints")
 
@@ -402,9 +390,10 @@ def _edge_table(graph: BruhatGraph, order: Optional[ReflectionOrder],
     Without an order every rank is 0, which leaves the edges in target order.
     """
     rank = order.rank if order is not None else dict.fromkeys(graph.group.reflections, 0)
-    return {v: sorted([(rank[e.reflection], e.target, e.reflection)
-                       for e in edges if not short_only or e.height == 1])
-            for v, edges in graph.out_edges.items()}
+    length = graph.group.length
+    return {x: sorted([(rank[t], y, t) for y, t in row
+                       if not short_only or length[y] == length[x] + 1])
+            for x, row in graph.out_edges.items()}
 
 
 def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
@@ -533,11 +522,10 @@ def to_dot(graph: BruhatGraph, name: str = "bruhat") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for v in graph.interval.members:
         lines.append(f'  "{g.display(v)}" [label="{g.display(v)} ({g.length[v]})"];')
-    for e in graph.edges:
-        src, dst = g.display(e.source), g.display(e.target)
-        if e.is_short:
-            lines.append(f'  "{src}" -> "{dst}";')
-        else:
-            lines.append(f'  "{src}" -> "{dst}" [style=dashed, label="h={e.height}"];')
+    for x in graph.interval.members:  # ascending ids, rows in target order
+        for y, _ in graph.out_edges[x]:
+            height = (g.length[y] - g.length[x] + 1) // 2
+            style = "" if height == 1 else f' [style=dashed, label="h={height}"]'
+            lines.append(f'  "{g.display(x)}" -> "{g.display(y)}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"

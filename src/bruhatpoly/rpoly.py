@@ -95,6 +95,9 @@ class RContext:
             raise ValueError("descent_choice must be 'min' or 'max'")
         self.group = group
         self.descent_choice = descent_choice
+        # the right descent of w that drives the recursion
+        self._descent = (group.first_right_descent if descent_choice == "min"
+                         else lambda w: max(group.right_descents(w)))
         self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {
             "r": {}, "rtilde": {}, "shifted": {}
         }
@@ -105,38 +108,55 @@ class RContext:
         self.hits = 0
         self.misses = 0
 
-    def _descent(self, w: int) -> int:
-        if self.descent_choice == "min":
-            return self.group.first_right_descent(w)
-        return max(self.group.right_descents(w))
+    def _family(self, name: str, u: int, w: int) -> IntPoly:
+        """The value of one family at (u, w), filling the memo on the way.
 
-    def _family(self, name: str, u: int, w: int, comparable: bool = False) -> IntPoly:
-        g = self.group
-        if u == w:
-            return ONE
+        The recursion runs on an explicit stack, so its depth (up to the
+        length of w) is not bound by Python's recursion limit. Pairs are looked
+        up in the order of the plain recursion, so the memo traffic is the same.
+        """
         memo = self._memo[name]
-        key = (u, w)
-        cached = memo.get(key)
-        if cached is not None:
+        if (value := memo.get((u, w))) is not None:  # most calls end here, before any set-up
             self.hits += 1
-            return cached
-        # only comparable pairs enter the memo, so the order test can wait. The
-        # lifting property (Bjorner-Brenti, Prop. 2.2.7) decides it for (us, ws)
-        # when s lowers u and for (u, ws) when not; (us, ws) then needs a test.
-        if not comparable and not g.leq(u, w):
-            return ZERO
-        self.misses += 1
-        s = self._descent(w)
-        ws = g.right[w][s]
-        us = g.right[u][s]
-        if g.length[us] < g.length[u]:
-            value = self._family(name, us, ws, True)
-        else:
-            step = _RULES[name][2]
-            value = step(self._family(name, u, ws, True).coeffs, self._family(name, us, ws).coeffs)
-            value = self._interned.setdefault(value.coeffs, value)
-        memo[key] = value
-        return value
+            return value
+        g, step, interned = self.group, _RULES[name][2], self._interned
+        right, length, descent = g.right, g.length, self._descent
+        hits = misses = 0
+        comparable = False  # whether u <= w is already known
+        stack = []  # per missed pair: [(u, w), us, ws, s lowers u, value of (u, ws)]
+        while True:
+            value = ONE if u == w else memo.get((u, w))
+            if value is not None:
+                hits += u != w  # a memo hit unless (u, w) is diagonal
+            # only comparable pairs enter the memo, so the order test can wait. The
+            # lifting property (Bjorner-Brenti, Prop. 2.2.7) decides it for (us, ws)
+            # when s lowers u and for (u, ws) when not; (us, ws) then needs a test.
+            elif comparable or g.leq(u, w):
+                misses += 1
+                s = descent(w)
+                ws, us = right[w][s], right[u][s]
+                lowers = length[us] < length[u]
+                stack.append([(u, w), us, ws, lowers, None])
+                u, w, comparable = (us if lowers else u), ws, True
+                continue
+            else:
+                value = ZERO
+            while stack:  # hand the value up to the first frame that needs a pair
+                frame = stack[-1]
+                key, us, ws, lowers, first = frame
+                if not lowers:
+                    if first is None:  # value is that of (u, ws); (us, ws) is next
+                        frame[4] = value
+                        u, w, comparable = us, ws, False
+                        break
+                    value = step(first.coeffs, value.coeffs)
+                    value = interned.setdefault(value.coeffs, value)
+                memo[key] = value
+                stack.pop()
+            else:
+                self.hits += hits
+                self.misses += misses
+                return value
 
     # -- the three families -------------------------------------------------
 

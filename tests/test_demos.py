@@ -1,0 +1,35 @@
+"""Each demo script runs to completion and prints the output it always has."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DEMO_STDOUT_SHA256 = {
+    "dihedral_bounds_tour.py":
+        "893f774e8e0f1eea579c116bfe732cbc1923f949c996138249a6bb603c2daad3",
+    "interval_walkthrough.py":
+        "9f625e460077f0ea7158b54b6c52e18e350331dfcb9c0582051fda84889ed8cf",
+    "reflection_orders_and_paths.py":
+        "326592bd859df53ccad251804509202348e7e73d351531c062dfc23e0a38bf23",
+    "regularity_survey.py":
+        "36cbe8a595b058c7d417d51a31342e0cba6b9c1afb627c2dc931ec5f8c8d544e",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DEMO_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STDOUT_SHA256))
+def test_demo_stdout(name):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[name]

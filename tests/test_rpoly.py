@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from bruhatpoly import (
     BiPoly,
@@ -275,3 +279,25 @@ def test_family_kernels_match_polynomial_arithmetic():
             if a and b and len(got.coeffs) < top:
                 cancelled.add(name)
     assert cancelled == set(_RULES)  # every family met a cancelling top coefficient
+
+
+def test_family_fill_does_not_recurse():
+    # the descent recursion is as deep as the length of w, 300 here, and
+    # must run under a recursion limit far below that
+    script = """if True:
+        import sys
+        from bruhatpoly import CoxeterDescriptor, RContext, analysis, enumerate_group
+        group = enumerate_group(CoxeterDescriptor("I2", 300))
+        expected = analysis.dihedral_poly(300)
+        s1 = group.generator(0)
+        ctx = RContext(group)
+        sys.setrecursionlimit(150)
+        assert ctx.shifted(group.identity, group.w0) == expected
+        r, rtilde = ctx.r(s1, group.w0), ctx.rtilde(s1, group.w0)
+        assert r.degree == rtilde.degree == 299 and r(1) == 0
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
