@@ -10,8 +10,11 @@ coefficient polynomials of the second branch:
     R-tilde:   q    * Rt[u, ws] +  1     * Rt[us, ws]
     shifted:   q    * Rs[u, ws] + (q+1)  * Rs[us, ws]
 
-``_RULES`` holds each (low, high) with a kernel that applies it in one
-pass over the two coefficient tuples, building a single polynomial.
+The memo strips every descent that u and w share, on the right as in the
+first branch and on the left as in its mirror image, before it computes a
+pair; so only the second branch is ever computed. ``_RULES`` holds each
+(low, high) with a kernel that applies it in one pass over the two
+coefficient tuples, building a single polynomial.
 
 The shifted family is R evaluated at q+1 computed natively; the classic
 substitution is kept around as a cross-check. Path-enumeration oracles for
@@ -95,6 +98,10 @@ class RContext:
             raise ValueError("descent_choice must be 'min' or 'max'")
         self.group = group
         self.descent_choice = descent_choice
+        length = group.length
+        # per element, bit s is set iff s is a right descent, bit n + s iff a left one
+        self._descents = tuple(sum(1 << s for s, x in enumerate(r + l) if length[x] < lv)
+                               for r, l, lv in zip(group.right, group.left, length))
         # the right descent of w that drives the recursion
         self._descent = (group.first_right_descent if descent_choice == "min"
                          else lambda w: max(group.right_descents(w)))
@@ -111,49 +118,57 @@ class RContext:
     def _family(self, name: str, u: int, w: int) -> IntPoly:
         """The value of one family at (u, w), filling the memo on the way.
 
-        The recursion runs on an explicit stack, so its depth (up to the
-        length of w) is not bound by Python's recursion limit. Pairs are looked
-        up in the order of the plain recursion, so the memo traffic is the same.
+        Each pair is reduced first: while u != w, both ends step down their
+        lowest shared right descent, else their lowest shared left descent.
+        Neither step changes the value (Bjorner-Brenti, Thm 5.1.1, and R(u, w) =
+        R(u^-1, w^-1)) or comparability (Deodhar's Property Z). The memo holds
+        reduced pairs and each queried pair. On a reduced pair the chosen descent
+        s of w raises u, so every miss combines (u, ws) and (us, ws), on an
+        explicit stack that Python's recursion limit does not bound.
         """
         memo = self._memo[name]
         if (value := memo.get((u, w))) is not None:  # most calls end here, before any set-up
             self.hits += 1
             return value
         g, step, interned = self.group, _RULES[name][2], self._interned
-        right, length, descent = g.right, g.length, self._descent
+        right, left, descents, descent = g.right, g.left, self._descents, self._descent
+        n = g.num_generators
+        query = (u, w)
         hits = misses = 0
         comparable = False  # whether u <= w is already known
-        stack = []  # per missed pair: [(u, w), us, ws, s lowers u, value of (u, ws)]
+        stack = []  # per missed pair: [(u, w), us, ws, value of (u, ws)]
         while True:
-            value = ONE if u == w else memo.get((u, w))
+            # reduce (u, w), right descents first; a pair in the memo ends the walk
+            while (value := ONE if u == w else memo.get((u, w))) is None and (
+                    shared := descents[u] & descents[w]):
+                s = (shared & -shared).bit_length() - 1
+                u, w = (right[u][s], right[w][s]) if s < n else (left[u][s - n], left[w][s - n])
             if value is not None:
                 hits += u != w  # a memo hit unless (u, w) is diagonal
-            # only comparable pairs enter the memo, so the order test can wait. The
-            # lifting property (Bjorner-Brenti, Prop. 2.2.7) decides it for (us, ws)
-            # when s lowers u and for (u, ws) when not; (us, ws) then needs a test.
+            # only comparable pairs enter the memo, so the order test can wait. By
+            # the lifting property (Bjorner-Brenti, Prop. 2.2.7) u <= w gives
+            # u <= ws; (us, ws) then needs a test.
             elif comparable or g.leq(u, w):
                 misses += 1
                 s = descent(w)
-                ws, us = right[w][s], right[u][s]
-                lowers = length[us] < length[u]
-                stack.append([(u, w), us, ws, lowers, None])
-                u, w, comparable = (us if lowers else u), ws, True
+                ws = right[w][s]
+                stack.append([(u, w), right[u][s], ws, None])
+                w, comparable = ws, True
                 continue
             else:
                 value = ZERO
             while stack:  # hand the value up to the first frame that needs a pair
                 frame = stack[-1]
-                key, us, ws, lowers, first = frame
-                if not lowers:
-                    if first is None:  # value is that of (u, ws); (us, ws) is next
-                        frame[4] = value
-                        u, w, comparable = us, ws, False
-                        break
-                    value = step(first.coeffs, value.coeffs)
-                    value = interned.setdefault(value.coeffs, value)
-                memo[key] = value
+                if frame[3] is None:  # value is that of (u, ws); (us, ws) is next
+                    frame[3] = value
+                    u, w, comparable = frame[1], frame[2], False
+                    break
+                value = step(frame[3].coeffs, value.coeffs)
+                memo[frame[0]] = value = interned.setdefault(value.coeffs, value)
                 stack.pop()
             else:
+                if value and query[0] != query[1]:
+                    memo[query] = value  # the queried pair too, unreduced
                 self.hits += hits
                 self.misses += misses
                 return value
@@ -249,11 +264,11 @@ class RContext:
         return is_vertex, is_edge
 
     def descent_transport(self, u: int, w: int) -> list[tuple[int, int, int]]:
-        """Trace the descent walk used to reach a pair where s raises u.
+        """Trace the walk down the chosen descents of w while they lower u.
 
-        Returns (u, w, s) steps for the prefix of the recursion where the
-        chosen descent of w also lowers u, so the R-polynomial is constant
-        along the walk. Diagnostic only.
+        Returns (u, w, s) steps for the prefix of the plain (unreduced)
+        recursion where the chosen descent of w also lowers u, so the
+        R-polynomial is constant along the walk. Diagnostic only.
         """
         g = self.group
         steps = []

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -412,6 +413,14 @@ GOLDEN_STDOUT_SHA256 = {
         "bad6f3cf8992f78e417a35c13f8be91e1a438325ac1f93f3f2ff8d4630b7a09d",
     ("table", "--table", "r-polys", "--group", "A3"):
         "1b2391066a15c8c8416fa1666867589becad5fc57d39cae0c438cc8f01f0ef6b",
+    # the R memo on reduced pairs: shared right descents, shared left descents
+    # (dihedral), and a non-lower interval where both ends reduce
+    ("table", "--table", "r-polys", "--group", "A5", "--format", "json"):
+        "dc47cdbdbf302bee3dcbceed2b2abffac0f26a8c02ff418cd2d5707a03f4a9cb",
+    ("verify", "--group", "I2:12"):
+        "52c5b9ef19babe6a87efe7fdefa7ab4388a1aeb8de5cf6c5eacc30ba9a63e6ea",
+    ("interval", "--group", "A5", "--u", "213456", "--w", "654321"):
+        "aa578061c313acdb99ce23118846899fcacdd1f2f7236b7b337848ce5a3c33fc",
 }
 
 
@@ -421,6 +430,7 @@ def test_golden_stdout(args, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[args]
 
 
+@functools.cache  # built once per spec: the A5 snapshot lists 98,407 pairs
 def poisoned_snapshot(spec):
     """A memo snapshot for ``spec`` in the checksummed format that bruhatpoly
     0.1.0 merged from $BRUHAT_CACHE_DIR, with a wrong value for every pair."""

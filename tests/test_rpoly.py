@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bruhatpoly import (
     BiPoly,
     CoxeterDescriptor,
@@ -23,7 +25,7 @@ from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
 from bruhatpoly.cli import _r_classes
 from bruhatpoly.coxeter import GroupTable
 from bruhatpoly.rpoly import _RULES
-from oracles import fibonacci_rec, r_by_recursion
+from oracles import descent_leq, fibonacci_rec, form_product, generator_ids, r_by_recursion
 
 # R-polynomials of the lower intervals of S4, grouped into the nine classes
 # of equal polynomials (sizes 1,1,1,3,1,3,9,5,11 in this order)
@@ -240,16 +242,59 @@ def test_table_r_polys_skips_order_tests_the_lifting_property_decides(monkeypatc
     ctx = RContext(a5)
     _r_classes(ctx)  # what `table --table r-polys --group A5` computes
     monkeypatch.undo()
-    # same memo traffic as when every miss ran its own order test, which
-    # took 5,070 leq calls here
-    assert (ctx.hits, ctx.misses) == (2_578, 3_731)
-    assert len(calls) == 3_769
+    # the memo keys reduced pairs (no shared left or right descent), which
+    # took the traffic from 2,578 hits / 3,731 misses and 3,769 leq calls on
+    # every pair of the plain recursion; with an order test per miss it was
+    # 5,070 leq calls
+    assert (ctx.hits, ctx.misses) == (1_952, 1_634)
+    assert len(calls) == 2_002
     memo, oracle = ctx._memo, {}
     assert memo["r"] and memo["shifted"]
     for (u, w), value in memo["r"].items():
         assert value == r_by_recursion(a5, u, w, oracle)
     for (u, w), value in memo["shifted"].items():
         assert value == shift_plus_one(r_by_recursion(a5, u, w, oracle))
+
+
+@pytest.mark.parametrize("choice", ["min", "max"])
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "I2:2", "I2:3", "I2:5", "I2:8"])
+def test_reduced_pair_memo_matches_the_unreduced_oracle(spec, choice):
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    ctx, oracle = RContext(group, descent_choice=choice), {}
+    for u, w in group.comparable_pairs():
+        expected = r_by_recursion(group, u, w, oracle)
+        assert ctx.r(u, w) == expected, (u, w)
+        assert ctx.shifted(u, w) == shift_plus_one(expected), (u, w)
+        assert reassemble_r(ctx.gamma_vector(u, w)) == expected, (u, w)  # reads rtilde
+
+
+@pytest.mark.parametrize("choice", ["min", "max"])
+@pytest.mark.parametrize("spec", ["A3", "A4"])
+def test_reduced_pair_memo_is_zero_off_the_order(spec, choice):
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    ctx, order, incomparable = RContext(group, descent_choice=choice), {}, 0
+    for u, w in itertools.product(group.elements(), repeat=2):
+        if not descent_leq(group, u, w, order):
+            incomparable += 1
+            assert ctx.r(u, w) == ctx.rtilde(u, w) == ctx.shifted(u, w) == ZERO, (u, w)
+    assert incomparable > len(group) ** 2 // 2
+
+
+@pytest.mark.parametrize("spec", ["A3", "A4", "I2:5"])
+def test_shared_descents_leave_the_oracle_unchanged(spec):
+    # R(u, w) = R(us, ws) for a shared right descent s and R(su, sw) for a
+    # shared left one, on the oracle recursion and form products alone
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    length, oracle, nonzero = group.length, {}, [0, 0]
+    for s in generator_ids(group):
+        for side, times_s in enumerate((lambda x: form_product(group, x, s),
+                                        lambda x: form_product(group, s, x))):
+            lowered = {x: y for x in group.elements() if length[y := times_s(x)] < length[x]}
+            for (u, us), (w, ws) in itertools.product(lowered.items(), repeat=2):
+                value = r_by_recursion(group, u, w, oracle)
+                assert value == r_by_recursion(group, us, ws, oracle), (side, u, w)
+                nonzero[side] += bool(value) and u != w
+    assert all(nonzero)
 
 
 def test_equal_memo_values_are_one_object(a4):
