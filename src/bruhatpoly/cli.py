@@ -222,6 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(suite.suite_text(args.group, results, args.max_interval_len), args.out)
     # timing goes to stderr so stdout stays byte-identical across runs
     print(f"verify {args.group}: {elapsed:.2f}s", file=sys.stderr)
+    for r in results:
+        print(f"  {r.name}: {r.seconds:.2f}s (scope={r.scope_size})", file=sys.stderr)
     return 0 if all(r.passed for r in results) else CHECK_FAILURE
 
 

@@ -14,9 +14,12 @@ import math
 import multiprocessing
 import os
 import random
+import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
@@ -58,6 +61,7 @@ class CheckResult:
     passed: bool
     scope_size: int
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)  # wall time, not part of the result
 
 
 # -- per-process environment ------------------------------------------------------
@@ -79,6 +83,7 @@ def _environment(spec: str, group: Optional[GroupTable] = None) -> dict:
             "group": group,
             "ctx": RContext(group),
             "orders": distinct_reflection_orders(group, want=3),
+            "sizes": {},  # v -> size of [e, v], shared by the th1 checks
         }
         _ENVS[spec] = env
     return env
@@ -185,6 +190,24 @@ def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
 # -- scopes -------------------------------------------------------------------------
 
 
+def _capped_ideal(group: GroupTable, w: int,
+                  max_interval_len: Optional[int] = None) -> tuple[int, ...]:
+    """The u <= w with length(w) - length(u) <= max_interval_len, in id order.
+
+    Ids run in length order, so the cap cuts a prefix off the kept lower ideal.
+    """
+    ideal = group.lower_ideal(w)
+    if max_interval_len is None:
+        return ideal
+    first = bisect_left(group.length, group.length[w] - max_interval_len)
+    return ideal[bisect_left(ideal, first):]
+
+
+def _pair_count(group: GroupTable, max_interval_len: Optional[int] = None) -> int:
+    """How many pairs ``_comparable_pairs`` lists, counted without building them."""
+    return sum(len(_capped_ideal(group, w, max_interval_len)) for w in group.elements())
+
+
 def _comparable_pairs(group: GroupTable,
                       max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
     """The pairs u <= w with length(w) - length(u) <= max_interval_len, in id order.
@@ -193,9 +216,20 @@ def _comparable_pairs(group: GroupTable,
     """
     if max_interval_len is None:
         return group.comparable_pairs()
-    length = group.length
-    return sorted((u, w) for w in group.elements() for u in group.lower_ideal(w)
-                  if length[w] - length[u] <= max_interval_len)
+    return sorted((u, w) for w in group.elements()
+                  for u in _capped_ideal(group, w, max_interval_len))
+
+
+def _reduced_pairs(ctx: RContext,
+                   max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
+    """The capped comparable pairs whose ends share no left or right descent.
+
+    Every capped pair reduces to one of these by stripping shared descents
+    (as the R memo does), which keeps its length difference and its value.
+    """
+    group, descents = ctx.group, ctx._descents
+    return [(u, w) for w in group.elements() for u in _capped_ideal(group, w, max_interval_len)
+            if not descents[u] & descents[w]]
 
 
 def _interval_scope(group: GroupTable,
@@ -216,27 +250,48 @@ def _lower_scope(group: GroupTable, max_interval_len: Optional[int] = None) -> l
 # -- checks -------------------------------------------------------------------------
 
 
-def _check_th1(spec: str, cap: Optional[int], selected: Sequence[str]) -> list[CheckResult]:
-    """The selected ones of th1-monotone and th1-odd, sharing one table of sizes."""
-    monotone = "th1-monotone" in selected
+def _sizes(env: dict, elements: Iterable[int]) -> dict[int, int]:
+    """The size of [e, v] for each of ``elements``, kept in ``env`` for later checks."""
+    sizes, ctx, e = env["sizes"], env["ctx"], env["group"].identity
+    for v in elements:
+        if v not in sizes:
+            sizes[v] = ctx.bruhat_size(e, v)
+    return sizes
+
+
+def _check_th1_monotone(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
+    """Sizes never decrease up the order, tested along covers.
+
+    Every comparable pair joins by a saturated chain, each step of which
+    fits any cap, so covers decide the verdict; the capped pairs are listed
+    only to count the violations when some cover fails.
+    """
     env = _environment(spec)
     group: GroupTable = env["group"]
-    ctx: RContext = env["ctx"]
-    tops = _lower_scope(group, cap)
-    needed = group.elements() if monotone else tops
-    sizes = {v: ctx.bruhat_size(group.identity, v) for v in needed}
-    results = []
-    if monotone:
-        pairs = _comparable_pairs(group, cap)
-        bad = sum(1 for u, w in pairs if sizes[u] > sizes[w])
-        results.append(CheckResult(
-            "th1-monotone", bad == 0, len(pairs),
-            "sizes never decrease up the order" if bad == 0 else f"{bad} violations"))
-    if "th1-odd" in selected:
-        odd_ok = all(sizes[w] % 2 == 1 for w in tops)
-        results.append(CheckResult("th1-odd", odd_ok, len(tops),
-                                   "every size is odd" if odd_ok else "even size found"))
-    return results
+    sizes, length = _sizes(env, group.elements()), group.length
+    covers_ok = all(sizes[x] <= sizes[y] for col in group.reflection_columns().values()
+                    for x, y in enumerate(col) if length[y] == length[x] + 1)
+    bad = 0 if covers_ok else sum(
+        1 for u, w in _comparable_pairs(group, cap) if sizes[u] > sizes[w])
+    return CheckResult("th1-monotone", bad == 0, _pair_count(group, cap),
+                       "sizes never decrease up the order" if bad == 0 else f"{bad} violations")
+
+
+def _check_th1_odd(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
+    env = _environment(spec)
+    tops = _lower_scope(env["group"], cap)
+    sizes = _sizes(env, tops)
+    ok = all(sizes[w] % 2 == 1 for w in tops)
+    return CheckResult("th1-odd", ok, len(tops), "every size is odd" if ok else "even size found")
+
+
+def _check_th4(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
+    """Dihedral bounds on the pairs that share no descent; the scope is every
+    capped comparable pair, which these stand for."""
+    env = _environment(spec)
+    ok = all(_pmap(spec, _task_th4_pair, _reduced_pairs(env["ctx"], cap), workers))
+    return CheckResult("th4-bounds", ok, _pair_count(env["group"], cap),
+                       "shifted polynomials inside dihedral bounds" if ok else "bound failed")
 
 
 # check -> (scope, task, pass detail, fail detail). The scope is named, not
@@ -246,8 +301,6 @@ _SWEEPS: dict[str, tuple[str, Callable, str, str]] = {
             "fired averages all irregular", "criterion misfired"),
     "th3": ("_interval_scope", _task_deodhar_pair,
             "both degree inequalities hold", "inequality failed"),
-    "th4-bounds": ("_comparable_pairs", _task_th4_pair,
-                   "shifted polynomials inside dihedral bounds", "bound failed"),
     "el-unique": ("_interval_scope", _task_el_pair,
                   "unique lex-first increasing chain", "uniqueness failed"),
     "oracle-eq": ("_interval_scope", _task_oracle_pair,
@@ -257,7 +310,7 @@ _SWEEPS: dict[str, tuple[str, Callable, str, str]] = {
 }
 
 
-def _check_sweep(spec: str, name: str, workers: int, cap: Optional[int]) -> CheckResult:
+def _check_sweep(name: str, spec: str, workers: int, cap: Optional[int]) -> CheckResult:
     """Run one task of ``_SWEEPS`` over its scope; pass when every item passes."""
     scope, task, passed, failed = _SWEEPS[name]
     items = globals()[scope](_environment(spec)["group"], cap)
@@ -265,7 +318,7 @@ def _check_sweep(spec: str, name: str, workers: int, cap: Optional[int]) -> Chec
     return CheckResult(name, ok, len(items), passed if ok else failed)
 
 
-def _check_obs(spec: str) -> CheckResult:
+def _check_obs(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
     result = analysis.observation_sum(_environment(spec)["ctx"])
     detail = f"sum of sizes = {result.sum_of_sizes} = 2^length(w0)"
     if not result.ok:
@@ -273,11 +326,22 @@ def _check_obs(spec: str) -> CheckResult:
     return CheckResult("obs-sum", result.ok, 1, detail)
 
 
-def _check_gen_func() -> CheckResult:
+def _check_gen_func(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
     series = analysis.dihedral_series(GEN_FUNC_DEPTH + 1)
     ok = all(series[n] == analysis.dihedral_poly(n) for n in range(GEN_FUNC_DEPTH + 1))
     return CheckResult("gen-func", ok, GEN_FUNC_DEPTH + 1,
                        f"series matches recursion through n={GEN_FUNC_DEPTH}" if ok else "series mismatch")
+
+
+# every check, called as (spec, workers, cap)
+_CHECKS: dict[str, Callable[[str, int, Optional[int]], CheckResult]] = {
+    **{name: partial(_check_sweep, name) for name in _SWEEPS},
+    "th1-monotone": _check_th1_monotone,
+    "th1-odd": _check_th1_odd,
+    "th4-bounds": _check_th4,
+    "obs-sum": _check_obs,
+    "gen-func": _check_gen_func,
+}
 
 
 def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
@@ -290,6 +354,7 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     keep length(w) - length(u) <= cap, lower intervals [e, w] keep
     length(w) <= cap. Capped runs are flagged as partial in the rendered
     output. ``group`` is the already enumerated table for ``spec``, if any.
+    Each result carries the wall time of its check.
     """
     selected = tuple(checks) if checks else CHECK_NAMES
     unknown = [c for c in selected if c not in CHECK_NAMES]
@@ -300,15 +365,9 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     for name in CHECK_NAMES:
         if name not in selected:
             continue
-        if name in _SWEEPS:
-            results.append(_check_sweep(spec, name, workers, max_interval_len))
-        # th1-odd is reported with th1-monotone when both are selected
-        elif name == "th1-monotone" or (name == "th1-odd" and "th1-monotone" not in selected):
-            results.extend(_check_th1(spec, max_interval_len, selected))
-        elif name == "obs-sum":
-            results.append(_check_obs(spec))
-        elif name == "gen-func":
-            results.append(_check_gen_func())
+        started = time.perf_counter()
+        result = _CHECKS[name](spec, workers, max_interval_len)
+        results.append(replace(result, seconds=time.perf_counter() - started))
     return results
 
 

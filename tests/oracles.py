@@ -7,15 +7,17 @@ the memoized descent recursion for Bruhat order, the reflections as all
 conjugates of the generators, Bruhat paths listed by products with every
 reflection and an order test, Dyer's EL property by listing every maximal
 chain, the R recursion in polynomial arithmetic with an order test per
-pair, Booleanness of every upper subinterval one interval at a time,
-the dihedral bounds checked pair by pair, and the Fibonacci recursion.
-Tests compare library output against these.
+pair, Booleanness of every upper subinterval one interval at a time or
+in one pass over [u, w], interval sums over the order relation, the
+dihedral bounds checked pair by pair over every comparable pair, size
+violations counted pair by pair, and the Fibonacci recursion. Tests
+compare library output against these.
 """
 
 from __future__ import annotations
 
 from bruhatpoly import BruhatPath, IntPoly, analysis, increasing_paths, short_paths
-from bruhatpoly.poly import Q, Q_MINUS_ONE, ZERO, coeffwise_leq, monomial
+from bruhatpoly.poly import Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
 
 
 def form_product(group, a: int, b: int) -> int:
@@ -133,6 +135,27 @@ def upper_boolean_per_v(ctx, u: int, w: int) -> bool:
                for v in ctx.group.interval(u, w).members)
 
 
+def upper_boolean_one_pass(ctx, u: int, w: int) -> bool:
+    """Every upper subinterval [v, w] of [u, w] is Bruhat-Boolean, in one
+    pass: each x in [u, w] joins the list of every v of its lower ideal
+    inside [u, w], so the list of v is [v, w]; then one shifted sum per v."""
+    g = ctx.group
+    members = g.interval(u, w).members
+    above: dict[int, list[int]] = {v: [] for v in members}
+    for x in members:
+        for v in g.lower_ideal(x):
+            if v in above:
+                above[v].append(x)
+    return all(sum((ctx.shifted(v, x) for x in xs), ZERO) == Q_PLUS_ONE ** (
+        g.length[w] - g.length[v]) for v, xs in above.items())
+
+
+def shifted_interval_sum(ctx, reach: dict, v: int, w: int) -> IntPoly:
+    """Sum of shifted(v, x) over the x with v <= x <= w, where ``reach[x]``
+    is the set of elements above x (see ``reachability``)."""
+    return sum((ctx.shifted(v, x) for x in reach[v] if w in reach[x]), ZERO)
+
+
 def dihedral_bounds_per_pair(f: IntPoly, n: int) -> bool:
     """q^n <= f <= d_n and n q^(n-1) <= f' <= d_n', checked afresh."""
     if n < 1:
@@ -140,6 +163,24 @@ def dihedral_bounds_per_pair(f: IntPoly, n: int) -> bool:
     d, fd = analysis.dihedral_poly(n), f.derivative()
     return (coeffwise_leq(monomial(n), f) and coeffwise_leq(f, d)
             and coeffwise_leq(monomial(n - 1, n), fd) and coeffwise_leq(fd, d.derivative()))
+
+
+def th4_all_pairs(ctx, pairs) -> bool:
+    """The th4-bounds verdict over every listed pair: the dihedral bounds,
+    and in a dihedral group the upper bound attained."""
+    g = ctx.group
+    for u, w in pairs:
+        n, f = g.length[w] - g.length[u], ctx.shifted(u, w)
+        if not dihedral_bounds_per_pair(f, n):
+            return False
+        if g.descriptor.family == "I2" and f != analysis.dihedral_poly(n):
+            return False
+    return True
+
+
+def size_violations(sizes: dict, pairs) -> int:
+    """How many listed pairs (u, w) have size(u) > size(w)."""
+    return sum(sizes[u] > sizes[w] for u, w in pairs)
 
 
 def conjugate_reflections(group) -> tuple[int, ...]:

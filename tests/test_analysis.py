@@ -16,7 +16,8 @@ from bruhatpoly import (
 )
 from bruhatpoly import analysis
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
-from oracles import dihedral_bounds_per_pair, fibonacci_rec, upper_boolean_per_v
+from oracles import (dihedral_bounds_per_pair, fibonacci_rec, reachability,
+                     shifted_interval_sum, upper_boolean_one_pass, upper_boolean_per_v)
 
 
 def test_poincare_values(a3, a3_ctx, pid):
@@ -135,6 +136,66 @@ def test_upper_boolean_sweep_matches_per_v_definition(spec):
     assert verdicts == {pair: upper_boolean_per_v(oracle_ctx, *pair) for pair in verdicts}
     # S4 and S5 hold irregular intervals, so both verdicts are exercised
     assert all(verdicts.values()) == (spec not in ("A3", "A4"))
+
+
+# (left moves, right moves) (v, w) -> (sv, w), (vs, w) with s a descent of w and sv > v
+DESCENT_MOVES = {"A1": (1, 1), "A2": (12, 12), "A3": (194, 194), "A4": (4_460, 4_460),
+                 "I2:2": (6, 6), "I2:3": (12, 12), "I2:5": (30, 30), "I2:8": (72, 72)}
+
+
+@pytest.mark.parametrize("spec", sorted(DESCENT_MOVES))
+def test_interval_sum_descent_identity(spec):
+    # S(v, w) = (q+1) S(sv, w) for every left descent s of w with sv > v, and
+    # the mirror on the right, with S summed over the oracle order relation
+    g = enumerate_group(CoxeterDescriptor.parse(spec))
+    ctx, reach = RContext(g), reachability(g)
+    sums: dict = {}
+
+    def S(v, w):
+        if (v, w) not in sums:
+            sums[v, w] = shifted_interval_sum(ctx, reach, v, w)
+        return sums[v, w]
+
+    length, moves = g.length, [0, 0]
+    for v in g.elements():
+        for w in reach[v]:
+            for side, table in enumerate((g.left, g.right)):
+                for s in range(g.num_generators):
+                    sv, sw = table[v][s], table[w][s]
+                    if length[sw] < length[w] and length[sv] > length[v]:
+                        moves[side] += 1
+                        assert S(v, w) == Q_PLUS_ONE * S(sv, w)
+    assert tuple(moves) == DESCENT_MOVES[spec]
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "I2:2", "I2:3", "I2:5", "I2:8"])
+def test_upper_boolean_sweep_matches_one_pass_on_every_interval(spec):
+    g = enumerate_group(CoxeterDescriptor.parse(spec))
+    sweep_ctx, oracle_ctx = RContext(g), RContext(g)
+    for u, w in g.comparable_pairs():
+        assert analysis.regular_via_upper_boolean(sweep_ctx, u, w) == \
+            upper_boolean_one_pass(oracle_ctx, u, w)
+
+
+def test_upper_boolean_sweep_matches_one_pass_on_a5_lower_intervals():
+    g = enumerate_group(CoxeterDescriptor("A", 5))
+    sweep_ctx, oracle_ctx = RContext(g), RContext(g)
+    verdicts = [analysis.regular_via_upper_boolean(sweep_ctx, g.identity, w)
+                for w in g.elements()]
+    assert verdicts == [upper_boolean_one_pass(oracle_ctx, g.identity, w) for w in g.elements()]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_upper_boolean_sweep_on_i2_500_sums_over_w0_alone():
+    # [e, w0] of I2(500): w0 is the only v whose descents contain those of w0,
+    # so the sweep evaluates one shifted polynomial, not one per pair
+    g = enumerate_group(CoxeterDescriptor("I2", 500))
+    ctx = RContext(g)
+    calls = []
+    shifted = ctx.shifted
+    ctx.shifted = lambda u, w: calls.append((u, w)) or shifted(u, w)
+    assert analysis.regular_via_upper_boolean(ctx, g.identity, g.w0)
+    assert calls == [(g.w0, g.w0)]
 
 
 def test_upper_boolean_verdict_is_kept_per_pair(a3, pid, monkeypatch):

@@ -2,15 +2,17 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from bruhatpoly import CoxeterDescriptor, GroupTable, analysis, enumerate_group, suite
+from bruhatpoly import (CoxeterDescriptor, GroupTable, RContext, analysis, enumerate_group,
+                        suite)
 from bruhatpoly.cli import INTERNAL_ERROR, main
-from bruhatpoly.suite import _comparable_pairs, _pool_size
-from oracles import dot_leq, inversions
+from bruhatpoly.suite import _comparable_pairs, _pair_count, _pool_size, _reduced_pairs
+from oracles import dot_leq, inversions, size_violations, th4_all_pairs
 
 
 def run_cli(args, **kwargs):
@@ -210,6 +212,81 @@ def test_capped_pairs_are_the_filtered_pairs(a3, i2_groups):
         for cap in range(group.length[group.w0] + 1):
             assert _comparable_pairs(group, cap) == [
                 (u, w) for u, w in every if group.length[w] - group.length[u] <= cap]
+
+
+def test_pair_count_is_the_capped_pair_list_length(a3, a4, i2_groups):
+    for group in (a3, a4, i2_groups[7]):
+        for cap in (None, *range(group.length[group.w0] + 1)):
+            assert _pair_count(group, cap) == len(_comparable_pairs(group, cap))
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "I2:12"])
+def test_th4_reduced_pairs_match_all_pairs(spec, monkeypatch):
+    monkeypatch.setattr(suite, "_ENVS", {})
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    ctx, pairs = RContext(group), group.comparable_pairs()
+    # reducing a pair keeps its length difference and its shifted value, so
+    # the reduced pairs carry every value that the pairs do
+    values = {(group.length[w] - group.length[u], ctx.shifted(u, w).coeffs) for u, w in pairs}
+    reduced = _reduced_pairs(ctx)
+    assert {(group.length[w] - group.length[u], ctx.shifted(u, w).coeffs)
+            for u, w in reduced} == values
+    [result] = suite.run_suite(spec, ["th4-bounds"], group=group)
+    assert (result.passed, result.scope_size) == (th4_all_pairs(ctx, pairs), len(pairs))
+
+
+def test_th1_monotone_passes_without_a_pair_list(monkeypatch, capsys):
+    # every cover holds, so no pair is listed to count violations
+    def refuse(*args):
+        raise AssertionError("pair list built")
+
+    monkeypatch.setattr(suite, "_ENVS", {})
+    monkeypatch.setattr(suite, "_comparable_pairs", refuse)
+    code, out = capture(capsys, ["verify", "--group", "A4", "--suite", "th1-monotone"])
+    assert code == 0
+    assert "th1-monotone: PASS (scope=3781) sizes never decrease up the order" in out
+
+
+@pytest.mark.parametrize("cap", [None, 0, 2])
+def test_th1_monotone_counts_a_planted_violation_per_pair(cap, a3, pid, monkeypatch, capsys):
+    # a size raised at one element decreases along its upper covers; the FAIL
+    # line counts the violating pairs as a per-pair oracle does
+    planted = pid(a3, "2143")
+    size = RContext.bruhat_size
+    monkeypatch.setattr(RContext, "bruhat_size",
+                        lambda self, u, w: 99 if w == planted else size(self, u, w))
+    monkeypatch.setattr(suite, "_ENVS", {})
+    sizes = {v: RContext(a3).bruhat_size(a3.identity, v) for v in a3.elements()}
+    pairs = [(u, w) for u, w in a3.comparable_pairs()
+             if cap is None or a3.length[w] - a3.length[u] <= cap]
+    bad = size_violations(sizes, pairs)
+    args = ["verify", "--group", "A3", "--suite", "th1-monotone"]
+    if cap is not None:
+        args += ["--max-interval-len", str(cap)]
+    code, out = capture(capsys, args)
+    line = out.splitlines()[1]
+    if cap == 0:
+        assert bad == 0 and code == 0
+        assert line == f"th1-monotone: PASS (scope={len(pairs)}) sizes never decrease up the order"
+    else:
+        assert bad > 0 and code == 1
+        assert line == f"th1-monotone: FAIL (scope={len(pairs)}) {bad} violations"
+
+
+def test_verify_reports_each_check_on_stderr():
+    # one stderr line per selected check after the total line, with its wall
+    # time and scope; stdout does not depend on the worker count
+    checks = ["th1-monotone", "th3", "th4-bounds", "obs-sum"]
+    runs = [run_cli(["verify", "--group", "A4", "--suite", ",".join(checks),
+                     "--workers", str(workers)]) for workers in (1, 2)]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    scopes = dict(re.findall(r"^([a-z0-9-]+): PASS \(scope=(\d+)\)", runs[0].stdout, re.M))
+    for proc in runs:
+        total, *lines = proc.stderr.splitlines()
+        assert re.fullmatch(r"verify A4: \d+\.\d\ds", total)
+        assert [re.fullmatch(r"  ([a-z0-9-]+): \d+\.\d\ds \(scope=(\d+)\)", line).groups()
+                for line in lines] == [(name, scopes[name]) for name in checks]
 
 
 def test_th1_odd_alone_builds_no_pair_list(monkeypatch, capsys):

@@ -43,9 +43,19 @@ def test_verify_a4_memo_traffic_is_pinned(monkeypatch):
     # or to which pairs enter the memo must move them on purpose. Hits were
     # 64,005 until cp-fourway read the upper-Boolean verdicts th3 keeps, then
     # 38,388 hits / 4,231 misses until the memo keyed pairs reduced by their
-    # shared left and right descents.
+    # shared left and right descents, then 37,924 / 539 until the upper-Boolean
+    # sweep tested one v per descent class and th4-bounds the reduced pairs.
     monkeypatch.setattr(suite, "_ENVS", {})
     results = suite.run_suite("A4", suite.CHECK_NAMES)
     assert all(r.passed for r in results)
     ctx = suite._ENVS["A4"]["ctx"]
-    assert (ctx.hits, ctx.misses) == (37_924, 539)
+    assert (ctx.hits, ctx.misses) == (9_357, 539)
+
+
+def test_th4_bounds_keeps_one_memo_entry_per_reduced_pair(monkeypatch):
+    # th4-bounds asks only for pairs that share no descent, so no unreduced
+    # queried pair enters the memo: 97,687 shifted entries before on A5
+    monkeypatch.setattr(suite, "_ENVS", {})
+    [result] = suite.run_suite("A5", ["th4-bounds"])
+    assert result.passed
+    assert len(suite._ENVS["A5"]["ctx"]._memo["shifted"]) == 2_939
