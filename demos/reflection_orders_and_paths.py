@@ -29,7 +29,7 @@ word = lex_min_w0_word(group)
 print("lexicographically smallest reduced word of the longest element:",
       " ".join(f"s{i+1}" for i in word))
 
-orders = distinct_reflection_orders(group, want=3)
+orders = distinct_reflection_orders(group)
 print(f"\n{len(orders)} distinct reflection orders, all passing the chain condition:")
 for i, order in enumerate(orders):
     assert validate_reflection_order(group, order).ok
@@ -56,5 +56,5 @@ print(f"  sum of path weights        = {ctx.shifted(e, w).text()}")
 print("\na dihedral group pins its reflection order down to a single chain")
 print("and its reverse:")
 m5 = enumerate_group(CoxeterDescriptor.parse("I2:5"))
-for order in distinct_reflection_orders(m5, want=3):
+for order in distinct_reflection_orders(m5):
     print("  " + " < ".join(m5.display(t) for t in order.sequence))

@@ -20,12 +20,10 @@ from .graph import (
     BruhatPath,
     ReflectionOrder,
     absolute_distance,
-    all_paths,
     build_graph,
     count_increasing_chains,
     default_reflection_order,
     distinct_reflection_orders,
-    edge_weight,
     increasing_paths,
     path_weight,
     reflection_order_from_word,
@@ -34,14 +32,10 @@ from .graph import (
     validate_reflection_order,
 )
 from .poly import (
-    BiPoly,
     IntPoly,
-    Monomial,
     average,
     coeffwise_leq,
     monomial,
-    monomialize,
-    shift_plus_one,
     size,
     total,
 )

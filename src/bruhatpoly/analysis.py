@@ -41,8 +41,6 @@ from .rpoly import RContext
 __all__ = [
     "poincare",
     "poincare_average",
-    "dihedral_floor",
-    "poincare_bounds_ok",
     "is_regular",
     "carrell_peterson_equal",
     "bruhat_poincare",
@@ -60,7 +58,6 @@ __all__ = [
     "dihedral_closed_form_ok",
     "dihedral_series",
     "jacobsthal",
-    "fibonacci_poly",
     "pattern_contains",
     "is_singular",
     "is_boolean_interval",
@@ -90,24 +87,6 @@ def poincare(ctx: RContext, w: int) -> IntPoly:
 
 def poincare_average(ctx: RContext, w: int) -> Fraction:
     return average(poincare(ctx, w))
-
-
-def dihedral_floor(n: int) -> IntPoly:
-    """1 + 2(q + ... + q^(n-1)) + q^n, the rank profile of a dihedral poset."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    if n == 1:
-        return Q_PLUS_ONE
-    return IntPoly((1,) + (2,) * (n - 1) + (1,))
-
-
-def poincare_bounds_ok(ctx: RContext, w: int) -> bool:
-    """Dihedral floor <= Poincare polynomial <= (1+q)^length, coefficientwise."""
-    n = ctx.group.length[w]
-    if n < 1:
-        return True
-    p = poincare(ctx, w)
-    return coeffwise_leq(dihedral_floor(n), p) and coeffwise_leq(p, Q_PLUS_ONE ** n)
 
 
 # -- regularity ----------------------------------------------------------------
@@ -294,17 +273,21 @@ def deodhar_check(ctx: RContext, u: int, w: int) -> DeodharVerdict:
 # -- dihedral bound polynomials ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# d_0, d_1, ... as far as any caller has asked, extended on demand
+_DIHEDRAL = [ONE, Q, monomial(2)]
+
+
 def dihedral_poly(n: int) -> IntPoly:
-    """d_0 = 1, d_1 = q, d_2 = q^2, then d_n = q d_{n-1} + (q+1) d_{n-2}."""
+    """d_0 = 1, d_1 = q, d_2 = q^2, then d_n = q d_{n-1} + (q+1) d_{n-2}.
+
+    Every d_k is computed once and kept, so d_0, ..., d_N cost 2N products.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n <= 2:
-        return monomial(n)
-    before, last = Q, monomial(2)
-    for _ in range(n - 2):
-        before, last = last, Q * last + Q_PLUS_ONE * before
-    return last
+    polys = _DIHEDRAL
+    while len(polys) <= n:
+        polys.append(Q * polys[-1] + Q_PLUS_ONE * polys[-2])
+    return polys[n]
 
 
 def dihedral_numbers(n: int) -> tuple[int, int]:
@@ -358,19 +341,6 @@ def jacobsthal(n: int) -> int:
     for _ in range(n):
         a, b = b, b + 2 * a
     return a
-
-
-@lru_cache(maxsize=None)
-def fibonacci_poly(n: int) -> IntPoly:
-    """F_0 = 1, F_1 = q, F_2 = q^2, then F_n = q F_{n-1} + F_{n-2}."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n <= 2:
-        return monomial(n)
-    before, last = Q, monomial(2)
-    for _ in range(n - 2):
-        before, last = last, Q * last + before
-    return last
 
 
 def dihedral_bounds_ok(ctx: RContext, u: int, w: int) -> bool:
@@ -556,7 +526,11 @@ class EdgeSizeTally:
     strict_examples: tuple[tuple[str, str], ...]
 
 
-def edge_size_tally(ctx: RContext, max_examples: int = 5) -> EdgeSizeTally:
+# examples of each kind that the edge-size tally lists
+TALLY_EXAMPLES = 5
+
+
+def edge_size_tally(ctx: RContext) -> EdgeSizeTally:
     """Across all Bruhat edges u -> v, compare the sizes of u and v.
 
     Monotonicity is asserted (never decreasing); the tally reports how
@@ -578,11 +552,11 @@ def edge_size_tally(ctx: RContext, max_examples: int = 5) -> EdgeSizeTally:
                 raise AssertionError("size must not decrease along a Bruhat edge")
             if sizes[u] == sizes[v]:
                 equal += 1
-                if len(equal_ex) < max_examples:
+                if len(equal_ex) < TALLY_EXAMPLES:
                     equal_ex.append((g.display(u), g.display(v)))
             else:
                 strict += 1
-                if len(strict_ex) < max_examples:
+                if len(strict_ex) < TALLY_EXAMPLES:
                     strict_ex.append((g.display(u), g.display(v)))
     return EdgeSizeTally(edges, equal, strict, tuple(equal_ex), tuple(strict_ex))
 

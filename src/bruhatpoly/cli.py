@@ -217,6 +217,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         "scope": r.scope_size, "detail": r.detail} for r in results],
             "passed": all(r.passed for r in results),
         }
+        if args.max_interval_len is not None:  # a partial run says so, as the text does
+            payload["max_interval_len"] = args.max_interval_len
         _emit(_json_text(payload), args.out)
     else:
         _emit(suite.suite_text(args.group, results, args.max_interval_len), args.out)

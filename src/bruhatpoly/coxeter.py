@@ -30,11 +30,12 @@ __all__ = [
     "enumerate_group",
 ]
 
+# the largest group order enumerate_group accepts
 DEFAULT_MAX_ORDER = 10**6
 
 
 class SizeLimitError(ValueError):
-    """The requested group is larger than the configured cap."""
+    """The requested group is larger than ``DEFAULT_MAX_ORDER``."""
 
 
 class EmptyIntervalError(ValueError):
@@ -77,16 +78,6 @@ class CoxeterDescriptor:
                 return None
             out *= k
         return out
-
-    def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.num_generators
-        if self.family == "A":
-            return tuple(
-                tuple(1 if i == j else (3 if abs(i - j) == 1 else 2) for j in range(n))
-                for i in range(n)
-            )
-        m = self.param
-        return ((1, m), (m, 1))
 
     def spec_string(self) -> str:
         return f"A{self.param}" if self.family == "A" else f"I2:{self.param}"
@@ -281,11 +272,6 @@ class GroupTable:
     def elements(self) -> Iterator[int]:
         return iter(range(len(self.forms)))
 
-    def right_descents(self, w: int) -> tuple[int, ...]:
-        lw = self.length[w]
-        return tuple(s for s in range(self.num_generators)
-                     if self.length[self.right[w][s]] < lw)
-
     def left_descents(self, w: int) -> tuple[int, ...]:
         lw = self.length[w]
         return tuple(s for s in range(self.num_generators)
@@ -386,20 +372,20 @@ class GroupTable:
         return "".join(f"s{s + 1}" for s in word)
 
 
-def enumerate_group(descriptor: CoxeterDescriptor,
-                    max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
     """Enumerate the group by one breadth-first pass under the generators.
 
     The pass records the right product table while it discovers elements
     (BFS depth equals Coxeter length), one form product per (element,
     generator) pair. The ids are then relabelled into (length, canonical
-    form) order; forms are not multiplied again.
+    form) order; forms are not multiplied again. A group of order above
+    ``DEFAULT_MAX_ORDER`` is refused before any element is built.
     """
-    est = descriptor.order(cap=max_order)
-    if est is None or est > max_order:
+    est = descriptor.order(cap=DEFAULT_MAX_ORDER)
+    if est is None or est > DEFAULT_MAX_ORDER:
         shown = "" if est is None else f"{est}, "
         raise SizeLimitError(f"group {descriptor.spec_string()} has order {shown}"
-                             f"above the cap {max_order}")
+                             f"above the cap {DEFAULT_MAX_ORDER}")
     gens = _generator_maps(descriptor)
     forms = [_identity_form(descriptor)]
     index = {forms[0]: 0}  # form -> BFS id, rebound below to the final id

@@ -9,10 +9,10 @@ total order on the reflection set whose restriction to every dihedral
 reflection subgroup is one of the two natural chains; such orders are built
 here from reduced words of the longest element.
 
-Paths are listed by one non-recursive depth-first walker behind three
-entry points (``increasing_paths``, ``short_paths``, ``all_paths``). Each
-call builds one table of every vertex's admissible out-edges: all edges or
-covering edges only, in target order or sorted by label rank. Dyer's EL
+Paths are listed by one non-recursive depth-first walker behind two entry
+points (``increasing_paths``, ``short_paths``). Each call builds one table
+of every vertex's admissible out-edges: all edges or covering edges only,
+in target order or sorted by label rank. Dyer's EL
 property (exactly one label-increasing maximal chain per interval, and it
 is the lexicographically first) is checked without listing chains:
 ``count_increasing_chains`` reads the same table of covering edges, counts
@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
-from .poly import IntPoly, Q, Q_PLUS_ONE, monomial
+from .poly import IntPoly, Q_PLUS_ONE, monomial
 
 __all__ = [
     "BruhatGraph",
@@ -38,10 +38,8 @@ __all__ = [
     "OrderViolation",
     "ValidationResult",
     "InvalidWordError",
-    "EnumerationCapError",
     "build_graph",
     "absolute_distance",
-    "edge_weight",
     "path_weight",
     "reflection_order_from_word",
     "lex_min_w0_word",
@@ -52,20 +50,16 @@ __all__ = [
     "validate_reflection_order",
     "increasing_paths",
     "short_paths",
-    "all_paths",
     "count_increasing_chains",
     "to_dot",
 ]
 
-DEFAULT_PATH_CAP = 8
+# how many distinct reflection orders the checks compare
+REFLECTION_ORDER_COUNT = 3
 
 
 class InvalidWordError(ValueError):
     """A word that is not a reduced expression for the longest element."""
-
-
-class EnumerationCapError(ValueError):
-    """Interval too long for exhaustive path enumeration."""
 
 
 @dataclass(frozen=True)
@@ -148,13 +142,6 @@ def absolute_distance(graph: BruhatGraph, u: int, w: int) -> int:
                     nxt.append(y)
         frontier = nxt
     raise AssertionError("no directed path between comparable interval endpoints")
-
-
-def edge_weight(height: int) -> IntPoly:
-    """(q+1)^(h-1) * q, the weight of an edge of height h >= 1."""
-    if height < 1:
-        raise ValueError("edge height must be >= 1")
-    return Q_PLUS_ONE ** (height - 1) * Q
 
 
 def path_weight(path: BruhatPath) -> IntPoly:
@@ -259,26 +246,27 @@ def _reduced_words_of_w0(group: GroupTable) -> Iterator[tuple[int, ...]]:
             prefix.pop()
 
 
-def distinct_reflection_orders(group: GroupTable, want: int = 3) -> list[ReflectionOrder]:
-    """Up to ``want`` distinct valid reflection orders, deterministically.
+def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
+    """Up to ``REFLECTION_ORDER_COUNT`` distinct valid reflection orders,
+    deterministically.
 
     Dihedral groups admit exactly two reflection orders (the defining chain
-    and its reverse), so fewer than ``want`` may be returned.
+    and its reverse), so fewer may be returned.
     """
     orders: list[ReflectionOrder] = []
 
     def add(o: ReflectionOrder) -> None:
-        if o not in orders and len(orders) < want:
+        if o not in orders and len(orders) < REFLECTION_ORDER_COUNT:
             orders.append(o)
 
     base = default_reflection_order(group)
     add(base)
     add(reflection_order_from_word(group, lex_max_w0_word(group)))
     add(base.reversed())
-    if len(orders) < want:
+    if len(orders) < REFLECTION_ORDER_COUNT:
         for word in islice(_reduced_words_of_w0(group), 10000):
             add(reflection_order_from_word(group, word))
-            if len(orders) >= want:
+            if len(orders) >= REFLECTION_ORDER_COUNT:
                 break
     return orders
 
@@ -445,17 +433,6 @@ def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
 def short_paths(graph: BruhatGraph, u: int, w: int) -> list[BruhatPath]:
     """All saturated chains (paths of covering edges) from u to w."""
     return list(_walk(graph, u, w, None, True))
-
-
-def all_paths(graph: BruhatGraph, u: int, w: int,
-              max_len: int = DEFAULT_PATH_CAP) -> Iterator[BruhatPath]:
-    """Every directed path from u to w; capped by interval length."""
-    ell = graph.group.length[w] - graph.group.length[u]
-    if ell > max_len:
-        raise EnumerationCapError(
-            f"interval length {ell} exceeds the enumeration cap {max_len}"
-        )
-    return _walk(graph, u, w, None, False)
 
 
 # -- chain counting -------------------------------------------------------------

@@ -1,23 +1,19 @@
 """Exact polynomial arithmetic.
 
 Everything in this module is exact: univariate polynomials over unbounded
-Python integers, monomial weights with rational exponents, and sparse
-bivariate polynomials. No floating point is used anywhere; averages and
-exponents are `fractions.Fraction` values.
+Python integers. No floating point is used anywhere; averages are
+`fractions.Fraction` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 __all__ = [
     "IntPoly",
-    "Monomial",
-    "BiPoly",
     "AverageUndefinedError",
     "ZERO",
     "ONE",
@@ -25,12 +21,9 @@ __all__ = [
     "Q_PLUS_ONE",
     "Q_MINUS_ONE",
     "monomial",
-    "shift_plus_one",
     "size",
     "total",
     "average",
-    "monomialize",
-    "monomial_add",
     "coeffwise_leq",
 ]
 
@@ -138,13 +131,12 @@ class IntPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def text(self, descending: bool = True) -> str:
+    def text(self) -> str:
         """Render as e.g. ``q^3 + 2*q^2 - 1``."""
         if not self.coeffs:
             return "0"
         terms = []
-        indices = range(len(self.coeffs))
-        for i in (reversed(indices) if descending else indices):
+        for i in reversed(range(len(self.coeffs))):
             c = self.coeffs[i]
             if c == 0:
                 continue
@@ -176,14 +168,6 @@ def monomial(exponent: int, coefficient: int = 1) -> IntPoly:
     return IntPoly((0,) * exponent + (coefficient,))
 
 
-def shift_plus_one(f: IntPoly) -> IntPoly:
-    """Return f(q+1), re-expanded exactly (Horner in q+1)."""
-    acc = ZERO
-    for c in reversed(f.coeffs):
-        acc = acc * Q_PLUS_ONE + IntPoly((c,))
-    return acc
-
-
 def size(f: IntPoly) -> int:
     """f(1); 0 for the zero polynomial."""
     return sum(f.coeffs)
@@ -206,126 +190,3 @@ def coeffwise_leq(f: IntPoly, g: IntPoly) -> bool:
     """True when every coefficient of f is <= the matching coefficient of g."""
     n = max(len(f.coeffs), len(g.coeffs))
     return all(f.coefficient(i) <= g.coefficient(i) for i in range(n))
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Monomial weight ``size * q**exponent`` with an exact rational exponent.
-
-    A size of 0 denotes the zero monomial; its exponent is normalized to 0.
-    """
-
-    size: int
-    exponent: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("monomial size must be nonnegative")
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
-        if self.size == 0:
-            object.__setattr__(self, "exponent", Fraction(0))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.size == 0 or other.size == 0:
-            return Monomial(0)
-        return Monomial(self.size * other.size, self.exponent + other.exponent)
-
-    def __pow__(self, n: int) -> "Monomial":
-        if n < 0:
-            raise ValueError("negative power of a monomial")
-        out = Monomial(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def text(self) -> str:
-        if self.size == 0:
-            return "0"
-        if self.exponent == 0:
-            return str(self.size)
-        e = self.exponent
-        expo = str(e.numerator) if e.denominator == 1 else f"({e})"
-        head = "" if self.size == 1 else f"{self.size}*"
-        return f"{head}q^{expo}"
-
-
-def monomialize(f: IntPoly) -> Monomial:
-    """The monomial with the same size and average as f; 0 maps to 0."""
-    s = size(f)
-    if s == 0:
-        return Monomial(0)
-    return Monomial(s, average(f))
-
-
-def monomial_add(a: Monomial, b: Monomial) -> Monomial:
-    """Re-monomialized sum: sizes add, totals add, average is recomputed."""
-    s = a.size + b.size
-    if s == 0:
-        return Monomial(0)
-    grand_total = a.size * a.exponent + b.size * b.exponent
-    return Monomial(s, Fraction(grand_total, s))
-
-
-class BiPoly:
-    """Sparse bivariate polynomial in commuting variables (p, q).
-
-    Terms map exponent pairs ``(i, j)`` (power of p, power of q) to nonzero
-    integer coefficients.
-    """
-
-    __slots__ = ("terms",)
-
-    MODES = ("q,q", "q+1,q+1", "1,q+1", "0,q+1")
-
-    def __init__(self, terms: Union[Mapping[tuple[int, int], int], Iterable] = ()) -> None:
-        d = dict(terms)
-        self.terms: dict[tuple[int, int], int] = {
-            (int(i), int(j)): int(c) for (i, j), c in d.items() if c != 0
-        }
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"p^{i}*q^{j}: {c}" for (i, j), c in sorted(self.terms.items()))
-        return f"BiPoly({{{items}}})"
-
-    def specialize(self, p_value: IntPoly, q_value: IntPoly) -> IntPoly:
-        """Substitute univariate polynomials for p and q."""
-        p_powers: dict[int, IntPoly] = {0: ONE}
-        q_powers: dict[int, IntPoly] = {0: ONE}
-
-        def power(cache: dict[int, IntPoly], base: IntPoly, n: int) -> IntPoly:
-            while n not in cache:
-                k = max(cache)
-                cache[k + 1] = cache[k] * base
-            return cache[n]
-
-        out = ZERO
-        for (i, j), c in sorted(self.terms.items()):
-            out = out + power(p_powers, p_value, i) * power(q_powers, q_value, j) * c
-        return out
-
-    def specialize_named(self, mode: str) -> IntPoly:
-        """One of the four standard substitutions, by name.
-
-        ``"q,q"`` sets p = q; ``"q+1,q+1"`` sets both variables to q+1;
-        ``"1,q+1"`` sets p = 1, q = q+1; ``"0,q+1"`` sets p = 0, q = q+1.
-        """
-        if mode == "q,q":
-            return self.specialize(Q, Q)
-        if mode == "q+1,q+1":
-            return self.specialize(Q_PLUS_ONE, Q_PLUS_ONE)
-        if mode == "1,q+1":
-            return self.specialize(ONE, Q_PLUS_ONE)
-        if mode == "0,q+1":
-            return self.specialize(ZERO, Q_PLUS_ONE)
-        raise ValueError(f"unknown specialization mode {mode!r}; expected one of {self.MODES}")

@@ -16,9 +16,9 @@ pair; so only the second branch is ever computed. ``_RULES`` holds each
 (low, high) with a kernel that applies it in one pass over the two
 coefficient tuples, building a single polynomial.
 
-The shifted family is R evaluated at q+1 computed natively; the classic
-substitution is kept around as a cross-check. Path-enumeration oracles for
-the nonneg families live here too.
+The shifted family is R evaluated at q+1, computed natively; the tests
+cross-check it against the substitution. Path-enumeration oracles for the
+nonneg families live here too.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Iterable
 from .coxeter import GroupTable
 from .graph import BruhatPath, path_weight
 from .poly import (
-    BiPoly,
     IntPoly,
     ONE,
     Q,
@@ -73,12 +72,6 @@ class GammaVector:
     coxeter_length: int
     entries: tuple[tuple[int, int], ...]
 
-    def coefficient(self, j: int) -> int:
-        for e, v in self.entries:
-            if e == j:
-                return v
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
 
@@ -88,23 +81,16 @@ class RContext:
 
     The memo tables are plain dicts keyed by id pairs; values are pure
     functions of the pair, so per-worker contexts recompute identical
-    polynomials. ``descent_choice`` picks which right descent of w drives
-    the recursion ("min" by default; results are descent-independent,
-    which the tests verify by comparing against "max").
+    polynomials. The first right descent of w drives the recursion; the
+    tests check the values against an oracle that takes the last one.
     """
 
-    def __init__(self, group: GroupTable, descent_choice: str = "min") -> None:
-        if descent_choice not in ("min", "max"):
-            raise ValueError("descent_choice must be 'min' or 'max'")
+    def __init__(self, group: GroupTable) -> None:
         self.group = group
-        self.descent_choice = descent_choice
         length = group.length
         # per element, bit s is set iff s is a right descent, bit n + s iff a left one
         self._descents = tuple(sum(1 << s for s, x in enumerate(r + l) if length[x] < lv)
                                for r, l, lv in zip(group.right, group.left, length))
-        # the right descent of w that drives the recursion
-        self._descent = (group.first_right_descent if descent_choice == "min"
-                         else lambda w: max(group.right_descents(w)))
         self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {
             "r": {}, "rtilde": {}, "shifted": {}
         }
@@ -122,16 +108,16 @@ class RContext:
         lowest shared right descent, else their lowest shared left descent.
         Neither step changes the value (Bjorner-Brenti, Thm 5.1.1, and R(u, w) =
         R(u^-1, w^-1)) or comparability (Deodhar's Property Z). The memo holds
-        reduced pairs and each queried pair. On a reduced pair the chosen descent
-        s of w raises u, so every miss combines (u, ws) and (us, ws), on an
-        explicit stack that Python's recursion limit does not bound.
+        reduced pairs and each queried pair. On a reduced pair the first right
+        descent s of w raises u, so every miss combines (u, ws) and (us, ws), on
+        an explicit stack that Python's recursion limit does not bound.
         """
         memo = self._memo[name]
         if (value := memo.get((u, w))) is not None:  # most calls end here, before any set-up
             self.hits += 1
             return value
         g, step, interned = self.group, _RULES[name][2], self._interned
-        right, left, descents, descent = g.right, g.left, self._descents, self._descent
+        right, left, descents, descent = g.right, g.left, self._descents, g.first_right_descent
         n = g.num_generators
         query = (u, w)
         hits = misses = 0
@@ -211,19 +197,6 @@ class RContext:
                 raise AssertionError("support must step by two with positive entries")
         return GammaVector(a, ell, entries)
 
-    def double_r(self, u: int, w: int) -> BiPoly:
-        """Bivariate lift: sum of gamma_j * p^((ell-j)/2) * (q-1)^j."""
-        gamma = self.gamma_vector(u, w)
-        terms: dict[tuple[int, int], int] = {}
-        for j, coeff in gamma.entries:
-            p_exp = (gamma.coxeter_length - j) // 2
-            expansion = Q_MINUS_ONE ** j
-            for k, c in enumerate(expansion.coeffs):
-                if c:
-                    key = (p_exp, k)
-                    terms[key] = terms.get(key, 0) + coeff * c
-        return BiPoly(terms)
-
     def bruhat_size(self, u: int, w: int) -> int:
         """Shifted polynomial at 1; must equal R at 2 (both are computed)."""
         via_shift = self.shifted(u, w)(1)
@@ -239,48 +212,6 @@ class RContext:
         if via_shift != via_r:
             raise AssertionError("the two total routes disagree")
         return via_shift
-
-    def is_edge(self, u: int, w: int) -> bool:
-        """Direct Bruhat-graph edge test: w = u*t for a reflection, length up."""
-        g = self.group
-        if g.length[u] >= g.length[w]:
-            return False
-        return any(col[u] == w for col in g.reflection_columns().values())
-
-    def characteristic_check(self, u: int, w: int) -> tuple[bool, bool]:
-        """(is_vertex, is_edge) read off R at q=1, verified directly.
-
-        R(1) is 1 exactly on the diagonal and R'(1) is 1 exactly on edges.
-        """
-        f = self.r(u, w)
-        at_one = f(1)
-        deriv_at_one = f.derivative()(1)
-        if at_one not in (0, 1) or deriv_at_one not in (0, 1):
-            raise AssertionError("characteristic values must be 0 or 1")
-        is_vertex = at_one == 1
-        is_edge = deriv_at_one == 1
-        if is_vertex != (u == w) or is_edge != self.is_edge(u, w):
-            raise AssertionError("characteristic values disagree with the direct tests")
-        return is_vertex, is_edge
-
-    def descent_transport(self, u: int, w: int) -> list[tuple[int, int, int]]:
-        """Trace the walk down the chosen descents of w while they lower u.
-
-        Returns (u, w, s) steps for the prefix of the plain (unreduced)
-        recursion where the chosen descent of w also lowers u, so the
-        R-polynomial is constant along the walk. Diagnostic only.
-        """
-        g = self.group
-        steps = []
-        cur_u, cur_w = u, w
-        while cur_u != cur_w and g.leq(cur_u, cur_w):
-            s = self._descent(cur_w)
-            us = g.right[cur_u][s]
-            if g.length[us] >= g.length[cur_u]:
-                break
-            steps.append((cur_u, cur_w, s))
-            cur_u, cur_w = us, g.right[cur_w][s]
-        return steps
 
 
 def reassemble_r(gamma: GammaVector) -> IntPoly:

@@ -82,7 +82,7 @@ def _environment(spec: str, group: Optional[GroupTable] = None) -> dict:
         env = {
             "group": group,
             "ctx": RContext(group),
-            "orders": distinct_reflection_orders(group, want=3),
+            "orders": distinct_reflection_orders(group),
             "sizes": {},  # v -> size of [e, v], shared by the th1 checks
         }
         _ENVS[spec] = env

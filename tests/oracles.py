@@ -10,14 +10,15 @@ chain, the R recursion in polynomial arithmetic with an order test per
 pair, Booleanness of every upper subinterval one interval at a time or
 in one pass over [u, w], interval sums over the order relation, the
 dihedral bounds checked pair by pair over every comparable pair, size
-violations counted pair by pair, and the Fibonacci recursion. Tests
-compare library output against these.
+violations counted pair by pair, the Fibonacci recursion, edge weights,
+the substitution q -> q+1 and the double R-polynomial. Tests compare
+library output against these.
 """
 
 from __future__ import annotations
 
 from bruhatpoly import BruhatPath, IntPoly, analysis, increasing_paths, short_paths
-from bruhatpoly.poly import Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
+from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
 
 
 def form_product(group, a: int, b: int) -> int:
@@ -85,7 +86,14 @@ def reachability(group) -> dict[int, set[int]]:
     return reach
 
 
-def descent_leq(group, u: int, w: int, memo: dict) -> bool:
+def right_descent(group, w: int, descent: str) -> int:
+    """The first ("min") or the last ("max") right descent of w, by lengths."""
+    pick = min if descent == "min" else max
+    return pick(s for s in range(group.num_generators)
+                if group.length[group.right[w][s]] < group.length[w])
+
+
+def descent_leq(group, u: int, w: int, memo: dict, descent: str = "min") -> bool:
     """Bruhat order by the standard descent recursion, memoized in ``memo``.
 
     Pick s with ws < w; then u <= w iff (us <= ws) when s lowers u,
@@ -99,33 +107,48 @@ def descent_leq(group, u: int, w: int, memo: dict) -> bool:
     cached = memo.get(key)
     if cached is not None:
         return cached
-    s = group.first_right_descent(w)
+    s = right_descent(group, w, descent)
     ws = group.right[w][s]
     us = group.right[u][s]
     if group.length[us] < group.length[u]:
-        res = descent_leq(group, us, ws, memo)
+        res = descent_leq(group, us, ws, memo, descent)
     else:
-        res = descent_leq(group, u, ws, memo)
+        res = descent_leq(group, u, ws, memo, descent)
     memo[key] = res
     return res
 
 
-def r_by_recursion(group, u: int, w: int, memo: dict) -> IntPoly:
+def r_by_recursion(group, u: int, w: int, memo: dict, descent: str = "min") -> IntPoly:
     """R[u, w] by the descent recursion with an order test on every pair:
     R[us, ws] when s lowers u, else (q-1) R[u, ws] + q R[us, ws]."""
     if u == w:
         return IntPoly((1,))
-    if not descent_leq(group, u, w, {}):
+    if not descent_leq(group, u, w, {}, descent):
         return ZERO
     if (u, w) not in memo:
-        s = group.first_right_descent(w)
+        s = right_descent(group, w, descent)
         ws, us = group.right[w][s], group.right[u][s]
         if group.length[us] < group.length[u]:
-            memo[u, w] = r_by_recursion(group, us, ws, memo)
+            memo[u, w] = r_by_recursion(group, us, ws, memo, descent)
         else:
-            memo[u, w] = (Q_MINUS_ONE * r_by_recursion(group, u, ws, memo)
-                          + Q * r_by_recursion(group, us, ws, memo))
+            memo[u, w] = (Q_MINUS_ONE * r_by_recursion(group, u, ws, memo, descent)
+                          + Q * r_by_recursion(group, us, ws, memo, descent))
     return memo[u, w]
+
+
+def shift_plus_one(f: IntPoly) -> IntPoly:
+    """f(q+1), re-expanded exactly (Horner in q+1)."""
+    acc = ZERO
+    for c in reversed(f.coeffs):
+        acc = acc * Q_PLUS_ONE + IntPoly((c,))
+    return acc
+
+
+def double_r_at(gamma, p: IntPoly, q: IntPoly) -> IntPoly:
+    """The double R-polynomial, sum of gamma_j p^((ell-j)/2) (q-1)^j over the
+    gamma vector of an interval, at the given values of p and q."""
+    return sum((p ** ((gamma.coxeter_length - j) // 2) * (q - ONE) ** j * c
+                for j, c in gamma.entries), ZERO)
 
 
 def upper_boolean_per_v(ctx, u: int, w: int) -> bool:
@@ -190,6 +213,13 @@ def conjugate_reflections(group) -> tuple[int, ...]:
         for s in range(group.num_generators):
             refl.add(group.mul(group.mul(v, group.generator(s)), group.inv(v)))
     return tuple(sorted(refl))
+
+
+def edge_weight(height: int) -> IntPoly:
+    """(q+1)^(h-1) * q, the weight of an edge of height h >= 1."""
+    if height < 1:
+        raise ValueError("edge height must be >= 1")
+    return Q_PLUS_ONE ** (height - 1) * Q
 
 
 def naive_paths(group, u: int, w: int, order=None, short_only: bool = False) -> list:

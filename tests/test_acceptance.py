@@ -31,8 +31,8 @@ from bruhatpoly import (
     validate_reflection_order,
 )
 from bruhatpoly import analysis, suite
-from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, average, monomial, size
-from oracles import el_holds
+from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, average, monomial, size
+from oracles import double_r_at, el_holds
 from test_rpoly import S4_CLASSES
 
 
@@ -191,7 +191,7 @@ def test_c07_oracle_equivalence(a3, a3_ctx, i2_groups, i2_ctxs):
         for group, ctx, expected_orders in jobs:
             # a dihedral group admits exactly two reflection orders, so the
             # third requested order only exists in the symmetric group
-            orders = distinct_reflection_orders(group, want=3)
+            orders = distinct_reflection_orders(group)
             assert len(orders) == expected_orders
             for order in orders:
                 assert validate_reflection_order(group, order).ok
@@ -209,7 +209,7 @@ def test_c07_oracle_equivalence(a3, a3_ctx, i2_groups, i2_ctxs):
 
 def test_c08_el_shellability(a3):
     with criterion("c08 EL-shellability on S4"):
-        orders = distinct_reflection_orders(a3, want=3)
+        orders = distinct_reflection_orders(a3)
         assert len(orders) == 3
         for u, w in a3.comparable_pairs():
             graph = build_graph(a3, a3.interval(u, w))
@@ -316,12 +316,12 @@ def test_c11_dihedral_bound_suite(a4, a4_ctx, i2_ctxs):
 def test_c12_double_r_specializations(a3, a3_ctx):
     with criterion("c12 double-R specializations"):
         for u, w in a3.comparable_pairs():
-            d = a3_ctx.double_r(u, w)
+            gamma = a3_ctx.gamma_vector(u, w)
             ell = a3.length[w] - a3.length[u]
-            assert d.specialize_named("q,q") == a3_ctx.r(u, w)
-            assert d.specialize_named("q+1,q+1") == a3_ctx.shifted(u, w)
-            assert d.specialize_named("1,q+1") == a3_ctx.rtilde(u, w)
-            assert d.specialize_named("0,q+1") == monomial(ell)
+            assert double_r_at(gamma, Q, Q) == a3_ctx.r(u, w)
+            assert double_r_at(gamma, Q_PLUS_ONE, Q_PLUS_ONE) == a3_ctx.shifted(u, w)
+            assert double_r_at(gamma, ONE, Q_PLUS_ONE) == a3_ctx.rtilde(u, w)
+            assert double_r_at(gamma, ZERO, Q_PLUS_ONE) == monomial(ell)
 
 
 def test_c13_conjecture_scan(a3, a3_ctx, a4, a4_ctx, i2_ctxs):

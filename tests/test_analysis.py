@@ -15,6 +15,7 @@ from bruhatpoly import (
     path_weight,
 )
 from bruhatpoly import analysis
+from bruhatpoly.cli import main
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
 from oracles import (dihedral_bounds_per_pair, fibonacci_rec, reachability,
                      shifted_interval_sum, upper_boolean_one_pass, upper_boolean_per_v)
@@ -33,11 +34,15 @@ def test_poincare_at_minus_one(a3, a3_ctx):
 
 
 def test_poincare_bounds(a3, a3_ctx, i2_ctxs, pid):
+    # between the rank profile 1, 2, ..., 2, 1 of a dihedral poset and (1+q)^n
     for w in a3.elements():
-        assert analysis.poincare_bounds_ok(a3_ctx, w)
+        n, p = a3.length[w], analysis.poincare(a3_ctx, w)
+        if n:
+            assert coeffwise_leq(IntPoly((1,) + (2,) * (n - 1) + (1,)), p)
+            assert coeffwise_leq(p, Q_PLUS_ONE ** n)
     ctx7 = i2_ctxs[7]
     w0 = ctx7.group.w0
-    assert analysis.poincare(ctx7, w0) == analysis.dihedral_floor(7)
+    assert analysis.poincare(ctx7, w0) == IntPoly((1, 2, 2, 2, 2, 2, 2, 1))
     # Boolean lower interval attains the ceiling
     assert analysis.poincare(a3_ctx, pid(a3, "2143")) == Q_PLUS_ONE ** 2
 
@@ -285,7 +290,7 @@ def test_p1_p2_values(a3, a3_ctx, i2_ctxs, pid):
 
 def test_p1_p2_sum_is_order_invariant(a3, a3_ctx):
     from bruhatpoly import distinct_reflection_orders
-    orders = distinct_reflection_orders(a3, want=3)
+    orders = distinct_reflection_orders(a3)
     for u, w in a3.comparable_pairs():
         graph = build_graph(a3, a3.interval(u, w))
         values = {analysis.p1_p2(a3_ctx, graph, o) for o in orders}
@@ -350,9 +355,8 @@ def test_dihedral_closed_form(i2_ctxs):
 
 
 def test_bound_polynomials_of_high_index():
-    # n is above the interpreter's recursion limit; both are built by iteration
+    # n is above the interpreter's recursion limit; d_n is built by iteration
     assert analysis.dihedral_closed_form_ok(1200)
-    assert analysis.fibonacci_poly(1200) == fibonacci_rec(1200)
 
 
 def test_dihedral_series_matches_recursion():
@@ -360,6 +364,19 @@ def test_dihedral_series_matches_recursion():
     assert series[0] == ONE
     for n in range(21):
         assert series[n] == analysis.dihedral_poly(n)
+
+
+def test_dihedral_table_extends_one_kept_list(monkeypatch, capsys):
+    # d_3, ..., d_200 are each built once from the kept list: two products each
+    monkeypatch.setattr(analysis, "_DIHEDRAL", analysis._DIHEDRAL[:3])
+    calls = []
+    mul = IntPoly.__mul__
+    monkeypatch.setattr(IntPoly, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    assert main(["table", "--table", "dihedral", "--max-n", "200"]) == 0
+    assert capsys.readouterr().out.count("\n") == 202
+    assert len(calls) <= 400
+    with pytest.raises(ValueError):
+        analysis.dihedral_poly(-1)
 
 
 def test_jacobsthal():
@@ -498,7 +515,8 @@ def test_length_three_edge_r_shape(a3, a3_ctx):
     # an edge with length gap three always carries q^3 - 2q^2 + 2q - 1
     found = 0
     for u, w in a3.comparable_pairs():
-        if a3.length[w] - a3.length[u] == 3 and a3_ctx.is_edge(u, w):
+        if a3.length[w] - a3.length[u] == 3 and any(
+                col[u] == w for col in a3.reflection_columns().values()):
             found += 1
             assert a3_ctx.r(u, w) == IntPoly((-1, 2, -2, 1))
     assert found > 0
@@ -552,7 +570,7 @@ def test_fibonacci_bounds(a3, a3_ctx, a4, a4_ctx):
             n = group.length[w] - group.length[u]
             rt = ctx.rtilde(u, w)
             assert coeffwise_leq(monomial(n), rt)
-            assert coeffwise_leq(rt, analysis.fibonacci_poly(n))
+            assert coeffwise_leq(rt, fibonacci_rec(n))
 
 
 def test_size_bounds_by_jacobsthal(a3, a3_ctx):

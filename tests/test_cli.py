@@ -187,6 +187,15 @@ def test_verify_capped_run_is_flagged_partial(capsys):
     assert out.startswith("group: I2:4 (partial: intervals capped at length 2)\n")
 
 
+def test_verify_capped_json_names_its_cap(capsys):
+    base = ["verify", "--group", "I2:4", "--format", "json"]
+    for cap in (0, 2):
+        code, capped = capture(capsys, base + ["--max-interval-len", str(cap)])
+        assert code == 0 and json.loads(capped)["max_interval_len"] == cap
+    code, full = capture(capsys, base)
+    assert code == 0 and "max_interval_len" not in json.loads(full)
+
+
 def test_verify_cap_applies_to_every_sweep(capsys):
     code, out = capture(capsys, ["verify", "--group", "A4", "--max-interval-len", "3",
                                  "--format", "json"])

@@ -27,12 +27,6 @@ def test_descriptor_validation():
         CoxeterDescriptor.parse("F4")
 
 
-def test_coxeter_matrix_shape():
-    m = CoxeterDescriptor("A", 3).coxeter_matrix()
-    assert m == ((1, 3, 2), (3, 1, 3), (2, 3, 1))
-    assert CoxeterDescriptor("I2", 5).coxeter_matrix() == ((1, 5), (5, 1))
-
-
 def test_enumeration_sizes(a3, i2_groups):
     assert len(a3) == 24
     assert a3.length[a3.w0] == 6
@@ -213,22 +207,32 @@ def test_interval_cardinality_bounds(a3, pid):
     assert len(a3.interval(pid(a3, "1324"), pid(a3, "3412"))) == 10 > 2 ** 3
 
 
-def test_descents(a3, pid):
-    assert a3.right_descents(a3.identity) == ()
-    assert a3.right_descents(a3.w0) == (0, 1, 2)
-    assert a3.left_descents(a3.w0) == (0, 1, 2)
+def descent_bits(ctx, v, side):
+    """Right (side 0) or left (side 1) descents of v, from the bits of the
+    context's descent mask that the R recursion reads."""
+    n = ctx.group.num_generators
+    return tuple(s for s in range(n) if ctx._descents[v] >> (side * n + s) & 1)
+
+
+def test_descents(a3, a3_ctx, pid):
+    assert descent_bits(a3_ctx, a3.identity, 0) == ()
+    assert descent_bits(a3_ctx, a3.w0, 0) == (0, 1, 2)
+    assert descent_bits(a3_ctx, a3.w0, 1) == a3.left_descents(a3.w0) == (0, 1, 2)
     # one-line rule: descent positions i with w(i) > w(i+1)
     w = pid(a3, "3412")
     positions = tuple(i for i in range(3) if a3.forms[w][i] > a3.forms[w][i + 1])
     assert positions == (1,)
-    assert a3.right_descents(w) == (1,)
+    assert descent_bits(a3_ctx, w, 0) == (1,)
 
 
-def test_descents_match_one_line_rule(a4):
+def test_descents_match_one_line_rule(a4, a4_ctx):
     for v in a4.elements():
         form = a4.forms[v]
         rule = tuple(i for i in range(4) if form[i] > form[i + 1])
-        assert a4.right_descents(v) == rule
+        assert descent_bits(a4_ctx, v, 0) == rule
+        # left descents: i + 2 stands before i + 1 in the one-line form
+        left = tuple(i for i in range(4) if form.index(i + 2) < form.index(i + 1))
+        assert descent_bits(a4_ctx, v, 1) == a4.left_descents(v) == left
 
 
 def test_elements_sorted_by_length_then_form(a3):

@@ -8,19 +8,15 @@ import pytest
 from bruhatpoly import (
     CoxeterDescriptor,
     IntPoly,
-    Monomial,
     ReflectionOrder,
     absolute_distance,
-    all_paths,
     build_graph,
     count_increasing_chains,
     default_reflection_order,
     distinct_reflection_orders,
-    edge_weight,
     enumerate_group,
     increasing_paths,
     monomial,
-    monomialize,
     path_weight,
     reflection_order_from_word,
     short_paths,
@@ -28,16 +24,15 @@ from bruhatpoly import (
     validate_reflection_order,
 )
 from bruhatpoly.graph import (
-    EnumerationCapError,
     InvalidWordError,
     _cover_table,
     _lex_first_chain,
     _reduced_words_of_w0,
     lex_min_w0_word,
 )
-from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, size
+from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, average, size
 from bruhatpoly.suite import _interval_scope
-from oracles import naive_paths, smallest_rank_word
+from oracles import edge_weight, naive_paths, smallest_rank_word
 
 
 def lower_graph(group, w):
@@ -107,14 +102,15 @@ def test_edge_weight_values():
     assert edge_weight(3) == (Q_PLUS_ONE ** 2) * Q
     assert size(edge_weight(3)) == 4
     for h in range(1, 7):
-        assert monomialize(edge_weight(h)) == Monomial(2 ** (h - 1), Fraction(h + 1, 2))
+        weight = edge_weight(h)
+        assert (size(weight), average(weight)) == (2 ** (h - 1), Fraction(h + 1, 2))
     with pytest.raises(ValueError):
         edge_weight(0)
 
 
 def test_path_weight_multiplicative(a3, pid):
     g = lower_graph(a3, pid(a3, "3412"))
-    for path in all_paths(g, a3.identity, pid(a3, "3412")):
+    for path in naive_paths(a3, a3.identity, pid(a3, "3412")):
         heights = []
         for a, b in zip(path.vertices, path.vertices[1:]):
             assert [y for y, _ in g.out_edges[a] if y == b] == [b]
@@ -183,11 +179,11 @@ def test_dihedral_groups_admit_exactly_two_orders(i2_groups):
              if validate_reflection_order(m5, ReflectionOrder(seq)).ok]
     assert len(valid) == 2
     assert valid[0] == tuple(reversed(valid[1]))
-    assert len(distinct_reflection_orders(m5, want=3)) == 2
+    assert len(distinct_reflection_orders(m5)) == 2
 
 
 def test_three_distinct_valid_orders_on_s4(a3):
-    orders = distinct_reflection_orders(a3, want=3)
+    orders = distinct_reflection_orders(a3)
     assert len(orders) == 3
     assert len({o.sequence for o in orders}) == 3
     for o in orders:
@@ -213,7 +209,7 @@ def test_increasing_paths_basics(a3, pid):
 
 def test_increasing_path_sum_is_order_invariant(a3, i2_groups):
     for group in (a3, i2_groups[8]):
-        orders = distinct_reflection_orders(group, want=3)
+        orders = distinct_reflection_orders(group)
         for u, w in group.comparable_pairs():
             g = build_graph(group, group.interval(u, w))
             sums = []
@@ -245,30 +241,23 @@ def test_empty_path_weighs_one(a3):
 
 
 def test_all_paths_examples(a3, i2_groups, pid):
-    g = build_graph(a3, a3.interval(a3.identity, a3.identity))
-    assert len(list(all_paths(g, a3.identity, a3.identity))) == 1
+    assert len(naive_paths(a3, a3.identity, a3.identity)) == 1
     # Boolean square: two saturated chains, no long edges
     square_top = pid(a3, "2143")
-    sq = lower_graph(a3, square_top)
-    paths = list(all_paths(sq, a3.identity, square_top))
+    paths = naive_paths(a3, a3.identity, square_top)
     assert len(paths) == 2 and all(p.absolute_length == 2 for p in paths)
     # the full dihedral interval of I2(3) contains the long edge bottom -> top
     m3 = i2_groups[3]
-    g3 = lower_graph(m3, m3.w0)
-    lengths = {p.absolute_length for p in all_paths(g3, m3.identity, m3.w0)}
+    lengths = {p.absolute_length for p in naive_paths(m3, m3.identity, m3.w0)}
     assert 1 in lengths
-    with pytest.raises(EnumerationCapError):
-        big = enumerate_group(CoxeterDescriptor("I2", 12))
-        list(all_paths(lower_graph(big, big.w0), big.identity, big.w0, max_len=8))
 
 
 @pytest.mark.parametrize("spec", ["A3", "I2:5"])
 def test_path_listings_match_naive_lister(spec):
     group = enumerate_group(CoxeterDescriptor.parse(spec))
-    orders = distinct_reflection_orders(group, want=3)
+    orders = distinct_reflection_orders(group)
     for u, w in group.comparable_pairs():
         g = build_graph(group, group.interval(u, w))
-        assert list(all_paths(g, u, w)) == naive_paths(group, u, w)
         assert short_paths(g, u, w) == naive_paths(group, u, w, short_only=True)
         for order in orders:
             for short_only in (False, True):
@@ -279,8 +268,7 @@ def test_path_listings_match_naive_lister(spec):
 @pytest.mark.parametrize("walk", [
     lambda g, u, w: increasing_paths(g, u, w, default_reflection_order(g.group)),
     lambda g, u, w: short_paths(g, u, w),
-    lambda g, u, w: list(all_paths(g, u, w)),
-], ids=["increasing_paths", "short_paths", "all_paths"])
+], ids=["increasing_paths", "short_paths"])
 def test_walk_keeps_no_graph_alive(a3, walk):
     # with the cyclic collector off, only a reference cycle can outlive the
     # last reference; the walk must not build one through the graph
@@ -331,7 +319,7 @@ def shuffled_order(group, seed):
 def test_chain_count_matches_enumeration(a1, a2, a3, a4, i2_groups):
     failing = 0
     for group in (a1, a2, a3, a4, i2_groups[3], i2_groups[5], i2_groups[8]):
-        orders = distinct_reflection_orders(group, want=3) + [shuffled_order(group, 7)]
+        orders = distinct_reflection_orders(group) + [shuffled_order(group, 7)]
         for u, w in _interval_scope(group):
             g = build_graph(group, group.interval(u, w))
             chains = short_paths(g, u, w)

@@ -3,8 +3,10 @@
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
+import bruhatpoly
 from bruhatpoly import RContext, suite
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -24,6 +26,19 @@ def test_traced_layers_resolve_in_the_package():
             if not callable(obj):
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_every_exported_name_resolves():
+    # a deleted name must not linger in an export list; __main__ runs the CLI
+    missing, exported = [], 0
+    for info in pkgutil.iter_modules(bruhatpoly.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"bruhatpoly.{info.name}")
+        names = getattr(module, "__all__", ())
+        exported += len(names)
+        missing += [f"{info.name}.{name}" for name in names if not hasattr(module, name)]
+    assert missing == [] and exported > 50
 
 
 def test_run_suite_takes_spec_and_checks_first():
