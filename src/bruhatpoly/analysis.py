@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import compress, count, islice, zip_longest
+from operator import and_, attrgetter, eq, gt, lt
 from typing import Iterable, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
@@ -104,20 +105,29 @@ def carrell_peterson_equal(ctx: RContext, w: int) -> tuple[Fraction, bool]:
     return avg, avg == Fraction(ctx.group.length[w], 2)
 
 
+_COEFFS = attrgetter("coeffs")
+
+
 def _coeff_sum(polys: Iterable[IntPoly]) -> tuple[int, ...]:
     """Coefficientwise sum, in one C-level pass over the coefficient tuples."""
-    return tuple(map(sum, zip_longest(*(f.coeffs for f in polys), fillvalue=0)))
+    return tuple(map(sum, zip_longest(*map(_COEFFS, polys), fillvalue=0)))
 
 
 @lru_cache(maxsize=None)
 def _boolean_coeffs(ell: int) -> tuple[int, ...]:
     """Coefficients of (1+q)^ell, the shifted sum of a Boolean interval."""
-    return (Q_PLUS_ONE ** ell).coeffs
+    return tuple(math.comb(ell, i) for i in range(ell + 1))
 
 
 def interval_shifted_sum(ctx: RContext, u: int, w: int) -> IntPoly:
-    """Sum of the shifted polynomials from u over the whole interval [u, w]."""
-    return IntPoly(_coeff_sum(ctx.shifted(u, v) for v in ctx.group.interval(u, w).members))
+    """Sum of the shifted polynomials from u over the whole interval [u, w].
+
+    A lower interval reads its values off the shifted lower row.
+    """
+    members = ctx.group.interval(u, w).members
+    if u == ctx.group.identity:
+        return IntPoly(_coeff_sum(map(ctx.lower_row("shifted", members).__getitem__, members)))
+    return IntPoly(_coeff_sum(ctx.shifted(u, v) for v in members))
 
 
 def bruhat_poincare(ctx: RContext, w: int) -> IntPoly:
@@ -462,8 +472,8 @@ def observation_sum(ctx: RContext) -> ObservationResult:
     Bruhat-Poincare polynomial is (1+q)^length(w0)."""
     g = ctx.group
     n = g.length[g.w0]
-    s = sum(ctx.bruhat_size(g.identity, v) for v in g.elements())
-    poly_ok = bruhat_poincare(ctx, g.w0) == Q_PLUS_ONE ** n
+    s = sum(ctx.lower_sizes(range(len(g))))
+    poly_ok = bruhat_poincare(ctx, g.w0).coeffs == _boolean_coeffs(n)
     return ObservationResult(s, 2 ** n, s == 2 ** n, poly_ok)
 
 
@@ -504,7 +514,7 @@ def conjecture_violation(ctx: RContext, u: int, w: int) -> Optional[dict]:
     """Check (1+q)^ell <= interval shifted sum; describe any failure."""
     ell = ctx.group.length[w] - ctx.group.length[u]
     s = interval_shifted_sum(ctx, u, w)
-    bound = Q_PLUS_ONE ** ell
+    bound = IntPoly(_boolean_coeffs(ell))
     if coeffwise_leq(bound, s):
         return None
     g = ctx.group
@@ -534,31 +544,36 @@ def edge_size_tally(ctx: RContext) -> EdgeSizeTally:
     """Across all Bruhat edges u -> v, compare the sizes of u and v.
 
     Monotonicity is asserted (never decreasing); the tally reports how
-    often the size stays equal versus strictly grows, with a few examples
-    of each. Descriptive only: the general strictness question is open.
+    often the size stays equal versus strictly grows, with the first few
+    examples of each in (u, reflection) order. Descriptive only: the
+    general strictness question is open. Each reflection column is compared
+    against the sizes whole, one C-level pass per comparison.
     """
     g = ctx.group
-    sizes = {v: ctx.bruhat_size(g.identity, v) for v in g.elements()}
-    equal = strict = edges = 0
-    equal_ex: list[tuple[str, str]] = []
-    strict_ex: list[tuple[str, str]] = []
-    for u in g.elements():
-        for col in g.reflection_columns().values():
-            v = col[u]
-            if g.length[v] <= g.length[u]:
-                continue
-            edges += 1
-            if sizes[u] > sizes[v]:
-                raise AssertionError("size must not decrease along a Bruhat edge")
-            if sizes[u] == sizes[v]:
-                equal += 1
-                if len(equal_ex) < TALLY_EXAMPLES:
-                    equal_ex.append((g.display(u), g.display(v)))
-            else:
-                strict += 1
-                if len(strict_ex) < TALLY_EXAMPLES:
-                    strict_ex.append((g.display(u), g.display(v)))
-    return EdgeSizeTally(edges, equal, strict, tuple(equal_ex), tuple(strict_ex))
+    length = g.length
+    sizes = ctx.lower_sizes(range(len(g)))
+    columns = tuple(g.reflection_columns().values())
+    edges = equal = 0
+    # (u, column index) of the first examples of each kind, per column
+    equal_at: list[tuple[int, int]] = []
+    strict_at: list[tuple[int, int]] = []
+    for k, col in enumerate(columns):
+        up = list(map(lt, length, map(length.__getitem__, col)))  # u -> u*t is an edge
+        above = list(map(sizes.__getitem__, col))
+        if any(map(and_, up, map(gt, sizes, above))):
+            raise AssertionError("size must not decrease along a Bruhat edge")
+        same = list(map(and_, up, map(eq, sizes, above)))
+        grew = map(and_, up, map(lt, sizes, above))  # read only up to the last example
+        edges += sum(up)
+        equal += sum(same)
+        equal_at += ((u, k) for u in islice(compress(count(), same), TALLY_EXAMPLES))
+        strict_at += ((u, k) for u in islice(compress(count(), grew), TALLY_EXAMPLES))
+
+    def examples(at: list[tuple[int, int]]) -> tuple[tuple[str, str], ...]:
+        return tuple((g.display(u), g.display(columns[k][u]))
+                     for u, k in sorted(at)[:TALLY_EXAMPLES])
+
+    return EdgeSizeTally(edges, equal, edges - equal, examples(equal_at), examples(strict_at))
 
 
 # -- one-interval report ---------------------------------------------------------

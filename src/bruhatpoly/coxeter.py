@@ -7,10 +7,10 @@ group I2(m) of order 2m uses (rotation, flip) pairs. Forms are multiplied
 only in the one breadth-first pass that builds the right product table;
 then all is integer tables, and forms serve only to parse and display.
 ``mul`` walks the first right descents of its second factor, and the
-columns x -> x*t per reflection t are built on first use. Tables are
-immutable after construction. Bruhat order is answered by a walk down right
-descents (no memo); lower ideals are built lazily on first use and kept per
-table. A kept ideal is a pure function of its top element, so sharing a
+columns x -> x*s per generator s and x -> x*t per reflection t are built on
+first use. Tables are immutable after construction. Bruhat order is answered
+by a walk down right descents (no memo); lower ideals are built lazily on
+first use, from the generator columns, and kept per table. A kept ideal is a pure function of its top element, so sharing a
 table between worker processes (or rebuilding it per worker) gives
 identical answers.
 """
@@ -172,6 +172,7 @@ class GroupTable:
             for v in range(len(self.forms))
         )
         self.reflections = self._find_reflections()
+        self._generator_columns: tuple[tuple[int, ...], ...] | None = None
         self._columns: dict[int, tuple[int, ...]] | None = None
         self._ideals: dict[int, tuple[int, ...]] = {self.identity: (self.identity,)}
 
@@ -245,6 +246,13 @@ class GroupTable:
             a = right[a][s]
         return a
 
+    def generator_columns(self) -> tuple[tuple[int, ...], ...]:
+        """``columns[s][x]`` is x*s for every generator s: the right table
+        transposed, on first use."""
+        if self._generator_columns is None:
+            self._generator_columns = tuple(zip(*self.right))
+        return self._generator_columns
+
     def reflection_columns(self) -> dict[int, tuple[int, ...]]:
         """``columns[t][x]`` is x*t for every reflection t (keys ascending).
 
@@ -252,13 +260,11 @@ class GroupTable:
         reflections: x*(sts) = ((x*s)*t)*s, two lookups per entry.
         """
         if self._columns is None:
-            right, cols = self.right, {}
+            gens, cols = self.generator_columns(), {}
             for c, (t, s) in self._closure.items():
-                if t is None:  # c is the generator s
-                    cols[c] = tuple(row[s] for row in right)
-                else:
-                    col = cols[t]
-                    cols[c] = tuple(right[col[row[s]]][s] for row in right)
+                col = gens[s]
+                cols[c] = col if t is None else tuple(  # c is the generator s, or s t s
+                    map(col.__getitem__, map(cols[t].__getitem__, col)))
             self._columns = {t: cols[t] for t in self.reflections}
         return self._columns
 
@@ -307,7 +313,8 @@ class GroupTable:
     def lower_ideal(self, w: int) -> tuple[int, ...]:
         """Ids of all v <= w in ascending order, built lazily and kept.
 
-        With s the first right descent of w: [e, w] = [e, ws] union [e, ws]*s.
+        With s the first right descent of w: [e, w] = [e, ws] union [e, ws]*s,
+        the second part read off the column of s.
         """
         ideals, right, first = self._ideals, self.right, self._first_descent
         chain = []
@@ -315,10 +322,12 @@ class GroupTable:
             chain.append(w)
             w = right[w][first[w]]
         below = ideals[w]
-        for top in reversed(chain):
-            s = first[top]
-            below = tuple(sorted(set(below).union(right[v][s] for v in below)))
-            ideals[top] = below
+        if chain:
+            columns = self.generator_columns()
+            for top in reversed(chain):
+                members = set(below)
+                members.update(map(columns[first[top]].__getitem__, below))
+                below = ideals[top] = tuple(sorted(members))
         return below
 
     def interval(self, u: int, w: int) -> Interval:

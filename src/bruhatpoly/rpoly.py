@@ -19,13 +19,20 @@ coefficient tuples, building a single polynomial.
 The shifted family is R evaluated at q+1, computed natively; the tests
 cross-check it against the substitution. Path-enumeration oracles for the
 nonneg families live here too.
+
+Lower intervals read a second store: one lower row per family, a list
+indexed by element id whose entry x holds the value at (e, x). An entry is
+filled through the memo the first time a caller asks for it, so a short w
+fills only its own ideal; after that a sum over [e, w] or a size per
+element is a C-level ``map`` over the row, with no call per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Iterable
+from itertools import compress, repeat, zip_longest
+from operator import attrgetter, is_
+from typing import Iterable, Sequence
 
 from .coxeter import GroupTable
 from .graph import BruhatPath, path_weight
@@ -57,6 +64,8 @@ _RULES = {
     "shifted": (Q, Q_PLUS_ONE, lambda a, b: IntPoly(  # q*(a+b) + b
         [x + y + z for x, y, z in zip_longest((0,) + a, (0,) + b, b, fillvalue=0)])),
 }
+
+_COEFFS = attrgetter("coeffs")
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,8 @@ class RContext:
         self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {
             "r": {}, "rtilde": {}, "shifted": {}
         }
+        # family -> its value at (e, x) by x, None where no caller asked yet
+        self._rows: dict[str, list] = {}
         # every memo value, by its coefficients: equal polynomials share one object
         self._interned: dict[tuple[int, ...], IntPoly] = {}
         # analysis verdicts keyed by (question tag, *arguments), shared by the checks
@@ -172,6 +183,31 @@ class RContext:
     def shifted(self, u: int, w: int) -> IntPoly:
         """R evaluated at q+1, computed by its own native recursion."""
         return self._family("shifted", u, w)
+
+    def lower_row(self, name: str, members: Sequence[int]) -> list:
+        """The lower row of a family: ``row[x]`` is its value at (e, x).
+
+        Every x of ``members`` is filled, through the memo, if it is not
+        yet; entries that no caller has asked for stay None.
+        """
+        row = self._rows.get(name)
+        if row is None:
+            row = self._rows[name] = [None] * len(self.group)
+        e = self.group.identity
+        for x in compress(members, map(is_, map(row.__getitem__, members), repeat(None))):
+            row[x] = self._family(name, e, x)
+        return row
+
+    def lower_sizes(self, members: Sequence[int]) -> list[int]:
+        """The size of [e, x] for each x of ``members``, in order: shifted at 1,
+        which must equal R at 2 (both rows are read)."""
+        shifted = map(self.lower_row("shifted", members).__getitem__, members)
+        via_shift = list(map(sum, map(_COEFFS, shifted)))
+        via_r = list(map(IntPoly.__call__, map(self.lower_row("r", members).__getitem__, members),
+                         repeat(2)))
+        if via_shift != via_r:
+            raise AssertionError("the two size routes disagree")
+        return via_shift
 
     # -- derived data ---------------------------------------------------------
 

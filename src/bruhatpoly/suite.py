@@ -18,8 +18,8 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Optional, Sequence
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
@@ -83,7 +83,6 @@ def _environment(spec: str, group: Optional[GroupTable] = None) -> dict:
             "group": group,
             "ctx": RContext(group),
             "orders": distinct_reflection_orders(group),
-            "sizes": {},  # v -> size of [e, v], shared by the th1 checks
         }
         _ENVS[spec] = env
     return env
@@ -190,22 +189,36 @@ def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
 # -- scopes -------------------------------------------------------------------------
 
 
-def _capped_ideal(group: GroupTable, w: int,
-                  max_interval_len: Optional[int] = None) -> tuple[int, ...]:
-    """The u <= w with length(w) - length(u) <= max_interval_len, in id order.
+@lru_cache(maxsize=1)
+def _capped_ideals(group: GroupTable,
+                   max_interval_len: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """Per w in id order, the u <= w with length(w) - length(u) <= max_interval_len,
+    in id order; kept for the last (group, cap) asked, which the checks of
+    one run share.
 
-    Ids run in length order, so the cap cuts a prefix off the kept lower ideal.
+    Uncapped, these are the kept lower ideals. Capped, no full ideal is
+    built: with s the first right descent of w, u <= w iff min(u, us) <= ws
+    (the lifting property), and min(u, us) is at most one shorter than u, so
+    the capped ideal of w is every x and xs for x in the capped ideal of ws,
+    cut at length(w) - max_interval_len. Ids run in length order, so ws
+    comes before w and the cut drops a prefix.
     """
-    ideal = group.lower_ideal(w)
     if max_interval_len is None:
-        return ideal
-    first = bisect_left(group.length, group.length[w] - max_interval_len)
-    return ideal[bisect_left(ideal, first):]
+        return tuple(map(group.lower_ideal, group.elements()))
+    length, columns, first = group.length, group.generator_columns(), group.first_right_descent
+    ideals = [(group.identity,)]
+    for w in range(1, len(group)):
+        col = columns[first(w)]
+        below = ideals[col[w]]
+        below = sorted(set(below).union(map(col.__getitem__, below)))
+        cut = bisect_left(length, length[w] - max_interval_len)
+        ideals.append(tuple(below[bisect_left(below, cut):]))
+    return tuple(ideals)
 
 
 def _pair_count(group: GroupTable, max_interval_len: Optional[int] = None) -> int:
     """How many pairs ``_comparable_pairs`` lists, counted without building them."""
-    return sum(len(_capped_ideal(group, w, max_interval_len)) for w in group.elements())
+    return sum(map(len, _capped_ideals(group, max_interval_len)))
 
 
 def _comparable_pairs(group: GroupTable,
@@ -216,8 +229,8 @@ def _comparable_pairs(group: GroupTable,
     """
     if max_interval_len is None:
         return group.comparable_pairs()
-    return sorted((u, w) for w in group.elements()
-                  for u in _capped_ideal(group, w, max_interval_len))
+    return sorted((u, w) for w, ideal in enumerate(_capped_ideals(group, max_interval_len))
+                  for u in ideal)
 
 
 def _reduced_pairs(ctx: RContext,
@@ -228,8 +241,8 @@ def _reduced_pairs(ctx: RContext,
     (as the R memo does), which keeps its length difference and its value.
     """
     group, descents = ctx.group, ctx._descents
-    return [(u, w) for w in group.elements() for u in _capped_ideal(group, w, max_interval_len)
-            if not descents[u] & descents[w]]
+    return [(u, w) for w, ideal in enumerate(_capped_ideals(group, max_interval_len))
+            for u in ideal if not descents[u] & descents[w]]
 
 
 def _interval_scope(group: GroupTable,
@@ -250,15 +263,6 @@ def _lower_scope(group: GroupTable, max_interval_len: Optional[int] = None) -> l
 # -- checks -------------------------------------------------------------------------
 
 
-def _sizes(env: dict, elements: Iterable[int]) -> dict[int, int]:
-    """The size of [e, v] for each of ``elements``, kept in ``env`` for later checks."""
-    sizes, ctx, e = env["sizes"], env["ctx"], env["group"].identity
-    for v in elements:
-        if v not in sizes:
-            sizes[v] = ctx.bruhat_size(e, v)
-    return sizes
-
-
 def _check_th1_monotone(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
     """Sizes never decrease up the order, tested along covers.
 
@@ -268,7 +272,7 @@ def _check_th1_monotone(spec: str, workers: int, cap: Optional[int]) -> CheckRes
     """
     env = _environment(spec)
     group: GroupTable = env["group"]
-    sizes, length = _sizes(env, group.elements()), group.length
+    sizes, length = env["ctx"].lower_sizes(range(len(group))), group.length
     covers_ok = all(sizes[x] <= sizes[y] for col in group.reflection_columns().values()
                     for x, y in enumerate(col) if length[y] == length[x] + 1)
     bad = 0 if covers_ok else sum(
@@ -280,8 +284,7 @@ def _check_th1_monotone(spec: str, workers: int, cap: Optional[int]) -> CheckRes
 def _check_th1_odd(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
     env = _environment(spec)
     tops = _lower_scope(env["group"], cap)
-    sizes = _sizes(env, tops)
-    ok = all(sizes[w] % 2 == 1 for w in tops)
+    ok = all(size % 2 == 1 for size in env["ctx"].lower_sizes(tops))
     return CheckResult("th1-odd", ok, len(tops), "every size is odd" if ok else "even size found")
 
 

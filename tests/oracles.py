@@ -8,14 +8,18 @@ conjugates of the generators, Bruhat paths listed by products with every
 reflection and an order test, Dyer's EL property by listing every maximal
 chain, the R recursion in polynomial arithmetic with an order test per
 pair, Booleanness of every upper subinterval one interval at a time or
-in one pass over [u, w], interval sums over the order relation, the
-dihedral bounds checked pair by pair over every comparable pair, size
-violations counted pair by pair, the Fibonacci recursion, edge weights,
-the substitution q -> q+1 and the double R-polynomial. Tests compare
-library output against these.
+in one pass over [u, w], interval sums over the order relation, lower
+interval sums as one memo query per member, capped ideals cut from the
+full lower ideal, the edge-size tally edge by edge, the dihedral bounds
+checked pair by pair over every comparable pair, size violations counted
+pair by pair, the Fibonacci recursion, edge weights, the substitution
+q -> q+1 and the double R-polynomial. Tests compare library output
+against these.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from bruhatpoly import BruhatPath, IntPoly, analysis, increasing_paths, short_paths
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
@@ -177,6 +181,38 @@ def shifted_interval_sum(ctx, reach: dict, v: int, w: int) -> IntPoly:
     """Sum of shifted(v, x) over the x with v <= x <= w, where ``reach[x]``
     is the set of elements above x (see ``reachability``)."""
     return sum((ctx.shifted(v, x) for x in reach[v] if w in reach[x]), ZERO)
+
+
+def interval_sum_per_member(ctx, u: int, w: int) -> IntPoly:
+    """Sum of shifted(u, x) over the members of [u, w], one memo query and
+    one polynomial addition per member."""
+    return sum((ctx.shifted(u, x) for x in ctx.group.interval(u, w).members), ZERO)
+
+
+def capped_ideal_by_prefix(group, w: int, cap: int) -> tuple[int, ...]:
+    """The u <= w with length(w) - length(u) <= cap: the full lower ideal
+    with the too-short prefix cut off (ids run in length order)."""
+    ideal = group.lower_ideal(w)
+    first = bisect_left(group.length, group.length[w] - cap)
+    return ideal[bisect_left(ideal, first):]
+
+
+def edge_size_tally_per_edge(ctx, examples: int):
+    """(edges, equal, strict, equal examples, strict examples) of the sizes
+    along every Bruhat edge u -> u*t, visited u-major with the reflections
+    ascending, each size from ``bruhat_size``."""
+    g = ctx.group
+    sizes = [ctx.bruhat_size(g.identity, v) for v in g.elements()]
+    tally = {True: [], False: []}  # whether the size stays equal -> edges
+    for u in g.elements():
+        for t in sorted(g.reflections):
+            v = g.mul(u, t)
+            if g.length[v] > g.length[u]:
+                assert sizes[u] <= sizes[v]
+                tally[sizes[u] == sizes[v]].append((g.display(u), g.display(v)))
+    equal, strict = tally[True], tally[False]
+    return (len(equal) + len(strict), len(equal), len(strict),
+            tuple(equal[:examples]), tuple(strict[:examples]))
 
 
 def dihedral_bounds_per_pair(f: IntPoly, n: int) -> bool:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from bruhatpoly import (
 from bruhatpoly import analysis
 from bruhatpoly.cli import main
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
-from oracles import (dihedral_bounds_per_pair, fibonacci_rec, reachability,
-                     shifted_interval_sum, upper_boolean_one_pass, upper_boolean_per_v)
+from oracles import (dihedral_bounds_per_pair, edge_size_tally_per_edge, fibonacci_rec,
+                     interval_sum_per_member, reachability, shifted_interval_sum,
+                     upper_boolean_one_pass, upper_boolean_per_v)
 
 
 def test_poincare_values(a3, a3_ctx, pid):
@@ -543,6 +545,36 @@ def test_edge_size_tally(a3, a3_ctx):
     assert tally.edges == tally.equal + tally.strict
     assert tally.edges == sum(a3.length)  # in-degree law over the full group
     assert tally.equal_examples and tally.strict_examples
+
+
+@pytest.mark.parametrize("spec", ["A3", "A4", "I2:7"])
+def test_edge_size_tally_matches_the_per_edge_oracle(spec):
+    ctx = RContext(enumerate_group(CoxeterDescriptor.parse(spec)))
+    tally = analysis.edge_size_tally(ctx)
+    assert (tally.edges, tally.equal, tally.strict, tally.equal_examples,
+            tally.strict_examples) == edge_size_tally_per_edge(ctx, analysis.TALLY_EXAMPLES)
+
+
+def test_conjecture_violation_names_the_boolean_floor(a3, a3_ctx, monkeypatch):
+    # no interval violates the floor, so plant a zero sum and read the text
+    monkeypatch.setattr(analysis, "interval_shifted_sum", lambda ctx, u, w: ZERO)
+    for w in (a3.generator(0), a3.w0):
+        violation = analysis.conjecture_violation(a3_ctx, a3.identity, w)
+        ell = a3.length[w]
+        assert violation == {"u": "1234", "w": a3.display(w), "ell": ell,
+                             "interval_sum": "0", "lower_bound": (Q_PLUS_ONE ** ell).text()}
+
+
+@pytest.mark.parametrize("spec, sample", [("A4", None), ("I2:7", None), ("A5", 50)])
+def test_lower_row_sums_match_per_member_sums(spec, sample):
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    tops = list(group.elements())
+    if sample is not None:
+        tops = random.Random(13).sample(tops, sample)
+    rows, oracle = RContext(group), RContext(group)
+    for w in tops:
+        assert (analysis.interval_shifted_sum(rows, group.identity, w)
+                == interval_sum_per_member(oracle, group.identity, w))
 
 
 def test_blanco_inequality(a3, a3_ctx, a4, a4_ctx):

@@ -8,11 +8,12 @@ import sys
 
 import pytest
 
-from bruhatpoly import (CoxeterDescriptor, GroupTable, RContext, analysis, enumerate_group,
-                        suite)
+from bruhatpoly import (CoxeterDescriptor, GroupTable, RContext, analysis, cli,
+                        enumerate_group, suite)
 from bruhatpoly.cli import INTERNAL_ERROR, main
-from bruhatpoly.suite import _comparable_pairs, _pair_count, _pool_size, _reduced_pairs
-from oracles import dot_leq, inversions, size_violations, th4_all_pairs
+from bruhatpoly.suite import (_capped_ideals, _comparable_pairs, _pair_count, _pool_size,
+                              _reduced_pairs)
+from oracles import capped_ideal_by_prefix, dot_leq, inversions, size_violations, th4_all_pairs
 
 
 def run_cli(args, **kwargs):
@@ -116,6 +117,26 @@ def test_long_w0_verifies_without_recursion_limit():
 def test_usage_error_exit_code_from_argparse():
     proc = run_cli(["interval", "--group", "A3"])  # missing --u/--w
     assert proc.returncode == 2
+
+
+def test_interval_on_a_short_w_fills_rows_inside_its_ideal(monkeypatch, capsys):
+    contexts = []
+
+    class Recorded(RContext):
+        def __init__(self, group):
+            super().__init__(group)
+            contexts.append(self)
+
+    monkeypatch.setattr(cli, "RContext", Recorded)
+    code, _ = capture(capsys, ["interval", "--group", "A5", "--u", "e", "--w", "s1 s2 s3"])
+    assert code == 0
+    [ctx] = contexts
+    group = ctx.group
+    ideal = group.lower_ideal(group.from_word((0, 1, 2)))
+    assert len(ideal) == 8
+    filled = {x for x, value in enumerate(ctx.lower_row("shifted", ())) if value is not None}
+    assert filled == set(ideal)
+    assert set(ctx._rows) == {"shifted"}
 
 
 def test_table_r_polys_csv(capsys):
@@ -223,6 +244,15 @@ def test_capped_pairs_are_the_filtered_pairs(a3, i2_groups):
                 (u, w) for u, w in every if group.length[w] - group.length[u] <= cap]
 
 
+def test_capped_ideals_are_the_cut_lower_ideals(a4, i2_groups):
+    for group in (a4, i2_groups[7]):
+        assert _capped_ideals(group) == tuple(map(group.lower_ideal, group.elements()))
+        for cap in range(group.length[group.w0] + 1):
+            ideals = _capped_ideals(group, cap)
+            assert ideals == tuple(capped_ideal_by_prefix(group, w, cap)
+                                   for w in group.elements())
+
+
 def test_pair_count_is_the_capped_pair_list_length(a3, a4, i2_groups):
     for group in (a3, a4, i2_groups[7]):
         for cap in (None, *range(group.length[group.w0] + 1)):
@@ -261,11 +291,12 @@ def test_th1_monotone_counts_a_planted_violation_per_pair(cap, a3, pid, monkeypa
     # a size raised at one element decreases along its upper covers; the FAIL
     # line counts the violating pairs as a per-pair oracle does
     planted = pid(a3, "2143")
-    size = RContext.bruhat_size
-    monkeypatch.setattr(RContext, "bruhat_size",
-                        lambda self, u, w: 99 if w == planted else size(self, u, w))
-    monkeypatch.setattr(suite, "_ENVS", {})
     sizes = {v: RContext(a3).bruhat_size(a3.identity, v) for v in a3.elements()}
+    sizes[planted] = 99
+    lower_sizes = RContext.lower_sizes
+    monkeypatch.setattr(RContext, "lower_sizes", lambda self, members: [
+        99 if v == planted else size for v, size in zip(members, lower_sizes(self, members))])
+    monkeypatch.setattr(suite, "_ENVS", {})
     pairs = [(u, w) for u, w in a3.comparable_pairs()
              if cap is None or a3.length[w] - a3.length[u] <= cap]
     bad = size_violations(sizes, pairs)
@@ -452,7 +483,8 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 # SHA-256 of stdout, recorded before the change each entry guards: the
 # first three before the Bruhat order rewrite, the next five before the
 # memo snapshot, the check table and the interval report class were
-# removed, the last two before the one-pass upper-Boolean sweep
+# removed, two before the one-pass upper-Boolean sweep, and the two scans
+# at the end before lower-interval sums read the lower rows
 GOLDEN_STDOUT_SHA256 = {
     ("scan", "--group", "A4", "--exhaustive"):
         "ce22376a08e93292e718e391d938e44d7cddb992bee7186f2bdedd6b8df9a728",
@@ -507,7 +539,21 @@ GOLDEN_STDOUT_SHA256 = {
         "52c5b9ef19babe6a87efe7fdefa7ab4388a1aeb8de5cf6c5eacc30ba9a63e6ea",
     ("interval", "--group", "A5", "--u", "213456", "--w", "654321"):
         "aa578061c313acdb99ce23118846899fcacdd1f2f7236b7b337848ce5a3c33fc",
+    # lower-interval sums and the edge tally: every lower interval of A4,
+    # and a sampled scan of A5 with its probe pair
+    ("scan", "--group", "A4"):
+        "a8d8308275651790b03cd201ec47a5508b8182be758e921e2d941d72082522b0",
+    ("scan", "--group", "A5", "--seed", "1"):
+        "ec66d83d59932f9d8bb81552691a92379af1ad35658312b1ac7c719dba94e564",
 }
+
+
+def test_scan_stdout_does_not_depend_on_the_worker_count():
+    runs = [run_cli(["scan", "--group", "A5", "--workers", str(workers)])
+            for workers in (1, 2)]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["intervals_checked"] == 501
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN_STDOUT_SHA256), ids=" ".join)
