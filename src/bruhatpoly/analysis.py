@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, islice, zip_longest
+from itertools import combinations, compress, count, islice, zip_longest
 from operator import and_, attrgetter, eq, gt, lt
 from typing import Iterable, Optional, Sequence
 
@@ -259,11 +259,9 @@ class DeodharVerdict:
         )
 
 
-def deodhar_check(ctx: RContext, u: int, w: int) -> DeodharVerdict:
-    """Both degree inequalities for one interval, with strictness records."""
-    g = ctx.group
-    graph = build_graph(g, g.interval(u, w))
-    ell = graph.interval.ell
+def deodhar_check(ctx: RContext, graph: BruhatGraph) -> DeodharVerdict:
+    """Both degree inequalities for the interval of ``graph``, with strictness records."""
+    u, w, ell = graph.interval.bottom, graph.interval.top, graph.interval.ell
     vec = f_tilde_vector(ctx, u, w)
     f1 = vec[1] if ell >= 1 else 0
     f2 = vec[2] if ell >= 2 else 0
@@ -379,21 +377,11 @@ PATTERNS = ("3412", "4231")
 
 
 def pattern_contains(perm: Sequence[int], pattern: str) -> bool:
-    """Containment of 3412 or 4231, by the explicit index conditions."""
+    """Containment of 3412 or 4231, tested on every subsequence of four entries."""
     if pattern not in PATTERNS:
         raise ValueError(f"pattern must be one of {PATTERNS}")
-    n = len(perm)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    if pattern == "3412":
-                        if perm[k] < perm[l] < perm[i] < perm[j]:
-                            return True
-                    else:
-                        if perm[l] < perm[j] < perm[k] < perm[i]:
-                            return True
-    return False
+    return any(c < d < a < b if pattern == "3412" else d < b < c < a
+               for a, b, c, d in combinations(perm, 4))
 
 
 def is_singular(perm: Sequence[int]) -> bool:
@@ -493,10 +481,9 @@ class FourWayVerdict:
         return all(votes) or not any(votes)
 
 
-def four_way_regularity(ctx: RContext, w: int) -> FourWayVerdict:
-    """All regularity criteria for the lower interval of w, side by side."""
-    g = ctx.group
-    graph = build_graph(g, g.interval(g.identity, w))
+def four_way_regularity(ctx: RContext, graph: BruhatGraph) -> FourWayVerdict:
+    """All regularity criteria for the lower interval [e, w] of ``graph``, side by side."""
+    g, w = ctx.group, graph.interval.top
     _, avg_equal = carrell_peterson_equal(ctx, w)
     pattern: Optional[bool] = None
     if g.descriptor.family == "A":

@@ -2,7 +2,8 @@
 
 Each check sweeps a deterministic scope (all intervals for small groups,
 lower intervals once the group passes 48 elements) and reports one
-pass/fail line. Heavy per-item sweeps can be spread over worker processes:
+pass/fail line; the checks that read an interval's Bruhat graph share one
+sweep and one graph per interval. Sweeps can be spread over worker processes:
 every worker rebuilds the group from its spec string, the item list is
 chunked in a fixed order and results are concatenated in submission
 order, so the output is identical for any worker count.
@@ -18,7 +19,7 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from . import analysis
@@ -106,7 +107,7 @@ def _pool_size(workers: int, cpus: Optional[int], items: int) -> int:
 
 def _pmap(spec: str, task: Callable, items: Sequence, workers: int) -> list:
     """``task(env, item)`` for every item, in order; ``task`` must be a
-    module-level function, which pickles by reference."""
+    module-level function or a partial of one, which pickles by reference."""
     processes = _pool_size(workers, os.cpu_count(), len(items))
     if processes <= 1:
         return _run_chunk(spec, task, items)
@@ -117,12 +118,9 @@ def _pmap(spec: str, task: Callable, items: Sequence, workers: int) -> list:
     # warm the parent: forked workers inherit its environment, workers
     # started any other way build their own on first use
     _environment(spec)
-    results: list = []
     with ProcessPoolExecutor(max_workers=processes, mp_context=_POOL_CONTEXT) as pool:
         futures = [pool.submit(_run_chunk, spec, task, c) for c in chunks]
-        for fut in futures:
-            results.extend(fut.result())
-    return results
+        return [result for fut in futures for result in fut.result()]
 
 
 # -- task functions (module level, so that they pickle) -----------------------------
@@ -140,50 +138,66 @@ def _task_th4_pair(env: dict, pair: tuple[int, int]) -> bool:
     return ok
 
 
-def _task_oracle_pair(env: dict, pair: tuple[int, int]) -> bool:
-    group: GroupTable = env["group"]
+def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
+    return analysis.conjecture_violation(env["ctx"], pair[0], pair[1])
+
+
+# -- per-interval tests, called as (env, u, w, graph) -------------------------------
+
+
+def _th2(env: dict, u: int, w: int, graph: Callable) -> bool:
+    _, fired = analysis.shifted_average_fires(env["ctx"], w)
+    return not fired or not analysis.is_regular(graph())
+
+
+def _th3(env: dict, u: int, w: int, graph: Callable) -> bool:
+    verdict = analysis.deodhar_check(env["ctx"], graph())
+    return verdict.f1_holds and verdict.f2_holds and verdict.consistent
+
+
+def _el_unique(env: dict, u: int, w: int, graph: Callable) -> bool:
+    return all(count_increasing_chains(graph(), u, w, order) == (1, True)
+               for order in env["orders"])
+
+
+def _oracle_eq(env: dict, u: int, w: int, graph: Callable) -> bool:
     ctx: RContext = env["ctx"]
-    u, w = pair
-    graph = build_graph(group, group.interval(u, w))
-    rt = ctx.rtilde(u, w)
-    sh = ctx.shifted(u, w)
+    rt, sh = ctx.rtilde(u, w), ctx.shifted(u, w)
     for order in env["orders"]:
         # one listing per (interval, order) feeds both path sums
-        paths = increasing_paths(graph, u, w, order)
+        paths = increasing_paths(graph(), u, w, order)
         if rtilde_via_paths(paths) != rt or shifted_r_via_weights(paths) != sh:
             return False
     return reassemble_r(ctx.gamma_vector(u, w)) == ctx.r(u, w)
 
 
-def _task_el_pair(env: dict, pair: tuple[int, int]) -> bool:
+def _cp_fourway(env: dict, u: int, w: int, graph: Callable) -> bool:
+    return analysis.four_way_regularity(env["ctx"], graph()).agree
+
+
+# check -> (test, lower intervals only, pass detail, fail detail), in canonical
+# order; graph() gives the Bruhat graph of [u, w], built on the first call
+_INTERVAL_TESTS: dict[str, tuple[Callable, bool, str, str]] = {
+    "th2": (_th2, True, "fired averages all irregular", "criterion misfired"),
+    "th3": (_th3, False, "both degree inequalities hold", "inequality failed"),
+    "el-unique": (_el_unique, False, "unique lex-first increasing chain", "uniqueness failed"),
+    "oracle-eq": (_oracle_eq, False, "recursions match path enumeration", "oracle mismatch"),
+    "cp-fourway": (_cp_fourway, True, "all regularity criteria agree", "criteria disagree"),
+}
+
+
+def _task_interval(names: tuple[str, ...], env: dict, pair: tuple[int, int]) -> list:
+    """(passed, wall seconds) per named test on [u, w], None where a lower-only
+    test meets u != e; a graph build counts toward the first test that reads it."""
     group: GroupTable = env["group"]
     u, w = pair
-    graph = build_graph(group, group.interval(u, w))
-    return all(count_increasing_chains(graph, u, w, order) == (1, True)
-               for order in env["orders"])
-
-
-def _task_fourway_w(env: dict, w: int) -> bool:
-    return analysis.four_way_regularity(env["ctx"], w).agree
-
-
-def _task_th2_w(env: dict, w: int) -> bool:
-    ctx: RContext = env["ctx"]
-    group: GroupTable = env["group"]
-    _, fired = analysis.shifted_average_fires(ctx, w)
-    if not fired:
-        return True
-    graph = build_graph(group, group.interval(group.identity, w))
-    return not analysis.is_regular(graph)
-
-
-def _task_deodhar_pair(env: dict, pair: tuple[int, int]) -> bool:
-    verdict = analysis.deodhar_check(env["ctx"], pair[0], pair[1])
-    return verdict.f1_holds and verdict.f2_holds and verdict.consistent
-
-
-def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
-    return analysis.conjecture_violation(env["ctx"], pair[0], pair[1])
+    graph = cache(lambda: build_graph(group, group.interval(u, w)))
+    outcomes = []
+    for test, lower_only, _, _ in map(_INTERVAL_TESTS.__getitem__, names):
+        started = time.perf_counter()
+        outcomes.append(None if lower_only and u != group.identity else
+                        (test(env, u, w, graph), time.perf_counter() - started))
+    return outcomes
 
 
 # -- scopes -------------------------------------------------------------------------
@@ -297,28 +311,21 @@ def _check_th4(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
                        "shifted polynomials inside dihedral bounds" if ok else "bound failed")
 
 
-# check -> (scope, task, pass detail, fail detail). The scope is named, not
-# held, so that it is looked up in this module when the check runs.
-_SWEEPS: dict[str, tuple[str, Callable, str, str]] = {
-    "th2": ("_lower_scope", _task_th2_w,
-            "fired averages all irregular", "criterion misfired"),
-    "th3": ("_interval_scope", _task_deodhar_pair,
-            "both degree inequalities hold", "inequality failed"),
-    "el-unique": ("_interval_scope", _task_el_pair,
-                  "unique lex-first increasing chain", "uniqueness failed"),
-    "oracle-eq": ("_interval_scope", _task_oracle_pair,
-                  "recursions match path enumeration", "oracle mismatch"),
-    "cp-fourway": ("_lower_scope", _task_fourway_w,
-                   "all regularity criteria agree", "criteria disagree"),
-}
-
-
-def _check_sweep(name: str, spec: str, workers: int, cap: Optional[int]) -> CheckResult:
-    """Run one task of ``_SWEEPS`` over its scope; pass when every item passes."""
-    scope, task, passed, failed = _SWEEPS[name]
-    items = globals()[scope](_environment(spec)["group"], cap)
-    ok = all(_pmap(spec, task, items, workers))
-    return CheckResult(name, ok, len(items), passed if ok else failed)
+def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
+                     cap: Optional[int]) -> dict[str, CheckResult]:
+    """The named per-interval tests in one sweep over ``_interval_scope``; each
+    passes when it passes on every interval it takes, and its scope and time
+    count those intervals and sum its times on them."""
+    pairs = _interval_scope(_environment(spec)["group"], cap)
+    outcomes = _pmap(spec, partial(_task_interval, names), pairs, workers)
+    results = {}
+    for name, column in zip(names, zip(*outcomes)):
+        ran = [o for o in column if o is not None]
+        ok = all(passed for passed, _ in ran)
+        pass_detail, fail_detail = _INTERVAL_TESTS[name][2:]
+        results[name] = CheckResult(name, ok, len(ran), pass_detail if ok else fail_detail,
+                                    sum(seconds for _, seconds in ran))
+    return results
 
 
 def _check_obs(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
@@ -336,9 +343,8 @@ def _check_gen_func(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
                        f"series matches recursion through n={GEN_FUNC_DEPTH}" if ok else "series mismatch")
 
 
-# every check, called as (spec, workers, cap)
+# every check outside _INTERVAL_TESTS, called as (spec, workers, cap)
 _CHECKS: dict[str, Callable[[str, int, Optional[int]], CheckResult]] = {
-    **{name: partial(_check_sweep, name) for name in _SWEEPS},
     "th1-monotone": _check_th1_monotone,
     "th1-odd": _check_th1_odd,
     "th4-bounds": _check_th4,
@@ -357,20 +363,27 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     keep length(w) - length(u) <= cap, lower intervals [e, w] keep
     length(w) <= cap. Capped runs are flagged as partial in the rendered
     output. ``group`` is the already enumerated table for ``spec``, if any.
-    Each result carries the wall time of its check.
+    Each result carries the wall time of its check; the checks of
+    ``_INTERVAL_TESTS`` run as one sweep, at the place of the first of them.
     """
     selected = tuple(checks) if checks else CHECK_NAMES
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
     _environment(spec, group)
+    swept: dict[str, CheckResult] = {}
     results: list[CheckResult] = []
     for name in CHECK_NAMES:
         if name not in selected:
             continue
-        started = time.perf_counter()
-        result = _CHECKS[name](spec, workers, max_interval_len)
-        results.append(replace(result, seconds=time.perf_counter() - started))
+        if name in _INTERVAL_TESTS:
+            swept = swept or _check_intervals(tuple(n for n in _INTERVAL_TESTS if n in selected),
+                                              spec, workers, max_interval_len)
+            results.append(swept[name])
+        else:
+            started = time.perf_counter()
+            result = _CHECKS[name](spec, workers, max_interval_len)
+            results.append(replace(result, seconds=time.perf_counter() - started))
     return results
 
 

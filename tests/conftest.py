@@ -1,6 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from bruhatpoly import CoxeterDescriptor, RContext, enumerate_group
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """The environment for a subprocess, with the source tree first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

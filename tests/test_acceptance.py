@@ -32,6 +32,7 @@ from bruhatpoly import (
 )
 from bruhatpoly import analysis, suite
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, average, monomial, size
+from conftest import src_env
 from oracles import double_r_at, el_holds
 from test_rpoly import S4_CLASSES
 
@@ -232,7 +233,7 @@ def test_c08_el_check_rejects_a_non_reflection_order(a3):
         verdicts = []
         for u, w in a3.comparable_pairs():
             graph = build_graph(a3, a3.interval(u, w))
-            verdicts.append(suite._task_el_pair(env, (u, w)))
+            verdicts.append(suite._el_unique(env, u, w, lambda: graph))
             assert verdicts[-1] == el_holds(graph, u, w, order)
         assert any(verdicts) and not all(verdicts)
 
@@ -242,7 +243,8 @@ def test_c09_four_way_regularity(a3, a3_ctx, a4, a4_ctx):
         start = time.perf_counter()
         for ctx in (a3_ctx, a4_ctx):
             for w in ctx.group.elements():
-                verdict = analysis.four_way_regularity(ctx, w)
+                graph = build_graph(ctx.group, ctx.group.interval(ctx.group.identity, w))
+                verdict = analysis.four_way_regularity(ctx, graph)
                 assert verdict.agree
                 assert verdict.pattern_smooth is not None
         assert time.perf_counter() - start < 300.0
@@ -254,7 +256,7 @@ def test_c10_deodhar_suite(a3, a3_ctx, a4, a4_ctx, pid):
                   (a4_ctx, [(a4.identity, w) for w in a4.elements()])]
         for ctx, pairs in scopes:
             for u, w in pairs:
-                v = analysis.deodhar_check(ctx, u, w)
+                v = analysis.deodhar_check(ctx, build_graph(ctx.group, ctx.group.interval(u, w)))
                 assert v.f1_holds
                 assert v.f2_holds
                 assert v.f1_strict == (not v.boolean_regular)
@@ -347,7 +349,7 @@ def test_c14_verify_determinism_across_workers():
             proc = subprocess.run(
                 [sys.executable, "-m", "bruhatpoly", "verify", "--group", "A3",
                  "--workers", str(workers)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=src_env(),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)

@@ -301,13 +301,15 @@ def test_p1_p2_sum_is_order_invariant(a3, a3_ctx):
 
 
 def test_deodhar_examples(a3, a3_ctx, i2_ctxs, pid):
-    v = analysis.deodhar_check(a3_ctx, a3.identity, pid(a3, "3412"))
+    graph = build_graph(a3, a3.interval(a3.identity, pid(a3, "3412")))
+    v = analysis.deodhar_check(a3_ctx, graph)
     assert v.f1 == 5 > 4 and v.f1_strict
     assert v.f2 == 8 > 6 and v.f2_strict
     assert not v.degree_regular and not v.boolean_regular
     assert v.consistent
     ctx5 = i2_ctxs[5]
-    v5 = analysis.deodhar_check(ctx5, ctx5.group.identity, ctx5.group.w0)
+    g5 = ctx5.group
+    v5 = analysis.deodhar_check(ctx5, build_graph(g5, g5.interval(g5.identity, g5.w0)))
     assert v5.f1 == 5 == v5.ell and not v5.f1_strict
     assert v5.boolean_regular and v5.consistent
 
@@ -318,7 +320,7 @@ def test_deodhar_on_boolean_intervals(a3, a3_ctx):
         interval = a3.interval(u, w)
         if analysis.is_boolean_interval(a3, interval):
             found += 1
-            v = analysis.deodhar_check(a3_ctx, u, w)
+            v = analysis.deodhar_check(a3_ctx, build_graph(a3, interval))
             assert v.f1 == v.ell
             assert v.f2 == math.comb(v.ell, 2)
             assert v.boolean_regular
@@ -327,7 +329,7 @@ def test_deodhar_on_boolean_intervals(a3, a3_ctx):
 
 def test_deodhar_suite_all_s4(a3, a3_ctx):
     for u, w in a3.comparable_pairs():
-        v = analysis.deodhar_check(a3_ctx, u, w)
+        v = analysis.deodhar_check(a3_ctx, build_graph(a3, a3.interval(u, w)))
         assert v.f1_holds and v.f2_holds and v.consistent
 
 
@@ -461,7 +463,8 @@ def test_singularity_matches_irregularity(a3, a3_ctx):
 def test_four_way_agreement_s4(a3, a3_ctx):
     irregular = []
     for w in a3.elements():
-        verdict = analysis.four_way_regularity(a3_ctx, w)
+        graph = build_graph(a3, a3.interval(a3.identity, w))
+        verdict = analysis.four_way_regularity(a3_ctx, graph)
         assert verdict.agree
         if not verdict.degree_regular:
             irregular.append(a3.display(w))

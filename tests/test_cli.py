@@ -13,12 +13,13 @@ from bruhatpoly import (CoxeterDescriptor, GroupTable, RContext, analysis, cli,
 from bruhatpoly.cli import INTERNAL_ERROR, main
 from bruhatpoly.suite import (_capped_ideals, _comparable_pairs, _pair_count, _pool_size,
                               _reduced_pairs)
+from conftest import src_env
 from oracles import capped_ideal_by_prefix, dot_leq, inversions, size_violations, th4_all_pairs
 
 
 def run_cli(args, **kwargs):
     return subprocess.run([sys.executable, "-m", "bruhatpoly", *args],
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True, env=src_env(), **kwargs)
 
 
 def capture(capsys, args):
@@ -102,6 +103,14 @@ def test_huge_type_a_rank_is_usage_error():
     proc = run_cli(["table", "--table", "r-polys", "--group", "A1000000"], timeout=20)
     assert proc.returncode == 2
     assert "has order above the cap 1000000" in proc.stderr
+
+
+def test_dihedral_table_above_its_cap_is_usage_error():
+    # one row past the cap; without the refusal it would exit 0
+    proc = run_cli(["table", "--table", "dihedral", "--max-n", str(cli.DIHEDRAL_MAX_N + 1)],
+                   timeout=20)
+    assert proc.returncode == 2
+    assert f"--max-n {cli.DIHEDRAL_MAX_N + 1} is above the cap {cli.DIHEDRAL_MAX_N}" in proc.stderr
 
 
 def test_long_w0_verifies_without_recursion_limit():
@@ -316,7 +325,8 @@ def test_th1_monotone_counts_a_planted_violation_per_pair(cap, a3, pid, monkeypa
 def test_verify_reports_each_check_on_stderr():
     # one stderr line per selected check after the total line, with its wall
     # time and scope; stdout does not depend on the worker count
-    checks = ["th1-monotone", "th3", "th4-bounds", "obs-sum"]
+    checks = ["th1-monotone", "th2", "th3", "th4-bounds", "el-unique", "oracle-eq",
+              "cp-fourway", "obs-sum"]
     runs = [run_cli(["verify", "--group", "A4", "--suite", ",".join(checks),
                      "--workers", str(workers)]) for workers in (1, 2)]
     assert [p.returncode for p in runs] == [0, 0]

@@ -1,12 +1,13 @@
 """Each demo script runs to completion and prints the output it always has."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,8 +29,7 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DEMO_STDOUT_SHA256))
 def test_demo_stdout(name):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[name]

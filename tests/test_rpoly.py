@@ -1,8 +1,6 @@
 import itertools
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -23,6 +21,7 @@ from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
 from bruhatpoly.cli import _r_classes
 from bruhatpoly.coxeter import GroupTable
 from bruhatpoly.rpoly import _RULES
+from conftest import src_env
 from oracles import (descent_leq, double_r_at, fibonacci_rec, form_product, generator_ids,
                      r_by_recursion, shift_plus_one)
 
@@ -341,8 +340,6 @@ def test_family_fill_does_not_recurse():
         r, rtilde = ctx.r(s1, group.w0), ctx.rtilde(s1, group.w0)
         assert r.degree == rtilde.degree == 299 and r(1) == 0
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr

@@ -4,10 +4,13 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
+import pytest
+
 import bruhatpoly
-from bruhatpoly import RContext, suite
+from bruhatpoly import RContext, graph, suite
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -76,3 +79,31 @@ def test_th4_bounds_keeps_one_memo_entry_per_reduced_pair(monkeypatch):
     [result] = suite.run_suite("A5", ["th4-bounds"])
     assert result.passed
     assert len(suite._ENVS["A5"]["ctx"]._memo["shifted"]) == 2_939
+
+
+def test_every_check_has_one_runner():
+    per_interval, whole = set(suite._INTERVAL_TESTS), set(suite._CHECKS)
+    assert per_interval.isdisjoint(whole)
+    assert per_interval | whole == set(suite.CHECK_NAMES)
+
+
+@pytest.mark.parametrize("spec, checks, builds", [
+    ("A4", None, 120),  # one per lower interval; 490 when each check built its own
+    ("A3", None, 213),  # one per comparable pair of the small-group scope
+    ("A4", ["th2"], 10),  # one per interval whose average fires
+])
+def test_the_interval_sweep_builds_each_graph_once(monkeypatch, spec, checks, builds):
+    # counted wherever build_graph is called from, in every module that imports it
+    calls = []
+    original = graph.build_graph
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bruhatpoly") and getattr(module, "build_graph", None) is original:
+            monkeypatch.setattr(module, "build_graph", counting)
+    monkeypatch.setattr(suite, "_ENVS", {})
+    assert all(r.passed for r in suite.run_suite(spec, checks))
+    assert len(calls) == builds
