@@ -150,20 +150,22 @@ def cmd_interval(args: argparse.Namespace) -> int:
 
 def _r_classes(ctx: RContext) -> list[dict]:
     group = ctx.group
+    r_row = ctx.lower_row("r", range(len(group)))
     by_poly: dict[tuple, list[int]] = {}
-    for v in group.elements():
-        by_poly.setdefault(ctx.r(group.identity, v).coeffs, []).append(v)
+    for v, value in enumerate(r_row):
+        by_poly.setdefault(value.coeffs, []).append(v)
+    firsts = [members[0] for members in by_poly.values()]
     rows = []
-    for coeffs, members in by_poly.items():
+    for (coeffs, members), size in zip(by_poly.items(), ctx.lower_sizes(firsts)):
         gamma = ctx.gamma_vector(group.identity, members[0])
         rows.append({
             "ell": gamma.coxeter_length,
             "absolute_length": gamma.absolute_length,
-            "members": [group.display(v) for v in sorted(members)],
+            "members": [group.display(v) for v in members],
             "gamma_form": gamma_form_text(gamma),
-            "r": ctx.r(group.identity, members[0]).text(),
+            "r": r_row[members[0]].text(),
             "coeffs": [str(c) for c in coeffs],
-            "size": ctx.bruhat_size(group.identity, members[0]),
+            "size": size,
         })
     rows.sort(key=lambda r: (r["ell"], r["absolute_length"], r["members"][0]))
     for i, row in enumerate(rows):

@@ -22,9 +22,14 @@ nonneg families live here too.
 
 Lower intervals read a second store: one lower row per family, a list
 indexed by element id whose entry x holds the value at (e, x). An entry is
-filled through the memo the first time a caller asks for it, so a short w
-fills only its own ideal; after that a sum over [e, w] or a size per
-element is a C-level ``map`` over the row, with no call per pair.
+filled the first time a caller asks for it, so a short w fills only its
+own ideal; after that a sum over [e, w] or a size per element is a C-level
+``map`` over the row, with no call per pair. Rows are filled by the second
+branch at u = e: for a right descent s of x, (e, x) combines (e, xs) and
+(s, xs), and (s, xs) is a row entry or zero when s is a left descent of xs
+(the left form of the first branch lowers it to (e, s*xs)) or is not in the
+support of xs (then s is not below xs). Few distinct operand pairs occur,
+so each family computes each pair's combination once.
 """
 
 from __future__ import annotations
@@ -100,12 +105,23 @@ class RContext:
         # per element, bit s is set iff s is a right descent, bit n + s iff a left one
         self._descents = tuple(sum(1 << s for s, x in enumerate(r + l) if length[x] < lv)
                                for r, l, lv in zip(group.right, group.left, length))
+        # per element, bit s is set iff the generator s is in its support (is below it)
+        support = [0] * len(group)
+        for w in range(1, len(group)):  # ids ascend with length, so ws comes first
+            s = group.first_right_descent(w)
+            support[w] = support[group.right[w][s]] | 1 << s
+        self._support = support
         self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {
             "r": {}, "rtilde": {}, "shifted": {}
         }
         # family -> its value at (e, x) by x, None where no caller asked yet
         self._rows: dict[str, list] = {}
-        # every memo value, by its coefficients: equal polynomials share one object
+        # family -> kernel value by the ids of its two operands, all of them kept
+        # alive in _interned (or ONE and ZERO), so an id stands for one value
+        self._kernels: dict[str, dict[tuple[int, int], IntPoly]] = {
+            "r": {}, "rtilde": {}, "shifted": {}
+        }
+        # every memo and row value, by its coefficients: equal polynomials share one object
         self._interned: dict[tuple[int, ...], IntPoly] = {}
         # analysis verdicts keyed by (question tag, *arguments), shared by the checks
         self.verdicts: dict[tuple, bool] = {}
@@ -187,15 +203,41 @@ class RContext:
     def lower_row(self, name: str, members: Sequence[int]) -> list:
         """The lower row of a family: ``row[x]`` is its value at (e, x).
 
-        Every x of ``members`` is filled, through the memo, if it is not
-        yet; entries that no caller has asked for stay None.
+        Every x of ``members`` is filled if it is not yet, in ascending id
+        order (so by length): the family's kernel on ``row[xs]`` and
+        ``row[s*xs]``, or on ``row[xs]`` and zero, for the first right descent
+        s of x that allows it (see the module docstring). An x that no descent
+        serves, or whose operands are still None, goes through the memo.
+        Entries that no caller has asked for stay None.
         """
         row = self._rows.get(name)
         if row is None:
             row = self._rows[name] = [None] * len(self.group)
-        e = self.group.identity
-        for x in compress(members, map(is_, map(row.__getitem__, members), repeat(None))):
-            row[x] = self._family(name, e, x)
+        g = self.group
+        e, n, right, left = g.identity, g.num_generators, g.right, g.left
+        descents, support, interned = self._descents, self._support, self._interned
+        step, kernel = _RULES[name][2], self._kernels[name]
+        for x in sorted(compress(members, map(is_, map(row.__getitem__, members), repeat(None)))):
+            value = None
+            todo = descents[x] & ((1 << n) - 1)  # the right descents of x
+            while todo:
+                s = (todo & -todo).bit_length() - 1
+                todo ^= 1 << s
+                xs = right[x][s]
+                if descents[xs] >> (n + s) & 1:
+                    b = row[left[xs][s]]
+                elif support[xs] >> s & 1:
+                    continue  # (s, xs) is a pair of its own: try the next descent
+                else:
+                    b = ZERO
+                a = row[xs]
+                if a is not None and b is not None:
+                    key = (id(a), id(b))
+                    if (value := kernel.get(key)) is None:
+                        value = step(a.coeffs, b.coeffs)
+                        value = kernel[key] = interned.setdefault(value.coeffs, value)
+                break
+            row[x] = self._family(name, e, x) if value is None else value
         return row
 
     def lower_sizes(self, members: Sequence[int]) -> list[int]:

@@ -55,6 +55,10 @@ SMALL_GROUP_LIMIT = 48
 
 GEN_FUNC_DEPTH = 20
 
+# the longest interval oracle-eq may take in a dihedral group: it lists the
+# increasing paths, about 2^m of them on [e, w0] in I2(m) (I2(24): 62 s)
+ORACLE_EQ_MAX_DIHEDRAL_LEN = 24
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -370,7 +374,14 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
-    _environment(spec, group)
+    group = _environment(spec, group)["group"]
+    longest, cap = group.length[group.w0], ORACLE_EQ_MAX_DIHEDRAL_LEN
+    if max_interval_len is not None:
+        longest = min(longest, max_interval_len)
+    if "oracle-eq" in selected and group.descriptor.family == "I2" and longest > cap:
+        raise ValueError(f"oracle-eq on {spec} would list the paths of intervals of length "
+                         f"{longest}, above ORACLE_EQ_MAX_DIHEDRAL_LEN = {cap}; pass "
+                         f"--max-interval-len {cap} or less, or leave oracle-eq out of --suite")
     swept: dict[str, CheckResult] = {}
     results: list[CheckResult] = []
     for name in CHECK_NAMES:

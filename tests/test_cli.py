@@ -113,6 +113,18 @@ def test_dihedral_table_above_its_cap_is_usage_error():
     assert f"--max-n {cli.DIHEDRAL_MAX_N + 1} is above the cap {cli.DIHEDRAL_MAX_N}" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [[], ["--suite", "oracle-eq", "--max-interval-len", "25"]])
+def test_oracle_eq_above_its_dihedral_cap_is_usage_error(argv):
+    # one past the cap; without the refusal oracle-eq would list about 2^30
+    # paths (I2:30 took 345 s and 732 MB) and the timeout fails it
+    cap = suite.ORACLE_EQ_MAX_DIHEDRAL_LEN
+    proc = run_cli(["verify", "--group", "I2:30"] + argv, timeout=20)
+    assert proc.returncode == 2
+    assert f"length {cap + 1 if argv else 30}, above ORACLE_EQ_MAX_DIHEDRAL_LEN = {cap}" \
+        in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_long_w0_verifies_without_recursion_limit():
     # the reduced words of w0 have 1200 letters; walking them must not
     # recurse once per letter

@@ -244,11 +244,15 @@ def test_table_r_polys_skips_order_tests_the_lifting_property_decides(monkeypatc
     # the memo keys reduced pairs (no shared left or right descent), which
     # took the traffic from 2,578 hits / 3,731 misses and 3,769 leq calls on
     # every pair of the plain recursion; with an order test per miss it was
-    # 5,070 leq calls
-    assert (ctx.hits, ctx.misses) == (1_952, 1_634)
-    assert len(calls) == 2_002
+    # 5,070 leq calls. It was 1,952 / 1,634 and 2,002 leq calls until the R
+    # row was filled from two row entries per x and the sizes were read
+    # from the rows, with only the x that no descent serves sent to the memo.
+    assert (ctx.hits, ctx.misses) == (644, 908)
+    assert len(calls) == 927
     memo, oracle = ctx._memo, {}
     assert memo["r"] and memo["shifted"]
+    for x, value in enumerate(ctx.lower_row("r", ())):
+        assert value == r_by_recursion(a5, a5.identity, x, oracle)
     for (u, w), value in memo["r"].items():
         assert value == r_by_recursion(a5, u, w, oracle)
     for (u, w), value in memo["shifted"].items():
@@ -343,3 +347,49 @@ def test_family_fill_does_not_recurse():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "I2:2", "I2:3", "I2:5", "I2:8"])
+def test_lower_rows_match_the_oracle_in_any_fill_order(spec):
+    # the row route fills x from two earlier entries; members that are not
+    # closed downward (w0 alone, one x at a time from the top) send x through
+    # the memo instead, and both must give the oracle's values
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    oracle, fresh = {}, RContext(group)
+    expected = {"r": [r_by_recursion(group, group.identity, x, oracle) for x in group.elements()]}
+    expected["shifted"] = list(map(shift_plus_one, expected["r"]))
+    expected["rtilde"] = [fresh.rtilde(group.identity, x) for x in group.elements()]
+    everything = list(group.elements())
+    orders = {  # each a list of lower_row calls
+        "ascending": [everything],
+        "descending": [everything[::-1]],
+        "one at a time from the top": [[x] for x in reversed(everything)],
+        "w0 alone": [[group.w0]],
+        "short prefix first": [[x for x in everything if group.length[x] <= 3], everything],
+    }
+    for order, calls in orders.items():
+        ctx = RContext(group)
+        for name, values in expected.items():
+            for members in calls:
+                row = ctx.lower_row(name, members)
+            asked = set().union(*calls)
+            for x, value in enumerate(row):
+                assert (value is None) == (x not in asked), (order, name, x)
+                assert value is None or value == values[x], (order, name, x)
+            # from the top no operand is filled yet, so every x takes the memo
+            from_top = order in ("one at a time from the top", "w0 alone")
+            assert bool(ctx._kernels[name]) != from_top, (order, name)
+
+
+def test_a5_lower_rows_take_the_row_route():
+    # a full fill of a row sends to the memo only the x that no right
+    # descent serves (the identity among them); the kernel results are few
+    # because the rows hold few distinct values
+    a5 = enumerate_group(CoxeterDescriptor("A", 5))
+    for name in _RULES:
+        ctx = RContext(a5)
+        family, calls = ctx._family, []
+        ctx._family = lambda *pair: calls.append(pair) or family(*pair)
+        ctx.lower_row(name, range(len(a5)))
+        assert len(calls) == 53, name
+        assert len(ctx._kernels[name]) == 93, name
