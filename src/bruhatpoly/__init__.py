@@ -18,10 +18,10 @@ from .coxeter import (
 from .graph import (
     BruhatGraph,
     BruhatPath,
+    IncreasingPathCounts,
     ReflectionOrder,
     absolute_distance,
     build_graph,
-    count_increasing_chains,
     default_reflection_order,
     distinct_reflection_orders,
     increasing_paths,

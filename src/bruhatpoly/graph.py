@@ -1,4 +1,4 @@
-"""Bruhat graphs on intervals, reflection orders and weighted path counting.
+"""Bruhat graphs on intervals, reflection orders and label-increasing paths.
 
 The directed Bruhat graph has an edge x -> y whenever y = x*t for a
 reflection t and the length goes up. The graph of an interval [u, w] keeps
@@ -9,23 +9,20 @@ total order on the reflection set whose restriction to every dihedral
 reflection subgroup is one of the two natural chains; such orders are built
 here from reduced words of the longest element.
 
-Paths are listed by one non-recursive depth-first walker behind two entry
-points (``increasing_paths``, ``short_paths``). Each call builds one table
-of every vertex's admissible out-edges: all edges or covering edges only,
-in target order or sorted by label rank. Dyer's EL
-property (exactly one label-increasing maximal chain per interval, and it
-is the lexicographically first) is checked without listing chains:
-``count_increasing_chains`` reads the same table of covering edges, counts
-the increasing chains by dynamic programming over (vertex, rank of the
-last label) and finds the lexicographically first chain greedily, one
-lowest-ranked cover at a time.
+``IncreasingPathCounts`` counts the label-increasing paths from one bottom
+to every element above it, by absolute length, in one pass over the whole
+group's up-edges; by Dyer's theorem these counts are the coefficients of
+R-tilde, and weighted they give the shifted R-polynomial. It also walks the
+lexicographically first maximal chain, for Dyer's EL property. One
+depth-first walker lists the paths of one interval's graph
+(``increasing_paths``, ``short_paths``), the reference in the tests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
@@ -50,7 +47,7 @@ __all__ = [
     "validate_reflection_order",
     "increasing_paths",
     "short_paths",
-    "count_increasing_chains",
+    "IncreasingPathCounts",
     "to_dot",
 ]
 
@@ -435,62 +432,104 @@ def short_paths(graph: BruhatGraph, u: int, w: int) -> list[BruhatPath]:
     return list(_walk(graph, u, w, None, True))
 
 
-# -- chain counting -------------------------------------------------------------
+# -- increasing paths from one bottom to every top --------------------------------
 
 
-def _cover_table(graph: BruhatGraph, w: int,
-                 order: ReflectionOrder) -> dict[int, list[tuple[int, int, int]]]:
-    """The walker's table of covering edges, without w."""
-    table = _edge_table(graph, order, short_only=True)
-    del table[w]
-    if not all(table.values()):
-        raise AssertionError("every element below the top of an interval has a cover in it")
-    return table
+def _fields(packed: int, width: int) -> tuple[int, ...]:
+    """The ``width``-bit fields of ``packed``, lowest first, without trailing zeros."""
+    out = []
+    while packed:
+        out.append(packed & (1 << width) - 1)
+        packed >>= width
+    return tuple(out)
 
 
-def _lex_first_chain(table: dict[int, list[tuple[int, int, int]]], u: int, w: int) -> list[int]:
-    """Label ranks of the lexicographically first maximal chain from u to w.
+class IncreasingPathCounts:
+    """Label-increasing paths from one bottom u to every w above it, in one pass.
 
-    The interval is graded and the out-edges of one vertex carry distinct
-    reflections, so the lowest-ranked cover at each step starts the
-    lexicographically first chain of what remains.
+    Every Bruhat edge goes up in Bruhat order, so all paths from u to w in
+    the graph of the whole group stay inside [u, w], and one pass over the
+    up-edges in id order (ids ascend with length) serves every [u, w]. A
+    vertex sorts the path sets that reach it by the rank of their last
+    label, with prefix sums; an out-edge of rank r carries on the prefix of
+    the ranks below r. Counts by absolute length are packed ``width`` bits
+    apart in one integer, as an increasing path is fixed by u and its label
+    set: no count passes 2^N for N reflections. The pass keeps its last
+    bottom and walks ids only up to the highest top asked.
     """
-    ranks = []
-    while u != w:
-        r, u, _ = table[u][0]
-        ranks.append(r)
-    return ranks
 
+    def __init__(self, group: GroupTable, order: ReflectionOrder) -> None:
+        self.group = group
+        self._columns = tuple(map(group.reflection_columns().__getitem__, order.sequence))
+        self._rows: list = [None] * len(group)  # x -> (ranks, targets) of its up-edges, by rank
+        self._width = len(order.sequence) + 1
+        self._bottom, self._next = None, 0  # the first id the pass has not visited
+        self._incoming: dict = {}  # vertex -> [(rank of the last label, packed counts)]
+        self._counts: dict = {}  # visited vertex -> its ``counts``
 
-def count_increasing_chains(graph: BruhatGraph, u: int, w: int,
-                            order: ReflectionOrder) -> tuple[int, bool]:
-    """Count the label-increasing maximal chains of [u, w] without listing them.
+    def _row(self, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if self._rows[x] is None:
+            length = self.group.length
+            up = [(r, y) for r, y in enumerate(col[x] for col in self._columns)
+                  if length[y] > length[x]]
+            self._rows[x] = tuple(zip(*up)) or ((), ())
+        return self._rows[x]
 
-    ``graph`` is the Bruhat graph of [u, w]. Returns the number of maximal
-    chains whose labels strictly increase in ``order``, and whether the
-    lexicographically first maximal chain is one of them; Dyer's EL property
-    of a reflection order is that the answer is (1, True) on every interval.
-    The count is a dynamic program over (vertex, rank of the last label)
-    along covering edges, run from the top down: ``tails[v][i]`` counts the
-    increasing chains from v to w that start with v's i-th cover or a later
-    one, so the chains from v after a label of rank r are ``tails[v][i]``
-    for the first cover i ranked above r.
-    """
-    table = _cover_table(graph, w, order)
-    tails: dict[int, list[int]] = {}
-    for v in reversed(graph.interval.members):  # members ascend in length
-        up = table.get(v)
-        if up is None:
-            continue
-        acc = [0] * (len(up) + 1)
-        for i in range(len(up) - 1, -1, -1):
-            r, x, _ = up[i]
-            after = 1 if x == w else tails[x][bisect_left(table[x], (r + 1,))]
-            acc[i] = acc[i + 1] + after
-        tails[v] = acc
-    count = 1 if u == w else tails[u][0]
-    first = _lex_first_chain(table, u, w)
-    return count, all(a < b for a, b in zip(first, first[1:]))
+    def counts(self, u: int, w: int) -> tuple[int, ...]:
+        """c_a, the number of increasing paths u -> w of absolute length a, by a
+        without trailing zeros: the coefficients of R-tilde(u, w) for a
+        reflection order (Dyer)."""
+        if u != self._bottom:
+            self._bottom, self._next, self._incoming, self._counts = u, u, {u: [(-1, 1)]}, {}
+        incoming, width = self._incoming, self._width
+        for x in range(self._next, w + 1):
+            entries = incoming.pop(x, None)
+            if entries is None:  # no increasing path reaches x
+                continue
+            entries.sort()
+            ranks = [r for r, _ in entries]
+            # sums[i]: the paths whose last label is among the i lowest, one edge longer
+            sums = list(accumulate([c << width for _, c in entries], initial=0))
+            self._counts[x] = _fields(sums[-1] >> width, width)
+            for r, y in zip(*self._row(x)):
+                if i := bisect_left(ranks, r):
+                    incoming.setdefault(y, []).append((r, sums[i]))
+        self._next = max(self._next, w + 1)
+        return self._counts.get(w, ())
+
+    def shifted(self, u: int, w: int) -> IntPoly:
+        """The sum of c_a (q+1)^((l-a)/2) q^a, the shifted R-polynomial for a
+        reflection order, evaluated at q = 2^(2 width) where no coefficient
+        carries into the next."""
+        ell, width = self.group.length[w] - self.group.length[u], 2 * self._width
+        return IntPoly(_fields(sum(c * ((1 << width) + 1) ** ((ell - a) // 2) << a * width
+                                   for a, c in enumerate(self.counts(u, w)) if c), width))
+
+    def lex_first(self, u: int, w: int) -> list[int]:
+        """Label ranks of the lexicographically first maximal chain of [u, w]:
+        the out-edges of a vertex carry distinct reflections, so its
+        lowest-ranked cover in the kept lower ideal of w comes first."""
+        length, ideal, first = self.group.length, self.group.lower_ideal(w), []
+        while u != w:
+            ranks, targets = self._row(u)
+            for i, y in enumerate(targets):
+                if length[y] == length[u] + 1 and (j := bisect_left(ideal, y)) < len(ideal) \
+                        and ideal[j] == y:
+                    break
+            else:
+                raise AssertionError("every element below the top of an interval has a cover in it")
+            first.append(ranks[i])
+            u = y
+        return first
+
+    def increasing_chains(self, u: int, w: int) -> tuple[int, bool]:
+        """The number of increasing maximal chains of [u, w] (paths of absolute
+        length l(w) - l(u)), and whether the lexicographically first maximal
+        chain is one; Dyer's EL property is (1, True) on every interval."""
+        counts, first = self.counts(u, w), self.lex_first(u, w)
+        ell = self.group.length[w] - self.group.length[u]
+        return (counts[ell] if 0 <= ell < len(counts) else 0,
+                all(a < b for a, b in zip(first, first[1:])))
 
 
 def to_dot(graph: BruhatGraph, name: str = "bruhat") -> str:

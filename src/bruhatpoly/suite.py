@@ -2,8 +2,10 @@
 
 Each check sweeps a deterministic scope (all intervals for small groups,
 lower intervals once the group passes 48 elements) and reports one
-pass/fail line; the checks that read an interval's Bruhat graph share one
-sweep and one graph per interval. Sweeps can be spread over worker processes:
+pass/fail line. The per-interval checks share one sweep; those that read an
+interval's Bruhat graph share one graph per interval, and el-unique and
+oracle-eq share one increasing-path pass per bottom and reflection order,
+over the whole group. Sweeps can be spread over worker processes:
 every worker rebuilds the group from its spec string, the item list is
 chunked in a fixed order and results are concatenated in submission
 order, so the output is identical for any worker count.
@@ -24,9 +26,8 @@ from typing import Callable, Optional, Sequence
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
-from .graph import (build_graph, count_increasing_chains, distinct_reflection_orders,
-                    increasing_paths)
-from .rpoly import RContext, reassemble_r, rtilde_via_paths, shifted_r_via_weights
+from .graph import IncreasingPathCounts, build_graph, distinct_reflection_orders
+from .rpoly import RContext, reassemble_r
 
 __all__ = [
     "CHECK_NAMES",
@@ -55,10 +56,6 @@ SMALL_GROUP_LIMIT = 48
 
 GEN_FUNC_DEPTH = 20
 
-# the longest interval oracle-eq may take in a dihedral group: it lists the
-# increasing paths, about 2^m of them on [e, w0] in I2(m) (I2(24): 62 s)
-ORACLE_EQ_MAX_DIHEDRAL_LEN = 24
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -75,7 +72,8 @@ _ENVS: dict[str, dict] = {}
 
 
 def _environment(spec: str, group: Optional[GroupTable] = None) -> dict:
-    """The per-process group, memo context and reflection orders of ``spec``.
+    """The per-process group, memo context and reflection orders of ``spec``
+    (and, once el-unique or oracle-eq asks, their path passes).
 
     ``group`` is an already enumerated table for ``spec``; without one the
     group is enumerated here on first use.
@@ -159,19 +157,24 @@ def _th3(env: dict, u: int, w: int, graph: Callable) -> bool:
     return verdict.f1_holds and verdict.f2_holds and verdict.consistent
 
 
+def _path_counts(env: dict) -> list[IncreasingPathCounts]:
+    """One increasing-path pass per reflection order, made on first use; each
+    keeps its last bottom, and the sweep asks for the bottoms in order."""
+    if "paths" not in env:
+        env["paths"] = [IncreasingPathCounts(env["group"], order) for order in env["orders"]]
+    return env["paths"]
+
+
 def _el_unique(env: dict, u: int, w: int, graph: Callable) -> bool:
-    return all(count_increasing_chains(graph(), u, w, order) == (1, True)
-               for order in env["orders"])
+    return all(paths.increasing_chains(u, w) == (1, True) for paths in _path_counts(env))
 
 
 def _oracle_eq(env: dict, u: int, w: int, graph: Callable) -> bool:
     ctx: RContext = env["ctx"]
     rt, sh = ctx.rtilde(u, w), ctx.shifted(u, w)
-    for order in env["orders"]:
-        # one listing per (interval, order) feeds both path sums
-        paths = increasing_paths(graph(), u, w, order)
-        if rtilde_via_paths(paths) != rt or shifted_r_via_weights(paths) != sh:
-            return False
+    if any(paths.counts(u, w) != rt.coeffs or paths.shifted(u, w) != sh
+           for paths in _path_counts(env)):
+        return False
     return reassemble_r(ctx.gamma_vector(u, w)) == ctx.r(u, w)
 
 
@@ -374,14 +377,7 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
-    group = _environment(spec, group)["group"]
-    longest, cap = group.length[group.w0], ORACLE_EQ_MAX_DIHEDRAL_LEN
-    if max_interval_len is not None:
-        longest = min(longest, max_interval_len)
-    if "oracle-eq" in selected and group.descriptor.family == "I2" and longest > cap:
-        raise ValueError(f"oracle-eq on {spec} would list the paths of intervals of length "
-                         f"{longest}, above ORACLE_EQ_MAX_DIHEDRAL_LEN = {cap}; pass "
-                         f"--max-interval-len {cap} or less, or leave oracle-eq out of --suite")
+    _environment(spec, group)
     swept: dict[str, CheckResult] = {}
     results: list[CheckResult] = []
     for name in CHECK_NAMES:

@@ -291,6 +291,19 @@ def smallest_rank_word(chains, order) -> tuple[int, ...]:
     return min(tuple(map(rank, c.labels)) for c in chains)
 
 
+def smallest_rank_word_top_down(graph, u: int, w: int, order) -> tuple[int, ...]:
+    """``smallest_rank_word`` without listing the chains: from the top of the
+    graph's interval down, each vertex keeps its smallest word to w."""
+    length, rank = graph.group.length, order.rank
+    best = {w: ()}
+    for x in reversed(graph.interval.members):  # members ascend in length
+        words = [(rank[t],) + best[y] for y, t in graph.out_edges[x]
+                 if length[y] == length[x] + 1]
+        if words:
+            best[x] = min(words)
+    return best[u]
+
+
 def el_holds(graph, u: int, w: int, order) -> bool:
     """Exactly one increasing maximal chain, and its rank word is the smallest."""
     increasing = increasing_paths(graph, u, w, order, short_only=True)

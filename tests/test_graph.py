@@ -7,11 +7,11 @@ import pytest
 
 from bruhatpoly import (
     CoxeterDescriptor,
+    IncreasingPathCounts,
     IntPoly,
     ReflectionOrder,
     absolute_distance,
     build_graph,
-    count_increasing_chains,
     default_reflection_order,
     distinct_reflection_orders,
     enumerate_group,
@@ -25,14 +25,14 @@ from bruhatpoly import (
 )
 from bruhatpoly.graph import (
     InvalidWordError,
-    _cover_table,
-    _lex_first_chain,
     _reduced_words_of_w0,
     lex_min_w0_word,
 )
 from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, average, size
+from bruhatpoly.rpoly import rtilde_via_paths, shifted_r_via_weights
 from bruhatpoly.suite import _interval_scope
-from oracles import edge_weight, naive_paths, smallest_rank_word
+from oracles import (edge_weight, el_holds, naive_paths, smallest_rank_word,
+                     smallest_rank_word_top_down)
 
 
 def lower_graph(group, w):
@@ -320,27 +320,70 @@ def test_chain_count_matches_enumeration(a1, a2, a3, a4, i2_groups):
     failing = 0
     for group in (a1, a2, a3, a4, i2_groups[3], i2_groups[5], i2_groups[8]):
         orders = distinct_reflection_orders(group) + [shuffled_order(group, 7)]
+        counters = [IncreasingPathCounts(group, order) for order in orders]
         for u, w in _interval_scope(group):
             g = build_graph(group, group.interval(u, w))
             chains = short_paths(g, u, w)
-            for order in orders:
-                count, first_increasing = count_increasing_chains(g, u, w, order)
+            for order, paths in zip(orders, counters):
+                count, first_increasing = paths.increasing_chains(u, w)
                 assert count == len(increasing_paths(g, u, w, order, short_only=True))
-                first = tuple(_lex_first_chain(_cover_table(g, w, order), u, w))
+                first = tuple(paths.lex_first(u, w))
                 assert first == smallest_rank_word(chains, order)
                 assert first_increasing == all(a < b for a, b in zip(first, first[1:]))
+                if order is orders[-1]:  # the shuffled one, where both verdicts occur
+                    assert ((count, first_increasing) == (1, True)) == el_holds(g, u, w, order)
                 failing += (count, first_increasing) != (1, True)
     assert failing > 0  # the shuffled orders exercise the failing side
 
 
 def test_chain_count_rejects_a_vertex_without_cover(a3, pid):
     w = pid(a3, "3412")
-    g = lower_graph(a3, w)
-    order = default_reflection_order(a3)
-    assert count_increasing_chains(g, a3.identity, w, order) == (1, True)
-    below = next(x for x in g.interval.members if any(y == w for y, _ in g.out_edges[x]))
+    paths = IncreasingPathCounts(a3, default_reflection_order(a3))
+    assert paths.increasing_chains(a3.identity, w) == (1, True)
+    # shorter than w but not below it: the walk up from it meets no cover below w
+    u = pid(a3, "4123")
+    assert a3.length[u] < a3.length[w] and not a3.leq(u, w)
     with pytest.raises(AssertionError):
-        count_increasing_chains(g, a3.identity, below, order)
+        paths.increasing_chains(u, w)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "I2:2", "I2:5", "I2:8", "A5"])
+def test_path_counts_match_the_listing(spec):
+    # every interval, or every lower interval of A5: one pass per bottom and
+    # order against one listing per (interval, order). The smallest rank word
+    # of the maximal chains is found from the top down, and checked against
+    # their listing except on A4 and A5, where they are too many to list.
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    pairs = ([(group.identity, w) for w in group.elements()] if spec == "A5"
+             else group.comparable_pairs())
+    shuffled = shuffled_order(group, 7)
+    orders = distinct_reflection_orders(group) + [shuffled]
+    counters = [IncreasingPathCounts(group, order) for order in orders]
+    failing = {order: ([], []) for order in orders}  # (by the pass, by the listing)
+    for u, w in pairs:
+        g = build_graph(group, group.interval(u, w))
+        chains = short_paths(g, u, w) if spec not in ("A4", "A5") else None
+        for order, paths in zip(orders, counters):
+            listed = increasing_paths(g, u, w, order)
+            assert paths.counts(u, w) == rtilde_via_paths(listed).coeffs
+            assert paths.shifted(u, w) == shifted_r_via_weights(listed)
+            count, first_increasing = paths.increasing_chains(u, w)
+            listed_chains = increasing_paths(g, u, w, order, short_only=True)
+            assert count == len(listed_chains)
+            first = smallest_rank_word_top_down(g, u, w, order)
+            if chains is not None:
+                assert first == smallest_rank_word(chains, order)
+            assert tuple(paths.lex_first(u, w)) == first
+            if (count, first_increasing) != (1, True):
+                failing[order][0].append((u, w))
+            if len(listed_chains) != 1 or any(a >= b for a, b in zip(first, first[1:])):
+                failing[order][1].append((u, w))
+    for order in orders:
+        by_pass, by_listing = failing[order]
+        assert by_pass == by_listing
+        assert bool(by_pass) == (not validate_reflection_order(group, order).ok)
+    if len(group.reflections) > 3:  # every order of I2(2) is valid, and so is A2's shuffle
+        assert failing[shuffled][0]
 
 
 def test_dot_export(a3, i2_groups, pid):

@@ -93,6 +93,7 @@ def test_every_check_has_one_runner():
     ("A4", None, 120),  # one per lower interval; 490 when each check built its own
     ("A3", None, 213),  # one per comparable pair of the small-group scope
     ("A4", ["th2"], 10),  # one per interval whose average fires
+    ("A4", ["el-unique", "oracle-eq"], 0),  # both count paths in the whole group
 ])
 def test_the_interval_sweep_builds_each_graph_once(monkeypatch, spec, checks, builds):
     # counted wherever build_graph is called from, in every module that imports it
