@@ -113,12 +113,14 @@ def test_dihedral_table_above_its_cap_is_usage_error():
     assert f"--max-n {cli.DIHEDRAL_MAX_N + 1} is above the cap {cli.DIHEDRAL_MAX_N}" in proc.stderr
 
 
-def test_oracle_eq_runs_on_long_dihedral_intervals():
+@pytest.mark.parametrize("argv", [[], ["--suite", "oracle-eq", "--max-interval-len", "25"]])
+def test_oracle_eq_runs_on_long_dihedral_intervals(argv):
     # the increasing paths of [e, w0] in I2(30) number about 2^30; listing them
-    # took 345 s and 732 MB, so the timeout fails a return to listing
-    proc = run_cli(["verify", "--group", "I2:30"], timeout=20)
+    # took 345 s and 732 MB, so the timeout fails a return to listing. Capped at
+    # length 25, the lower intervals are [e, e] and two of each length 1..25.
+    proc = run_cli(["verify", "--group", "I2:30"] + argv, timeout=20)
     assert proc.returncode == 0, proc.stderr
-    assert "oracle-eq: PASS (scope=60)" in proc.stdout
+    assert f"oracle-eq: PASS (scope={51 if argv else 60})" in proc.stdout
 
 
 def test_long_w0_verifies_without_recursion_limit():
