@@ -61,7 +61,7 @@ print(f"\nedges from the bottom: {analysis.f_tilde(ctx, e, w, 1)}; "
 print(f"q^2 coefficient of the interval sum: {analysis.f_tilde(ctx, e, w, 2)} "
       f"(= p1 + p2)")
 
-verdict = analysis.four_way_regularity(ctx, graph)
+verdict = analysis.four_way_regularity(ctx, w)
 print(f"\nregular by degrees? {verdict.degree_regular}")
 print(f"average criterion satisfied? {verdict.average_equal}")
 print(f"all upper subintervals Bruhat-Boolean? {verdict.upper_boolean}")

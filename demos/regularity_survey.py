@@ -8,7 +8,7 @@ edge-size tally that probe the open questions.
 
 from fractions import Fraction
 
-from bruhatpoly import CoxeterDescriptor, RContext, build_graph, enumerate_group
+from bruhatpoly import CoxeterDescriptor, RContext, enumerate_group
 from bruhatpoly import analysis
 from bruhatpoly.poly import average
 
@@ -17,8 +17,7 @@ ctx = RContext(group)
 
 print("w     | degrees | average | upper-Boolean | pattern | fired")
 for w in group.elements():
-    graph = build_graph(group, group.interval(group.identity, w))
-    v = analysis.four_way_regularity(ctx, graph)
+    v = analysis.four_way_regularity(ctx, w)
     _, fired = analysis.shifted_average_fires(ctx, w)
     assert v.agree
     if not v.degree_regular:

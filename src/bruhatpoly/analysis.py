@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, islice, zip_longest
-from operator import and_, attrgetter, eq, gt, lt
-from typing import Iterable, Optional, Sequence
+from operator import and_, attrgetter, eq, gt, itemgetter, lt
+from typing import Callable, Iterable, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
 from .graph import (
@@ -93,10 +93,33 @@ def poincare_average(ctx: RContext, w: int) -> Fraction:
 # -- regularity ----------------------------------------------------------------
 
 
-def is_regular(graph: BruhatGraph) -> bool:
-    """Every vertex has total (undirected) degree equal to the interval length."""
-    ell = graph.interval.ell
-    return all(graph.degree(v) == ell for v in graph.interval.members)
+def _degree(group: GroupTable, members: Iterable[int]) -> Callable[[int], int]:
+    """x -> #{t : xt in members}, the degree of x in the graph ``members`` induce."""
+    inside, columns = set(members).__contains__, tuple(group.reflection_columns().values())
+    return lambda x: sum(map(inside, map(itemgetter(x), columns)))
+
+
+def is_regular(ctx: RContext, u: int, w: int) -> bool:
+    """Whether every vertex of the Bruhat graph of [u, w] has degree ell(u, w).
+
+    Tests only the x with no descent in ``fixed``, the left and right
+    descents of w that u lacks; the verdict is kept on the context. Proof:
+    x -> xs and x -> sx map the edge {x, xt} to {xs, xs sts} and {sx, sx t}.
+    For s a right (left) descent of w that u lacks, they map [u, w] onto
+    itself by the lifting property (Bjorner-Brenti, Prop. 2.2.7). So the
+    degree is constant on W_I x W_J, with I and J the left and right
+    descents of w that u lacks, and the shortest element of each such
+    double coset has no descent in ``fixed``.
+    """
+    key = ("degree-regular", u, w)
+    verdict = ctx.verdicts.get(key)
+    if verdict is None:
+        g, descents = ctx.group, ctx._descents
+        members, ell = g.interval(u, w).members, g.length[w] - g.length[u]
+        fixed, degree = descents[w] & ~descents[u], _degree(g, members)
+        verdict = ctx.verdicts[key] = all(
+            degree(x) == ell for x in members if not descents[x] & fixed)
+    return verdict
 
 
 def carrell_peterson_equal(ctx: RContext, w: int) -> tuple[Fraction, bool]:
@@ -259,13 +282,14 @@ class DeodharVerdict:
         )
 
 
-def deodhar_check(ctx: RContext, graph: BruhatGraph) -> DeodharVerdict:
-    """Both degree inequalities for the interval of ``graph``, with strictness records."""
-    u, w, ell = graph.interval.bottom, graph.interval.top, graph.interval.ell
+def deodhar_check(ctx: RContext, u: int, w: int) -> DeodharVerdict:
+    """Both degree inequalities for [u, w], with strictness records."""
+    g = ctx.group
+    ell = g.length[w] - g.length[u]
     vec = f_tilde_vector(ctx, u, w)
     f1 = vec[1] if ell >= 1 else 0
     f2 = vec[2] if ell >= 2 else 0
-    if f1 != len(graph.out_edges[u]):
+    if f1 != _degree(g, g.interval(u, w).members)(u):  # every edge at u goes up
         raise AssertionError("q coefficient of the interval sum must be the out-degree")
     return DeodharVerdict(
         ell=ell,
@@ -273,7 +297,7 @@ def deodhar_check(ctx: RContext, graph: BruhatGraph) -> DeodharVerdict:
         f2=f2,
         f1_strict=f1 > ell,
         f2_strict=f2 > math.comb(ell, 2),
-        degree_regular=is_regular(graph),
+        degree_regular=is_regular(ctx, u, w),
         boolean_regular=regular_via_upper_boolean(ctx, u, w),
     )
 
@@ -481,16 +505,16 @@ class FourWayVerdict:
         return all(votes) or not any(votes)
 
 
-def four_way_regularity(ctx: RContext, graph: BruhatGraph) -> FourWayVerdict:
-    """All regularity criteria for the lower interval [e, w] of ``graph``, side by side."""
-    g, w = ctx.group, graph.interval.top
+def four_way_regularity(ctx: RContext, w: int) -> FourWayVerdict:
+    """All regularity criteria for the lower interval [e, w], side by side."""
+    g = ctx.group
     _, avg_equal = carrell_peterson_equal(ctx, w)
     pattern: Optional[bool] = None
     if g.descriptor.family == "A":
         pattern = not is_singular(g.forms[w])
     return FourWayVerdict(
         w=w,
-        degree_regular=is_regular(graph),
+        degree_regular=is_regular(ctx, g.identity, w),
         average_equal=avg_equal,
         upper_boolean=regular_via_upper_boolean(ctx, g.identity, w),
         pattern_smooth=pattern,
@@ -589,7 +613,7 @@ def interval_report(ctx: RContext, u: int, w: int,
     shifted = ctx.shifted(u, w)
     f_vec = f_tilde_vector(ctx, u, w)
     p1, p2 = p1_p2(ctx, graph, order)
-    regular = is_regular(graph)
+    regular = is_regular(ctx, u, w)
     regularity = {
         "regular": regular,
         "by_degrees": regular,

@@ -2,10 +2,10 @@
 
 Each check sweeps a deterministic scope (all intervals for small groups,
 lower intervals once the group passes 48 elements) and reports one
-pass/fail line. The per-interval checks share one sweep; those that read an
-interval's Bruhat graph share one graph per interval, and el-unique and
-oracle-eq share one increasing-path pass per bottom and reflection order,
-over the whole group. Sweeps can be spread over worker processes:
+pass/fail line. The per-interval checks share one sweep and build no Bruhat
+graph: th2, th3 and cp-fourway share the verdicts kept on the context, and
+el-unique and oracle-eq one increasing-path pass per bottom and reflection
+order, over the whole group. Sweeps can be spread over worker processes:
 every worker rebuilds the group from its spec string, the item list is
 chunked in a fixed order and results are concatenated in submission
 order, so the output is identical for any worker count.
@@ -14,19 +14,17 @@ order, so the output is identical for any worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
-from .graph import IncreasingPathCounts, build_graph, distinct_reflection_orders
+from .graph import IncreasingPathCounts, distinct_reflection_orders
 from .rpoly import RContext, reassemble_r
 
 __all__ = [
@@ -96,11 +94,6 @@ def _run_chunk(spec: str, task: Callable, chunk: list) -> list:
     return [task(env, item) for item in chunk]
 
 
-# fork where the platform has it, so workers inherit the parent's environment
-_POOL_CONTEXT = (multiprocessing.get_context("fork")
-                 if "fork" in multiprocessing.get_all_start_methods() else None)
-
-
 def _pool_size(workers: int, cpus: Optional[int], items: int) -> int:
     """Worker processes for ``items`` work items: at most the requested count,
     the CPU count (1 when unknown) and one per two items; 1 means no pool."""
@@ -120,7 +113,13 @@ def _pmap(spec: str, task: Callable, items: Sequence, workers: int) -> list:
     # warm the parent: forked workers inherit its environment, workers
     # started any other way build their own on first use
     _environment(spec)
-    with ProcessPoolExecutor(max_workers=processes, mp_context=_POOL_CONTEXT) as pool:
+    # imported only where a pool starts; fork where the platform has it, so
+    # workers inherit the parent's environment
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
         futures = [pool.submit(_run_chunk, spec, task, c) for c in chunks]
         return [result for fut in futures for result in fut.result()]
 
@@ -144,16 +143,16 @@ def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
     return analysis.conjecture_violation(env["ctx"], pair[0], pair[1])
 
 
-# -- per-interval tests, called as (env, u, w, graph) -------------------------------
+# -- per-interval tests, called as (env, u, w) --------------------------------------
 
 
-def _th2(env: dict, u: int, w: int, graph: Callable) -> bool:
+def _th2(env: dict, u: int, w: int) -> bool:
     _, fired = analysis.shifted_average_fires(env["ctx"], w)
-    return not fired or not analysis.is_regular(graph())
+    return not fired or not analysis.is_regular(env["ctx"], u, w)
 
 
-def _th3(env: dict, u: int, w: int, graph: Callable) -> bool:
-    verdict = analysis.deodhar_check(env["ctx"], graph())
+def _th3(env: dict, u: int, w: int) -> bool:
+    verdict = analysis.deodhar_check(env["ctx"], u, w)
     return verdict.f1_holds and verdict.f2_holds and verdict.consistent
 
 
@@ -165,11 +164,11 @@ def _path_counts(env: dict) -> list[IncreasingPathCounts]:
     return env["paths"]
 
 
-def _el_unique(env: dict, u: int, w: int, graph: Callable) -> bool:
+def _el_unique(env: dict, u: int, w: int) -> bool:
     return all(paths.increasing_chains(u, w) == (1, True) for paths in _path_counts(env))
 
 
-def _oracle_eq(env: dict, u: int, w: int, graph: Callable) -> bool:
+def _oracle_eq(env: dict, u: int, w: int) -> bool:
     ctx: RContext = env["ctx"]
     rt, sh = ctx.rtilde(u, w), ctx.shifted(u, w)
     if any(paths.counts(u, w) != rt.coeffs or paths.shifted(u, w) != sh
@@ -178,12 +177,11 @@ def _oracle_eq(env: dict, u: int, w: int, graph: Callable) -> bool:
     return reassemble_r(ctx.gamma_vector(u, w)) == ctx.r(u, w)
 
 
-def _cp_fourway(env: dict, u: int, w: int, graph: Callable) -> bool:
-    return analysis.four_way_regularity(env["ctx"], graph()).agree
+def _cp_fourway(env: dict, u: int, w: int) -> bool:
+    return analysis.four_way_regularity(env["ctx"], w).agree
 
 
-# check -> (test, lower intervals only, pass detail, fail detail), in canonical
-# order; graph() gives the Bruhat graph of [u, w], built on the first call
+# check -> (test, lower intervals only, pass detail, fail detail), in canonical order
 _INTERVAL_TESTS: dict[str, tuple[Callable, bool, str, str]] = {
     "th2": (_th2, True, "fired averages all irregular", "criterion misfired"),
     "th3": (_th3, False, "both degree inequalities hold", "inequality failed"),
@@ -195,15 +193,14 @@ _INTERVAL_TESTS: dict[str, tuple[Callable, bool, str, str]] = {
 
 def _task_interval(names: tuple[str, ...], env: dict, pair: tuple[int, int]) -> list:
     """(passed, wall seconds) per named test on [u, w], None where a lower-only
-    test meets u != e; a graph build counts toward the first test that reads it."""
+    test meets u != e."""
     group: GroupTable = env["group"]
     u, w = pair
-    graph = cache(lambda: build_graph(group, group.interval(u, w)))
     outcomes = []
     for test, lower_only, _, _ in map(_INTERVAL_TESTS.__getitem__, names):
         started = time.perf_counter()
         outcomes.append(None if lower_only and u != group.identity else
-                        (test(env, u, w, graph), time.perf_counter() - started))
+                        (test(env, u, w), time.perf_counter() - started))
     return outcomes
 
 

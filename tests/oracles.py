@@ -7,7 +7,8 @@ the memoized descent recursion for Bruhat order, the reflections as all
 conjugates of the generators, Bruhat paths listed by products with every
 reflection and an order test, Dyer's EL property by listing every maximal
 chain, the R recursion in polynomial arithmetic with an order test per
-pair, Booleanness of every upper subinterval one interval at a time or
+pair, degree regularity read off the built Bruhat graph at every vertex,
+Booleanness of every upper subinterval one interval at a time or
 in one pass over [u, w], interval sums over the order relation, lower
 interval sums as one memo query per member, capped ideals cut from the
 full lower ideal, the edge-size tally edge by edge, the dihedral bounds
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from bruhatpoly import BruhatPath, IntPoly, analysis, increasing_paths, short_paths
+from bruhatpoly import (BruhatPath, IntPoly, analysis, build_graph, increasing_paths,
+                        short_paths)
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
 
 
@@ -153,6 +155,18 @@ def double_r_at(gamma, p: IntPoly, q: IntPoly) -> IntPoly:
     gamma vector of an interval, at the given values of p and q."""
     return sum((p ** ((gamma.coxeter_length - j) // 2) * (q - ONE) ** j * c
                 for j, c in gamma.entries), ZERO)
+
+
+def graph_degrees(group, u: int, w: int) -> dict[int, int]:
+    """The total (undirected) degree of every vertex of the built Bruhat graph of [u, w]."""
+    graph = build_graph(group, group.interval(u, w))
+    return {v: graph.degree(v) for v in graph.interval.members}
+
+
+def regular_by_graph_degrees(group, u: int, w: int) -> bool:
+    """Every vertex of the Bruhat graph of [u, w] has degree length(w) - length(u)."""
+    ell = group.length[w] - group.length[u]
+    return all(d == ell for d in graph_degrees(group, u, w).values())
 
 
 def upper_boolean_per_v(ctx, u: int, w: int) -> bool:

@@ -232,9 +232,8 @@ def test_c08_el_check_rejects_a_non_reflection_order(a3):
         env = {"group": a3, "orders": [order]}
         verdicts = []
         for u, w in a3.comparable_pairs():
-            graph = build_graph(a3, a3.interval(u, w))
-            verdicts.append(suite._el_unique(env, u, w, lambda: graph))
-            assert verdicts[-1] == el_holds(graph, u, w, order)
+            verdicts.append(suite._el_unique(env, u, w))
+            assert verdicts[-1] == el_holds(build_graph(a3, a3.interval(u, w)), u, w, order)
         assert any(verdicts) and not all(verdicts)
 
 
@@ -243,8 +242,7 @@ def test_c09_four_way_regularity(a3, a3_ctx, a4, a4_ctx):
         start = time.perf_counter()
         for ctx in (a3_ctx, a4_ctx):
             for w in ctx.group.elements():
-                graph = build_graph(ctx.group, ctx.group.interval(ctx.group.identity, w))
-                verdict = analysis.four_way_regularity(ctx, graph)
+                verdict = analysis.four_way_regularity(ctx, w)
                 assert verdict.agree
                 assert verdict.pattern_smooth is not None
         assert time.perf_counter() - start < 300.0
@@ -256,7 +254,7 @@ def test_c10_deodhar_suite(a3, a3_ctx, a4, a4_ctx, pid):
                   (a4_ctx, [(a4.identity, w) for w in a4.elements()])]
         for ctx, pairs in scopes:
             for u, w in pairs:
-                v = analysis.deodhar_check(ctx, build_graph(ctx.group, ctx.group.interval(u, w)))
+                v = analysis.deodhar_check(ctx, u, w)
                 assert v.f1_holds
                 assert v.f2_holds
                 assert v.f1_strict == (not v.boolean_regular)

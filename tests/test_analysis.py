@@ -19,8 +19,9 @@ from bruhatpoly import analysis
 from bruhatpoly.cli import main
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
 from oracles import (dihedral_bounds_per_pair, edge_size_tally_per_edge, fibonacci_rec,
-                     interval_sum_per_member, reachability, shifted_interval_sum,
-                     upper_boolean_one_pass, upper_boolean_per_v)
+                     graph_degrees, interval_sum_per_member, reachability,
+                     regular_by_graph_degrees, shifted_interval_sum, upper_boolean_one_pass,
+                     upper_boolean_per_v)
 
 
 def test_poincare_values(a3, a3_ctx, pid):
@@ -51,25 +52,68 @@ def test_poincare_bounds(a3, a3_ctx, i2_ctxs, pid):
 
 def test_regularity_of_figure_one(a3, a3_ctx, pid):
     w = pid(a3, "3412")
-    graph = build_graph(a3, a3.interval(a3.identity, w))
-    assert not analysis.is_regular(graph)
-    heavy = sorted(a3.display(v) for v in graph.interval.members if graph.degree(v) == 5)
-    assert heavy == ["1234", "1324"]
-    others = [v for v in graph.interval.members if graph.degree(v) != 5]
-    assert all(graph.degree(v) == 4 for v in others)
+    assert not analysis.is_regular(a3_ctx, a3.identity, w)
+    degrees = graph_degrees(a3, a3.identity, w)
+    assert sorted(a3.display(v) for v, d in degrees.items() if d == 5) == ["1234", "1324"]
+    assert all(d == 4 for d in degrees.values() if d != 5)
 
 
 def test_full_group_interval_is_regular(a3, a4, i2_groups):
     for group in (a3, a4, i2_groups[7]):
-        graph = build_graph(group, group.interval(group.identity, group.w0))
-        assert analysis.is_regular(graph)
+        assert analysis.is_regular(RContext(group), group.identity, group.w0)
+        assert regular_by_graph_degrees(group, group.identity, group.w0)
 
 
-def test_short_intervals_are_regular(a3):
+def test_short_intervals_are_regular(a3, a3_ctx):
     for u, w in a3.comparable_pairs():
         if a3.length[w] - a3.length[u] <= 2:
-            graph = build_graph(a3, a3.interval(u, w))
-            assert analysis.is_regular(graph)
+            assert analysis.is_regular(a3_ctx, u, w)
+            assert regular_by_graph_degrees(a3, u, w)
+
+
+# (comparable pairs, degree-regular intervals) of each group
+REGULAR_INTERVALS = {"A1": (3, 3), "A2": (19, 19), "A3": (213, 203), "A4": (3_781, 3_175),
+                     "I2:2": (9, 9), "I2:3": (19, 19), "I2:4": (33, 33), "I2:5": (51, 51),
+                     "I2:6": (73, 73), "I2:7": (99, 99), "I2:8": (129, 129)}
+
+
+@pytest.mark.parametrize("spec", sorted(REGULAR_INTERVALS))
+def test_degree_regularity_at_representatives_matches_the_graph(spec):
+    g = enumerate_group(CoxeterDescriptor.parse(spec))
+    ctx = RContext(g)
+    verdicts = {(u, w): analysis.is_regular(ctx, u, w) for u, w in g.comparable_pairs()}
+    assert verdicts == {pair: regular_by_graph_degrees(g, *pair) for pair in verdicts}
+    assert (len(verdicts), sum(verdicts.values())) == REGULAR_INTERVALS[spec]
+
+
+def test_degree_regularity_at_representatives_on_a5_and_a6_lower_intervals():
+    a5 = enumerate_group(CoxeterDescriptor("A", 5))
+    ctx = RContext(a5)
+    verdicts = [analysis.is_regular(ctx, a5.identity, w) for w in a5.elements()]
+    assert verdicts == [regular_by_graph_degrees(a5, a5.identity, w) for w in a5.elements()]
+    assert (len(verdicts), sum(verdicts)) == (720, 366)
+    a6 = enumerate_group(CoxeterDescriptor("A", 6))
+    ctx = RContext(a6)
+    assert sum(analysis.is_regular(ctx, a6.identity, w) for w in a6.elements()) == 1_552
+
+
+# filters of the x to test that a wrong representative route might use, each
+# with the number of intervals of A3 on which its verdict misses the graph's
+MUTANT_FILTERS = {
+    "ignores the descents of u": (lambda d, u, w, x: not d[x] & d[w], 8),
+    "tests only the bottom": (lambda d, u, w, x: x == u, 4),
+}
+
+
+def test_wrong_representative_filters_disagree_with_the_graph(a3, a3_ctx):
+    descents, misses = a3_ctx._descents, dict.fromkeys(MUTANT_FILTERS, 0)
+    for u, w in a3.comparable_pairs():
+        ell, degrees = a3.length[w] - a3.length[u], graph_degrees(a3, u, w)
+        regular = all(d == ell for d in degrees.values())
+        for name, (keep, _) in MUTANT_FILTERS.items():
+            misses[name] += regular != all(d == ell for x, d in degrees.items()
+                                           if keep(descents, u, w, x))
+    assert misses == {name: caught for name, (_, caught) in MUTANT_FILTERS.items()}
 
 
 def test_carrell_peterson_values(a3, a3_ctx, pid):
@@ -215,8 +259,7 @@ def test_upper_boolean_verdict_is_kept_per_pair(a3, pid, monkeypatch):
 
 def test_degree_and_boolean_regularity_agree_on_lower_intervals(a3, a3_ctx):
     for w in a3.elements():
-        graph = build_graph(a3, a3.interval(a3.identity, w))
-        assert analysis.is_regular(graph) == \
+        assert analysis.is_regular(a3_ctx, a3.identity, w) == \
             analysis.regular_via_upper_boolean(a3_ctx, a3.identity, w)
 
 
@@ -225,10 +268,10 @@ def test_regularity_notions_diverge_off_lower_intervals(a3, a3_ctx, pid):
     # induced graph has a degree-5 vertex. The two notions separate here,
     # and the out-degree of the bottom equals the length (no strictness).
     u, w = pid(a3, "1324"), pid(a3, "3421")
-    graph = build_graph(a3, a3.interval(u, w))
-    assert not analysis.is_regular(graph)
+    assert not analysis.is_regular(a3_ctx, u, w)
+    assert max(graph_degrees(a3, u, w).values()) == 5
     assert analysis.regular_via_upper_boolean(a3_ctx, u, w)
-    assert analysis.f_tilde(a3_ctx, u, w, 1) == 4 == graph.interval.ell
+    assert analysis.f_tilde(a3_ctx, u, w, 1) == 4 == a3.length[w] - a3.length[u]
     assert analysis.interval_shifted_sum(a3_ctx, u, w) == Q_PLUS_ONE ** 4
 
 
@@ -249,8 +292,7 @@ def test_shifted_average_criterion_is_sound(a3, a3_ctx, a4, a4_ctx):
         for w in group.elements():
             _, fired = analysis.shifted_average_fires(ctx, w)
             if fired:
-                graph = build_graph(group, group.interval(group.identity, w))
-                assert not analysis.is_regular(graph)
+                assert not analysis.is_regular(ctx, group.identity, w)
                 if group is a4:
                     fired_in_a4.append(group.display(w))
     # the one-way test is silent on all of S4 but catches 10 of the 32
@@ -301,15 +343,14 @@ def test_p1_p2_sum_is_order_invariant(a3, a3_ctx):
 
 
 def test_deodhar_examples(a3, a3_ctx, i2_ctxs, pid):
-    graph = build_graph(a3, a3.interval(a3.identity, pid(a3, "3412")))
-    v = analysis.deodhar_check(a3_ctx, graph)
+    v = analysis.deodhar_check(a3_ctx, a3.identity, pid(a3, "3412"))
     assert v.f1 == 5 > 4 and v.f1_strict
     assert v.f2 == 8 > 6 and v.f2_strict
     assert not v.degree_regular and not v.boolean_regular
     assert v.consistent
     ctx5 = i2_ctxs[5]
     g5 = ctx5.group
-    v5 = analysis.deodhar_check(ctx5, build_graph(g5, g5.interval(g5.identity, g5.w0)))
+    v5 = analysis.deodhar_check(ctx5, g5.identity, g5.w0)
     assert v5.f1 == 5 == v5.ell and not v5.f1_strict
     assert v5.boolean_regular and v5.consistent
 
@@ -320,7 +361,7 @@ def test_deodhar_on_boolean_intervals(a3, a3_ctx):
         interval = a3.interval(u, w)
         if analysis.is_boolean_interval(a3, interval):
             found += 1
-            v = analysis.deodhar_check(a3_ctx, build_graph(a3, interval))
+            v = analysis.deodhar_check(a3_ctx, u, w)
             assert v.f1 == v.ell
             assert v.f2 == math.comb(v.ell, 2)
             assert v.boolean_regular
@@ -329,7 +370,7 @@ def test_deodhar_on_boolean_intervals(a3, a3_ctx):
 
 def test_deodhar_suite_all_s4(a3, a3_ctx):
     for u, w in a3.comparable_pairs():
-        v = analysis.deodhar_check(a3_ctx, build_graph(a3, a3.interval(u, w)))
+        v = analysis.deodhar_check(a3_ctx, u, w)
         assert v.f1_holds and v.f2_holds and v.consistent
 
 
@@ -456,15 +497,14 @@ def test_pattern_containment(a3, pid):
 
 def test_singularity_matches_irregularity(a3, a3_ctx):
     for w in a3.elements():
-        graph = build_graph(a3, a3.interval(a3.identity, w))
-        assert analysis.is_singular(a3.forms[w]) == (not analysis.is_regular(graph))
+        assert analysis.is_singular(a3.forms[w]) == \
+            (not analysis.is_regular(a3_ctx, a3.identity, w))
 
 
 def test_four_way_agreement_s4(a3, a3_ctx):
     irregular = []
     for w in a3.elements():
-        graph = build_graph(a3, a3.interval(a3.identity, w))
-        verdict = analysis.four_way_regularity(a3_ctx, graph)
+        verdict = analysis.four_way_regularity(a3_ctx, w)
         assert verdict.agree
         if not verdict.degree_regular:
             irregular.append(a3.display(w))

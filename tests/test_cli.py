@@ -478,6 +478,16 @@ def test_negative_count_or_empty_suite_is_usage_error(args, capsys):
     assert "must be >= 0" in captured.err or "names no check" in captured.err
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a run that starts a pool imports its modules
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bruhatpoly.cli; print(sorted(m for m in sys.modules "
+         "if m in ('multiprocessing', 'concurrent.futures')))"],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_worker_count_is_clamped():
     # no process is started: only the count a pool would get is computed
     assert _pool_size(10_000, 2, 3781) == 2
@@ -558,6 +568,10 @@ GOLDEN_STDOUT_SHA256 = {
         "dc47cdbdbf302bee3dcbceed2b2abffac0f26a8c02ff418cd2d5707a03f4a9cb",
     ("verify", "--group", "I2:12"):
         "52c5b9ef19babe6a87efe7fdefa7ab4388a1aeb8de5cf6c5eacc30ba9a63e6ea",
+    # every interval of a dihedral group; with "verify --group A3" above, the
+    # all-intervals scope of the degree-regularity checks
+    ("verify", "--group", "I2:8"):
+        "d5c85247dbd464f17316861d1731a28f9626a7d9f5943a99ad34396be54f0860",
     ("interval", "--group", "A5", "--u", "213456", "--w", "654321"):
         "aa578061c313acdb99ce23118846899fcacdd1f2f7236b7b337848ce5a3c33fc",
     # lower-interval sums and the edge tally: every lower interval of A4,

@@ -89,13 +89,14 @@ def test_every_check_has_one_runner():
     assert per_interval | whole == set(suite.CHECK_NAMES)
 
 
-@pytest.mark.parametrize("spec, checks, builds", [
-    ("A4", None, 120),  # one per lower interval; 490 when each check built its own
-    ("A3", None, 213),  # one per comparable pair of the small-group scope
-    ("A4", ["th2"], 10),  # one per interval whose average fires
-    ("A4", ["el-unique", "oracle-eq"], 0),  # both count paths in the whole group
+@pytest.mark.parametrize("spec, checks", [
+    ("A3", None),  # every comparable pair of the small-group scope
+    ("A4", None),  # lower intervals
+    ("A4", ["th2"]),
+    ("A4", ["el-unique", "oracle-eq"]),
+    ("I2:8", None),
 ])
-def test_the_interval_sweep_builds_each_graph_once(monkeypatch, spec, checks, builds):
+def test_verify_builds_no_graph(monkeypatch, spec, checks):
     # counted wherever build_graph is called from, in every module that imports it
     calls = []
     original = graph.build_graph
@@ -109,4 +110,4 @@ def test_the_interval_sweep_builds_each_graph_once(monkeypatch, spec, checks, bu
             monkeypatch.setattr(module, "build_graph", counting)
     monkeypatch.setattr(suite, "_ENVS", {})
     assert all(r.passed for r in suite.run_suite(spec, checks))
-    assert len(calls) == builds
+    assert calls == []
