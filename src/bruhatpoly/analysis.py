@@ -114,7 +114,7 @@ def is_regular(ctx: RContext, u: int, w: int) -> bool:
     key = ("degree-regular", u, w)
     verdict = ctx.verdicts.get(key)
     if verdict is None:
-        g, descents = ctx.group, ctx._descents
+        g, descents = ctx.group, ctx.group.descents
         members, ell = g.interval(u, w).members, g.length[w] - g.length[u]
         fixed, degree = descents[w] & ~descents[u], _degree(g, members)
         verdict = ctx.verdicts[key] = all(
@@ -190,7 +190,7 @@ def regular_via_upper_boolean(ctx: RContext, u: int, w: int) -> bool:
     key = ("upper-boolean", u, w)
     verdict = ctx.verdicts.get(key)
     if verdict is None:
-        g, descents = ctx.group, ctx._descents
+        g, descents = ctx.group, ctx.group.descents
         top = descents[w]
         verdict = ctx.verdicts[key] = all(
             is_bruhat_boolean(ctx, v, w) for v in g.interval(u, w).members

@@ -4,21 +4,25 @@ A :class:`GroupTable` holds one group: canonical forms, lengths, product
 tables, the reflection set and Bruhat order queries. Type A rank n is the
 symmetric group on n+1 letters (one-line permutation forms); the dihedral
 group I2(m) of order 2m uses (rotation, flip) pairs. Forms are multiplied
-only in the one breadth-first pass that builds the right product table;
-then all is integer tables, and forms serve only to parse and display.
-``mul`` walks the first right descents of its second factor, and the
-columns x -> x*s per generator s and x -> x*t per reflection t are built on
-first use. Tables are immutable after construction. Bruhat order is answered
-by a walk down right descents (no memo); lower ideals are built lazily on
-first use, from the generator columns, and kept per table. A kept ideal is a pure function of its top element, so sharing a
-table between worker processes (or rebuilding it per worker) gives
-identical answers.
+only while the group is enumerated: once per (form, generator) to find each
+length level, and once more to fill the product tables. Then all is integer
+tables, and forms serve only to parse and display. The tables are
+column-major, one tuple of ids per generator s: ``right[s][x]`` is x*s and
+``left[s][x]`` is s*x. ``mul`` walks the first right descents of its second
+factor, and the columns x -> x*t per reflection t are built on first use.
+Tables are immutable after construction. Bruhat order is answered by a walk
+down right descents (no memo); lower ideals are built lazily on first use,
+from the columns of ``right``, and kept per table. A kept ideal is a pure
+function of its top element, so sharing a table between worker processes
+(or rebuilding it per worker) gives identical answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property, partial
+from itertools import repeat
+from operator import gt, itemgetter, lshift, or_
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -149,32 +153,39 @@ class GroupTable:
 
     Elements are dense integer ids, assigned in (length, canonical form)
     order, so id 0 is the identity and the last id is the longest element.
-    Built by :func:`enumerate_group` from the forms, the form index, the
-    right product table and the inverses, all in that id order.
+    Built by :func:`enumerate_group` from the forms, the right product
+    table and the inverses, all in that id order. The product tables are
+    column-major: ``right[s][x]`` is x*s and ``left[s][x]`` is s*x, one
+    tuple of ids per generator s. ``descents[x]`` has bit s set iff s is a
+    right descent of x and bit n + s iff s is a left one (n generators);
+    equal masks share one int.
     """
 
-    def __init__(self, descriptor: CoxeterDescriptor, forms: tuple, index: dict,
-                 right: tuple, inverse: tuple) -> None:
+    def __init__(self, descriptor: CoxeterDescriptor, forms: tuple, right: tuple,
+                 inverse: tuple) -> None:
         self.descriptor = descriptor
         self.forms = forms
-        self.index = index
-        self.num_generators = descriptor.num_generators
+        self.num_generators = n = descriptor.num_generators
         self._inverse = inverse
         self.right = right
-        self.left = tuple(tuple(map(inverse.__getitem__, right[v])) for v in inverse)
+        self.left = tuple(tuple(map(inverse.__getitem__, map(col.__getitem__, inverse)))
+                          for col in right)  # s*x = (x^-1 * s)^-1
         self.identity = 0
         self.length = self._bfs_lengths()
 
         self.w0 = self._find_longest()
-        self._first_descent = tuple(
-            next((s for s in range(self.num_generators)
-                  if self.length[self.right[v][s]] < self.length[v]), -1)
-            for v in range(len(self.forms))
-        )
+        self.descents = self._descent_masks()
+        low = (1 << n) - 1
+        first = {d: ((d & low) & -(d & low)).bit_length() - 1 for d in set(self.descents)}
+        self._first_descent = tuple(map(first.__getitem__, self.descents))
         self.reflections = self._find_reflections()
-        self._generator_columns: tuple[tuple[int, ...], ...] | None = None
         self._columns: dict[int, tuple[int, ...]] | None = None
         self._ideals: dict[int, tuple[int, ...]] = {self.identity: (self.identity,)}
+
+    @cached_property
+    def index(self) -> dict:
+        """Canonical form -> id, built on first use (only parsing needs it)."""
+        return dict(zip(self.forms, range(len(self.forms))))
 
     # -- construction helpers ------------------------------------------------
 
@@ -187,9 +198,8 @@ class GroupTable:
         while frontier:
             dist += 1
             nxt = []
-            for v in frontier:
-                for s in range(self.num_generators):
-                    w = self.right[v][s]
+            for col in self.right:
+                for w in map(col.__getitem__, frontier):
                     if length[w] < 0:
                         length[w] = dist
                         nxt.append(w)
@@ -205,18 +215,30 @@ class GroupTable:
             raise AssertionError("finite Coxeter group must have a unique longest element")
         return longest[0]
 
+    def _descent_masks(self) -> tuple[int, ...]:
+        """Per element, bit s set iff s is a right descent and bit n + s iff a
+        left one, a column at a time; equal masks share one int. Ids ascend
+        with length, so s lowers x iff x*s < x as ids, and the left descents
+        of x are the right descents of x^-1."""
+        ids, shared = range(len(self.forms)), {}
+        bits = (map(lshift, map(gt, ids, col), repeat(s)) for s, col in enumerate(self.right))
+        right = list(map(sum, zip(*bits)))
+        masks = list(map(or_, right, map(lshift, map(right.__getitem__, self._inverse),
+                                         repeat(self.num_generators))))
+        return tuple(map(shared.setdefault, masks, masks))
+
     def _find_reflections(self) -> tuple[int, ...]:
         """The conjugates of the generators, as the closure of the generators
         under t -> s t s, read from the product tables. Each reflection is
         kept in discovery order with the (t, s) it came from."""
         left, right = self.left, self.right
-        self._closure = refl = {g: (None, s) for s, g in enumerate(right[self.identity])}
+        self._closure = refl = {col[self.identity]: (None, s) for s, col in enumerate(right)}
         frontier = list(refl)
         while frontier:
             nxt = []
             for t in frontier:
                 for s in range(self.num_generators):
-                    c = left[right[t][s]][s]
+                    c = left[s][right[s][t]]
                     if c not in refl:
                         refl[c] = (t, s)
                         nxt.append(c)
@@ -241,17 +263,10 @@ class GroupTable:
         while b:  # id 0 is the identity
             s = first[b]
             word.append(s)
-            b = right[b][s]
+            b = right[s][b]
         for s in reversed(word):
-            a = right[a][s]
+            a = right[s][a]
         return a
-
-    def generator_columns(self) -> tuple[tuple[int, ...], ...]:
-        """``columns[s][x]`` is x*s for every generator s: the right table
-        transposed, on first use."""
-        if self._generator_columns is None:
-            self._generator_columns = tuple(zip(*self.right))
-        return self._generator_columns
 
     def reflection_columns(self) -> dict[int, tuple[int, ...]]:
         """``columns[t][x]`` is x*t for every reflection t (keys ascending).
@@ -260,7 +275,7 @@ class GroupTable:
         reflections: x*(sts) = ((x*s)*t)*s, two lookups per entry.
         """
         if self._columns is None:
-            gens, cols = self.generator_columns(), {}
+            gens, cols = self.right, {}
             for c, (t, s) in self._closure.items():
                 col = gens[s]
                 cols[c] = col if t is None else tuple(  # c is the generator s, or s t s
@@ -273,15 +288,14 @@ class GroupTable:
 
     def generator(self, s: int) -> int:
         """Element id of the generator with index s (0-based)."""
-        return self.right[self.identity][s]
+        return self.right[s][self.identity]
 
     def elements(self) -> Iterator[int]:
         return iter(range(len(self.forms)))
 
     def left_descents(self, w: int) -> tuple[int, ...]:
-        lw = self.length[w]
-        return tuple(s for s in range(self.num_generators)
-                     if self.length[self.left[w][s]] < lw)
+        n, d = self.num_generators, self.descents[w]
+        return tuple(s for s in range(n) if d >> (n + s) & 1)
 
     def first_right_descent(self, w: int) -> int:
         """Smallest-index right descent; -1 for the identity."""
@@ -303,11 +317,11 @@ class GroupTable:
                 return False
             if lu == 0:
                 return True
-            s = first[w]
-            us = right[u][s]
+            col = right[first[w]]
+            us = col[u]
             if length[us] < lu:
                 u = us
-            w = right[w][s]
+            w = col[w]
         return True
 
     def lower_ideal(self, w: int) -> tuple[int, ...]:
@@ -320,14 +334,12 @@ class GroupTable:
         chain = []
         while w not in ideals:
             chain.append(w)
-            w = right[w][first[w]]
+            w = right[first[w]][w]
         below = ideals[w]
-        if chain:
-            columns = self.generator_columns()
-            for top in reversed(chain):
-                members = set(below)
-                members.update(map(columns[first[top]].__getitem__, below))
-                below = ideals[top] = tuple(sorted(members))
+        for top in reversed(chain):
+            members = set(below)
+            members.update(map(right[first[top]].__getitem__, below))
+            below = ideals[top] = tuple(sorted(members))
         return below
 
     def interval(self, u: int, w: int) -> Interval:
@@ -355,7 +367,7 @@ class GroupTable:
         for s in word:
             if not 0 <= s < self.num_generators:
                 raise ValueError(f"generator index {s} out of range")
-            v = self.right[v][s]
+            v = self.right[s][v]
         return v
 
     def reduced_word(self, v: int) -> tuple[int, ...]:
@@ -365,7 +377,7 @@ class GroupTable:
         while cur != self.identity:
             s = min(self.left_descents(cur))
             word.append(s)
-            cur = self.left[cur][s]
+            cur = self.left[s][cur]
         return tuple(word)
 
     def display(self, v: int) -> str:
@@ -382,13 +394,15 @@ class GroupTable:
 
 
 def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
-    """Enumerate the group by one breadth-first pass under the generators.
+    """Enumerate the group level by level under the generators.
 
-    The pass records the right product table while it discovers elements
-    (BFS depth equals Coxeter length), one form product per (element,
-    generator) pair. The ids are then relabelled into (length, canonical
-    form) order; forms are not multiplied again. A group of order above
-    ``DEFAULT_MAX_ORDER`` is refused before any element is built.
+    Level k + 1 is every product f*s of a form f of level k, less the forms
+    of levels k - 1 and k (the generators are involutions, so a product
+    moves at most one level); each level is sorted, so the forms come out
+    in (length, canonical form) order with no relabelling. Each column of
+    the right product table is then one pass of its generator over the
+    forms. A group of order above ``DEFAULT_MAX_ORDER`` is refused before
+    any element is built.
     """
     est = descriptor.order(cap=DEFAULT_MAX_ORDER)
     if est is None or est > DEFAULT_MAX_ORDER:
@@ -396,36 +410,25 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
         raise SizeLimitError(f"group {descriptor.spec_string()} has order {shown}"
                              f"above the cap {DEFAULT_MAX_ORDER}")
     gens = _generator_maps(descriptor)
-    forms = [_identity_form(descriptor)]
-    index = {forms[0]: 0}  # form -> BFS id, rebound below to the final id
-    lengths = [0]
-    bfs_right = []
-    for v, f in enumerate(forms):  # forms grows while the loop runs: a BFS queue
-        row = []
+    forms, sizes = [], []
+    below, level = set(), {_identity_form(descriptor)}
+    while level:
+        forms += sorted(level)
+        sizes.append(len(level))
+        above = set()
         for times_g in gens:
-            h = times_g(f)
-            j = index.get(h)
-            if j is None:
-                j = index[h] = len(forms)
-                forms.append(h)
-                lengths.append(lengths[v] + 1)
-            row.append(j)
-        bfs_right.append(row)
+            above.update(map(times_g, level))
+        above -= below
+        above -= level
+        below, level = level, above
     if len(forms) != est:
         raise AssertionError(f"enumerated {len(forms)} elements, expected {est}")
-    order = sorted(range(est), key=lambda v: (lengths[v], forms[v]))
-    new_id = [0] * est
-    for i, v in enumerate(order):
-        new_id[v] = i
-    for f, v in index.items():
-        index[f] = new_id[v]
-    right = tuple(tuple(map(new_id.__getitem__, bfs_right[v])) for v in order)
-    del bfs_right
-    forms = tuple(forms[v] for v in order)
-    lengths = tuple(lengths[v] for v in order)
-    del order, new_id
-    inverse = tuple(index[_inv_form(descriptor, f)] for f in forms)
-    table = GroupTable(descriptor, forms, index, right, inverse)
-    if lengths != table.length:
-        raise AssertionError("BFS lengths disagree with table lengths")
+    forms = tuple(forms)
+    index = dict(zip(forms, range(est)))
+    right = tuple(tuple(map(index.__getitem__, map(times_g, forms))) for times_g in gens)
+    inverse = tuple(map(index.__getitem__, map(partial(_inv_form, descriptor), forms)))
+    del index
+    table = GroupTable(descriptor, forms, right, inverse)
+    if tuple(k for k, size in enumerate(sizes) for _ in range(size)) != table.length:
+        raise AssertionError("level lengths disagree with table lengths")
     return table

@@ -191,7 +191,7 @@ def reflection_order_from_word(group: GroupTable, word: Sequence[int]) -> Reflec
     for pos, s in enumerate(word):
         if not 0 <= s < group.num_generators:
             raise InvalidWordError(f"generator index {s} out of range at position {pos}")
-        nxt = group.right[prefix][s]
+        nxt = group.right[s][prefix]
         sequence.append(group.mul(nxt, group.inv(prefix)))
         if group.length[nxt] != group.length[prefix] + 1:
             raise InvalidWordError(f"word is not reduced at position {pos}")
@@ -215,7 +215,7 @@ def lex_max_w0_word(group: GroupTable) -> tuple[int, ...]:
     while cur != group.identity:
         s = max(group.left_descents(cur))
         word.append(s)
-        cur = group.left[cur][s]
+        cur = group.left[s][cur]
     return tuple(word)
 
 
@@ -231,7 +231,7 @@ def _reduced_words_of_w0(group: GroupTable) -> Iterator[tuple[int, ...]]:
     while stack:
         cur, descents = stack[-1]
         for s in descents:
-            nxt = group.left[cur][s]
+            nxt = group.left[s][cur]
             if nxt == group.identity:
                 yield (*prefix[1:], s)
                 continue

@@ -35,6 +35,7 @@ so each family computes each pair's combination once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat, zip_longest
 from operator import attrgetter, is_
 from typing import Iterable, Sequence
@@ -101,15 +102,11 @@ class RContext:
 
     def __init__(self, group: GroupTable) -> None:
         self.group = group
-        length = group.length
-        # per element, bit s is set iff s is a right descent, bit n + s iff a left one
-        self._descents = tuple(sum(1 << s for s, x in enumerate(r + l) if length[x] < lv)
-                               for r, l, lv in zip(group.right, group.left, length))
         # per element, bit s is set iff the generator s is in its support (is below it)
-        support = [0] * len(group)
+        support, right = [0] * len(group), group.right
         for w in range(1, len(group)):  # ids ascend with length, so ws comes first
             s = group.first_right_descent(w)
-            support[w] = support[group.right[w][s]] | 1 << s
+            support[w] = support[right[s][w]] | 1 << s
         self._support = support
         self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {
             "r": {}, "rtilde": {}, "shifted": {}
@@ -144,8 +141,8 @@ class RContext:
             self.hits += 1
             return value
         g, step, interned = self.group, _RULES[name][2], self._interned
-        right, left, descents, descent = g.right, g.left, self._descents, g.first_right_descent
-        n = g.num_generators
+        right, descents, descent = g.right, g.descents, g.first_right_descent
+        sides = right + g.left  # bit k of a descent mask is read from column k
         query = (u, w)
         hits = misses = 0
         comparable = False  # whether u <= w is already known
@@ -155,7 +152,8 @@ class RContext:
             while (value := ONE if u == w else memo.get((u, w))) is None and (
                     shared := descents[u] & descents[w]):
                 s = (shared & -shared).bit_length() - 1
-                u, w = (right[u][s], right[w][s]) if s < n else (left[u][s - n], left[w][s - n])
+                col = sides[s]
+                u, w = col[u], col[w]
             if value is not None:
                 hits += u != w  # a memo hit unless (u, w) is diagonal
             # only comparable pairs enter the memo, so the order test can wait. By
@@ -164,8 +162,9 @@ class RContext:
             elif comparable or g.leq(u, w):
                 misses += 1
                 s = descent(w)
-                ws = right[w][s]
-                stack.append([(u, w), right[u][s], ws, None])
+                col = right[s]
+                ws = col[w]
+                stack.append([(u, w), col[u], ws, None])
                 w, comparable = ws, True
                 continue
             else:
@@ -215,7 +214,7 @@ class RContext:
             row = self._rows[name] = [None] * len(self.group)
         g = self.group
         e, n, right, left = g.identity, g.num_generators, g.right, g.left
-        descents, support, interned = self._descents, self._support, self._interned
+        descents, support, interned = g.descents, self._support, self._interned
         step, kernel = _RULES[name][2], self._kernels[name]
         for x in sorted(compress(members, map(is_, map(row.__getitem__, members), repeat(None)))):
             value = None
@@ -223,9 +222,9 @@ class RContext:
             while todo:
                 s = (todo & -todo).bit_length() - 1
                 todo ^= 1 << s
-                xs = right[x][s]
+                xs = right[s][x]
                 if descents[xs] >> (n + s) & 1:
-                    b = row[left[xs][s]]
+                    b = row[left[s][xs]]
                 elif support[xs] >> s & 1:
                     continue  # (s, xs) is a pair of its own: try the next descent
                 else:
@@ -292,11 +291,17 @@ class RContext:
         return via_shift
 
 
+@lru_cache(maxsize=None)
+def _gamma_term(ell: int, j: int) -> IntPoly:
+    """q^((ell-j)/2) (q-1)^j, the polynomial that gamma_j multiplies in R."""
+    return monomial((ell - j) // 2) * Q_MINUS_ONE ** j
+
+
 def reassemble_r(gamma: GammaVector) -> IntPoly:
     """Rebuild R from its gamma vector: sum gamma_j q^((ell-j)/2) (q-1)^j."""
     out = ZERO
     for j, coeff in gamma.entries:
-        out = out + monomial((gamma.coxeter_length - j) // 2, coeff) * (Q_MINUS_ONE ** j)
+        out = out + _gamma_term(gamma.coxeter_length, j) * coeff
     return out
 
 

@@ -223,7 +223,7 @@ def _capped_ideals(group: GroupTable,
     """
     if max_interval_len is None:
         return tuple(map(group.lower_ideal, group.elements()))
-    length, columns, first = group.length, group.generator_columns(), group.first_right_descent
+    length, columns, first = group.length, group.right, group.first_right_descent
     ideals = [(group.identity,)]
     for w in range(1, len(group)):
         col = columns[first(w)]
@@ -258,7 +258,7 @@ def _reduced_pairs(ctx: RContext,
     Every capped pair reduces to one of these by stripping shared descents
     (as the R memo does), which keeps its length difference and its value.
     """
-    group, descents = ctx.group, ctx._descents
+    group, descents = ctx.group, ctx.group.descents
     return [(u, w) for w, ideal in enumerate(_capped_ideals(group, max_interval_len))
             for u in ideal if not descents[u] & descents[w]]
 

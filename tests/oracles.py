@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately naive and separate from the library's own
-algorithms: the product of canonical forms, inversion counting, the
-dot-matrix comparison criterion for permutations, reachability closures,
+algorithms: the group by a breadth-first pass with row-wise tables, the
+product of canonical forms, inversion counting, the dot-matrix
+comparison criterion for permutations, reachability closures,
 the memoized descent recursion for Bruhat order, the reflections as all
 conjugates of the generators, Bruhat paths listed by products with every
 reflection and an order test, Dyer's EL property by listing every maximal
@@ -21,21 +22,76 @@ against these.
 from __future__ import annotations
 
 from bisect import bisect_left
+from types import SimpleNamespace
 
 from bruhatpoly import (BruhatPath, IntPoly, analysis, build_graph, increasing_paths,
                         short_paths)
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
 
 
-def form_product(group, a: int, b: int) -> int:
-    """a*b through the canonical forms: composition of one-line permutations
-    for type A, (rotation, flip) arithmetic for I2(m)."""
-    fa, fb = group.forms[a], group.forms[b]
-    if group.descriptor.family == "A":
-        return group.index[tuple(fa[x - 1] for x in fb)]
-    m = group.descriptor.param
+def compose_forms(desc, fa, fb):
+    """The form of a*b: composition of one-line permutations for type A,
+    (rotation, flip) arithmetic for I2(m)."""
+    if desc.family == "A":
+        return tuple(fa[x - 1] for x in fb)
     (i, e), (j, d) = fa, fb
-    return group.index[((i + (-j if e else j)) % m, e ^ d)]
+    return ((i + (-j if e else j)) % desc.param, e ^ d)
+
+
+def form_product(group, a: int, b: int) -> int:
+    """a*b through the canonical forms."""
+    return group.index[compose_forms(group.descriptor, group.forms[a], group.forms[b])]
+
+
+def row_wise_enumeration(desc) -> SimpleNamespace:
+    """The group by one breadth-first pass under the generators that records
+    the right product table row by row (row v holds v*s for each generator
+    s) while it discovers elements; the ids are then relabelled into
+    (length, form) order. The left rows, first right descents, descent
+    masks and reflections are read off the rows one element at a time."""
+    if desc.family == "A":
+        size = desc.param + 1
+        identity = tuple(range(1, size + 1))
+        gens = [lambda f, i=i: f[:i] + (f[i + 1], f[i]) + f[i + 2:] for i in range(size - 1)]
+    else:
+        identity, m = (0, 0), desc.param
+        gens = [lambda f: (f[0], f[1] ^ 1),
+                lambda f: ((f[0] + (1 if f[1] else -1)) % m, f[1] ^ 1)]
+    forms, lengths, bfs_right = [identity], [0], []
+    bfs_id = {identity: 0}
+    for v, f in enumerate(forms):  # forms grows while the loop runs: a BFS queue
+        row = []
+        for times_g in gens:
+            h = times_g(f)
+            if h not in bfs_id:
+                bfs_id[h] = len(forms)
+                forms.append(h)
+                lengths.append(lengths[v] + 1)
+            row.append(bfs_id[h])
+        bfs_right.append(row)
+    order = sorted(range(len(forms)), key=lambda v: (lengths[v], forms[v]))
+    new_id = {v: i for i, v in enumerate(order)}
+    right = tuple(tuple(new_id[j] for j in bfs_right[v]) for v in order)
+    forms = tuple(forms[v] for v in order)
+    length = tuple(lengths[v] for v in order)
+    index = {f: i for i, f in enumerate(forms)}
+    if desc.family == "A":
+        inverse_forms = [tuple(f.index(k) + 1 for k in identity) for f in forms]
+    else:
+        inverse_forms = [f if f[1] else ((-f[0]) % desc.param, 0) for f in forms]
+    inverse = tuple(index[f] for f in inverse_forms)
+    n, ids = len(gens), range(len(forms))
+    left = tuple(tuple(inverse[right[inverse[v]][s]] for s in range(n)) for v in ids)
+    first = tuple(next((s for s in range(n) if length[right[v][s]] < length[v]), -1)
+                  for v in ids)
+    descents = tuple(sum(1 << k for k, x in enumerate(right[v] + left[v]) if length[x] < length[v])
+                     for v in ids)
+    generators = [g(identity) for g in gens]
+    reflections = tuple(sorted({index[compose_forms(desc, compose_forms(desc, f, g), inv)]
+                                for f, inv in zip(forms, inverse_forms) for g in generators}))
+    return SimpleNamespace(forms=forms, index=index, right=right, left=left, length=length,
+                           inverse=inverse, first_descent=first, descents=descents,
+                           reflections=reflections)
 
 
 def generator_ids(group) -> list[int]:
@@ -96,7 +152,7 @@ def right_descent(group, w: int, descent: str) -> int:
     """The first ("min") or the last ("max") right descent of w, by lengths."""
     pick = min if descent == "min" else max
     return pick(s for s in range(group.num_generators)
-                if group.length[group.right[w][s]] < group.length[w])
+                if group.length[group.right[s][w]] < group.length[w])
 
 
 def descent_leq(group, u: int, w: int, memo: dict, descent: str = "min") -> bool:
@@ -114,8 +170,8 @@ def descent_leq(group, u: int, w: int, memo: dict, descent: str = "min") -> bool
     if cached is not None:
         return cached
     s = right_descent(group, w, descent)
-    ws = group.right[w][s]
-    us = group.right[u][s]
+    ws = group.right[s][w]
+    us = group.right[s][u]
     if group.length[us] < group.length[u]:
         res = descent_leq(group, us, ws, memo, descent)
     else:
@@ -133,7 +189,7 @@ def r_by_recursion(group, u: int, w: int, memo: dict, descent: str = "min") -> I
         return ZERO
     if (u, w) not in memo:
         s = right_descent(group, w, descent)
-        ws, us = group.right[w][s], group.right[u][s]
+        ws, us = group.right[s][w], group.right[s][u]
         if group.length[us] < group.length[u]:
             memo[u, w] = r_by_recursion(group, us, ws, memo, descent)
         else:

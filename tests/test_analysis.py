@@ -105,8 +105,8 @@ MUTANT_FILTERS = {
 }
 
 
-def test_wrong_representative_filters_disagree_with_the_graph(a3, a3_ctx):
-    descents, misses = a3_ctx._descents, dict.fromkeys(MUTANT_FILTERS, 0)
+def test_wrong_representative_filters_disagree_with_the_graph(a3):
+    descents, misses = a3.descents, dict.fromkeys(MUTANT_FILTERS, 0)
     for u, w in a3.comparable_pairs():
         ell, degrees = a3.length[w] - a3.length[u], graph_degrees(a3, u, w)
         regular = all(d == ell for d in degrees.values())
@@ -212,7 +212,7 @@ def test_interval_sum_descent_identity(spec):
         for w in reach[v]:
             for side, table in enumerate((g.left, g.right)):
                 for s in range(g.num_generators):
-                    sv, sw = table[v][s], table[w][s]
+                    sv, sw = table[s][v], table[s][w]
                     if length[sw] < length[w] and length[sv] > length[v]:
                         moves[side] += 1
                         assert S(v, w) == Q_PLUS_ONE * S(sv, w)

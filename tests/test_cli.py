@@ -178,6 +178,19 @@ def test_table_r_polys_never_builds_reflection_columns(capsys, monkeypatch):
     assert code == 0 and out.startswith("class,members,gamma_form,r,size\n")
 
 
+@pytest.mark.parametrize("argv", [["table", "--table", "r-polys", "--group", "A4"],
+                                  ["verify", "--group", "A3"]])
+def test_table_and_verify_never_build_the_form_index(argv, capsys, monkeypatch):
+    # only parsing an element needs form -> id; these commands parse none
+    def refuse(self):
+        raise AssertionError("form index built")
+
+    monkeypatch.setattr(GroupTable, "index", property(refuse))
+    monkeypatch.setattr(suite, "_ENVS", {})
+    code, _ = capture(capsys, argv)
+    assert code == 0
+
+
 def test_table_dihedral_rows(capsys):
     code, out = capture(capsys, ["table", "--table", "dihedral", "--max-n", "0"])
     assert code == 0

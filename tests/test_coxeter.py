@@ -1,8 +1,11 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
-from bruhatpoly import CoxeterDescriptor, EmptyIntervalError, SizeLimitError, enumerate_group
+from bruhatpoly import (CoxeterDescriptor, EmptyIntervalError, RContext, SizeLimitError,
+                        enumerate_group)
 from oracles import (
     conjugate_reflections,
     descent_leq,
@@ -11,6 +14,7 @@ from oracles import (
     generator_ids,
     inversions,
     reachability,
+    row_wise_enumeration,
 )
 
 
@@ -57,7 +61,7 @@ def test_length_changes_by_one_under_generators(a3, i2_groups):
     for group in (a3, i2_groups[7]):
         for v in group.elements():
             for s in range(group.num_generators):
-                assert abs(group.length[group.right[v][s]] - group.length[v]) == 1
+                assert abs(group.length[group.right[s][v]] - group.length[v]) == 1
 
 
 def test_reflections(a2, a3, i2_groups):
@@ -100,12 +104,56 @@ def test_tables_match_the_form_product(a1, a2, a3, a4, i2_groups):
         columns = group.reflection_columns()
         assert tuple(columns) == group.reflections
         for v in group.elements():
-            assert group.right[v] == tuple(form_product(group, v, g) for g in gens)
-            assert group.left[v] == tuple(form_product(group, g, v) for g in gens)
+            for s, g in enumerate(gens):
+                assert group.right[s][v] == form_product(group, v, g)
+                assert group.left[s][v] == form_product(group, g, v)
             assert form_product(group, v, group.inv(v)) == e
             assert form_product(group, group.inv(v), v) == e
             for t, col in columns.items():
                 assert col[v] == form_product(group, v, t)
+
+
+@pytest.mark.parametrize("spec", [f"A{n}" for n in range(1, 7)]
+                         + [f"I2:{m}" for m in range(2, 13)])
+def test_tables_match_the_row_wise_enumeration(spec):
+    desc = CoxeterDescriptor.parse(spec)
+    group, ref = enumerate_group(desc), row_wise_enumeration(desc)
+    assert group.forms == ref.forms
+    assert group.index == ref.index
+    assert group.right == tuple(zip(*ref.right))
+    assert group.left == tuple(zip(*ref.left))
+    assert group.length == ref.length
+    assert tuple(map(group.inv, group.elements())) == ref.inverse
+    assert tuple(map(group.first_right_descent, group.elements())) == ref.first_descent
+    assert group.descents == ref.descents
+    assert group.reflections == ref.reflections
+
+
+def test_product_columns_are_involutions_conjugate_by_the_inverse(a1, a3, a4, i2_groups):
+    for group in (a1, a3, a4, i2_groups[2], i2_groups[7]):
+        ids = tuple(group.elements())
+        inv = tuple(map(group.inv, ids))
+        assert len(group.right) == len(group.left) == group.num_generators
+        for right, left in zip(group.right, group.left):
+            for col in (right, left):  # col o col = id makes col a permutation of ids
+                assert len(col) == len(ids)
+                assert tuple(map(col.__getitem__, col)) == ids
+            assert left == tuple(inv[right[inv[x]]] for x in ids)
+
+
+def test_a6_tables_keep_at_most_350_bytes_per_element():
+    # traced bytes that the group and a fresh R context keep; 439 per
+    # element with row tuples for both product tables and a per-context
+    # copy of the unshared descent masks
+    gc.collect()
+    tracemalloc.start()
+    try:
+        group = enumerate_group(CoxeterDescriptor("A", 6))
+        ctx = RContext(group)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / len(ctx.group) <= 350
 
 
 def test_mul_walk_matches_the_form_product(a3, i2_groups):
@@ -207,32 +255,32 @@ def test_interval_cardinality_bounds(a3, pid):
     assert len(a3.interval(pid(a3, "1324"), pid(a3, "3412"))) == 10 > 2 ** 3
 
 
-def descent_bits(ctx, v, side):
+def descent_bits(group, v, side):
     """Right (side 0) or left (side 1) descents of v, from the bits of the
-    context's descent mask that the R recursion reads."""
-    n = ctx.group.num_generators
-    return tuple(s for s in range(n) if ctx._descents[v] >> (side * n + s) & 1)
+    group's descent mask that the R recursion reads."""
+    n = group.num_generators
+    return tuple(s for s in range(n) if group.descents[v] >> (side * n + s) & 1)
 
 
-def test_descents(a3, a3_ctx, pid):
-    assert descent_bits(a3_ctx, a3.identity, 0) == ()
-    assert descent_bits(a3_ctx, a3.w0, 0) == (0, 1, 2)
-    assert descent_bits(a3_ctx, a3.w0, 1) == a3.left_descents(a3.w0) == (0, 1, 2)
+def test_descents(a3, pid):
+    assert descent_bits(a3, a3.identity, 0) == ()
+    assert descent_bits(a3, a3.w0, 0) == (0, 1, 2)
+    assert descent_bits(a3, a3.w0, 1) == a3.left_descents(a3.w0) == (0, 1, 2)
     # one-line rule: descent positions i with w(i) > w(i+1)
     w = pid(a3, "3412")
     positions = tuple(i for i in range(3) if a3.forms[w][i] > a3.forms[w][i + 1])
     assert positions == (1,)
-    assert descent_bits(a3_ctx, w, 0) == (1,)
+    assert descent_bits(a3, w, 0) == (1,)
 
 
-def test_descents_match_one_line_rule(a4, a4_ctx):
+def test_descents_match_one_line_rule(a4):
     for v in a4.elements():
         form = a4.forms[v]
         rule = tuple(i for i in range(4) if form[i] > form[i + 1])
-        assert descent_bits(a4_ctx, v, 0) == rule
+        assert descent_bits(a4, v, 0) == rule
         # left descents: i + 2 stands before i + 1 in the one-line form
         left = tuple(i for i in range(4) if form.index(i + 2) < form.index(i + 1))
-        assert descent_bits(a4_ctx, v, 1) == a4.left_descents(v) == left
+        assert descent_bits(a4, v, 1) == a4.left_descents(v) == left
 
 
 def test_elements_sorted_by_length_then_form(a3):
