@@ -291,15 +291,20 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------------------
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type for counts and caps: an integer >= 0."""
+def _nonnegative(text: str, low: int = 0) -> int:
+    """argparse type for counts and caps: an integer >= 0 (or >= low)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    """argparse type for worker counts: an integer >= 1."""
+    return _nonnegative(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_ver)
     p_ver.add_argument("--suite", default="full",
                        help="'full' or comma-separated check names")
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--workers", type=_positive, default=1)
     p_ver.add_argument("--max-interval-len", type=_nonnegative, default=None,
                        help="cap sweep checks at this interval length (partial run)")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="conjecture scan over intervals")
     add_common(p_scan)
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=_positive, default=1)
     p_scan.add_argument("--sample", type=_nonnegative, default=None,
                         help="sample this many intervals instead of all")
     p_scan.add_argument("--seed", type=int, default=0)
@@ -369,8 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "table" and args.table == "r-polys" and not args.group:
         parser.error("table r-polys requires --group")
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
     try:
         return args.func(args)
     except (CliError, EmptyIntervalError) as exc:

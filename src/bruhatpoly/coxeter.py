@@ -5,24 +5,27 @@ tables, the reflection set and Bruhat order queries. Type A rank n is the
 symmetric group on n+1 letters (one-line permutation forms); the dihedral
 group I2(m) of order 2m uses (rotation, flip) pairs. Forms are multiplied
 only while the group is enumerated: once per (form, generator) to find each
-length level, and once more to fill the product tables. Then all is integer
-tables, and forms serve only to parse and display. The tables are
-column-major, one tuple of ids per generator s: ``right[s][x]`` is x*s and
-``left[s][x]`` is s*x. ``mul`` walks the first right descents of its second
-factor, and the columns x -> x*t per reflection t are built on first use.
-Tables are immutable after construction. Bruhat order is answered by a walk
-down right descents (no memo); lower ideals are built lazily on first use,
-from the columns of ``right``, and kept per table. A kept ideal is a pure
-function of its top element, so sharing a table between worker processes
-(or rebuilding it per worker) gives identical answers.
+length level, and once more to fill the right product table. Every other
+table is read off that table and the level sizes: the length of x is its
+level, and the left table and the inverses are filled in id order from
+shorter elements. Then all is integer tables, and forms serve only to parse
+and display. The tables are column-major, one tuple of ids per generator
+s: ``right[s][x]`` is x*s and ``left[s][x]`` is s*x. ``mul`` walks the first
+right descents of its second factor, and the columns x -> x*t per
+reflection t are built on first use. Tables are immutable after
+construction. Bruhat order is answered by a walk down right descents (no
+memo); lower ideals are built lazily on first use, from the columns of
+``right``, and kept per table. A kept ideal is a pure function of its top
+element, so sharing a table between worker processes (or rebuilding it per
+worker) gives identical answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import repeat
-from operator import gt, itemgetter, lshift, or_
+from functools import cached_property
+from itertools import chain, repeat
+from operator import eq, getitem, gt, itemgetter, lshift, or_, sub
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -125,14 +128,15 @@ def _generator_maps(desc: CoxeterDescriptor) -> list:
     return [lambda f: (f[0], f[1] ^ 1), lambda f: ((f[0] + (1 if f[1] else -1)) % m, f[1] ^ 1)]
 
 
-def _inv_form(desc: CoxeterDescriptor, a):
-    if desc.family == "A":
-        out = [0] * len(a)
-        for pos, val in enumerate(a):
-            out[val - 1] = pos + 1
-        return tuple(out)
-    k, flip = a
-    return a if flip else ((-k) % desc.param, 0)
+def _fill_down(table: tuple, right: tuple, first: tuple, start: int) -> tuple[int, ...]:
+    """The column c with c[0] = start and c[x] = table[t][c[x*t]], t the first
+    right descent of x, filled in id order: x*t is shorter than x, so its id
+    is smaller and its entry is already filled."""
+    out = [start] * len(first)
+    for x in range(1, len(first)):
+        t = first[x]
+        out[x] = table[t][out[right[t][x]]]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -153,31 +157,50 @@ class GroupTable:
 
     Elements are dense integer ids, assigned in (length, canonical form)
     order, so id 0 is the identity and the last id is the longest element.
-    Built by :func:`enumerate_group` from the forms, the right product
-    table and the inverses, all in that id order. The product tables are
-    column-major: ``right[s][x]`` is x*s and ``left[s][x]`` is s*x, one
-    tuple of ids per generator s. ``descents[x]`` has bit s set iff s is a
-    right descent of x and bit n + s iff s is a left one (n generators);
-    equal masks share one int.
+    Built by :func:`enumerate_group` from the forms and the right product
+    table in that id order, and the number of elements of each length.
+    The product tables are column-major: ``right[s][x]`` is x*s and
+    ``left[s][x]`` is s*x, one tuple of ids per generator s. With t the
+    first right descent of x, s*x = (s*xt)*t and x^-1 = t*(xt)^-1 read only
+    shorter elements, so the left columns and the inverses fill in id
+    order. ``descents[x]`` has bit s set iff s is a right descent of x and
+    bit n + s iff s is a left one (n generators); equal masks share one int.
+    Each ``right[s]`` must be an involution that moves every element one
+    length level, and only the identity may have no right descent; the
+    build raises AssertionError otherwise.
     """
 
     def __init__(self, descriptor: CoxeterDescriptor, forms: tuple, right: tuple,
-                 inverse: tuple) -> None:
+                 sizes: Sequence[int]) -> None:
         self.descriptor = descriptor
         self.forms = forms
         self.num_generators = n = descriptor.num_generators
-        self._inverse = inverse
         self.right = right
-        self.left = tuple(tuple(map(inverse.__getitem__, map(col.__getitem__, inverse)))
-                          for col in right)  # s*x = (x^-1 * s)^-1
         self.identity = 0
-        self.length = self._bfs_lengths()
-
-        self.w0 = self._find_longest()
-        self.descents = self._descent_masks()
-        low = (1 << n) - 1
-        first = {d: ((d & low) & -(d & low)).bit_length() - 1 for d in set(self.descents)}
-        self._first_descent = tuple(map(first.__getitem__, self.descents))
+        self.length = length = tuple(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+        if sizes[-1] != 1:
+            raise AssertionError("finite Coxeter group must have a unique longest element")
+        self.w0 = len(forms) - 1
+        ids = range(len(forms))
+        for col in right:
+            if not all(map(eq, map(col.__getitem__, col), ids)):
+                raise AssertionError("each generator column must be an involution")
+            if not set(map(sub, map(length.__getitem__, col), length)) <= {-1, 1}:
+                raise AssertionError("each generator must move every element one level")
+        # right descents, a column at a time: ids ascend with length, so s
+        # lowers x iff x*s < x as ids
+        bits = (map(lshift, map(gt, ids, col), repeat(s)) for s, col in enumerate(right))
+        masks = list(map(sum, zip(*bits)))
+        if masks.count(0) != 1:
+            raise AssertionError("only the identity may have no right descent")
+        first = {d: (d & -d).bit_length() - 1 for d in set(masks)}
+        self._first_descent = first = tuple(map(first.__getitem__, masks))
+        # s*x = (s*xt)*t and x^-1 = t*(xt)^-1, t the first right descent of x
+        self.left = tuple(_fill_down(right, right, first, col[0]) for col in right)
+        self._inverse = inverse = _fill_down(self.left, right, first, 0)
+        shared = {}  # the left descents of x are the right descents of x^-1
+        masks = list(map(or_, masks, map(lshift, map(masks.__getitem__, inverse), repeat(n))))
+        self.descents = tuple(map(shared.setdefault, masks, masks))
         self.reflections = self._find_reflections()
         self._columns: dict[int, tuple[int, ...]] | None = None
         self._ideals: dict[int, tuple[int, ...]] = {self.identity: (self.identity,)}
@@ -188,44 +211,6 @@ class GroupTable:
         return dict(zip(self.forms, range(len(self.forms))))
 
     # -- construction helpers ------------------------------------------------
-
-    def _bfs_lengths(self) -> tuple[int, ...]:
-        n = len(self.forms)
-        length = [-1] * n
-        length[self.identity] = 0
-        frontier = [self.identity]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = []
-            for col in self.right:
-                for w in map(col.__getitem__, frontier):
-                    if length[w] < 0:
-                        length[w] = dist
-                        nxt.append(w)
-            frontier = nxt
-        if any(l < 0 for l in length):
-            raise AssertionError("group not generated by its generators")
-        return tuple(length)
-
-    def _find_longest(self) -> int:
-        top = max(self.length)
-        longest = [v for v, l in enumerate(self.length) if l == top]
-        if len(longest) != 1:
-            raise AssertionError("finite Coxeter group must have a unique longest element")
-        return longest[0]
-
-    def _descent_masks(self) -> tuple[int, ...]:
-        """Per element, bit s set iff s is a right descent and bit n + s iff a
-        left one, a column at a time; equal masks share one int. Ids ascend
-        with length, so s lowers x iff x*s < x as ids, and the left descents
-        of x are the right descents of x^-1."""
-        ids, shared = range(len(self.forms)), {}
-        bits = (map(lshift, map(gt, ids, col), repeat(s)) for s, col in enumerate(self.right))
-        right = list(map(sum, zip(*bits)))
-        masks = list(map(or_, right, map(lshift, map(right.__getitem__, self._inverse),
-                                         repeat(self.num_generators))))
-        return tuple(map(shared.setdefault, masks, masks))
 
     def _find_reflections(self) -> tuple[int, ...]:
         """The conjugates of the generators, as the closure of the generators
@@ -383,10 +368,8 @@ class GroupTable:
     def display(self, v: int) -> str:
         """Human-readable canonical form: one-line for type A, word for I2."""
         form = self.forms[v]
-        if self.descriptor.family == "A":
-            if len(form) <= 9:
-                return "".join(str(x) for x in form)
-            return ",".join(str(x) for x in form)
+        if self.descriptor.family == "A":  # A8 is the last rank under the cap: 9 letters
+            return "".join(str(x) for x in form)
         word = self.reduced_word(v)
         if not word:
             return "e"
@@ -399,10 +382,11 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
     Level k + 1 is every product f*s of a form f of level k, less the forms
     of levels k - 1 and k (the generators are involutions, so a product
     moves at most one level); each level is sorted, so the forms come out
-    in (length, canonical form) order with no relabelling. Each column of
-    the right product table is then one pass of its generator over the
-    forms. A group of order above ``DEFAULT_MAX_ORDER`` is refused before
-    any element is built.
+    in (length, canonical form) order with no relabelling. More forms than
+    the group order means a generator map is not an involution, and raises
+    AssertionError at once. Each column of the right product table is then
+    one pass of its generator over the forms. A group of order above
+    ``DEFAULT_MAX_ORDER`` is refused before any element is built.
     """
     est = descriptor.order(cap=DEFAULT_MAX_ORDER)
     if est is None or est > DEFAULT_MAX_ORDER:
@@ -414,6 +398,8 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
     below, level = set(), {_identity_form(descriptor)}
     while level:
         forms += sorted(level)
+        if len(forms) > est:
+            raise AssertionError(f"enumerated more than the {est} elements expected")
         sizes.append(len(level))
         above = set()
         for times_g in gens:
@@ -426,9 +412,5 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
     forms = tuple(forms)
     index = dict(zip(forms, range(est)))
     right = tuple(tuple(map(index.__getitem__, map(times_g, forms))) for times_g in gens)
-    inverse = tuple(map(index.__getitem__, map(partial(_inv_form, descriptor), forms)))
     del index
-    table = GroupTable(descriptor, forms, right, inverse)
-    if tuple(k for k, size in enumerate(sizes) for _ in range(size)) != table.length:
-        raise AssertionError("level lengths disagree with table lengths")
-    return table
+    return GroupTable(descriptor, forms, right, sizes)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
@@ -50,10 +50,6 @@ __all__ = [
     "IncreasingPathCounts",
     "to_dot",
 ]
-
-# how many distinct reflection orders the checks compare
-REFLECTION_ORDER_COUNT = 3
-
 
 class InvalidWordError(ValueError):
     """A word that is not a reduced expression for the longest element."""
@@ -223,48 +219,16 @@ def default_reflection_order(group: GroupTable) -> ReflectionOrder:
     return reflection_order_from_word(group, lex_min_w0_word(group))
 
 
-def _reduced_words_of_w0(group: GroupTable) -> Iterator[tuple[int, ...]]:
-    """The reduced words of w0 in lexicographic order, depth first on an
-    explicit stack, so that a long w0 does not meet the recursion limit."""
-    prefix = [None]  # prefix[0] stands for the letter before w0
-    stack = [(group.w0, iter(group.left_descents(group.w0)))]
-    while stack:
-        cur, descents = stack[-1]
-        for s in descents:
-            nxt = group.left[s][cur]
-            if nxt == group.identity:
-                yield (*prefix[1:], s)
-                continue
-            prefix.append(s)
-            stack.append((nxt, iter(group.left_descents(nxt))))
-            break
-        else:
-            stack.pop()
-            prefix.pop()
-
-
 def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
-    """Up to ``REFLECTION_ORDER_COUNT`` distinct valid reflection orders,
-    deterministically.
-
-    Dihedral groups admit exactly two reflection orders (the defining chain
-    and its reverse), so fewer may be returned.
-    """
-    orders: list[ReflectionOrder] = []
-
-    def add(o: ReflectionOrder) -> None:
-        if o not in orders and len(orders) < REFLECTION_ORDER_COUNT:
-            orders.append(o)
-
+    """The default reflection order, the order of the greedy largest-descent
+    word of w0 and the reverse of the default, less repeats: three on A3 and
+    up, two on A2 and on every dihedral group (which admits exactly two) and
+    one on A1."""
     base = default_reflection_order(group)
-    add(base)
-    add(reflection_order_from_word(group, lex_max_w0_word(group)))
-    add(base.reversed())
-    if len(orders) < REFLECTION_ORDER_COUNT:
-        for word in islice(_reduced_words_of_w0(group), 10000):
-            add(reflection_order_from_word(group, word))
-            if len(orders) >= REFLECTION_ORDER_COUNT:
-                break
+    orders = [base]
+    for order in (reflection_order_from_word(group, lex_max_w0_word(group)), base.reversed()):
+        if order not in orders:
+            orders.append(order)
     return orders
 
 

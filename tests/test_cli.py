@@ -491,6 +491,74 @@ def test_negative_count_or_empty_suite_is_usage_error(args, capsys):
     assert "must be >= 0" in captured.err or "names no check" in captured.err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["interval", "--group", "A3", "--u", "", "--w", "w0"], "error: empty element literal"),
+    (["interval", "--group", "I2:5", "--u", "e", "--w", "21"],
+     "error: element literal '21' not understood for group I2:5; "
+     "use 'e', 'w0' or a word like 's1 s2 s1'"),
+    (["interval", "--group", "A3", "--u", "e", "--w", "s1 x2"],
+     "error: word token 'x2' at position 1 must look like 's1'"),
+    (["interval", "--group", "A3", "--u", "e", "--w", "sx"],
+     "error: word token 'sx' at position 0 has no generator index"),
+    (["interval", "--group", "A3", "--u", "e", "--w", "s9"],
+     "error: generator 's9' at position 0 out of range 1..3"),
+    (["interval", "--group", "A3", "--u", "e", "--w", "3,x,1,2"],
+     "error: one-line entry 'x' at position 1 is not an integer"),
+    (["interval", "--group", "A3", "--u", "e", "--w", "3312"],
+     "error: '3312' is not a permutation of 1..4"),
+    (["scan", "--group", "A3", "--include-pair", "e-w0"],
+     "error: pair 'e-w0' must look like 'U..W'"),
+    (["table", "--table", "dihedral", "--max-n", "abc"],
+     "bruhatpoly table: error: argument --max-n: invalid integer: 'abc'"),
+    (["verify", "--group", "A3", "--workers", "0"],
+     "bruhatpoly verify: error: argument --workers: must be >= 1, got 0"),
+    (["scan", "--group", "A3", "--workers", "-2"],
+     "bruhatpoly scan: error: argument --workers: must be >= 1, got -2"),
+    (["table", "--table", "r-polys"], "bruhatpoly: error: table r-polys requires --group"),
+], ids=["empty-literal", "one-line-on-I2", "token-x2", "token-sx", "token-s9",
+        "comma-entry", "not-a-permutation", "include-pair", "max-n-abc", "verify-workers-0",
+        "scan-workers-negative", "r-polys-without-group"])
+def test_usage_errors_name_their_cause(args, message, capsys):
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse refuses the arguments themselves
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == message
+
+
+def test_one_line_literal_with_commas(capsys):
+    args = ["interval", "--group", "A3", "--u", "e", "--w"]
+    commas = capture(capsys, args + ["3,4,1,2"])
+    assert commas[0] == 0
+    assert commas == capture(capsys, args + ["3412"])
+
+
+@pytest.mark.parametrize("spec, index, bad_map", [
+    ("I2:5", 1, "lambda f: ((f[0] + 1) % 5, f[1])"),  # a rotation of order 5
+    ("A3", 0, "operator.itemgetter(1, 2, 0, 3)"),  # a 3-cycle of the positions
+], ids=["I2:5-rotation", "A3-3-cycle"])
+def test_a_generator_map_that_is_no_involution_stops_the_level_pass(spec, index, bad_map):
+    # the level pass loops for ever on such a map; the timeout fails that
+    script = (
+        "import operator, sys\n"
+        "from bruhatpoly import cli, coxeter\n"
+        "maps = coxeter._generator_maps\n"
+        "def patched(desc):\n"
+        "    out = maps(desc)\n"
+        f"    out[{index}] = {bad_map}\n"
+        "    return out\n"
+        "coxeter._generator_maps = patched\n"
+        f"sys.exit(cli.main(['table', '--table', 'r-polys', '--group', '{spec}']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), timeout=20)
+    order = CoxeterDescriptor.parse(spec).order()
+    assert proc.returncode == INTERNAL_ERROR and proc.stdout == ""
+    assert proc.stderr == f"error: internal: enumerated more than the {order} elements expected\n"
+
+
 def test_cli_import_loads_no_process_pool():
     # only a run that starts a pool imports its modules
     proc = subprocess.run(

@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from bruhatpoly import (CoxeterDescriptor, EmptyIntervalError, RContext, SizeLimitError,
-                        enumerate_group)
+from bruhatpoly import (CoxeterDescriptor, EmptyIntervalError, GroupTable, RContext,
+                        SizeLimitError, enumerate_group)
 from oracles import (
     conjugate_reflections,
     descent_leq,
@@ -139,6 +139,54 @@ def test_product_columns_are_involutions_conjugate_by_the_inverse(a1, a3, a4, i2
                 assert len(col) == len(ids)
                 assert tuple(map(col.__getitem__, col)) == ids
             assert left == tuple(inv[right[inv[x]]] for x in ids)
+
+
+def _swapped(col, a, b):
+    col = list(col)
+    col[a], col[b] = col[b], col[a]
+    return tuple(col)
+
+
+def _repaired(col, a, b):
+    """col with the pairs {a, col[a]} and {b, col[b]} re-paired as {a, b}
+    and {col[a], col[b]}: still an involution."""
+    out = list(col)
+    out[a], out[b], out[col[a]], out[col[b]] = b, a, col[b], col[a]
+    return tuple(out)
+
+
+# planted faults in the first two generator columns (r0, r1)
+COLUMN_FAULTS = {
+    "copy": lambda r0, r1: (r0, r0),
+    "swap": lambda r0, r1: (_swapped(r0, 3, 5), r1),
+    "compose": lambda r0, r1: (tuple(map(r0.__getitem__, r1)), r1),
+    "to-identity": lambda r0, r1: (r0[:-1] + (0,), r1),
+    "re-pair": lambda r0, r1: (_repaired(r0, 1, 2), r1),
+}
+NO_INVOLUTION = "each generator column must be an involution"
+NOT_ONE_LEVEL = "each generator must move every element one level"
+NO_DESCENT = "only the identity may have no right descent"
+
+
+FAULT_CASES = [
+    ("A3", "copy", NO_DESCENT), ("A3", "swap", NO_INVOLUTION), ("A3", "compose", NO_INVOLUTION),
+    ("A3", "to-identity", NO_INVOLUTION), ("A3", "re-pair", NOT_ONE_LEVEL),
+    ("I2:5", "copy", NO_DESCENT), ("I2:5", "swap", NOT_ONE_LEVEL),
+    ("I2:5", "compose", NO_INVOLUTION), ("I2:5", "to-identity", NO_INVOLUTION),
+    ("I2:5", "re-pair", NOT_ONE_LEVEL),
+]
+
+
+@pytest.mark.parametrize("spec, fault, message", FAULT_CASES,
+                         ids=[f"{spec}-{fault}" for spec, fault, _ in FAULT_CASES])
+def test_a_faulty_generator_column_is_refused(spec, fault, message):
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    sizes = [group.length.count(k) for k in range(group.length[group.w0] + 1)]
+    again = GroupTable(group.descriptor, group.forms, group.right, sizes)
+    assert (again.left, again.descents) == (group.left, group.descents)
+    right = COLUMN_FAULTS[fault](*group.right[:2]) + group.right[2:]
+    with pytest.raises(AssertionError, match=message):
+        GroupTable(group.descriptor, group.forms, right, sizes)
 
 
 def test_a6_tables_keep_at_most_350_bytes_per_element():

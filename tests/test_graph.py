@@ -23,11 +23,7 @@ from bruhatpoly import (
     to_dot,
     validate_reflection_order,
 )
-from bruhatpoly.graph import (
-    InvalidWordError,
-    _reduced_words_of_w0,
-    lex_min_w0_word,
-)
+from bruhatpoly.graph import InvalidWordError, lex_min_w0_word
 from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, average, size
 from bruhatpoly.rpoly import rtilde_via_paths, shifted_r_via_weights
 from bruhatpoly.suite import _interval_scope
@@ -182,6 +178,15 @@ def test_dihedral_groups_admit_exactly_two_orders(i2_groups):
     assert len(distinct_reflection_orders(m5)) == 2
 
 
+@pytest.mark.parametrize("spec, count", [("A1", 1), ("A2", 2)]
+                         + [(f"I2:{m}", 2) for m in range(2, 13)]
+                         + [(f"A{n}", 3) for n in range(3, 8)])
+def test_distinct_reflection_orders_per_group(spec, count):
+    # the three seeds alone: a dihedral group admits exactly two orders
+    orders = distinct_reflection_orders(enumerate_group(CoxeterDescriptor.parse(spec)))
+    assert len({o.sequence for o in orders}) == len(orders) == count
+
+
 def test_three_distinct_valid_orders_on_s4(a3):
     orders = distinct_reflection_orders(a3)
     assert len(orders) == 3
@@ -281,17 +286,6 @@ def test_walk_keeps_no_graph_alive(a3, walk):
         assert gone() is None
     finally:
         gc.enable()
-
-
-def test_reduced_words_of_w0_in_lexicographic_order(a3):
-    words = list(_reduced_words_of_w0(a3))
-    assert len(words) == 16 and words == sorted(set(words))
-    assert words[0] == lex_min_w0_word(a3)
-    for word in words:
-        reflection_order_from_word(a3, word)  # raises unless a reduced word of w0
-    # w0 of I2(m) has exactly the two alternating words, m letters deep
-    big = enumerate_group(CoxeterDescriptor("I2", 1200))
-    assert [word[:3] for word in _reduced_words_of_w0(big)] == [(0, 1, 0), (1, 0, 1)]
 
 
 def test_short_paths_are_saturated(a3, pid):
