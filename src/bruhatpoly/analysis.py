@@ -598,21 +598,18 @@ def _poly_json(f: IntPoly) -> dict:
     return {"coeffs": [str(c) for c in f.coeffs], "text": f.text()}
 
 
-def interval_report(ctx: RContext, u: int, w: int,
-                    order: Optional[ReflectionOrder] = None) -> dict:
+def interval_report(ctx: RContext, u: int, w: int) -> dict:
     """Everything this library knows about one interval, as a JSON-ready dict.
 
     Lower intervals also get their Poincare polynomial and the two average
     criteria, and in type A the pattern criterion.
     """
     g = ctx.group
-    if order is None:
-        order = default_reflection_order(g)
     graph = build_graph(g, g.interval(u, w))
     gamma = ctx.gamma_vector(u, w)
     shifted = ctx.shifted(u, w)
     f_vec = f_tilde_vector(ctx, u, w)
-    p1, p2 = p1_p2(ctx, graph, order)
+    p1, p2 = p1_p2(ctx, graph, default_reflection_order(g))
     regular = is_regular(ctx, u, w)
     regularity = {
         "regular": regular,

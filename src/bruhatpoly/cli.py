@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -49,7 +50,8 @@ class CliError(Exception):
 
 def parse_element(group: GroupTable, text: str) -> int:
     """Parse an element literal: 'e', 'w0', a one-line permutation such as
-    '3412' (or '3,4,1,2'), or a word in the generators such as 's1 s2 s1'."""
+    '3412' (or '3,4,1,2'), or a word in the generators such as 's1 s2 s1' or
+    's1s2s1' (the form dihedral elements display in)."""
     s = text.strip()
     if not s:
         raise CliError("empty element literal")
@@ -72,15 +74,16 @@ def _parse_word(group: GroupTable, s: str) -> int:
     for pos, token in enumerate(s.split()):
         if not token.startswith("s"):
             raise CliError(f"word token {token!r} at position {pos} must look like 's1'")
-        try:
-            idx = int(token[1:])
-        except ValueError:
-            raise CliError(f"word token {token!r} at position {pos} has no generator index")
-        if not 1 <= idx <= group.num_generators:
-            raise CliError(
-                f"generator {token!r} at position {pos} out of range 1..{group.num_generators}"
-            )
-        word.append(idx - 1)
+        # a run such as 's1s2' is read generator by generator
+        for part in re.findall(r"s\d+", token) if re.fullmatch(r"(?:s\d+)+", token) else [token]:
+            try:
+                idx = int(part[1:])
+            except ValueError:
+                raise CliError(f"word token {token!r} at position {pos} has no generator index")
+            if not 1 <= idx <= group.num_generators:
+                raise CliError(
+                    f"generator {part!r} at position {pos} out of range 1..{group.num_generators}")
+            word.append(idx - 1)
     return group.from_word(word)
 
 
@@ -107,12 +110,15 @@ def _parse_one_line(group: GroupTable, s: str) -> int:
 # -- shared plumbing ----------------------------------------------------------------
 
 
-def _make_group(spec: str) -> GroupTable:
+def _make_group(args: argparse.Namespace) -> GroupTable:
+    """The group of ``--group``, whose canonical spec replaces the text given,
+    so that equivalent specs ('A5', 'A05', ' A5') give the same output."""
     try:
-        descriptor = CoxeterDescriptor.parse(spec)
-        return enumerate_group(descriptor)
+        group = enumerate_group(CoxeterDescriptor.parse(args.group))
     except ValueError as exc:
         raise CliError(str(exc))
+    args.group = group.descriptor.spec_string()
+    return group
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -142,7 +148,7 @@ def _parse_pair(group: GroupTable, args: argparse.Namespace) -> tuple[int, int]:
 
 
 def cmd_interval(args: argparse.Namespace) -> int:
-    group = _make_group(args.group)
+    group = _make_group(args)
     u, w = _parse_pair(group, args)
     _emit(_json_text(analysis.interval_report(RContext(group), u, w)), args.out)
     return 0
@@ -188,7 +194,7 @@ def _emit_table(args: argparse.Namespace, payload: dict, header: list[str],
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.table == "r-polys":
-        rows = _r_classes(RContext(_make_group(args.group)))
+        rows = _r_classes(RContext(_make_group(args)))
         _emit_table(args, {"group": args.group, "classes": rows},
                     ["class", "members", "gamma_form", "r", "size"],
                     ([r["class"], " ".join(r["members"]), r["gamma_form"], r["r"], r["size"]]
@@ -205,7 +211,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    group = _make_group(args.group)  # validate the spec before spending time
+    group = _make_group(args)  # validate the spec before spending time
     checks = None
     if args.suite != "full":
         checks = [c.strip() for c in args.suite.split(",") if c.strip()]
@@ -247,15 +253,15 @@ SCAN_PROBE_PAIRS = {"A5": (("124356", "564312"),)}
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    group = _make_group(args.group)
+    group = _make_group(args)
     extra = []
-    pair_specs = list(args.include_pair or ())
+    specs = list(args.include_pair or ())
     sample = args.sample
     if not args.exhaustive and sample is None and len(group) > SCAN_SAMPLE_THRESHOLD:
         sample = SCAN_DEFAULT_SAMPLE
     if not args.exhaustive:
-        pair_specs.extend("..".join(p) for p in SCAN_PROBE_PAIRS.get(args.group, ()))
-    for spec in pair_specs:
+        specs.extend("..".join(p) for p in SCAN_PROBE_PAIRS.get(args.group, ()))
+    for spec in specs:
         try:
             u_text, w_text = spec.split("..")
         except ValueError:
@@ -278,7 +284,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    group = _make_group(args.group)
+    group = _make_group(args)
     u, w = _parse_pair(group, args)
     cap = args.max_interval_len
     if cap is not None and group.length[w] - group.length[u] > cap:

@@ -496,10 +496,10 @@ class IncreasingPathCounts:
                 all(a < b for a, b in zip(first, first[1:])))
 
 
-def to_dot(graph: BruhatGraph, name: str = "bruhat") -> str:
+def to_dot(graph: BruhatGraph) -> str:
     """Graphviz DOT rendering: deterministic order, long edges dashed."""
     g = graph.group
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph bruhat {", "  rankdir=BT;"]
     for v in graph.interval.members:
         lines.append(f'  "{g.display(v)}" [label="{g.display(v)} ({g.length[v]})"];')
     for x in graph.interval.members:  # ascending ids, rows in target order

@@ -1,14 +1,17 @@
 """Named verification checks and conjecture scans, with optional workers.
 
-Each check sweeps a deterministic scope (all intervals for small groups,
-lower intervals once the group passes 48 elements) and reports one
-pass/fail line. The per-interval checks share one sweep and build no Bruhat
-graph: th2, th3 and cp-fourway share the verdicts kept on the context, and
-el-unique and oracle-eq one increasing-path pass per bottom and reflection
-order, over the whole group. Sweeps can be spread over worker processes:
-every worker rebuilds the group from its spec string, the item list is
-chunked in a fixed order and results are concatenated in submission
-order, so the output is identical for any worker count.
+One ordered table, ``_CHECKS``, names every check: a whole-group runner or
+a per-interval test. Each check sweeps a deterministic scope (all intervals
+for small groups, lower intervals once the group passes 48 elements) and
+reports one pass/fail line. The per-interval tests run in one sweep, which
+builds no Bruhat graph: th1-odd reads the lower row of sizes, th2, th3 and
+cp-fourway share the verdicts kept on the context, and el-unique and
+oracle-eq one increasing-path pass per bottom and reflection order, over
+the whole group. Sweeps can be spread over worker processes: every worker
+rebuilds the group from its spec string, the item list is chunked in a
+fixed order and results are concatenated in submission order, so the
+output is identical for any worker count. A worker keeps the shared work
+for its own chunk only, so a sweep per check would compute it again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
@@ -34,19 +37,6 @@ __all__ = [
     "run_scan",
     "suite_text",
 ]
-
-CHECK_NAMES = (
-    "th1-monotone",
-    "th1-odd",
-    "th2",
-    "th3",
-    "th4-bounds",
-    "el-unique",
-    "oracle-eq",
-    "cp-fourway",
-    "obs-sum",
-    "gen-func",
-)
 
 # groups up to this many elements get exhaustive all-interval scopes;
 # larger ones fall back to lower intervals for the sum-based checks
@@ -146,6 +136,10 @@ def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
 # -- per-interval tests, called as (env, u, w) --------------------------------------
 
 
+def _th1_odd(env: dict, u: int, w: int) -> bool:
+    return env["ctx"].lower_sizes((w,))[0] % 2 == 1
+
+
 def _th2(env: dict, u: int, w: int) -> bool:
     _, fired = analysis.shifted_average_fires(env["ctx"], w)
     return not fired or not analysis.is_regular(env["ctx"], u, w)
@@ -181,25 +175,14 @@ def _cp_fourway(env: dict, u: int, w: int) -> bool:
     return analysis.four_way_regularity(env["ctx"], w).agree
 
 
-# check -> (test, lower intervals only, pass detail, fail detail), in canonical order
-_INTERVAL_TESTS: dict[str, tuple[Callable, bool, str, str]] = {
-    "th2": (_th2, True, "fired averages all irregular", "criterion misfired"),
-    "th3": (_th3, False, "both degree inequalities hold", "inequality failed"),
-    "el-unique": (_el_unique, False, "unique lex-first increasing chain", "uniqueness failed"),
-    "oracle-eq": (_oracle_eq, False, "recursions match path enumeration", "oracle mismatch"),
-    "cp-fourway": (_cp_fourway, True, "all regularity criteria agree", "criteria disagree"),
-}
-
-
 def _task_interval(names: tuple[str, ...], env: dict, pair: tuple[int, int]) -> list:
     """(passed, wall seconds) per named test on [u, w], None where a lower-only
     test meets u != e."""
-    group: GroupTable = env["group"]
     u, w = pair
     outcomes = []
-    for test, lower_only, _, _ in map(_INTERVAL_TESTS.__getitem__, names):
+    for test, lower_only, _, _ in map(_CHECKS.__getitem__, names):
         started = time.perf_counter()
-        outcomes.append(None if lower_only and u != group.identity else
+        outcomes.append(None if lower_only and u != env["group"].identity else
                         (test(env, u, w), time.perf_counter() - started))
     return outcomes
 
@@ -241,12 +224,8 @@ def _pair_count(group: GroupTable, max_interval_len: Optional[int] = None) -> in
 
 def _comparable_pairs(group: GroupTable,
                       max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
-    """The pairs u <= w with length(w) - length(u) <= max_interval_len, in id order.
-
-    The cap filters each lower ideal before any pair is built.
-    """
-    if max_interval_len is None:
-        return group.comparable_pairs()
+    """The pairs u <= w with length(w) - length(u) <= max_interval_len, in id
+    order, read off the capped ideals before any pair is built."""
     return sorted((u, w) for w, ideal in enumerate(_capped_ideals(group, max_interval_len))
                   for u in ideal)
 
@@ -265,17 +244,12 @@ def _reduced_pairs(ctx: RContext,
 
 def _interval_scope(group: GroupTable,
                     max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
-    """All comparable pairs for small groups, else lower intervals only."""
+    """All comparable pairs for small groups, else the lower intervals [e, w],
+    capped at length(w) <= max_interval_len."""
     if len(group) <= SMALL_GROUP_LIMIT:
         return _comparable_pairs(group, max_interval_len)
-    return [(group.identity, w) for w in _lower_scope(group, max_interval_len)]
-
-
-def _lower_scope(group: GroupTable, max_interval_len: Optional[int] = None) -> list[int]:
-    """Tops w of the lower intervals [e, w], capped at length(w) <= max_interval_len."""
-    if max_interval_len is None:
-        return list(group.elements())
-    return [w for w in group.elements() if group.length[w] <= max_interval_len]
+    return [(group.identity, w) for w in group.elements()
+            if max_interval_len is None or group.length[w] <= max_interval_len]
 
 
 # -- checks -------------------------------------------------------------------------
@@ -299,13 +273,6 @@ def _check_th1_monotone(spec: str, workers: int, cap: Optional[int]) -> CheckRes
                        "sizes never decrease up the order" if bad == 0 else f"{bad} violations")
 
 
-def _check_th1_odd(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
-    env = _environment(spec)
-    tops = _lower_scope(env["group"], cap)
-    ok = all(size % 2 == 1 for size in env["ctx"].lower_sizes(tops))
-    return CheckResult("th1-odd", ok, len(tops), "every size is odd" if ok else "even size found")
-
-
 def _check_th4(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
     """Dihedral bounds on the pairs that share no descent; the scope is every
     capped comparable pair, which these stand for."""
@@ -326,7 +293,7 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
     for name, column in zip(names, zip(*outcomes)):
         ran = [o for o in column if o is not None]
         ok = all(passed for passed, _ in ran)
-        pass_detail, fail_detail = _INTERVAL_TESTS[name][2:]
+        pass_detail, fail_detail = _CHECKS[name][2:]
         results[name] = CheckResult(name, ok, len(ran), pass_detail if ok else fail_detail,
                                     sum(seconds for _, seconds in ran))
     return results
@@ -347,14 +314,22 @@ def _check_gen_func(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
                        f"series matches recursion through n={GEN_FUNC_DEPTH}" if ok else "series mismatch")
 
 
-# every check outside _INTERVAL_TESTS, called as (spec, workers, cap)
-_CHECKS: dict[str, Callable[[str, int, Optional[int]], CheckResult]] = {
+# every check, in canonical order: a whole-group runner (spec, workers, cap), or a
+# per-interval row (test, lower intervals only, pass detail, fail detail) for the sweep
+_CHECKS: dict[str, Union[Callable[[str, int, Optional[int]], CheckResult],
+                         tuple[Callable[[dict, int, int], bool], bool, str, str]]] = {
     "th1-monotone": _check_th1_monotone,
-    "th1-odd": _check_th1_odd,
+    "th1-odd": (_th1_odd, True, "every size is odd", "even size found"),
+    "th2": (_th2, True, "fired averages all irregular", "criterion misfired"),
+    "th3": (_th3, False, "both degree inequalities hold", "inequality failed"),
     "th4-bounds": _check_th4,
+    "el-unique": (_el_unique, False, "unique lex-first increasing chain", "uniqueness failed"),
+    "oracle-eq": (_oracle_eq, False, "recursions match path enumeration", "oracle mismatch"),
+    "cp-fourway": (_cp_fourway, True, "all regularity criteria agree", "criteria disagree"),
     "obs-sum": _check_obs,
     "gen-func": _check_gen_func,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
@@ -367,26 +342,25 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
     keep length(w) - length(u) <= cap, lower intervals [e, w] keep
     length(w) <= cap. Capped runs are flagged as partial in the rendered
     output. ``group`` is the already enumerated table for ``spec``, if any.
-    Each result carries the wall time of its check; the checks of
-    ``_INTERVAL_TESTS`` run as one sweep, at the place of the first of them.
+    Each result carries the wall time of its check; the per-interval rows
+    of ``_CHECKS`` run as one sweep, at the place of the first of them.
     """
     selected = tuple(checks) if checks else CHECK_NAMES
-    unknown = [c for c in selected if c not in CHECK_NAMES]
+    unknown = [c for c in selected if c not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
     _environment(spec, group)
+    runs = {name: row for name, row in _CHECKS.items() if name in selected}
+    sweep = tuple(name for name, row in runs.items() if isinstance(row, tuple))
     swept: dict[str, CheckResult] = {}
     results: list[CheckResult] = []
-    for name in CHECK_NAMES:
-        if name not in selected:
-            continue
-        if name in _INTERVAL_TESTS:
-            swept = swept or _check_intervals(tuple(n for n in _INTERVAL_TESTS if n in selected),
-                                              spec, workers, max_interval_len)
+    for name, row in runs.items():
+        if name in sweep:
+            swept = swept or _check_intervals(sweep, spec, workers, max_interval_len)
             results.append(swept[name])
         else:
             started = time.perf_counter()
-            result = _CHECKS[name](spec, workers, max_interval_len)
+            result = row(spec, workers, max_interval_len)
             results.append(replace(result, seconds=time.perf_counter() - started))
     return results
 

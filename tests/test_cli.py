@@ -345,10 +345,33 @@ def test_th1_monotone_counts_a_planted_violation_per_pair(cap, a3, pid, monkeypa
         assert line == f"th1-monotone: FAIL (scope={len(pairs)}) {bad} violations"
 
 
+@pytest.mark.parametrize("spec, cap", [("A3", None), ("A3", 1), ("A4", None), ("A4", 3),
+                                       ("A4", 1)])
+def test_th1_odd_reports_a_planted_even_size(spec, cap, monkeypatch, capsys):
+    # one lower interval given an even size fails th1-odd, in the all-pairs
+    # scope of A3 and the lower scope of A4, unless the cap leaves its top out
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    planted = group.from_word([0, 2])  # s1 s3, of length 2
+    lower_sizes = RContext.lower_sizes
+    monkeypatch.setattr(RContext, "lower_sizes", lambda self, members: [
+        98 if v == planted else size for v, size in zip(members, lower_sizes(self, members))])
+    monkeypatch.setattr(suite, "_ENVS", {})
+    tops = sum(1 for v in group.elements() if cap is None or group.length[v] <= cap)
+    args = ["verify", "--group", spec, "--suite", "th1-odd"]
+    if cap is not None:
+        args += ["--max-interval-len", str(cap)]
+    code, out = capture(capsys, args)
+    line = out.splitlines()[1]
+    if cap == 1:
+        assert code == 0 and line == f"th1-odd: PASS (scope={tops}) every size is odd"
+    else:
+        assert code == 1 and line == f"th1-odd: FAIL (scope={tops}) even size found"
+
+
 def test_verify_reports_each_check_on_stderr():
     # one stderr line per selected check after the total line, with its wall
     # time and scope; stdout does not depend on the worker count
-    checks = ["th1-monotone", "th2", "th3", "th4-bounds", "el-unique", "oracle-eq",
+    checks = ["th1-monotone", "th1-odd", "th2", "th3", "th4-bounds", "el-unique", "oracle-eq",
               "cp-fourway", "obs-sum"]
     runs = [run_cli(["verify", "--group", "A4", "--suite", ",".join(checks),
                      "--workers", str(workers)]) for workers in (1, 2)]
@@ -502,6 +525,8 @@ def test_negative_count_or_empty_suite_is_usage_error(args, capsys):
      "error: word token 'sx' at position 0 has no generator index"),
     (["interval", "--group", "A3", "--u", "e", "--w", "s9"],
      "error: generator 's9' at position 0 out of range 1..3"),
+    (["interval", "--group", "I2:3", "--u", "e", "--w", "s2 s1s3"],
+     "error: generator 's3' at position 1 out of range 1..2"),
     (["interval", "--group", "A3", "--u", "e", "--w", "3,x,1,2"],
      "error: one-line entry 'x' at position 1 is not an integer"),
     (["interval", "--group", "A3", "--u", "e", "--w", "3312"],
@@ -515,7 +540,7 @@ def test_negative_count_or_empty_suite_is_usage_error(args, capsys):
     (["scan", "--group", "A3", "--workers", "-2"],
      "bruhatpoly scan: error: argument --workers: must be >= 1, got -2"),
     (["table", "--table", "r-polys"], "bruhatpoly: error: table r-polys requires --group"),
-], ids=["empty-literal", "one-line-on-I2", "token-x2", "token-sx", "token-s9",
+], ids=["empty-literal", "one-line-on-I2", "token-x2", "token-sx", "token-s9", "run-s1s3",
         "comma-entry", "not-a-permutation", "include-pair", "max-n-abc", "verify-workers-0",
         "scan-workers-negative", "r-polys-without-group"])
 def test_usage_errors_name_their_cause(args, message, capsys):
@@ -706,3 +731,31 @@ def test_golden_stdout_ignores_cache_dir(args, tmp_path, monkeypatch, capsys):
     _, out = capture(capsys, list(args))
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[args]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_every_element_parses_back_from_its_display(a3, a4, i2_groups):
+    # dihedral elements display as runs such as 's1s2s1', which the CSV
+    # members column needs; each must read back as the element itself
+    groups = [enumerate_group(CoxeterDescriptor("A", n)) for n in (1, 2)]
+    for group in (*groups, a3, a4, *i2_groups.values()):
+        assert [cli.parse_element(group, group.display(v)) for v in group.elements()] == list(
+            group.elements())
+
+
+def test_dihedral_runs_are_accepted_as_words(capsys):
+    _, spaced = capture(capsys, ["interval", "--group", "I2:3", "--u", "e", "--w", "s1 s2"])
+    code, run = capture(capsys, ["interval", "--group", "I2:3", "--u", "e", "--w", "s1s2"])
+    assert code == 0 and run == spaced and json.loads(run)["w"] == "s1s2"
+    code, out = capture(capsys, ["scan", "--group", "I2:3", "--include-pair", "s1..s1s2s1"])
+    assert code == 0 and json.loads(out)["intervals_checked"] == 19
+
+
+@pytest.mark.parametrize("spec", [" A5", "A05", "A+5"])
+def test_equivalent_group_specs_print_the_same_bytes(spec, capsys):
+    # the A5 probe pair and every echo of the spec follow the group, not its text
+    for args in (["scan", "--sample", "3"], ["verify", "--suite", "obs-sum"],
+                 ["table", "--table", "r-polys", "--format", "json"]):
+        canonical = capture(capsys, [*args, "--group", "A5"])
+        assert capture(capsys, [*args, "--group", spec]) == canonical
+    code, out = capture(capsys, ["verify", "--group", " I2:04", "--suite", "obs-sum"])
+    assert code == 0 and out.splitlines()[0] == "group: I2:4"
