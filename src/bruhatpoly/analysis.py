@@ -6,6 +6,11 @@ average of the Poincare polynomial, against Booleanness of all upper
 subintervals, and (in type A) against 3412/4231 pattern containment;
 dihedral bound polynomials against their recursion, closed form and
 generating function; coefficient sums against weighted path counts.
+
+Interval sums of shifted polynomials add packed integers: each distinct
+shifted value is one int with b = (|W| * 2^length(w0)).bit_length() bits
+per coefficient (``RContext.packed``), so a sum over an interval is one
+C-level ``sum`` and one unpacking of its length + 1 fields.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, count, islice, zip_longest
-from operator import and_, attrgetter, eq, gt, itemgetter, lt
+from itertools import combinations, compress, count, islice, repeat
+from operator import and_, eq, gt, itemgetter, lt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
@@ -128,14 +133,6 @@ def carrell_peterson_equal(ctx: RContext, w: int) -> tuple[Fraction, bool]:
     return avg, avg == Fraction(ctx.group.length[w], 2)
 
 
-_COEFFS = attrgetter("coeffs")
-
-
-def _coeff_sum(polys: Iterable[IntPoly]) -> tuple[int, ...]:
-    """Coefficientwise sum, in one C-level pass over the coefficient tuples."""
-    return tuple(map(sum, zip_longest(*map(_COEFFS, polys), fillvalue=0)))
-
-
 @lru_cache(maxsize=None)
 def _boolean_coeffs(ell: int) -> tuple[int, ...]:
     """Coefficients of (1+q)^ell, the shifted sum of a Boolean interval."""
@@ -145,12 +142,20 @@ def _boolean_coeffs(ell: int) -> tuple[int, ...]:
 def interval_shifted_sum(ctx: RContext, u: int, w: int) -> IntPoly:
     """Sum of the shifted polynomials from u over the whole interval [u, w].
 
-    A lower interval reads its values off the shifted lower row.
+    A lower interval adds the packed lower row, any other the packed memo
+    values, in one C-level ``sum``. It is exact: each term's coefficients
+    lie in [0, 2^length(w0)] (checked when packed), there are at most |W|
+    terms, and |W| * 2^length(w0) < 2^b for the field width b, so no field
+    carries into the next. Only the length(u, w) + 1 fields are unpacked.
     """
-    members = ctx.group.interval(u, w).members
-    if u == ctx.group.identity:
-        return IntPoly(_coeff_sum(map(ctx.lower_row("shifted", members).__getitem__, members)))
-    return IntPoly(_coeff_sum(ctx.shifted(u, v) for v in members))
+    g = ctx.group
+    interval = g.interval(u, w)
+    members = interval.members
+    if u == g.identity:
+        total = sum(map(ctx.packed_lower_row(members).__getitem__, members))
+    else:
+        total = sum(map(ctx.packed, map(ctx.shifted, repeat(u), members)))
+    return ctx.unpacked(total, interval.ell)
 
 
 def bruhat_poincare(ctx: RContext, w: int) -> IntPoly:

@@ -120,6 +120,16 @@ class RContext:
         }
         # every memo and row value, by its coefficients: equal polynomials share one object
         self._interned: dict[tuple[int, ...], IntPoly] = {}
+        # a shifted coefficient is at most 2^length(w0) (see ``packed``), and a sum
+        # has at most |W| terms: bits per coefficient of a packed sum
+        self._coefficient_cap = 1 << group.length[group.w0]
+        self.packed_width = (len(group) * self._coefficient_cap).bit_length()
+        # packed shifted values by the id of the value, and the values themselves,
+        # kept so that an id names one value for the life of the context
+        self._packed: dict[int, int] = {}
+        self._packed_values: list[IntPoly] = []
+        # packed(shifted(e, x)) by x, None where no sum asked yet
+        self._packed_row: list = []
         # analysis verdicts keyed by (question tag, *arguments), shared by the checks
         self.verdicts: dict[tuple, bool] = {}
         self.hits = 0
@@ -249,6 +259,59 @@ class RContext:
         if via_shift != via_r:
             raise AssertionError("the two size routes disagree")
         return via_shift
+
+    # -- packed shifted values ----------------------------------------------------
+
+    def packed(self, value: IntPoly) -> int:
+        """A shifted value of this context as one int: coefficient i in bits
+        [i*b, (i+1)*b), with b = ``packed_width``.
+
+        Each distinct value is packed once, and its coefficients are checked
+        then to lie in [0, 2^length(w0)]. The cap holds for every shifted
+        value: shifted(u, x) <= d_n coefficientwise with n = length(u, x)
+        (the dihedral upper bound that ``th4-bounds`` verifies), so a
+        coefficient is at most d_n(1) = J_n <= 2^n. A sum of at most |W|
+        packed values therefore never carries from one field into the next,
+        since |W| * 2^length(w0) < 2^b.
+        """
+        packed = self._packed.get(id(value))
+        if packed is None:
+            coeffs, width = value.coeffs, self.packed_width
+            if coeffs and min(coeffs) < 0:
+                raise AssertionError("a shifted polynomial has a negative coefficient")
+            if coeffs and max(coeffs) > self._coefficient_cap:
+                raise AssertionError("a shifted coefficient exceeds 2^length(w0)")
+            packed = self._packed[id(value)] = sum(
+                c << i * width for i, c in enumerate(coeffs))
+            self._packed_values.append(value)
+        return packed
+
+    def packed_lower_row(self, members: Sequence[int]) -> list:
+        """The packed shifted lower row: ``row[x]`` is ``packed(shifted(e, x))``.
+
+        Every x of ``members`` is filled if it is not yet, from the shifted
+        lower row (which fills it there first if need be); entries that no
+        caller has asked for stay None.
+        """
+        row = self._packed_row
+        if not row:
+            row = self._packed_row = [None] * len(self.group)
+        missing = list(compress(members, map(is_, map(row.__getitem__, members), repeat(None))))
+        if missing:
+            shifted = self.lower_row("shifted", missing)
+            for x in missing:
+                row[x] = self.packed(shifted[x])
+        return row
+
+    def unpacked(self, total: int, degree: int) -> IntPoly:
+        """The polynomial of degree at most ``degree`` whose packed form is
+        ``total``, a sum of packed values; its fields above ``degree`` must be
+        zero."""
+        width = self.packed_width
+        if total >> (degree + 1) * width:
+            raise AssertionError("a packed sum has a coefficient above its degree")
+        mask = (1 << width) - 1
+        return IntPoly([total >> i * width & mask for i in range(degree + 1)])
 
     # -- derived data ---------------------------------------------------------
 

@@ -286,8 +286,19 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
                      cap: Optional[int]) -> dict[str, CheckResult]:
     """The named per-interval tests in one sweep over ``_interval_scope``; each
     passes when it passes on every interval it takes, and its scope and time
-    count those intervals and sum its times on them."""
-    pairs = _interval_scope(_environment(spec)["group"], cap)
+    count those intervals and sum its times on them.
+
+    Before a pool starts, the parent fills the R, shifted and packed lower
+    rows of the scope's tops, which the forked workers inherit; a worker
+    would otherwise fill the row operands that lie in other chunks through
+    the pair memo.
+    """
+    env = _environment(spec)
+    pairs = _interval_scope(env["group"], cap)
+    if _pool_size(workers, os.cpu_count(), len(pairs)) > 1:
+        tops = sorted({w for _, w in pairs})
+        env["ctx"].lower_sizes(tops)
+        env["ctx"].packed_lower_row(tops)
     outcomes = _pmap(spec, partial(_task_interval, names), pairs, workers)
     results = {}
     for name, column in zip(names, zip(*outcomes)):

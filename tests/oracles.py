@@ -11,7 +11,8 @@ chain, the R recursion in polynomial arithmetic with an order test per
 pair, degree regularity read off the built Bruhat graph at every vertex,
 Booleanness of every upper subinterval one interval at a time or
 in one pass over [u, w], interval sums over the order relation, lower
-interval sums as one memo query per member, capped ideals cut from the
+interval sums as one memo query per member, coefficientwise sums by
+transposing coefficient tuples, capped ideals cut from the
 full lower ideal, the edge-size tally edge by edge, the dihedral bounds
 checked pair by pair over every comparable pair, size violations counted
 pair by pair, the Fibonacci recursion, edge weights, the substitution
@@ -22,6 +23,7 @@ against these.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import zip_longest
 from types import SimpleNamespace
 
 from bruhatpoly import (BruhatPath, IntPoly, analysis, build_graph, increasing_paths,
@@ -251,6 +253,12 @@ def shifted_interval_sum(ctx, reach: dict, v: int, w: int) -> IntPoly:
     """Sum of shifted(v, x) over the x with v <= x <= w, where ``reach[x]``
     is the set of elements above x (see ``reachability``)."""
     return sum((ctx.shifted(v, x) for x in reach[v] if w in reach[x]), ZERO)
+
+
+def coeff_sum(polys) -> tuple[int, ...]:
+    """Coefficientwise sum of polynomials, by transposing their coefficient
+    tuples: the interval sum before it was packed into integers."""
+    return tuple(map(sum, zip_longest(*(p.coeffs for p in polys), fillvalue=0)))
 
 
 def interval_sum_per_member(ctx, u: int, w: int) -> IntPoly:

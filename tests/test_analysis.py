@@ -18,8 +18,8 @@ from bruhatpoly import (
 from bruhatpoly import analysis
 from bruhatpoly.cli import main
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
-from oracles import (dihedral_bounds_per_pair, edge_size_tally_per_edge, fibonacci_rec,
-                     graph_degrees, interval_sum_per_member, reachability,
+from oracles import (coeff_sum, dihedral_bounds_per_pair, edge_size_tally_per_edge,
+                     fibonacci_rec, graph_degrees, interval_sum_per_member, reachability,
                      regular_by_graph_degrees, shifted_interval_sum, upper_boolean_one_pass,
                      upper_boolean_per_v)
 
@@ -618,6 +618,64 @@ def test_lower_row_sums_match_per_member_sums(spec, sample):
     for w in tops:
         assert (analysis.interval_shifted_sum(rows, group.identity, w)
                 == interval_sum_per_member(oracle, group.identity, w))
+
+
+@pytest.mark.parametrize("spec, tops", [
+    *((f"A{n}", None) for n in range(1, 5)),
+    *((f"I2:{m}", None) for m in range(2, 9)),
+    ("I2:16", None),  # sums with a coefficient above |W|^2
+    ("A5", "lower"),
+    ("A6", 50),
+])
+def test_packed_interval_sums_match_the_coefficient_transpose(spec, tops):
+    # every interval (tops None), every lower interval, or sampled lower intervals
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    e = group.identity
+    if tops is None:
+        pairs = group.comparable_pairs()
+    else:
+        ws = list(group.elements())
+        pairs = [(e, w) for w in (ws if tops == "lower" else random.Random(21).sample(ws, tops))]
+    ctx, oracle = RContext(group), RContext(group)
+    for u, w in pairs:
+        interval = group.interval(u, w)
+        packed = analysis.interval_shifted_sum(ctx, u, w)
+        # the packed memo route, also on the lower intervals that read the packed row
+        via_memo = ctx.unpacked(sum(ctx.packed(ctx.shifted(u, x)) for x in interval.members),
+                                interval.ell)
+        transposed = coeff_sum(oracle.shifted(u, x) for x in interval.members)
+        assert packed.coeffs == via_memo.coeffs == transposed
+        assert packed == interval_sum_per_member(oracle, u, w)
+
+
+def test_packed_fields_hold_the_a6_top_sum():
+    group = enumerate_group(CoxeterDescriptor.parse("A6"))
+    ctx = RContext(group)
+    width = ctx.packed_width
+    assert width == 34 and len(group) * 2 ** 21 < 2 ** width  # |W| terms of at most 2^21
+    top = analysis.bruhat_poincare(ctx, group.w0)
+    assert top == Q_PLUS_ONE ** 21
+    assert max(top.coeffs) < 2 ** width
+
+
+@pytest.mark.parametrize("m", [5, 12, 40])
+def test_shifted_coefficients_stay_under_the_packing_cap(i2_groups, m):
+    # d_n is the largest shifted value of length n; its coefficients sum to J_n <= 2^n
+    group = i2_groups.get(m) or enumerate_group(CoxeterDescriptor("I2", m))
+    top = RContext(group).shifted(group.identity, group.w0)
+    assert top == analysis.dihedral_poly(m)
+    assert top(1) == analysis.jacobsthal(m) <= 2 ** m
+
+
+def test_packing_rejects_coefficients_outside_the_cap(a3):
+    ctx = RContext(a3)  # length(w0) = 6
+    with pytest.raises(AssertionError, match="negative coefficient"):
+        ctx.packed(IntPoly((1, -1, 1)))
+    assert ctx.packed(IntPoly((64, 1))) == 64 + (1 << ctx.packed_width)
+    with pytest.raises(AssertionError, match="exceeds 2\\^length"):
+        ctx.packed(IntPoly((65, 1)))
+    with pytest.raises(AssertionError, match="coefficient above its degree"):
+        ctx.unpacked(ctx.packed(IntPoly((1, 2, 1))), 1)
 
 
 def test_blanco_inequality(a3, a3_ctx, a4, a4_ctx):

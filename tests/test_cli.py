@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from bruhatpoly import (CoxeterDescriptor, GroupTable, RContext, analysis, cli,
-                        enumerate_group, suite)
+                        enumerate_group, rpoly, suite)
 from bruhatpoly.cli import INTERNAL_ERROR, main
 from bruhatpoly.suite import (_capped_ideals, _comparable_pairs, _pair_count, _pool_size,
                               _reduced_pairs)
@@ -614,6 +614,56 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert code == INTERNAL_ERROR == 3
     assert captured.out == ""
     assert captured.err == "error: internal: sizes disagree second line\n"
+
+
+def test_a_negative_shifted_coefficient_stops_scan_as_internal(monkeypatch, capsys):
+    # plant a shifted kernel that negates its value; the packed interval sum rejects it
+    low, high, kernel = rpoly._RULES["shifted"]
+    monkeypatch.setitem(rpoly._RULES, "shifted", (low, high, lambda a, b: -1 * kernel(a, b)))
+    monkeypatch.setattr(suite, "_ENVS", {})  # no context with values computed earlier
+    code = main(["scan", "--group", "A3"])
+    captured = capsys.readouterr()
+    assert code == INTERNAL_ERROR == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal: a shifted polynomial has a negative coefficient\n"
+
+
+def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, capsys):
+    import concurrent.futures
+
+    spec, filled = "A5", []
+
+    class CheckedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            env = suite._ENVS[spec]
+            ctx, tops = env["ctx"], {w for _, w in suite._interval_scope(env["group"])}
+            rows = (ctx._rows.get("r"), ctx._rows.get("shifted"), ctx._packed_row)
+            filled.append([bool(row) and None not in map(row.__getitem__, tops) for row in rows])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CheckedPool)
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    outputs = []
+    for workers in ("2", "1"):
+        monkeypatch.setattr(suite, "_ENVS", {})  # a fresh context per run
+        assert main(["verify", "--group", spec, "--suite", "th1-odd", "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert filled == [[True, True, True]]  # one pool, started with every top's rows filled
+    assert outputs[0] == outputs[1] == (
+        "group: A5\nth1-odd: PASS (scope=720) every size is odd\nsuite: PASS (1/1)\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("scan", "--group", "A4", "--sample", "40"),
+    ("table", "--table", "r-polys", "--group", "A4"),
+    ("verify", "--group", "A3", "--format", "json"),
+], ids=" ".join)
+def test_stdout_does_not_depend_on_the_hash_seed(args):
+    runs = [subprocess.run([sys.executable, "-m", "bruhatpoly", *args], capture_output=True,
+                           env={**src_env(), "PYTHONHASHSEED": seed}, timeout=120)
+            for seed in ("0", "777")]
+    assert [p.returncode for p in runs] == [0, 0], [p.stderr for p in runs]
+    assert runs[0].stdout == runs[1].stdout
 
 
 # SHA-256 of stdout, recorded before the change each entry guards: the
