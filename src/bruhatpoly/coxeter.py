@@ -2,30 +2,32 @@
 
 A :class:`GroupTable` holds one group: canonical forms, lengths, product
 tables, the reflection set and Bruhat order queries. Type A rank n is the
-symmetric group on n+1 letters (one-line permutation forms); the dihedral
-group I2(m) of order 2m uses (rotation, flip) pairs. Forms are multiplied
-only while the group is enumerated: once per (form, generator) to find each
-length level, and once more to fill the right product table. Every other
-table is read off that table and the level sizes: the length of x is its
-level, and the left table and the inverses are filled in id order from
-shorter elements. Then all is integer tables, and forms serve only to parse
-and display. The tables are column-major, one tuple of ids per generator
-s: ``right[s][x]`` is x*s and ``left[s][x]`` is s*x. ``mul`` walks the first
-right descents of its second factor, and the columns x -> x*t per
-reflection t are built on first use. Tables are immutable after
-construction. Bruhat order is answered by a walk down right descents (no
-memo); lower ideals are built lazily on first use, from the columns of
-``right``, and kept per table. A kept ideal is a pure function of its top
-element, so sharing a table between worker processes (or rebuilding it per
-worker) gives identical answers.
+symmetric group on n+1 letters, whose forms are one-line permutations kept
+as ``bytes`` (values 1..n+1); the dihedral group I2(m) of order 2m uses
+(rotation, flip) pairs. Forms are multiplied only while the group is
+enumerated, once per (form, generator) and on the left: s*f swaps the values
+i and i+1 of a type A form, one ``bytes.translate``. One pass finds each
+length level and the left product table with it. Every other table is read
+off that table and the level sizes: the length of x is its level, and the
+right table and the inverses are filled in id order from shorter elements.
+Then all is integer tables, and forms serve only to parse and display. The
+tables are column-major, one tuple of ids per generator s: ``right[s][x]``
+is x*s and ``left[s][x]`` is s*x. ``mul`` walks the first right descents of
+its second factor, and the columns x -> x*t per reflection t are built on
+first use. Tables are immutable after construction. Bruhat order is
+answered by a walk down right descents (no memo); lower ideals are built
+lazily on first use, from the columns of ``right``, and kept per table. A
+kept ideal is a pure function of its top element, so sharing a table
+between worker processes (or rebuilding it per worker) gives identical
+answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import eq, getitem, gt, itemgetter, lshift, or_, sub
+from itertools import chain, count, repeat
+from operator import eq, gt, lshift, methodcaller, or_, sub
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -108,34 +110,38 @@ class CoxeterDescriptor:
 
 # -- canonical forms per family ---------------------------------------------
 #
-# Type A: one-line permutations of 1..n+1 as tuples.
+# Type A: one-line permutations of 1..n+1 as bytes, which index to the same
+# ints and compare in the same order as tuples of them.
 # Dihedral: (k, flip) meaning rot^k if flip == 0 else rot^k * s1,
 # where rot = s1*s2 has order m.
+
+# one-line values to their digits, for display
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _identity_form(desc: CoxeterDescriptor):
     if desc.family == "A":
-        return tuple(range(1, desc.param + 2))
+        return bytes(range(1, desc.param + 2))
     return (0, 0)
 
 
 def _generator_maps(desc: CoxeterDescriptor) -> list:
-    """The maps f -> f*s on canonical forms, one per generator s."""
-    if desc.family == "A":  # s_i swaps the entries at positions i, i+1
-        n = desc.param + 1
-        return [itemgetter(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
-    m = desc.param
-    return [lambda f: (f[0], f[1] ^ 1), lambda f: ((f[0] + (1 if f[1] else -1)) % m, f[1] ^ 1)]
+    """The maps f -> s*f on canonical forms, one per generator s."""
+    if desc.family == "A":  # s_i swaps the values i and i+1
+        return [methodcaller("translate", bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
+                for i in range(1, desc.param + 1)]
+    m = desc.param  # s1 = (0, 1) and s2 = s1*rot
+    return [lambda f: (-f[0] % m, f[1] ^ 1), lambda f: ((-f[0] - 1) % m, f[1] ^ 1)]
 
 
-def _fill_down(table: tuple, right: tuple, first: tuple, start: int) -> tuple[int, ...]:
-    """The column c with c[0] = start and c[x] = table[t][c[x*t]], t the first
-    right descent of x, filled in id order: x*t is shorter than x, so its id
+def _fill_down(table: tuple, left: tuple, first: tuple, start: int) -> tuple[int, ...]:
+    """The column c with c[0] = start and c[x] = table[t][c[t*x]], t the first
+    left descent of x, filled in id order: t*x is shorter than x, so its id
     is smaller and its entry is already filled."""
     out = [start] * len(first)
     for x in range(1, len(first)):
         t = first[x]
-        out[x] = table[t][out[right[t][x]]]
+        out[x] = table[t][out[left[t][x]]]
     return tuple(out)
 
 
@@ -157,49 +163,53 @@ class GroupTable:
 
     Elements are dense integer ids, assigned in (length, canonical form)
     order, so id 0 is the identity and the last id is the longest element.
-    Built by :func:`enumerate_group` from the forms and the right product
+    Built by :func:`enumerate_group` from the forms and the left product
     table in that id order, and the number of elements of each length.
     The product tables are column-major: ``right[s][x]`` is x*s and
     ``left[s][x]`` is s*x, one tuple of ids per generator s. With t the
-    first right descent of x, s*x = (s*xt)*t and x^-1 = t*(xt)^-1 read only
-    shorter elements, so the left columns and the inverses fill in id
+    first left descent of x, x*s = t*((t*x)*s) and x^-1 = (t*x)^-1*t read
+    only shorter elements, so the right columns and the inverses fill in id
     order. ``descents[x]`` has bit s set iff s is a right descent of x and
     bit n + s iff s is a left one (n generators); equal masks share one int.
-    Each ``right[s]`` must be an involution that moves every element one
-    length level, and only the identity may have no right descent; the
+    Each ``left[s]`` must be an involution that moves every element one
+    length level, and only the identity may have no left descent; the
     build raises AssertionError otherwise.
     """
 
-    def __init__(self, descriptor: CoxeterDescriptor, forms: tuple, right: tuple,
+    def __init__(self, descriptor: CoxeterDescriptor, forms: tuple, left: tuple,
                  sizes: Sequence[int]) -> None:
         self.descriptor = descriptor
         self.forms = forms
         self.num_generators = n = descriptor.num_generators
-        self.right = right
+        self.left = left
         self.identity = 0
         self.length = length = tuple(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
         if sizes[-1] != 1:
             raise AssertionError("finite Coxeter group must have a unique longest element")
         self.w0 = len(forms) - 1
         ids = range(len(forms))
-        for col in right:
+        for col in left:
             if not all(map(eq, map(col.__getitem__, col), ids)):
                 raise AssertionError("each generator column must be an involution")
             if not set(map(sub, map(length.__getitem__, col), length)) <= {-1, 1}:
                 raise AssertionError("each generator must move every element one level")
-        # right descents, a column at a time: ids ascend with length, so s
-        # lowers x iff x*s < x as ids
-        bits = (map(lshift, map(gt, ids, col), repeat(s)) for s, col in enumerate(right))
+        # left descents, a column at a time: ids ascend with length, so s
+        # lowers x iff s*x < x as ids
+        bits = (map(lshift, map(gt, ids, col), repeat(s)) for s, col in enumerate(left))
         masks = list(map(sum, zip(*bits)))
         if masks.count(0) != 1:
-            raise AssertionError("only the identity may have no right descent")
+            raise AssertionError("only the identity may have no left descent")
         first = {d: (d & -d).bit_length() - 1 for d in set(masks)}
-        self._first_descent = first = tuple(map(first.__getitem__, masks))
-        # s*x = (s*xt)*t and x^-1 = t*(xt)^-1, t the first right descent of x
-        self.left = tuple(_fill_down(right, right, first, col[0]) for col in right)
-        self._inverse = inverse = _fill_down(self.left, right, first, 0)
-        shared = {}  # the left descents of x are the right descents of x^-1
-        masks = list(map(or_, masks, map(lshift, map(masks.__getitem__, inverse), repeat(n))))
+        first_left = tuple(map(first.__getitem__, masks))
+        # x*s = t*((t*x)*s) and x^-1 = (t*x)^-1*t, t the first left descent of x
+        self.right = right = tuple(_fill_down(left, left, first_left, col[0]) for col in left)
+        self._inverse = inverse = _fill_down(right, left, first_left, 0)
+        # the right descents of x are the left descents of x^-1, so the right
+        # masks are the left masks permuted and share their first descents
+        right_masks = list(map(masks.__getitem__, inverse))
+        self._first_descent = tuple(map(first.__getitem__, right_masks))
+        shared = {}
+        masks = list(map(or_, right_masks, map(lshift, masks, repeat(n))))
         self.descents = tuple(map(shared.setdefault, masks, masks))
         self.reflections = self._find_reflections()
         self._columns: dict[int, tuple[int, ...]] | None = None
@@ -207,8 +217,8 @@ class GroupTable:
 
     @cached_property
     def index(self) -> dict:
-        """Canonical form -> id, built on first use (only parsing needs it)."""
-        return dict(zip(self.forms, range(len(self.forms))))
+        """Canonical form, as a tuple, -> id; built on first use (only parsing needs it)."""
+        return dict(zip(map(tuple, self.forms), range(len(self.forms))))
 
     # -- construction helpers ------------------------------------------------
 
@@ -367,9 +377,8 @@ class GroupTable:
 
     def display(self, v: int) -> str:
         """Human-readable canonical form: one-line for type A, word for I2."""
-        form = self.forms[v]
         if self.descriptor.family == "A":  # A8 is the last rank under the cap: 9 letters
-            return "".join(str(x) for x in form)
+            return self.forms[v].translate(_DIGITS).decode()
         word = self.reduced_word(v)
         if not word:
             return "e"
@@ -377,16 +386,17 @@ class GroupTable:
 
 
 def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
-    """Enumerate the group level by level under the generators.
+    """Enumerate the group level by level under left multiplication.
 
-    Level k + 1 is every product f*s of a form f of level k, less the forms
+    Level k + 1 is every product s*f of a form f of level k, less the forms
     of levels k - 1 and k (the generators are involutions, so a product
     moves at most one level); each level is sorted, so the forms come out
-    in (length, canonical form) order with no relabelling. More forms than
-    the group order means a generator map is not an involution, and raises
-    AssertionError at once. Each column of the right product table is then
-    one pass of its generator over the forms. A group of order above
-    ``DEFAULT_MAX_ORDER`` is refused before any element is built.
+    in (length, canonical form) order with no relabelling. The products of
+    a level are kept per generator until the next level has ids, and then
+    extend the left product columns by index lookups, so each product is
+    made once. More forms than the group order means a generator map is
+    not an involution, and raises AssertionError at once. A group of order
+    above ``DEFAULT_MAX_ORDER`` is refused before any element is built.
     """
     est = descriptor.order(cap=DEFAULT_MAX_ORDER)
     if est is None or est > DEFAULT_MAX_ORDER:
@@ -394,23 +404,24 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
         raise SizeLimitError(f"group {descriptor.spec_string()} has order {shown}"
                              f"above the cap {DEFAULT_MAX_ORDER}")
     gens = _generator_maps(descriptor)
-    forms, sizes = [], []
-    below, level = set(), {_identity_form(descriptor)}
-    while level:
-        forms += sorted(level)
+    forms, sizes, left = [], [], [[] for _ in gens]
+    below, here = {}, {_identity_form(descriptor): 0}  # form -> id, per level
+    while here:
+        forms += here
         if len(forms) > est:
             raise AssertionError(f"enumerated more than the {est} elements expected")
-        sizes.append(len(level))
-        above = set()
-        for times_g in gens:
-            above.update(map(times_g, level))
-        above -= below
-        above -= level
-        below, level = level, above
+        sizes.append(len(here))
+        products = [list(map(times_g, here)) for times_g in gens]
+        above = set(chain.from_iterable(products))
+        above.difference_update(below, here)
+        above = dict(zip(sorted(above), count(len(forms))))
+        below.update(here)  # the old level below is spent: it becomes the index
+        below.update(above)  # of the three levels every product lies in
+        for col, made in zip(left, products):
+            col.extend(map(below.__getitem__, made))
+        below, here = here, above
     if len(forms) != est:
         raise AssertionError(f"enumerated {len(forms)} elements, expected {est}")
-    forms = tuple(forms)
-    index = dict(zip(forms, range(est)))
-    right = tuple(tuple(map(index.__getitem__, map(times_g, forms))) for times_g in gens)
-    del index
-    return GroupTable(descriptor, forms, right, sizes)
+    for s in range(len(left)):  # one column list alive at a time
+        left[s] = tuple(left[s])
+    return GroupTable(descriptor, tuple(forms), tuple(left), sizes)

@@ -558,11 +558,16 @@ def test_one_line_literal_with_commas(capsys):
     commas = capture(capsys, args + ["3,4,1,2"])
     assert commas[0] == 0
     assert commas == capture(capsys, args + ["3412"])
+    a3 = enumerate_group(CoxeterDescriptor("A", 3))
+    v = cli.parse_element(a3, "3,4,1,2")
+    assert v == cli.parse_element(a3, "3412") == a3.index[(3, 4, 1, 2)]
+    assert a3.forms[v] == b"\x03\x04\x01\x02" and a3.display(v) == "3412"
 
 
 @pytest.mark.parametrize("spec, index, bad_map", [
     ("I2:5", 1, "lambda f: ((f[0] + 1) % 5, f[1])"),  # a rotation of order 5
-    ("A3", 0, "operator.itemgetter(1, 2, 0, 3)"),  # a 3-cycle of the positions
+    # a 3-cycle of the values
+    ("A3", 0, "operator.methodcaller('translate', bytes.maketrans(b'\\1\\2\\3', b'\\2\\3\\1'))"),
 ], ids=["I2:5-rotation", "A3-3-cycle"])
 def test_a_generator_map_that_is_no_involution_stops_the_level_pass(spec, index, bad_map):
     # the level pass loops for ever on such a map; the timeout fails that
@@ -631,7 +636,7 @@ def test_a_negative_shifted_coefficient_stops_scan_as_internal(monkeypatch, caps
 def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, capsys):
     import concurrent.futures
 
-    spec, filled = "A5", []
+    spec, suite_names, filled = "A5", "th1-odd,th2", []
 
     class CheckedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -646,11 +651,33 @@ def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, c
     outputs = []
     for workers in ("2", "1"):
         monkeypatch.setattr(suite, "_ENVS", {})  # a fresh context per run
-        assert main(["verify", "--group", spec, "--suite", "th1-odd", "--workers", workers]) == 0
+        assert main(["verify", "--group", spec, "--suite", suite_names,
+                     "--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
     assert filled == [[True, True, True]]  # one pool, started with every top's rows filled
     assert outputs[0] == outputs[1] == (
-        "group: A5\nth1-odd: PASS (scope=720) every size is odd\nsuite: PASS (1/1)\n")
+        "group: A5\nth1-odd: PASS (scope=720) every size is odd\n"
+        "th2: PASS (scope=720) fired averages all irregular\nsuite: PASS (2/2)\n")
+
+
+def test_a_sweep_of_row_readers_alone_starts_no_pool(monkeypatch, capsys):
+    # th1-odd reads only the lower rows that a parent fills before its pool
+    # starts, so the pool would add its start and nothing else
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    assert _pool_size(2, 2, 5040) == 2  # the sweep alone would warrant a pool
+    outputs = []
+    for workers in ("2", "1"):
+        monkeypatch.setattr(suite, "_ENVS", {})
+        assert main(["verify", "--group", "A6", "--suite", "th1-odd", "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == (
+        "group: A6\nth1-odd: PASS (scope=5040) every size is odd\nsuite: PASS (1/1)\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -785,8 +812,9 @@ def test_golden_stdout_ignores_cache_dir(args, tmp_path, monkeypatch, capsys):
 
 def test_every_element_parses_back_from_its_display(a3, a4, i2_groups):
     # dihedral elements display as runs such as 's1s2s1', which the CSV
-    # members column needs; each must read back as the element itself
-    groups = [enumerate_group(CoxeterDescriptor("A", n)) for n in (1, 2)]
+    # members column needs; each must read back as the element itself.
+    # Type A forms are bytes and the parse index is keyed by tuples
+    groups = [enumerate_group(CoxeterDescriptor("A", n)) for n in (1, 2, 5)]
     for group in (*groups, a3, a4, *i2_groups.values()):
         assert [cli.parse_element(group, group.display(v)) for v in group.elements()] == list(
             group.elements())
