@@ -16,12 +16,11 @@ C-level ``sum`` and one unpacking of its length + 1 fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, islice, repeat
 from operator import and_, eq, gt, itemgetter, lt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coxeter import GroupTable, Interval
 from .graph import (
@@ -248,8 +247,7 @@ def p1_p2(ctx: RContext, graph: BruhatGraph, order: ReflectionOrder) -> tuple[in
     return p1, p2
 
 
-@dataclass(frozen=True)
-class DeodharVerdict:
+class DeodharVerdict(NamedTuple):
     """Out-degree and two-step counts of one interval, with strictness flags.
 
     Two regularity notions are recorded. ``degree_regular`` asks every
@@ -472,8 +470,7 @@ def is_dihedral_interval(graph: BruhatGraph) -> bool:
 # -- group-wide facts ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObservationResult:
+class ObservationResult(NamedTuple):
     sum_of_sizes: int
     expected: int
     sum_ok: bool
@@ -494,8 +491,7 @@ def observation_sum(ctx: RContext) -> ObservationResult:
     return ObservationResult(s, 2 ** n, s == 2 ** n, poly_ok)
 
 
-@dataclass(frozen=True)
-class FourWayVerdict:
+class FourWayVerdict(NamedTuple):
     w: int
     degree_regular: bool
     average_equal: bool
@@ -543,8 +539,7 @@ def conjecture_violation(ctx: RContext, u: int, w: int) -> Optional[dict]:
     }
 
 
-@dataclass(frozen=True)
-class EdgeSizeTally:
+class EdgeSizeTally(NamedTuple):
     edges: int
     equal: int
     strict: int

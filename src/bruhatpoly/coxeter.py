@@ -24,11 +24,10 @@ answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq, gt, lshift, methodcaller, or_, sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "CoxeterDescriptor",
@@ -51,26 +50,46 @@ class EmptyIntervalError(ValueError):
     """Raised when asked for [u, w] with u not below w in Bruhat order."""
 
 
-@dataclass(frozen=True)
-class CoxeterDescriptor:
+class Frozen:
+    """A read-only record on slots, for the records that cannot be tuples:
+    ``__init__`` sets the fields ``_fields`` in order, and a record pickles
+    as its class and field values. The other records are ``NamedTuple``
+    classes, which cost far less to import and create than dataclasses."""
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+
+class CoxeterDescriptor(NamedTuple("CoxeterDescriptor", [("family", str), ("param", int)])):
     """Which finite Coxeter group to build.
 
     ``family`` is ``"A"`` (rank = number of generators, group S_{rank+1})
     or ``"I2"`` (param m >= 2, group of order 2m).
     """
 
-    family: str
-    param: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family == "A":
-            if self.param < 1:
+    def __new__(cls, family: str, param: int) -> "CoxeterDescriptor":
+        if family == "A":
+            if param < 1:
                 raise ValueError("type A rank must be >= 1")
-        elif self.family == "I2":
-            if self.param < 2:
+        elif family == "I2":
+            if param < 2:
                 raise ValueError("dihedral parameter must be >= 2")
         else:
-            raise ValueError(f"unknown family {self.family!r} (expected 'A' or 'I2')")
+            raise ValueError(f"unknown family {family!r} (expected 'A' or 'I2')")
+        return super().__new__(cls, family, param)
 
     @property
     def num_generators(self) -> int:
@@ -145,10 +164,11 @@ def _fill_down(table: tuple, left: tuple, first: tuple, start: int) -> tuple[int
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A Bruhat interval [bottom, top]: member ids sorted by (length, form)."""
+class Interval(Frozen):
+    """A Bruhat interval [bottom, top] of length difference ``ell``: its
+    ``members`` are ids sorted by (length, form), and ``len`` counts them."""
 
+    __slots__ = _fields = ("bottom", "top", "ell", "members")
     bottom: int
     top: int
     ell: int
@@ -156,6 +176,12 @@ class Interval:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Interval and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
 
 
 class GroupTable:

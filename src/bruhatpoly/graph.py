@@ -21,11 +21,10 @@ depth-first walker lists the paths of one interval's graph
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .coxeter import GroupTable, Interval
+from .coxeter import Frozen, GroupTable, Interval
 from .poly import IntPoly, Q_PLUS_ONE, monomial
 
 __all__ = [
@@ -55,8 +54,7 @@ class InvalidWordError(ValueError):
     """A word that is not a reduced expression for the longest element."""
 
 
-@dataclass(frozen=True)
-class BruhatPath:
+class BruhatPath(NamedTuple):
     """A directed path in a Bruhat graph.
 
     ``vertices`` lists the visited element ids; ``labels`` the reflections,
@@ -73,14 +71,16 @@ class BruhatPath:
         return len(self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class BruhatGraph:
+class BruhatGraph(Frozen):
     """The Bruhat graph induced on one interval.
 
     ``out_edges[x]`` is the row of x: one (y, t) per edge x -> y = x*t, in
-    target order. ``in_degree[y]`` counts the edges into y.
+    target order. ``in_degree[y]`` counts the edges into y. Graphs compare
+    by identity and take weak references.
     """
 
+    _fields = ("group", "interval", "out_edges", "in_degree")
+    __slots__ = _fields + ("__weakref__",)
     group: GroupTable
     interval: Interval
     out_edges: dict[int, tuple[tuple[int, int], ...]]
@@ -232,16 +232,14 @@ def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
     return orders
 
 
-@dataclass(frozen=True)
-class OrderViolation:
+class OrderViolation(NamedTuple):
     reflections: tuple[int, ...]
     canonical_pair: tuple[int, int]
     chain: tuple[int, ...]
     ranks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     violations: tuple[OrderViolation, ...] = ()
 

@@ -34,11 +34,10 @@ so each family computes each pair's combination once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat, zip_longest
 from operator import attrgetter, is_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coxeter import GroupTable
 from .graph import BruhatPath, path_weight
@@ -74,8 +73,7 @@ _RULES = {
 _COEFFS = attrgetter("coeffs")
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(NamedTuple):
     """Coefficients of the nonnegative R-polynomial of one interval.
 
     The support runs from the absolute length to the Coxeter length in

@@ -21,9 +21,8 @@ import os
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import analysis
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
@@ -45,13 +44,12 @@ SMALL_GROUP_LIMIT = 48
 GEN_FUNC_DEPTH = 20
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     scope_size: int
     detail: str = ""
-    seconds: float = field(default=0.0, compare=False)  # wall time, not part of the result
+    seconds: float = 0.0  # wall time of the check
 
 
 # -- per-process environment ------------------------------------------------------
@@ -84,6 +82,12 @@ def _run_chunk(spec: str, task: Callable, chunk: list) -> list:
     return [task(env, item) for item in chunk]
 
 
+def _usable_cpus() -> Optional[int]:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count (None when unknown)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def _pool_size(workers: int, cpus: Optional[int], items: int) -> int:
     """Worker processes for ``items`` work items: at most the requested count,
     the CPU count (1 when unknown) and one per two items; 1 means no pool."""
@@ -93,7 +97,7 @@ def _pool_size(workers: int, cpus: Optional[int], items: int) -> int:
 def _pmap(spec: str, task: Callable, items: Sequence, workers: int) -> list:
     """``task(env, item)`` for every item, in order; ``task`` must be a
     module-level function or a partial of one, which pickles by reference."""
-    processes = _pool_size(workers, os.cpu_count(), len(items))
+    processes = _pool_size(workers, _usable_cpus(), len(items))
     if processes <= 1:
         return _run_chunk(spec, task, items)
     # four chunks per process; with two or more items per process this
@@ -298,7 +302,7 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
     pairs = _interval_scope(env["group"], cap)
     if _ROW_READERS.issuperset(names):
         workers = 1
-    elif _pool_size(workers, os.cpu_count(), len(pairs)) > 1:
+    elif _pool_size(workers, _usable_cpus(), len(pairs)) > 1:
         tops = sorted({w for _, w in pairs})
         env["ctx"].lower_sizes(tops)
         env["ctx"].packed_lower_row(tops)
@@ -377,7 +381,7 @@ def run_suite(spec: str, checks: Optional[Sequence[str]] = None,
         else:
             started = time.perf_counter()
             result = row(spec, workers, max_interval_len)
-            results.append(replace(result, seconds=time.perf_counter() - started))
+            results.append(result._replace(seconds=time.perf_counter() - started))
     return results
 
 

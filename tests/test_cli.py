@@ -589,11 +589,14 @@ def test_a_generator_map_that_is_no_involution_stops_the_level_pass(spec, index,
     assert proc.stderr == f"error: internal: enumerated more than the {order} elements expected\n"
 
 
-def test_cli_import_loads_no_process_pool():
-    # only a run that starts a pool imports its modules
+def test_cli_import_loads_no_pool_or_dataclass_machinery():
+    # only a run that starts a pool imports its modules, and the records are
+    # NamedTuples, so no import pays for dataclasses and the inspect it loads;
+    # counted as what the import adds, so a module preloaded at start-up is no fault
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bruhatpoly.cli; print(sorted(m for m in sys.modules "
-         "if m in ('multiprocessing', 'concurrent.futures')))"],
+        [sys.executable, "-c", "import sys; before = set(sys.modules); import bruhatpoly.cli; "
+         "print(sorted(set(sys.modules) - before & {'multiprocessing', 'concurrent.futures', "
+         "'dataclasses', 'inspect'}))"],
         capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -607,6 +610,26 @@ def test_worker_count_is_clamped():
     assert _pool_size(3, 8, 3781) == 3
     assert _pool_size(4, 8, 3) == 1
     assert _pool_size(1, 8, 3781) == 1
+
+
+def test_a_process_pinned_to_one_cpu_starts_no_pool(monkeypatch, capsys):
+    # the CPUs a pool may use are the affinity set, not the machine's count
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(suite.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert suite._usable_cpus() == 1
+    outputs = []
+    for workers in ("2", "1"):
+        monkeypatch.setattr(suite, "_ENVS", {})
+        assert main(["verify", "--group", "A4", "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("suite: PASS (10/10)\n")
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
@@ -647,7 +670,7 @@ def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, c
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CheckedPool)
-    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outputs = []
     for workers in ("2", "1"):
         monkeypatch.setattr(suite, "_ENVS", {})  # a fresh context per run
@@ -669,7 +692,7 @@ def test_a_sweep_of_row_readers_alone_starts_no_pool(monkeypatch, capsys):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _pool_size(2, 2, 5040) == 2  # the sweep alone would warrant a pool
     outputs = []
     for workers in ("2", "1"):

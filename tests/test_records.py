@@ -1,0 +1,81 @@
+"""The record contract: every result record is read-only and pickles whole.
+
+The records are tuples (``NamedTuple``) or, where a tuple cannot serve, read-only
+slotted classes; these tests pin what either must give to the code that holds them.
+"""
+
+import pickle
+
+import pytest
+
+from bruhatpoly import CoxeterDescriptor, RContext, analysis, suite
+from bruhatpoly.graph import (BruhatGraph, ReflectionOrder, build_graph,
+                              default_reflection_order, increasing_paths,
+                              validate_reflection_order)
+
+
+# each record's class name and one of its fields
+RECORDS = {
+    "CoxeterDescriptor": "param", "Interval": "members", "BruhatGraph": "out_edges",
+    "BruhatPath": "labels", "OrderViolation": "ranks", "ValidationResult": "ok",
+    "DeodharVerdict": "f1", "ObservationResult": "sum_ok", "FourWayVerdict": "w",
+    "EdgeSizeTally": "edges", "GammaVector": "entries", "CheckResult": "seconds",
+}
+
+
+@pytest.fixture(scope="module")
+def records(a2):
+    ctx = RContext(a2)
+    e, w0 = a2.identity, a2.w0
+    interval = a2.interval(e, w0)
+    graph = build_graph(a2, interval)
+    refused = validate_reflection_order(a2, ReflectionOrder(sorted(a2.reflections)))
+    out = [a2.descriptor, interval, graph,
+           increasing_paths(graph, e, w0, default_reflection_order(a2))[0],
+           refused.violations[0], refused, analysis.deodhar_check(ctx, e, w0),
+           analysis.observation_sum(ctx), analysis.four_way_regularity(ctx, w0),
+           analysis.edge_size_tally(ctx), ctx.gamma_vector(e, w0),
+           suite.run_suite("A2", ["obs-sum"])[0]]
+    return {type(record).__name__: record for record in out}
+
+
+def test_every_record_is_covered(records):
+    assert sorted(records) == sorted(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_field_cannot_be_assigned(records, name):
+    record, field = records[name], RECORDS[name]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_survives_a_pickle_round_trip(records, name):
+    record = records[name]
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    if isinstance(record, BruhatGraph):  # graphs compare by identity
+        assert copy != record
+        assert copy.interval == record.interval
+        assert copy.out_edges == record.out_edges
+        assert copy.in_degree == record.in_degree
+        assert copy.group.forms == record.group.forms
+    else:
+        assert copy == record
+
+
+def test_an_interval_counts_its_members(a3):
+    interval = a3.interval(a3.identity, a3.w0)
+    assert len(interval) == len(interval.members) == 24
+    assert len(a3.interval(a3.identity, a3.identity)) == 1
+
+
+@pytest.mark.parametrize("family, param", [("A", 0), ("I2", 1), ("B", 3)])
+def test_a_descriptor_refuses_a_bad_group(family, param):
+    with pytest.raises(ValueError):
+        CoxeterDescriptor(family, param)
