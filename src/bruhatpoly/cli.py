@@ -16,9 +16,7 @@ for any worker count. Exit codes: 0 success, 1 check failure, 2 bad usage,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 import time
@@ -132,6 +130,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json_text(obj) -> str:
+    import json  # imported here: verify's text output needs no JSON
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -185,6 +184,7 @@ def _emit_table(args: argparse.Namespace, payload: dict, header: list[str],
     if args.format == "json":
         _emit(_json_text(payload), args.out)
         return
+    import csv  # imported here, as only CSV tables need it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -320,10 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, need_group: bool = True) -> None:
-        if need_group:
-            p.add_argument("--group", required=True,
-                           help="group spec such as A3 or I2:7")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--group", required=True, help="group spec such as A3 or I2:7")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p_int = sub.add_parser("interval", help="JSON report for one interval")

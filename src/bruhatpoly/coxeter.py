@@ -15,19 +15,20 @@ tables are column-major, one tuple of ids per generator s: ``right[s][x]``
 is x*s and ``left[s][x]`` is s*x. ``mul`` walks the first right descents of
 its second factor, and the columns x -> x*t per reflection t are built on
 first use. Tables are immutable after construction. Bruhat order is
-answered by a walk down right descents (no memo); lower ideals are built
-lazily on first use, from the columns of ``right``, and kept per table. A
-kept ideal is a pure function of its top element, so sharing a table
-between worker processes (or rebuilding it per worker) gives identical
-answers.
+answered by a walk down right descents (no memo); lower ideals, whole or
+cut at a length cap, are built lazily on first use, from the columns of
+``right``, and kept per table and cap. A kept ideal is a pure function of
+its top element and cap, so sharing a table between worker processes (or
+rebuilding it per worker) gives identical answers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq, gt, lshift, methodcaller, or_, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "CoxeterDescriptor",
@@ -239,7 +240,7 @@ class GroupTable:
         self.descents = tuple(map(shared.setdefault, masks, masks))
         self.reflections = self._find_reflections()
         self._columns: dict[int, tuple[int, ...]] | None = None
-        self._ideals: dict[int, tuple[int, ...]] = {self.identity: (self.identity,)}
+        self._ideals: dict[Optional[int], dict[int, tuple[int, ...]]] = {}  # cap -> w -> ideal
 
     @cached_property
     def index(self) -> dict:
@@ -345,13 +346,25 @@ class GroupTable:
             w = col[w]
         return True
 
-    def lower_ideal(self, w: int) -> tuple[int, ...]:
-        """Ids of all v <= w in ascending order, built lazily and kept.
+    def lower_ideal(self, w: int, cap: Optional[int] = None) -> tuple[int, ...]:
+        """Ids of the v <= w with length(w) - length(v) <= cap (all v <= w
+        without a cap) in ascending order, built lazily and kept per cap.
 
         With s the first right descent of w: [e, w] = [e, ws] union [e, ws]*s,
-        the second part read off the column of s.
+        the second part read off the column of s. A capped ideal is built
+        from the capped ideal of ws, and no full ideal is: u <= w iff
+        min(u, us) <= ws (the lifting property), and min(u, us) is at most
+        one shorter than u, so the capped ideal of w is every x and xs for x
+        in the capped ideal of ws, cut at length(w) - cap. Ids run in length
+        order, so the cut drops a prefix. A cap of at least length(w0) cuts
+        nothing and shares the whole ideals.
         """
-        ideals, right, first = self._ideals, self.right, self._first_descent
+        if cap is not None and cap >= self.length[self.w0]:
+            cap = None
+        ideals = self._ideals.get(cap)
+        if ideals is None:
+            ideals = self._ideals[cap] = {self.identity: (self.identity,)}
+        length, right, first = self.length, self.right, self._first_descent
         chain = []
         while w not in ideals:
             chain.append(w)
@@ -360,7 +373,10 @@ class GroupTable:
         for top in reversed(chain):
             members = set(below)
             members.update(map(right[first[top]].__getitem__, below))
-            below = ideals[top] = tuple(sorted(members))
+            below = sorted(members)
+            if cap is not None:
+                below = below[bisect_left(below, bisect_left(length, length[top] - cap)):]
+            below = ideals[top] = tuple(below)
         return below
 
     def interval(self, u: int, w: int) -> Interval:
@@ -376,9 +392,10 @@ class GroupTable:
             members = tuple(v for v in members if length[v] >= lu and self.leq(u, v))
         return Interval(u, w, lw - lu, members)
 
-    def comparable_pairs(self) -> list[tuple[int, int]]:
-        """All ordered pairs (u, w) with u <= w, in id order."""
-        return sorted((u, w) for w in range(len(self.forms)) for u in self.lower_ideal(w))
+    def comparable_pairs(self, cap: Optional[int] = None) -> list[tuple[int, int]]:
+        """All ordered pairs (u, w) with u <= w and length(w) - length(u) <= cap
+        (every pair without a cap), in id order, read off the kept ideals."""
+        return sorted((u, w) for w in range(len(self.forms)) for u in self.lower_ideal(w, cap))
 
     # -- words and display -------------------------------------------------------
 

@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coxeter import Frozen, GroupTable, Interval
-from .poly import IntPoly, Q_PLUS_ONE, monomial
+from .poly import IntPoly, Q_PLUS_ONE, monomial, split_fields
 
 __all__ = [
     "BruhatGraph",
@@ -397,15 +397,6 @@ def short_paths(graph: BruhatGraph, u: int, w: int) -> list[BruhatPath]:
 # -- increasing paths from one bottom to every top --------------------------------
 
 
-def _fields(packed: int, width: int) -> tuple[int, ...]:
-    """The ``width``-bit fields of ``packed``, lowest first, without trailing zeros."""
-    out = []
-    while packed:
-        out.append(packed & (1 << width) - 1)
-        packed >>= width
-    return tuple(out)
-
-
 class IncreasingPathCounts:
     """Label-increasing paths from one bottom u to every w above it, in one pass.
 
@@ -452,7 +443,7 @@ class IncreasingPathCounts:
             ranks = [r for r, _ in entries]
             # sums[i]: the paths whose last label is among the i lowest, one edge longer
             sums = list(accumulate([c << width for _, c in entries], initial=0))
-            self._counts[x] = _fields(sums[-1] >> width, width)
+            self._counts[x] = split_fields(sums[-1] >> width, width)
             for r, y in zip(*self._row(x)):
                 if i := bisect_left(ranks, r):
                     incoming.setdefault(y, []).append((r, sums[i]))
@@ -464,8 +455,8 @@ class IncreasingPathCounts:
         reflection order, evaluated at q = 2^(2 width) where no coefficient
         carries into the next."""
         ell, width = self.group.length[w] - self.group.length[u], 2 * self._width
-        return IntPoly(_fields(sum(c * ((1 << width) + 1) ** ((ell - a) // 2) << a * width
-                                   for a, c in enumerate(self.counts(u, w)) if c), width))
+        return IntPoly(split_fields(sum(c * ((1 << width) + 1) ** ((ell - a) // 2) << a * width
+                                        for a, c in enumerate(self.counts(u, w)) if c), width))
 
     def lex_first(self, u: int, w: int) -> list[int]:
         """Label ranks of the lexicographically first maximal chain of [u, w]:

@@ -25,6 +25,7 @@ __all__ = [
     "total",
     "average",
     "coeffwise_leq",
+    "split_fields",
 ]
 
 
@@ -190,3 +191,10 @@ def coeffwise_leq(f: IntPoly, g: IntPoly) -> bool:
     """True when every coefficient of f is <= the matching coefficient of g."""
     n = max(len(f.coeffs), len(g.coeffs))
     return all(f.coefficient(i) <= g.coefficient(i) for i in range(n))
+
+
+def split_fields(packed: int, width: int) -> tuple[int, ...]:
+    """The ``width``-bit fields of a nonnegative ``packed``, lowest first,
+    without trailing zeros: the last field holds the highest set bit."""
+    mask = (1 << width) - 1
+    return tuple(packed >> i & mask for i in range(0, packed.bit_length(), width))

@@ -49,6 +49,7 @@ from .poly import (
     Q_PLUS_ONE,
     ZERO,
     monomial,
+    split_fields,
 )
 
 __all__ = [
@@ -308,8 +309,7 @@ class RContext:
         width = self.packed_width
         if total >> (degree + 1) * width:
             raise AssertionError("a packed sum has a coefficient above its degree")
-        mask = (1 << width) - 1
-        return IntPoly([total >> i * width & mask for i in range(degree + 1)])
+        return IntPoly(split_fields(total, width))
 
     # -- derived data ---------------------------------------------------------
 

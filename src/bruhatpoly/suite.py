@@ -7,11 +7,12 @@ reports one pass/fail line. The per-interval tests run in one sweep, which
 builds no Bruhat graph: th1-odd reads the lower row of sizes, th2, th3 and
 cp-fourway share the verdicts kept on the context, and el-unique and
 oracle-eq one increasing-path pass per bottom and reflection order, over
-the whole group. Sweeps can be spread over worker processes: every worker
-rebuilds the group from its spec string, the item list is chunked in a
-fixed order and results are concatenated in submission order, so the
-output is identical for any worker count. A worker keeps the shared work
-for its own chunk only, so a sweep per check would compute it again.
+the whole group. Sweeps can be spread over worker processes: forked
+workers inherit the parent's group and memos (workers started any other way
+build their own from the spec string), the item list is chunked in a fixed
+order and results are concatenated in submission order, so the output is
+identical for any worker count. A worker keeps the shared work for its
+own chunk only, so a sweep per check would compute it again.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import math
 import os
 import random
 import time
-from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import analysis
@@ -194,44 +194,9 @@ def _task_interval(names: tuple[str, ...], env: dict, pair: tuple[int, int]) -> 
 # -- scopes -------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _capped_ideals(group: GroupTable,
-                   max_interval_len: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
-    """Per w in id order, the u <= w with length(w) - length(u) <= max_interval_len,
-    in id order; kept for the last (group, cap) asked, which the checks of
-    one run share.
-
-    Uncapped, these are the kept lower ideals. Capped, no full ideal is
-    built: with s the first right descent of w, u <= w iff min(u, us) <= ws
-    (the lifting property), and min(u, us) is at most one shorter than u, so
-    the capped ideal of w is every x and xs for x in the capped ideal of ws,
-    cut at length(w) - max_interval_len. Ids run in length order, so ws
-    comes before w and the cut drops a prefix.
-    """
-    if max_interval_len is None:
-        return tuple(map(group.lower_ideal, group.elements()))
-    length, columns, first = group.length, group.right, group.first_right_descent
-    ideals = [(group.identity,)]
-    for w in range(1, len(group)):
-        col = columns[first(w)]
-        below = ideals[col[w]]
-        below = sorted(set(below).union(map(col.__getitem__, below)))
-        cut = bisect_left(length, length[w] - max_interval_len)
-        ideals.append(tuple(below[bisect_left(below, cut):]))
-    return tuple(ideals)
-
-
 def _pair_count(group: GroupTable, max_interval_len: Optional[int] = None) -> int:
-    """How many pairs ``_comparable_pairs`` lists, counted without building them."""
-    return sum(map(len, _capped_ideals(group, max_interval_len)))
-
-
-def _comparable_pairs(group: GroupTable,
-                      max_interval_len: Optional[int] = None) -> list[tuple[int, int]]:
-    """The pairs u <= w with length(w) - length(u) <= max_interval_len, in id
-    order, read off the capped ideals before any pair is built."""
-    return sorted((u, w) for w, ideal in enumerate(_capped_ideals(group, max_interval_len))
-                  for u in ideal)
+    """How many pairs ``GroupTable.comparable_pairs`` lists, counted without building them."""
+    return sum(len(group.lower_ideal(w, max_interval_len)) for w in group.elements())
 
 
 def _reduced_pairs(ctx: RContext,
@@ -242,8 +207,8 @@ def _reduced_pairs(ctx: RContext,
     (as the R memo does), which keeps its length difference and its value.
     """
     group, descents = ctx.group, ctx.group.descents
-    return [(u, w) for w, ideal in enumerate(_capped_ideals(group, max_interval_len))
-            for u in ideal if not descents[u] & descents[w]]
+    return [(u, w) for w in group.elements() for u in group.lower_ideal(w, max_interval_len)
+            if not descents[u] & descents[w]]
 
 
 def _interval_scope(group: GroupTable,
@@ -251,7 +216,7 @@ def _interval_scope(group: GroupTable,
     """All comparable pairs for small groups, else the lower intervals [e, w],
     capped at length(w) <= max_interval_len."""
     if len(group) <= SMALL_GROUP_LIMIT:
-        return _comparable_pairs(group, max_interval_len)
+        return group.comparable_pairs(max_interval_len)
     return [(group.identity, w) for w in group.elements()
             if max_interval_len is None or group.length[w] <= max_interval_len]
 
@@ -272,7 +237,7 @@ def _check_th1_monotone(spec: str, workers: int, cap: Optional[int]) -> CheckRes
     covers_ok = all(sizes[x] <= sizes[y] for col in group.reflection_columns().values()
                     for x, y in enumerate(col) if length[y] == length[x] + 1)
     bad = 0 if covers_ok else sum(
-        1 for u, w in _comparable_pairs(group, cap) if sizes[u] > sizes[w])
+        1 for u, w in group.comparable_pairs(cap) if sizes[u] > sizes[w])
     return CheckResult("th1-monotone", bad == 0, _pair_count(group, cap),
                        "sizes never decrease up the order" if bad == 0 else f"{bad} violations")
 
@@ -420,7 +385,7 @@ def run_scan(spec: str, workers: int = 1, sample: Optional[int] = None,
     group = env["group"]
     ctx: RContext = env["ctx"]
     if exhaustive:
-        pairs = _comparable_pairs(group, max_interval_len)
+        pairs = group.comparable_pairs(max_interval_len)
     else:
         pairs = _interval_scope(group, max_interval_len)
     sampled = None

@@ -11,8 +11,7 @@ import pytest
 from bruhatpoly import (CoxeterDescriptor, GroupTable, RContext, analysis, cli,
                         enumerate_group, rpoly, suite)
 from bruhatpoly.cli import INTERNAL_ERROR, main
-from bruhatpoly.suite import (_capped_ideals, _comparable_pairs, _pair_count, _pool_size,
-                              _reduced_pairs)
+from bruhatpoly.suite import _pair_count, _pool_size, _reduced_pairs
 from conftest import src_env
 from oracles import capped_ideal_by_prefix, dot_leq, inversions, size_violations, th4_all_pairs
 
@@ -270,25 +269,40 @@ def test_verify_cap_applies_to_every_sweep(capsys):
 def test_capped_pairs_are_the_filtered_pairs(a3, i2_groups):
     for group in (a3, i2_groups[7]):
         every = group.comparable_pairs()
-        assert _comparable_pairs(group) == every
+        assert group.comparable_pairs(None) == every
         for cap in range(group.length[group.w0] + 1):
-            assert _comparable_pairs(group, cap) == [
+            assert group.comparable_pairs(cap) == [
                 (u, w) for u, w in every if group.length[w] - group.length[u] <= cap]
 
 
-def test_capped_ideals_are_the_cut_lower_ideals(a4, i2_groups):
-    for group in (a4, i2_groups[7]):
-        assert _capped_ideals(group) == tuple(map(group.lower_ideal, group.elements()))
+def test_capped_ideals_are_the_cut_lower_ideals():
+    # asked in descending id order on a fresh table, the first top walks the
+    # whole chain of first right descents down before any capped ideal is kept
+    for spec, descending in itertools.product(("A4", "I2:7"), (False, True)):
+        group = enumerate_group(CoxeterDescriptor.parse(spec))
+        tops = sorted(group.elements(), reverse=descending)
         for cap in range(group.length[group.w0] + 1):
-            ideals = _capped_ideals(group, cap)
-            assert ideals == tuple(capped_ideal_by_prefix(group, w, cap)
-                                   for w in group.elements())
+            ideals = {w: group.lower_ideal(w, cap) for w in tops}
+            assert ideals == {w: capped_ideal_by_prefix(group, w, cap) for w in tops}
 
 
 def test_pair_count_is_the_capped_pair_list_length(a3, a4, i2_groups):
     for group in (a3, a4, i2_groups[7]):
         for cap in (None, *range(group.length[group.w0] + 1)):
-            assert _pair_count(group, cap) == len(_comparable_pairs(group, cap))
+            assert _pair_count(group, cap) == len(group.comparable_pairs(cap))
+
+
+def test_capped_checks_build_no_full_ideal(monkeypatch):
+    # th1-monotone and th4-bounds under a cap read only the capped ideals
+    monkeypatch.setattr(suite, "_ENVS", {})
+    group = enumerate_group(CoxeterDescriptor.parse("A6"))
+    results = suite.run_suite("A6", ["th1-monotone", "th4-bounds"], max_interval_len=3,
+                              group=group)
+    assert all(r.passed for r in results)
+    assert list(group._ideals) == [3]
+    # a cap that cuts nothing shares the whole ideals
+    assert group.lower_ideal(group.w0, 21) is group.lower_ideal(group.w0)
+    assert list(group._ideals) == [3, None]
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "I2:12"])
@@ -312,7 +326,7 @@ def test_th1_monotone_passes_without_a_pair_list(monkeypatch, capsys):
         raise AssertionError("pair list built")
 
     monkeypatch.setattr(suite, "_ENVS", {})
-    monkeypatch.setattr(suite, "_comparable_pairs", refuse)
+    monkeypatch.setattr(GroupTable, "comparable_pairs", refuse)
     code, out = capture(capsys, ["verify", "--group", "A4", "--suite", "th1-monotone"])
     assert code == 0
     assert "th1-monotone: PASS (scope=3781) sizes never decrease up the order" in out
@@ -389,7 +403,7 @@ def test_th1_odd_alone_builds_no_pair_list(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("pair list built")
 
-    monkeypatch.setattr(suite, "_comparable_pairs", refuse)
+    monkeypatch.setattr(GroupTable, "comparable_pairs", refuse)
     code, out = capture(capsys, ["verify", "--group", "A4", "--suite", "th1-odd",
                                  "--max-interval-len", "3"])
     assert code == 0
@@ -590,13 +604,14 @@ def test_a_generator_map_that_is_no_involution_stops_the_level_pass(spec, index,
 
 
 def test_cli_import_loads_no_pool_or_dataclass_machinery():
-    # only a run that starts a pool imports its modules, and the records are
-    # NamedTuples, so no import pays for dataclasses and the inspect it loads;
-    # counted as what the import adds, so a module preloaded at start-up is no fault
+    # only a run that starts a pool imports its modules, only JSON and CSV
+    # output import json and csv, and the records are NamedTuples, so no import
+    # pays for dataclasses and the inspect it loads; counted as what the import
+    # adds, so a module preloaded at start-up is no fault
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; before = set(sys.modules); import bruhatpoly.cli; "
          "print(sorted(set(sys.modules) - before & {'multiprocessing', 'concurrent.futures', "
-         "'dataclasses', 'inspect'}))"],
+         "'dataclasses', 'inspect', 'json', 'csv'}))"],
         capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -16,6 +16,7 @@ from bruhatpoly.poly import (
     coeffwise_leq,
     monomial,
     size,
+    split_fields,
     total,
 )
 from oracles import shift_plus_one
@@ -122,3 +123,10 @@ def test_coeffwise_order_passes_to_derivatives(f, deltas1, deltas2):
     assert coeffwise_leq(f, g) and coeffwise_leq(g, h)
     assert coeffwise_leq(f.derivative(), g.derivative())
     assert coeffwise_leq(g.derivative(), h.derivative())
+
+
+@given(st.lists(st.integers(0, 2 ** 8 - 1), max_size=8), st.integers(8, 12))
+def test_split_fields_inverts_packing(coeffs, width):
+    # the fields of a packed coefficient list are the list without its trailing zeros
+    packed = sum(c << i * width for i, c in enumerate(coeffs))
+    assert split_fields(packed, width) == IntPoly(coeffs).coeffs
