@@ -6,11 +6,6 @@ average of the Poincare polynomial, against Booleanness of all upper
 subintervals, and (in type A) against 3412/4231 pattern containment;
 dihedral bound polynomials against their recursion, closed form and
 generating function; coefficient sums against weighted path counts.
-
-Interval sums of shifted polynomials add packed integers: each distinct
-shifted value is one int with b = (|W| * 2^length(w0)).bit_length() bits
-per coefficient (``RContext.packed``), so a sum over an interval is one
-C-level ``sum`` and one unpacking of its length + 1 fields.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, count, islice, repeat
+from itertools import combinations, compress, count, islice
 from operator import and_, eq, gt, itemgetter, lt
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -139,22 +134,10 @@ def _boolean_coeffs(ell: int) -> tuple[int, ...]:
 
 
 def interval_shifted_sum(ctx: RContext, u: int, w: int) -> IntPoly:
-    """Sum of the shifted polynomials from u over the whole interval [u, w].
-
-    A lower interval adds the packed lower row, any other the packed memo
-    values, in one C-level ``sum``. It is exact: each term's coefficients
-    lie in [0, 2^length(w0)] (checked when packed), there are at most |W|
-    terms, and |W| * 2^length(w0) < 2^b for the field width b, so no field
-    carries into the next. Only the length(u, w) + 1 fields are unpacked.
-    """
-    g = ctx.group
-    interval = g.interval(u, w)
-    members = interval.members
-    if u == g.identity:
-        total = sum(map(ctx.packed_lower_row(members).__getitem__, members))
-    else:
-        total = sum(map(ctx.packed, map(ctx.shifted, repeat(u), members)))
-    return ctx.unpacked(total, interval.ell)
+    """Sum of the shifted polynomials from u over the whole interval [u, w]
+    (``RContext.shifted_sum``)."""
+    interval = ctx.group.interval(u, w)
+    return ctx.shifted_sum(u, interval.members, interval.ell)
 
 
 def bruhat_poincare(ctx: RContext, w: int) -> IntPoly:

@@ -17,9 +17,10 @@ its second factor, and the columns x -> x*t per reflection t are built on
 first use. Tables are immutable after construction. Bruhat order is
 answered by a walk down right descents (no memo); lower ideals, whole or
 cut at a length cap, are built lazily on first use, from the columns of
-``right``, and kept per table and cap. A kept ideal is a pure function of
-its top element and cap, so sharing a table between worker processes (or
-rebuilding it per worker) gives identical answers.
+``right``; only the ideals callers ask for are kept, per table and cap. A
+kept ideal is a pure function of its top element and cap, so sharing a
+table between worker processes (or rebuilding it per worker) gives
+identical answers.
 """
 
 from __future__ import annotations
@@ -349,6 +350,10 @@ class GroupTable:
     def lower_ideal(self, w: int, cap: Optional[int] = None) -> tuple[int, ...]:
         """Ids of the v <= w with length(w) - length(v) <= cap (all v <= w
         without a cap) in ascending order, built lazily and kept per cap.
+        Only the ideal of the w asked for is kept: those on the descent chain
+        below it, down to the nearest kept one, are built as temporary sets
+        (sorted once, at the top), and in an id-order sweep each of them is
+        an earlier top.
 
         With s the first right descent of w: [e, w] = [e, ws] union [e, ws]*s,
         the second part read off the column of s. A capped ideal is built
@@ -356,7 +361,7 @@ class GroupTable:
         min(u, us) <= ws (the lifting property), and min(u, us) is at most
         one shorter than u, so the capped ideal of w is every x and xs for x
         in the capped ideal of ws, cut at length(w) - cap. Ids run in length
-        order, so the cut drops a prefix. A cap of at least length(w0) cuts
+        order, so the cut drops the ids below one bound. A cap of at least length(w0) cuts
         nothing and shares the whole ideals.
         """
         if cap is not None and cap >= self.length[self.w0]:
@@ -365,18 +370,17 @@ class GroupTable:
         if ideals is None:
             ideals = self._ideals[cap] = {self.identity: (self.identity,)}
         length, right, first = self.length, self.right, self._first_descent
-        chain = []
-        while w not in ideals:
+        top, chain = w, []
+        while (below := ideals.get(w)) is None:
             chain.append(w)
             w = right[first[w]][w]
-        below = ideals[w]
-        for top in reversed(chain):
-            members = set(below)
-            members.update(map(right[first[top]].__getitem__, below))
-            below = sorted(members)
-            if cap is not None:
-                below = below[bisect_left(below, bisect_left(length, length[top] - cap)):]
-            below = ideals[top] = tuple(below)
+        if chain:
+            below = set(below)
+            for x in reversed(chain):
+                below.update(list(map(right[first[x]].__getitem__, below)))
+                if cap is not None:
+                    below = set(filter(bisect_left(length, length[x] - cap).__le__, below))
+            below = ideals[top] = tuple(sorted(below))
         return below
 
     def interval(self, u: int, w: int) -> Interval:

@@ -34,7 +34,7 @@ so each family computes each pair's combination once.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, repeat, zip_longest
 from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Sequence
@@ -119,15 +119,13 @@ class RContext:
         }
         # every memo and row value, by its coefficients: equal polynomials share one object
         self._interned: dict[tuple[int, ...], IntPoly] = {}
-        # a shifted coefficient is at most 2^length(w0) (see ``packed``), and a sum
-        # has at most |W| terms: bits per coefficient of a packed sum
+        # a shifted coefficient is at most 2^length(w0) (see ``shifted_sum``), and
+        # a sum has at most |W| terms: bits per coefficient of a packed sum
         self._coefficient_cap = 1 << group.length[group.w0]
-        self.packed_width = (len(group) * self._coefficient_cap).bit_length()
-        # packed shifted values by the id of the value, and the values themselves,
-        # kept so that an id names one value for the life of the context
+        self._packed_width = (len(group) * self._coefficient_cap).bit_length()
+        # packed shifted values by the id of the interned value, which _interned keeps alive
         self._packed: dict[int, int] = {}
-        self._packed_values: list[IntPoly] = []
-        # packed(shifted(e, x)) by x, None where no sum asked yet
+        # _pack(shifted(e, x)) by x, None where no sum asked yet
         self._packed_row: list = []
         # analysis verdicts keyed by (question tag, *arguments), shared by the checks
         self.verdicts: dict[tuple, bool] = {}
@@ -259,57 +257,54 @@ class RContext:
             raise AssertionError("the two size routes disagree")
         return via_shift
 
-    # -- packed shifted values ----------------------------------------------------
+    # -- interval sums of shifted values -------------------------------------------
 
-    def packed(self, value: IntPoly) -> int:
-        """A shifted value of this context as one int: coefficient i in bits
-        [i*b, (i+1)*b), with b = ``packed_width``.
+    def shifted_sum(self, u: int, members: Sequence[int], degree: int) -> IntPoly:
+        """The sum of shifted(u, x) over x in ``members``, a polynomial of
+        degree at most ``degree`` (the length of the interval they span).
 
-        Each distinct value is packed once, and its coefficients are checked
-        then to lie in [0, 2^length(w0)]. The cap holds for every shifted
-        value: shifted(u, x) <= d_n coefficientwise with n = length(u, x)
-        (the dihedral upper bound that ``th4-bounds`` verifies), so a
-        coefficient is at most d_n(1) = J_n <= 2^n. A sum of at most |W|
-        packed values therefore never carries from one field into the next,
-        since |W| * 2^length(w0) < 2^b.
+        Each term is packed into one int, coefficient i in bits [i*b, (i+1)*b)
+        with b = (|W| * 2^length(w0)).bit_length(), so the sum is one C-level
+        ``sum`` and one split into fields. For u = e the terms come from the
+        packed lower row, filled from the shifted lower row where a sum asks;
+        for other u, from the memo. Each distinct value is packed once, and its
+        coefficients are checked then to lie in [0, 2^length(w0)]. The cap
+        holds for every shifted value: shifted(u, x) <= d_n coefficientwise
+        with n = length(u, x) (the dihedral upper bound that ``th4-bounds``
+        verifies), so a coefficient is at most d_n(1) = J_n <= 2^n. A sum of
+        at most |W| terms therefore never carries from one field into the
+        next, since |W| * 2^length(w0) < 2^b.
         """
+        if u == self.group.identity:
+            row = self._packed_row
+            if not row:
+                row = self._packed_row = [None] * len(self.group)
+            missing = list(compress(members, map(is_, map(row.__getitem__, members), repeat(None))))
+            if missing:
+                shifted = self.lower_row("shifted", missing)
+                for x in missing:
+                    row[x] = self._pack(shifted[x])
+            total = sum(map(row.__getitem__, members))
+        else:
+            total = sum(map(self._pack, map(partial(self._family, "shifted", u), members)))
+        width = self._packed_width
+        if total >> (degree + 1) * width:
+            raise AssertionError("a packed sum has a coefficient above its degree")
+        return IntPoly(split_fields(total, width))
+
+    def _pack(self, value: IntPoly) -> int:
+        """A shifted value as one int in the format of ``shifted_sum``."""
+        value = self._interned.setdefault(value.coeffs, value)
         packed = self._packed.get(id(value))
         if packed is None:
-            coeffs, width = value.coeffs, self.packed_width
+            coeffs, width = value.coeffs, self._packed_width
             if coeffs and min(coeffs) < 0:
                 raise AssertionError("a shifted polynomial has a negative coefficient")
             if coeffs and max(coeffs) > self._coefficient_cap:
                 raise AssertionError("a shifted coefficient exceeds 2^length(w0)")
             packed = self._packed[id(value)] = sum(
                 c << i * width for i, c in enumerate(coeffs))
-            self._packed_values.append(value)
         return packed
-
-    def packed_lower_row(self, members: Sequence[int]) -> list:
-        """The packed shifted lower row: ``row[x]`` is ``packed(shifted(e, x))``.
-
-        Every x of ``members`` is filled if it is not yet, from the shifted
-        lower row (which fills it there first if need be); entries that no
-        caller has asked for stay None.
-        """
-        row = self._packed_row
-        if not row:
-            row = self._packed_row = [None] * len(self.group)
-        missing = list(compress(members, map(is_, map(row.__getitem__, members), repeat(None))))
-        if missing:
-            shifted = self.lower_row("shifted", missing)
-            for x in missing:
-                row[x] = self.packed(shifted[x])
-        return row
-
-    def unpacked(self, total: int, degree: int) -> IntPoly:
-        """The polynomial of degree at most ``degree`` whose packed form is
-        ``total``, a sum of packed values; its fields above ``degree`` must be
-        zero."""
-        width = self.packed_width
-        if total >> (degree + 1) * width:
-            raise AssertionError("a packed sum has a coefficient above its degree")
-        return IntPoly(split_fields(total, width))
 
     # -- derived data ---------------------------------------------------------
 

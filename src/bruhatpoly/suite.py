@@ -257,10 +257,10 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
     passes when it passes on every interval it takes, and its scope and time
     count those intervals and sum its times on them.
 
-    Before a pool starts, the parent fills the R, shifted and packed lower
-    rows of the scope's tops, which the forked workers inherit; a worker
-    would otherwise fill the row operands that lie in other chunks through
-    the pair memo. A sweep of ``_ROW_READERS`` alone starts no pool: filling
+    Before a pool starts, the parent fills the R and shifted lower rows of
+    the scope's tops, which the forked workers inherit; a worker would
+    otherwise fill the row operands that lie in other chunks through the
+    pair memo. A sweep of ``_ROW_READERS`` alone starts no pool: filling
     those rows is all its work.
     """
     env = _environment(spec)
@@ -268,9 +268,7 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
     if _ROW_READERS.issuperset(names):
         workers = 1
     elif _pool_size(workers, _usable_cpus(), len(pairs)) > 1:
-        tops = sorted({w for _, w in pairs})
-        env["ctx"].lower_sizes(tops)
-        env["ctx"].packed_lower_row(tops)
+        env["ctx"].lower_sizes(sorted({w for _, w in pairs}))
     outcomes = _pmap(spec, partial(_task_interval, names), pairs, workers)
     results = {}
     for name, column in zip(names, zip(*outcomes)):

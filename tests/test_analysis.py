@@ -17,7 +17,7 @@ from bruhatpoly import (
 )
 from bruhatpoly import analysis
 from bruhatpoly.cli import main
-from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size
+from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size, split_fields
 from oracles import (coeff_sum, dihedral_bounds_per_pair, edge_size_tally_per_edge,
                      fibonacci_rec, graph_degrees, interval_sum_per_member, reachability,
                      regular_by_graph_degrees, shifted_interval_sum, upper_boolean_one_pass,
@@ -243,10 +243,10 @@ def test_upper_boolean_sweep_on_i2_500_sums_over_w0_alone():
     g = enumerate_group(CoxeterDescriptor("I2", 500))
     ctx = RContext(g)
     calls = []
-    shifted = ctx.shifted
-    ctx.shifted = lambda u, w: calls.append((u, w)) or shifted(u, w)
+    family = ctx._family
+    ctx._family = lambda name, u, w: calls.append((name, u, w)) or family(name, u, w)
     assert analysis.regular_via_upper_boolean(ctx, g.identity, g.w0)
-    assert calls == [(g.w0, g.w0)]
+    assert calls == [("shifted", g.w0, g.w0)]
 
 
 def test_upper_boolean_verdict_is_kept_per_pair(a3, pid, monkeypatch):
@@ -640,18 +640,18 @@ def test_packed_interval_sums_match_the_coefficient_transpose(spec, tops):
     for u, w in pairs:
         interval = group.interval(u, w)
         packed = analysis.interval_shifted_sum(ctx, u, w)
-        # the packed memo route, also on the lower intervals that read the packed row
-        via_memo = ctx.unpacked(sum(ctx.packed(ctx.shifted(u, x)) for x in interval.members),
-                                interval.ell)
+        # the packed memo values, also on the lower intervals that read the packed row
+        via_memo = split_fields(sum(ctx._pack(ctx.shifted(u, x)) for x in interval.members),
+                                ctx._packed_width)
         transposed = coeff_sum(oracle.shifted(u, x) for x in interval.members)
-        assert packed.coeffs == via_memo.coeffs == transposed
+        assert packed.coeffs == via_memo == transposed
         assert packed == interval_sum_per_member(oracle, u, w)
 
 
 def test_packed_fields_hold_the_a6_top_sum():
     group = enumerate_group(CoxeterDescriptor.parse("A6"))
     ctx = RContext(group)
-    width = ctx.packed_width
+    width = ctx._packed_width
     assert width == 34 and len(group) * 2 ** 21 < 2 ** width  # |W| terms of at most 2^21
     top = analysis.bruhat_poincare(ctx, group.w0)
     assert top == Q_PLUS_ONE ** 21
@@ -670,12 +670,25 @@ def test_shifted_coefficients_stay_under_the_packing_cap(i2_groups, m):
 def test_packing_rejects_coefficients_outside_the_cap(a3):
     ctx = RContext(a3)  # length(w0) = 6
     with pytest.raises(AssertionError, match="negative coefficient"):
-        ctx.packed(IntPoly((1, -1, 1)))
-    assert ctx.packed(IntPoly((64, 1))) == 64 + (1 << ctx.packed_width)
+        ctx._pack(IntPoly((1, -1, 1)))
+    assert ctx._pack(IntPoly((64, 1))) == 64 + (1 << ctx._packed_width)
     with pytest.raises(AssertionError, match="exceeds 2\\^length"):
-        ctx.packed(IntPoly((65, 1)))
-    with pytest.raises(AssertionError, match="coefficient above its degree"):
-        ctx.unpacked(ctx.packed(IntPoly((1, 2, 1))), 1)
+        ctx._pack(IntPoly((65, 1)))
+    # shifted(e, s) = q and shifted(s, s*t) = q: neither sum fits degree 0
+    s, st = a3.generator(0), a3.from_word((0, 1))
+    for u, w in ((a3.identity, s), (s, st)):
+        with pytest.raises(AssertionError, match="coefficient above its degree"):
+            ctx.shifted_sum(u, [w], 0)
+
+
+def test_packing_never_aliases_a_dead_value(a3):
+    # fresh values dropped after packing: a packed int keyed by the id of a
+    # value that is gone would be handed to the next value at that address
+    ctx = RContext(a3)
+    width = ctx._packed_width
+    for i in range(2000):
+        coeffs = (i % 65, i // 65, 1)
+        assert split_fields(ctx._pack(IntPoly(coeffs)), width) == coeffs
 
 
 def test_blanco_inequality(a3, a3_ctx, a4, a4_ctx):

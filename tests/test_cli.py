@@ -305,6 +305,15 @@ def test_capped_checks_build_no_full_ideal(monkeypatch):
     assert list(group._ideals) == [3, None]
 
 
+def test_a_sampled_scan_keeps_only_the_ideals_it_asks_for(monkeypatch):
+    # each sampled top walks its chain of first right descents down to a kept
+    # ideal; the ideals built on the way are not kept
+    monkeypatch.setattr(suite, "_ENVS", {})
+    group = enumerate_group(CoxeterDescriptor.parse("A6"))
+    suite.run_scan("A6", sample=500, group=group)
+    assert len(group._ideals[None]) <= 501  # the sampled tops and the identity
+
+
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "I2:12"])
 def test_th4_reduced_pairs_match_all_pairs(spec, monkeypatch):
     monkeypatch.setattr(suite, "_ENVS", {})
@@ -680,7 +689,7 @@ def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, c
         def __init__(self, *args, **kwargs):
             env = suite._ENVS[spec]
             ctx, tops = env["ctx"], {w for _, w in suite._interval_scope(env["group"])}
-            rows = (ctx._rows.get("r"), ctx._rows.get("shifted"), ctx._packed_row)
+            rows = (ctx._rows.get("r"), ctx._rows.get("shifted"))
             filled.append([bool(row) and None not in map(row.__getitem__, tops) for row in rows])
             super().__init__(*args, **kwargs)
 
@@ -692,7 +701,7 @@ def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, c
         assert main(["verify", "--group", spec, "--suite", suite_names,
                      "--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
-    assert filled == [[True, True, True]]  # one pool, started with every top's rows filled
+    assert filled == [[True, True]]  # one pool, started with every top's rows filled
     assert outputs[0] == outputs[1] == (
         "group: A5\nth1-odd: PASS (scope=720) every size is odd\n"
         "th2: PASS (scope=720) fired averages all irregular\nsuite: PASS (2/2)\n")
