@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import re
 import sys
 import time
@@ -121,7 +122,11 @@ def _make_group(args: argparse.Namespace) -> GroupTable:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left: drop the rest, the flush at exit too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         Path(out).write_text(text)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, count, repeat
-from operator import eq, gt, lshift, methodcaller, or_, sub
+from operator import eq, gt, lshift, or_, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -147,12 +147,12 @@ def _identity_form(desc: CoxeterDescriptor):
 
 
 def _generator_maps(desc: CoxeterDescriptor) -> list:
-    """The maps f -> s*f on canonical forms, one per generator s."""
-    if desc.family == "A":  # s_i swaps the values i and i+1
-        return [methodcaller("translate", bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
+    """One (function, argument) pair per generator s, with s*f = function(f, argument)."""
+    if desc.family == "A":  # s_i swaps the values i and i+1, all in C
+        return [(bytes.translate, bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
                 for i in range(1, desc.param + 1)]
     m = desc.param  # s1 = (0, 1) and s2 = s1*rot
-    return [lambda f: (-f[0] % m, f[1] ^ 1), lambda f: ((-f[0] - 1) % m, f[1] ^ 1)]
+    return [(lambda f, m: (-f[0] % m, f[1] ^ 1), m), (lambda f, m: ((-f[0] - 1) % m, f[1] ^ 1), m)]
 
 
 def _fill_down(table: tuple, left: tuple, first: tuple, start: int) -> tuple[int, ...]:
@@ -438,9 +438,9 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
     Level k + 1 is every product s*f of a form f of level k, less the forms
     of levels k - 1 and k (the generators are involutions, so a product
     moves at most one level); each level is sorted, so the forms come out
-    in (length, canonical form) order with no relabelling. The products of
-    a level are kept per generator until the next level has ids, and then
-    extend the left product columns by index lookups, so each product is
+    in (length, canonical form) order with no relabelling. A level's products
+    are one C-level ``map`` per generator, kept until the next level has ids,
+    then extend the left product columns by index lookups: each product is
     made once. More forms than the group order means a generator map is
     not an involution, and raises AssertionError at once. A group of order
     above ``DEFAULT_MAX_ORDER`` is refused before any element is built.
@@ -458,7 +458,7 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
         if len(forms) > est:
             raise AssertionError(f"enumerated more than the {est} elements expected")
         sizes.append(len(here))
-        products = [list(map(times_g, here)) for times_g in gens]
+        products = [list(map(times, here, repeat(by))) for times, by in gens]
         above = set(chain.from_iterable(products))
         above.difference_update(below, here)
         above = dict(zip(sorted(above), count(len(forms))))

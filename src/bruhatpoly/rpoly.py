@@ -28,8 +28,8 @@ own ideal; after that a sum over [e, w] or a size per element is a C-level
 branch at u = e: for a right descent s of x, (e, x) combines (e, xs) and
 (s, xs), and (s, xs) is a row entry or zero when s is a left descent of xs
 (the left form of the first branch lowers it to (e, s*xs)) or is not in the
-support of xs (then s is not below xs). Few distinct operand pairs occur,
-so each family computes each pair's combination once.
+support of xs (then s is not below xs). Row fills and memo walks share one
+kernel cache per family, so each family combines each operand pair once.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class RContext:
         }
         # family -> its value at (e, x) by x, None where no caller asked yet
         self._rows: dict[str, list] = {}
-        # family -> kernel value by the ids of its two operands, all of them kept
-        # alive in _interned (or ONE and ZERO), so an id stands for one value
+        # family -> kernel value by the ids of its two operands, for rows and memo walks;
+        # each operand lives in _interned (or is ONE or ZERO): an id stands for one value
         self._kernels: dict[str, dict[tuple[int, int], IntPoly]] = {
             "r": {}, "rtilde": {}, "shifted": {}
         }
@@ -147,7 +147,7 @@ class RContext:
         if (value := memo.get((u, w))) is not None:  # most calls end here, before any set-up
             self.hits += 1
             return value
-        g, step, interned = self.group, _RULES[name][2], self._interned
+        g, step, kernel, interned = self.group, _RULES[name][2], self._kernels[name], self._interned
         right, descents, descent = g.right, g.descents, g.first_right_descent
         sides = right + g.left  # bit k of a descent mask is read from column k
         query = (u, w)
@@ -182,8 +182,11 @@ class RContext:
                     frame[3] = value
                     u, w, comparable = frame[1], frame[2], False
                     break
-                value = step(frame[3].coeffs, value.coeffs)
-                memo[frame[0]] = value = interned.setdefault(value.coeffs, value)
+                # each operand is a memo value (interned, so alive), ONE or ZERO
+                if (made := kernel.get(key := (id(frame[3]), id(value)))) is None:
+                    made = step(frame[3].coeffs, value.coeffs)
+                    made = kernel[key] = interned.setdefault(made.coeffs, made)
+                memo[frame[0]] = value = made
                 stack.pop()
             else:
                 if value and query[0] != query[1]:

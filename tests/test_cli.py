@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -588,14 +589,14 @@ def test_one_line_literal_with_commas(capsys):
 
 
 @pytest.mark.parametrize("spec, index, bad_map", [
-    ("I2:5", 1, "lambda f: ((f[0] + 1) % 5, f[1])"),  # a rotation of order 5
+    ("I2:5", 1, "(lambda f, m: ((f[0] + 1) % m, f[1]), 5)"),  # a rotation of order 5
     # a 3-cycle of the values
-    ("A3", 0, "operator.methodcaller('translate', bytes.maketrans(b'\\1\\2\\3', b'\\2\\3\\1'))"),
+    ("A3", 0, "(bytes.translate, bytes.maketrans(b'\\1\\2\\3', b'\\2\\3\\1'))"),
 ], ids=["I2:5-rotation", "A3-3-cycle"])
 def test_a_generator_map_that_is_no_involution_stops_the_level_pass(spec, index, bad_map):
     # the level pass loops for ever on such a map; the timeout fails that
     script = (
-        "import operator, sys\n"
+        "import sys\n"
         "from bruhatpoly import cli, coxeter\n"
         "maps = coxeter._generator_maps\n"
         "def patched(desc):\n"
@@ -610,6 +611,43 @@ def test_a_generator_map_that_is_no_involution_stops_the_level_pass(spec, index,
     order = CoxeterDescriptor.parse(spec).order()
     assert proc.returncode == INTERNAL_ERROR and proc.stdout == ""
     assert proc.stderr == f"error: internal: enumerated more than the {order} elements expected\n"
+
+
+# a scan whose report holds a planted violation, so its verdict is a failure
+PLANTED_SCAN = (
+    "import sys\n"
+    "from bruhatpoly import cli, suite\n"
+    "scan = suite.run_scan\n"
+    "suite.run_scan = lambda *a, **k: {**scan(*a, **k), 'violations': ['planted']}\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("args, code", [
+    (("interval", "--group", "A3", "--u", "e", "--w", "w0"), 0),  # fits the stdout buffer
+    (("table", "--table", "r-polys", "--group", "A5", "--format", "json"), 0),  # does not
+    (("export-dot", "--group", "A3", "--u", "e", "--w", "w0"), 0),
+    (("verify", "--group", "A3"), 0),
+    (("scan", "--group", "A3"), 0),
+    (("scan", "--group", "A3"), 1),
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else f"exit {a}")
+def test_a_closed_output_pipe_keeps_the_commands_own_status(args, code):
+    # the reader of stdout is gone before the first byte: no traceback, no
+    # complaint from the flush at exit, and the exit status is the command's
+    read, write = os.pipe()
+    os.close(read)
+    program = ["-c", PLANTED_SCAN] if code else ["-m", "bruhatpoly"]
+    try:
+        proc = subprocess.run([sys.executable, *program, *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=src_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    if args[0] == "verify":  # the timings go to stderr, and only they
+        assert lines[0].startswith("verify A3: ") and len(lines) == 11, proc.stderr
+    else:
+        assert lines == []
 
 
 def test_cli_import_loads_no_pool_or_dataclass_machinery():
@@ -744,8 +782,9 @@ def test_stdout_does_not_depend_on_the_hash_seed(args):
 # first three before the Bruhat order rewrite, the next five before the
 # memo snapshot, the check table and the interval report class were
 # removed, two before the one-pass upper-Boolean sweep, the two scans
-# before lower-interval sums read the lower rows, and full A5 verify at the
-# end before el-unique and oracle-eq counted paths in one pass per bottom
+# before lower-interval sums read the lower rows, full A5 verify before
+# el-unique and oracle-eq counted paths in one pass per bottom, and the
+# I2:80 report at the end before the memo walks shared the kernel cache
 GOLDEN_STDOUT_SHA256 = {
     ("scan", "--group", "A4", "--exhaustive"):
         "ce22376a08e93292e718e391d938e44d7cddb992bee7186f2bdedd6b8df9a728",
@@ -813,6 +852,9 @@ GOLDEN_STDOUT_SHA256 = {
     # all ten checks on the lower intervals of A5
     ("verify", "--group", "A5"):
         "5750a4f046b78fbb81debe1ac77346ce9b3f000e4d7d46544f45d73dfaec3939",
+    # memo walks alone, combining operand pairs through the shared kernel cache
+    ("interval", "--group", "I2:80", "--u", "s1", "--w", "w0"):
+        "2bdd2234c50ab08e07b8b66fa5583caedb8beccb6f8f15a90a622732be2839b1",
 }
 
 

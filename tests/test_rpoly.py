@@ -17,6 +17,7 @@ from bruhatpoly import (
     rtilde_via_paths,
     shifted_r_via_weights,
 )
+from bruhatpoly import analysis
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
 from bruhatpoly.cli import _r_classes
 from bruhatpoly.coxeter import GroupTable
@@ -369,22 +370,26 @@ def test_lower_rows_match_the_oracle_in_any_fill_order(spec):
     }
     for order, calls in orders.items():
         ctx = RContext(group)
+        family, memo_calls = ctx._family, []
+        ctx._family = lambda *pair: memo_calls.append(pair) or family(*pair)
         for name, values in expected.items():
+            memo_calls.clear()
             for members in calls:
                 row = ctx.lower_row(name, members)
             asked = set().union(*calls)
             for x, value in enumerate(row):
                 assert (value is None) == (x not in asked), (order, name, x)
                 assert value is None or value == values[x], (order, name, x)
-            # from the top no operand is filled yet, so every x takes the memo
+            # from the top no operand is filled yet, so every x takes the memo;
+            # in the other orders some x takes the row route
             from_top = order in ("one at a time from the top", "w0 alone")
-            assert bool(ctx._kernels[name]) != from_top, (order, name)
+            assert (len(memo_calls) == len(asked)) == from_top, (order, name)
 
 
 def test_a5_lower_rows_take_the_row_route():
     # a full fill of a row sends to the memo only the x that no right
-    # descent serves (the identity among them); the kernel results are few
-    # because the rows hold few distinct values
+    # descent serves (the identity among them); the kernel results, of the
+    # row and of the memo walks alike, are few because the values are few
     a5 = enumerate_group(CoxeterDescriptor("A", 5))
     for name in _RULES:
         ctx = RContext(a5)
@@ -392,4 +397,25 @@ def test_a5_lower_rows_take_the_row_route():
         ctx._family = lambda *pair: calls.append(pair) or family(*pair)
         ctx.lower_row(name, range(len(a5)))
         assert len(calls) == 53, name
-        assert len(ctx._kernels[name]) == 93, name
+        assert len(ctx._kernels[name]) == 104, name
+
+
+@pytest.mark.parametrize("spec", ["A5", "I2:12"])
+def test_each_operand_pair_is_combined_once_per_family(spec, monkeypatch):
+    # the row route and the memo walks share one kernel cache per family,
+    # so no pair of operands is combined twice: the table of A5 fills rows
+    # and walks the memo, the report of [s1, w0] in I2(12) walks it alone
+    ran = dict.fromkeys(_RULES, 0)
+    for name, (low, high, kernel) in _RULES.items():
+        def counted(a, b, name=name, kernel=kernel):
+            ran[name] += 1
+            return kernel(a, b)
+        monkeypatch.setitem(_RULES, name, (low, high, counted))
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    ctx = RContext(group)
+    if spec == "A5":
+        _r_classes(ctx)
+    else:
+        analysis.interval_report(ctx, group.generator(0), group.w0)
+    assert all(ran.values()), ran
+    assert ran == {name: len(ctx._kernels[name]) for name in _RULES}
