@@ -1,23 +1,36 @@
 """Dihedral bound polynomials and where the bounds are attained.
 
-Prints the d_n table (recursion, closed form, generating function all
-agree), the Jacobsthal sizes, and then sweeps the symmetric group on five
-letters to show dihedral intervals hitting the ceiling and Boolean
-intervals sitting on the floor.
+Prints the d_n table (recursion and generating function agree), the
+Jacobsthal sizes, and then sweeps the symmetric group on five letters to
+show dihedral intervals hitting the ceiling and Boolean intervals sitting
+on the floor.
 """
 
-from bruhatpoly import CoxeterDescriptor, RContext, build_graph, enumerate_group
+from collections import Counter
+
+from bruhatpoly import CoxeterDescriptor, RContext, enumerate_group
 from bruhatpoly import analysis
-from bruhatpoly.poly import coeffwise_leq, monomial
+from bruhatpoly.poly import coeffwise_leq, monomial, size, total
+
+
+def is_boolean(group, interval):
+    """Whether v -> {atoms below v} maps the interval one to one onto the
+    sets of its atoms, each v to a set of size length(v) - length(bottom)."""
+    base, ell = group.length[interval.bottom], interval.ell
+    atoms = [a for a in interval.members if group.length[a] == base + 1]
+    below = {frozenset(a for a in atoms if group.leq(a, v)): group.length[v] - base
+             for v in interval.members}
+    return (len(atoms) == ell and len(below) == len(interval) == 2 ** ell
+            and all(len(s) == rank for s, rank in below.items()))
+
 
 print("n | d_n(q)                                  | size | total | Jacobsthal")
 series = analysis.dihedral_series(13)
 for n in range(13):
     d = analysis.dihedral_poly(n)
-    s, t = analysis.dihedral_numbers(n)
-    assert analysis.dihedral_closed_form_ok(n)
+    s, t = size(d), total(d)
     assert series[n] == d
-    j = analysis.jacobsthal(n) if n >= 1 else "-"
+    j = s if n >= 1 else "-"  # J_n = d_n(1)
     print(f"{n:>2} | {d.text():<39} | {s:>4} | {t:>5} | {j}")
 
 print("\nsweeping all intervals of A4 (the symmetric group on 5 letters):")
@@ -33,14 +46,13 @@ for u, w in pairs:
         assert coeffwise_leq(monomial(n), sh)
         assert coeffwise_leq(sh, analysis.dihedral_poly(n))
     interval = group.interval(u, w)
-    if analysis.is_boolean_interval(group, interval):
+    ranks = Counter(group.length[v] - group.length[u] for v in interval.members)
+    if is_boolean(group, interval):
         booleans += 1
         assert sh == monomial(n)
-    elif len(interval) == max(2 * n, 1):
-        graph = build_graph(group, interval)
-        if analysis.is_dihedral_interval(graph):
-            dihedrals += 1
-            assert sh == analysis.dihedral_poly(n)
+    elif [ranks[r] for r in range(n + 1)] == [1] + [2] * (n - 1) + [1]:  # dihedral
+        dihedrals += 1
+        assert sh == analysis.dihedral_poly(n)
 
 print(f"  {len(pairs)} intervals checked against the bounds: all inside")
 print(f"  {booleans} Boolean intervals attain the lower bound q^n exactly")

@@ -9,7 +9,6 @@ averages, and the regularity verdicts.
 from bruhatpoly import (
     CoxeterDescriptor,
     RContext,
-    absolute_distance,
     build_graph,
     default_reflection_order,
     enumerate_group,
@@ -36,12 +35,13 @@ for v in interval.members:
     print(f"  {group.display(v)}  (length {group.length[v]}, "
           f"degree {graph.degree(v)}){marker}")
 
-print(f"\ngraph distance from bottom to top: {absolute_distance(graph, e, w)}")
+# the lowest power of q in R-tilde is the directed distance in the graph (Dyer)
+gamma = ctx.gamma_vector(e, w)
+print(f"\ngraph distance from bottom to top: {gamma.absolute_length}")
 
 r = ctx.r(e, w)
 rt = ctx.rtilde(e, w)
 sh = ctx.shifted(e, w)
-gamma = ctx.gamma_vector(e, w)
 print(f"\nR        = {r.text()}")
 print(f"         = {gamma_form_text(gamma)}")
 print(f"R-tilde  = {rt.text()}   (gamma vector {gamma.as_dict()})")
@@ -56,10 +56,10 @@ print(f"Bruhat-Poincare polynomial {pb.text()}  (average {average(pb)})")
 
 order = default_reflection_order(group)
 p1, p2 = analysis.p1_p2(ctx, graph, order)
-print(f"\nedges from the bottom: {analysis.f_tilde(ctx, e, w, 1)}; "
+f_vec = analysis.f_tilde_vector(ctx, e, w)
+print(f"\nedges from the bottom: {f_vec[1]}; "
       f"height excess p1 = {p1}, increasing two-step paths p2 = {p2}")
-print(f"q^2 coefficient of the interval sum: {analysis.f_tilde(ctx, e, w, 2)} "
-      f"(= p1 + p2)")
+print(f"q^2 coefficient of the interval sum: {f_vec[2]} (= p1 + p2)")
 
 verdict = analysis.four_way_regularity(ctx, w)
 print(f"\nregular by degrees? {verdict.degree_regular}")

@@ -20,16 +20,13 @@ from .graph import (
     BruhatPath,
     IncreasingPathCounts,
     ReflectionOrder,
-    absolute_distance,
     build_graph,
     default_reflection_order,
     distinct_reflection_orders,
     increasing_paths,
-    path_weight,
     reflection_order_from_word,
     short_paths,
     to_dot,
-    validate_reflection_order,
 )
 from .poly import (
     IntPoly,
@@ -44,8 +41,6 @@ from .rpoly import (
     RContext,
     gamma_form_text,
     reassemble_r,
-    rtilde_via_paths,
-    shifted_r_via_weights,
 )
 
 __version__ = "0.1.0"

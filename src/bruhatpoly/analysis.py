@@ -4,8 +4,8 @@ The checks here compare independent routes to the same fact wherever the
 theory offers one: degree-regularity of the Bruhat graph against the
 average of the Poincare polynomial, against Booleanness of all upper
 subintervals, and (in type A) against 3412/4231 pattern containment;
-dihedral bound polynomials against their recursion, closed form and
-generating function; coefficient sums against weighted path counts.
+dihedral bound polynomials against their recursion and generating
+function; coefficient sums against weighted path counts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations, compress, count, islice
 from operator import and_, eq, gt, itemgetter, lt
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .coxeter import GroupTable, Interval
+from .coxeter import GroupTable
 from .graph import (
     BruhatGraph,
     ReflectionOrder,
@@ -33,14 +33,11 @@ from .poly import (
     average,
     coeffwise_leq,
     monomial,
-    size,
-    total,
 )
 from .rpoly import RContext
 
 __all__ = [
     "poincare",
-    "poincare_average",
     "is_regular",
     "carrell_peterson_equal",
     "bruhat_poincare",
@@ -49,19 +46,13 @@ __all__ = [
     "regular_via_upper_boolean",
     "shifted_average_fires",
     "f_tilde_vector",
-    "f_tilde",
     "p1_p2",
     "DeodharVerdict",
     "deodhar_check",
     "dihedral_poly",
-    "dihedral_numbers",
-    "dihedral_closed_form_ok",
     "dihedral_series",
-    "jacobsthal",
     "pattern_contains",
     "is_singular",
-    "is_boolean_interval",
-    "is_dihedral_interval",
     "observation_sum",
     "FourWayVerdict",
     "four_way_regularity",
@@ -83,10 +74,6 @@ def poincare(ctx: RContext, w: int) -> IntPoly:
         counts[g.length[v]] = counts.get(g.length[v], 0) + 1
     top = max(counts)
     return IntPoly(tuple(counts.get(i, 0) for i in range(top + 1)))
-
-
-def poincare_average(ctx: RContext, w: int) -> Fraction:
-    return average(poincare(ctx, w))
 
 
 # -- regularity ----------------------------------------------------------------
@@ -123,7 +110,7 @@ def is_regular(ctx: RContext, u: int, w: int) -> bool:
 
 def carrell_peterson_equal(ctx: RContext, w: int) -> tuple[Fraction, bool]:
     """Average of the Poincare polynomial against half the length of w."""
-    avg = poincare_average(ctx, w)
+    avg = average(poincare(ctx, w))
     return avg, avg == Fraction(ctx.group.length[w], 2)
 
 
@@ -205,13 +192,6 @@ def f_tilde_vector(ctx: RContext, u: int, w: int) -> tuple[int, ...]:
     return tuple(s.coefficient(i) for i in range(ell + 1))
 
 
-def f_tilde(ctx: RContext, u: int, w: int, i: int) -> int:
-    ell = ctx.group.length[w] - ctx.group.length[u]
-    if not 0 <= i <= ell:
-        raise ValueError(f"coefficient index {i} outside 0..{ell}")
-    return interval_shifted_sum(ctx, u, w).coefficient(i)
-
-
 def p1_p2(ctx: RContext, graph: BruhatGraph, order: ReflectionOrder) -> tuple[int, int]:
     """Height excess over edges from the bottom, and increasing two-step paths.
 
@@ -225,7 +205,7 @@ def p1_p2(ctx: RContext, graph: BruhatGraph, order: ReflectionOrder) -> tuple[in
     p1 = sum((length[y] - length[u] - 1) // 2 for y, _ in row)
     p2 = sum(rank[t2] > rank[t] for y, t in row for _, t2 in graph.out_edges[y])
     ell = graph.interval.ell
-    if ell >= 2 and p1 + p2 != f_tilde(ctx, u, w, 2):
+    if ell >= 2 and p1 + p2 != f_tilde_vector(ctx, u, w)[2]:
         raise AssertionError("p1 + p2 must equal the q^2 coefficient of the interval sum")
     return p1, p2
 
@@ -308,30 +288,6 @@ def dihedral_poly(n: int) -> IntPoly:
     return polys[n]
 
 
-def dihedral_numbers(n: int) -> tuple[int, int]:
-    """Size and total of the n-th dihedral polynomial."""
-    d = dihedral_poly(n)
-    return size(d), total(d)
-
-
-def dihedral_closed_form_ok(n: int) -> bool:
-    """Verify the closed forms multiplicatively, staying in integer arithmetic.
-
-    (q+2) d_n = q((q+1)^n - (-1)^n) and
-    (q+2)^2 d_n' = 2((q+1)^n - (-1)^n) + n q (q+2) (q+1)^(n-1).
-    """
-    if n == 0:
-        return dihedral_poly(0) == ONE
-    q_plus_2 = IntPoly((2, 1))
-    core = Q_PLUS_ONE ** n - IntPoly(((-1) ** n,))
-    d = dihedral_poly(n)
-    first = q_plus_2 * d == Q * core
-    second = (q_plus_2 ** 2) * d.derivative() == (
-        2 * core + IntPoly((0, n)) * q_plus_2 * (Q_PLUS_ONE ** (n - 1))
-    )
-    return first and second
-
-
 def dihedral_series(count: int) -> list[IntPoly]:
     """Expand (1 - (q+1) z^2) / ((1+z)(1 - (q+1) z)) as a power series in z.
 
@@ -349,16 +305,6 @@ def dihedral_series(count: int) -> list[IntPoly]:
                 acc = acc - dk * out[n - k]
         out.append(acc)
     return out
-
-
-def jacobsthal(n: int) -> int:
-    """0, 1, 1, 3, 5, 11, ... with J_n = J_{n-1} + 2 J_{n-2}."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, b + 2 * a
-    return a
 
 
 def dihedral_bounds_ok(ctx: RContext, u: int, w: int) -> bool:
@@ -397,57 +343,6 @@ def pattern_contains(perm: Sequence[int], pattern: str) -> bool:
 def is_singular(perm: Sequence[int]) -> bool:
     """A permutation containing 3412 or 4231."""
     return pattern_contains(perm, "3412") or pattern_contains(perm, "4231")
-
-
-# -- poset shape detectors ---------------------------------------------------------
-
-
-def is_boolean_interval(group: GroupTable, interval: Interval) -> bool:
-    """Poset-isomorphism test against the Boolean lattice of rank ell.
-
-    Maps each member to its set of atoms below; the interval is Boolean
-    exactly when this map is a rank-preserving order-isomorphism onto the
-    full power set of the atoms.
-    """
-    ell = interval.ell
-    if len(interval.members) != 2 ** ell:
-        return False
-    u = interval.bottom
-    atoms = [v for v in interval.members if group.length[v] == group.length[u] + 1]
-    if len(atoms) != ell:
-        return False
-    seen = set()
-    for v in interval.members:
-        below = frozenset(a for a in atoms if group.leq(a, v))
-        if len(below) != group.length[v] - group.length[u]:
-            return False
-        if below in seen:
-            return False
-        seen.add(below)
-    return len(seen) == 2 ** ell
-
-
-def is_dihedral_interval(graph: BruhatGraph) -> bool:
-    """Rank profile 1,2,...,2,1 with complete bipartite covering layers."""
-    g = graph.group
-    interval = graph.interval
-    ell = interval.ell
-    if len(interval.members) != max(2 * ell, 1):
-        return False
-    base = g.length[interval.bottom]
-    layers: dict[int, list[int]] = {}
-    for v in interval.members:
-        layers.setdefault(g.length[v] - base, []).append(v)
-    for r in range(ell + 1):
-        expected = 1 if r in (0, ell) else 2
-        if len(layers.get(r, ())) != expected:
-            return False
-    for r in range(ell):
-        for v in layers[r]:
-            covers = {y for y, _ in graph.out_edges[v] if g.length[y] == g.length[v] + 1}
-            if not set(layers[r + 1]) <= covers:
-                return False
-    return True
 
 
 # -- group-wide facts ----------------------------------------------------------------

@@ -7,7 +7,8 @@ An edge's height h = (length difference + 1)/2 is read off the lengths;
 height 1 edges are the covering ("short") edges. A reflection order is a
 total order on the reflection set whose restriction to every dihedral
 reflection subgroup is one of the two natural chains; such orders are built
-here from reduced words of the longest element.
+here from reduced words of the longest element (the tests check the chain
+condition).
 
 ``IncreasingPathCounts`` counts the label-increasing paths from one bottom
 to every element above it, by absolute length, in one pass over the whole
@@ -15,7 +16,8 @@ group's up-edges; by Dyer's theorem these counts are the coefficients of
 R-tilde, and weighted they give the shifted R-polynomial. It also walks the
 lexicographically first maximal chain, for Dyer's EL property. One
 depth-first walker lists the paths of one interval's graph
-(``increasing_paths``, ``short_paths``), the reference in the tests.
+(``increasing_paths``, ``short_paths``); no command calls it, and the tests
+list paths with it to check the one-pass counts.
 """
 
 from __future__ import annotations
@@ -25,25 +27,19 @@ from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coxeter import Frozen, GroupTable, Interval
-from .poly import IntPoly, Q_PLUS_ONE, monomial, split_fields
+from .poly import IntPoly, split_fields
 
 __all__ = [
     "BruhatGraph",
     "BruhatPath",
     "ReflectionOrder",
-    "OrderViolation",
-    "ValidationResult",
     "InvalidWordError",
     "build_graph",
-    "absolute_distance",
-    "path_weight",
     "reflection_order_from_word",
     "lex_min_w0_word",
     "lex_max_w0_word",
     "default_reflection_order",
     "distinct_reflection_orders",
-    "dihedral_reflection_subgroups",
-    "validate_reflection_order",
     "increasing_paths",
     "short_paths",
     "IncreasingPathCounts",
@@ -116,31 +112,6 @@ def build_graph(group: GroupTable, interval: Interval) -> BruhatGraph:
                 in_degree[y] += 1
         out_edges[x] = tuple(sorted(row))
     return BruhatGraph(group, interval, out_edges, in_degree)
-
-
-def absolute_distance(graph: BruhatGraph, u: int, w: int) -> int:
-    """Directed BFS distance from u to w inside the graph."""
-    if u == w:
-        return 0
-    dist = {u: 0}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for y, _ in graph.out_edges[v]:
-                if y not in dist:
-                    dist[y] = dist[v] + 1
-                    if y == w:
-                        return dist[y]
-                    nxt.append(y)
-        frontier = nxt
-    raise AssertionError("no directed path between comparable interval endpoints")
-
-
-def path_weight(path: BruhatPath) -> IntPoly:
-    """(q+1)^((ell-a)/2) * q^a for a path with lengths (ell, a)."""
-    ell, a = path.coxeter_length, path.absolute_length
-    return Q_PLUS_ONE ** ((ell - a) // 2) * monomial(a)
 
 
 class ReflectionOrder:
@@ -230,101 +201,6 @@ def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
         if order not in orders:
             orders.append(order)
     return orders
-
-
-class OrderViolation(NamedTuple):
-    reflections: tuple[int, ...]
-    canonical_pair: tuple[int, int]
-    chain: tuple[int, ...]
-    ranks: tuple[int, ...]
-
-
-class ValidationResult(NamedTuple):
-    ok: bool
-    violations: tuple[OrderViolation, ...] = ()
-
-
-def _subgroup_closure(group: GroupTable, generators: Sequence[int]) -> frozenset:
-    columns = [group.reflection_columns()[t] for t in generators]
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for col in columns:
-                w = col[v]
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def dihedral_reflection_subgroups(group: GroupTable) -> list[frozenset]:
-    """Subgroups generated by a pair of distinct reflections, deduplicated."""
-    seen = set()
-    out = []
-    refl = group.reflections
-    for i, t1 in enumerate(refl):
-        for t2 in refl[i + 1:]:
-            sub = _subgroup_closure(group, (t1, t2))
-            if sub not in seen:
-                seen.add(sub)
-                out.append(sub)
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
-
-
-def _canonical_generator_pair(group: GroupTable, subgroup: frozenset) -> tuple[int, int]:
-    """The two canonical generators of a dihedral reflection subgroup.
-
-    A reflection t' of the subgroup is canonical when no other reflection t
-    of the subgroup satisfies length(t * t') < length(t').
-    """
-    refl_in = sorted(t for t in group.reflections if t in subgroup)
-    canonical = []
-    for t_prime in refl_in:
-        lp = group.length[t_prime]
-        col = group.reflection_columns()[t_prime]
-        if not any(t != t_prime and group.length[col[t]] < lp
-                   for t in refl_in):
-            canonical.append(t_prime)
-    if len(canonical) != 2:
-        raise AssertionError(
-            f"dihedral reflection subgroup must have 2 canonical generators, got {len(canonical)}"
-        )
-    return canonical[0], canonical[1]
-
-
-def _dihedral_chain(group: GroupTable, r: int, s: int, count: int) -> tuple[int, ...]:
-    """The alternating chain r, rsr, rsrsr, ..., srs, s of a dihedral pair."""
-    times_r, times_s = (group.reflection_columns()[t] for t in (r, s))
-    chain = []
-    p = group.identity
-    for _ in range(count):
-        chain.append(times_r[p])
-        p = times_s[chain[-1]]
-    return tuple(chain)
-
-
-def validate_reflection_order(group: GroupTable,
-                              order: ReflectionOrder) -> ValidationResult:
-    """Check the dihedral chain condition on every dihedral reflection subgroup."""
-    if set(order.sequence) != set(group.reflections):
-        raise ValueError("order must rank exactly the reflections of the group")
-    violations = []
-    for subgroup in dihedral_reflection_subgroups(group):
-        refl_in = tuple(sorted(t for t in group.reflections if t in subgroup))
-        r, s = _canonical_generator_pair(group, subgroup)
-        chain = _dihedral_chain(group, r, s, len(refl_in))
-        if set(chain) != set(refl_in):
-            raise AssertionError("dihedral chain must exhaust the subgroup reflections")
-        ranks = tuple(order.rank[t] for t in chain)
-        ascending = all(a < b for a, b in zip(ranks, ranks[1:]))
-        descending = all(a > b for a, b in zip(ranks, ranks[1:]))
-        if not (ascending or descending):
-            violations.append(OrderViolation(refl_in, (r, s), chain, ranks))
-    return ValidationResult(not violations, tuple(violations))
 
 
 # -- path enumeration ---------------------------------------------------------

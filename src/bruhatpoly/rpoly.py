@@ -17,8 +17,7 @@ pair; so only the second branch is ever computed. ``_RULES`` holds each
 coefficient tuples, building a single polynomial.
 
 The shifted family is R evaluated at q+1, computed natively; the tests
-cross-check it against the substitution. Path-enumeration oracles for the
-nonneg families live here too.
+cross-check it against the substitution.
 
 Lower intervals read a second store: one lower row per family, a list
 indexed by element id whose entry x holds the value at (e, x). An entry is
@@ -37,10 +36,9 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import compress, repeat, zip_longest
 from operator import attrgetter, is_
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .coxeter import GroupTable
-from .graph import BruhatPath, path_weight
 from .poly import (
     IntPoly,
     ONE,
@@ -57,8 +55,6 @@ __all__ = [
     "GammaVector",
     "reassemble_r",
     "gamma_form_text",
-    "rtilde_via_paths",
-    "shifted_r_via_weights",
 ]
 
 # family -> (low, high, kernel computing low * a + high * b on coefficient tuples)
@@ -139,9 +135,9 @@ class RContext:
         lowest shared right descent, else their lowest shared left descent.
         Neither step changes the value (Bjorner-Brenti, Thm 5.1.1, and R(u, w) =
         R(u^-1, w^-1)) or comparability (Deodhar's Property Z). The memo holds
-        reduced pairs and each queried pair. On a reduced pair the first right
-        descent s of w raises u, so every miss combines (u, ws) and (us, ws), on
-        an explicit stack that Python's recursion limit does not bound.
+        reduced pairs only. On a reduced pair the first right descent s of w
+        raises u, so every miss combines (u, ws) and (us, ws), on an explicit
+        stack that Python's recursion limit does not bound.
         """
         memo = self._memo[name]
         if (value := memo.get((u, w))) is not None:  # most calls end here, before any set-up
@@ -150,7 +146,6 @@ class RContext:
         g, step, kernel, interned = self.group, _RULES[name][2], self._kernels[name], self._interned
         right, descents, descent = g.right, g.descents, g.first_right_descent
         sides = right + g.left  # bit k of a descent mask is read from column k
-        query = (u, w)
         hits = misses = 0
         comparable = False  # whether u <= w is already known
         stack = []  # per missed pair: [(u, w), us, ws, value of (u, ws)]
@@ -189,8 +184,6 @@ class RContext:
                 memo[frame[0]] = value = made
                 stack.pop()
             else:
-                if value and query[0] != query[1]:
-                    memo[query] = value  # the queried pair too, unreduced
                 self.hits += hits
                 self.misses += misses
                 return value
@@ -384,13 +377,3 @@ def gamma_form_text(gamma: GammaVector) -> str:
             parts.append(f"(q-1)^{j}")
         terms.append("*".join(parts) if parts else "1")
     return " + ".join(terms)
-
-
-def rtilde_via_paths(paths: Iterable[BruhatPath]) -> IntPoly:
-    """Oracle: sum of q^(absolute length) over label-increasing paths."""
-    return sum((monomial(path.absolute_length) for path in paths), ZERO)
-
-
-def shifted_r_via_weights(paths: Iterable[BruhatPath]) -> IntPoly:
-    """Oracle: sum of path weights over label-increasing paths."""
-    return sum((path_weight(path) for path in paths), ZERO)

@@ -15,15 +15,19 @@ interval sums as one memo query per member, coefficientwise sums by
 transposing coefficient tuples, capped ideals cut from the
 full lower ideal, the edge-size tally edge by edge, the dihedral bounds
 checked pair by pair over every comparable pair, size violations counted
-pair by pair, the Fibonacci recursion, edge weights, the substitution
-q -> q+1 and the double R-polynomial. Tests compare library output
-against these.
+pair by pair, the Fibonacci recursion, the Jacobsthal recursion, the
+dihedral closed forms, the Boolean and dihedral interval shapes read off
+the poset, edge and path weights, R-tilde and shifted R as sums over
+listed increasing paths, graph distance by BFS, the dihedral chain
+condition on reflection orders, the substitution q -> q+1 and the double
+R-polynomial. Tests compare library output against these.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import zip_longest
+from itertools import combinations, zip_longest
+from math import prod
 from types import SimpleNamespace
 
 from bruhatpoly import (BruhatPath, IntPoly, analysis, build_graph, increasing_paths,
@@ -315,6 +319,49 @@ def th4_all_pairs(ctx, pairs) -> bool:
     return True
 
 
+def jacobsthal(n: int) -> int:
+    """0, 1, 1, 3, 5, 11, ... with J_n = J_{n-1} + 2 J_{n-2}."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, b + 2 * a
+    return a
+
+
+def dihedral_closed_form_ok(n: int) -> bool:
+    """d_n against its closed forms, multiplied out in integer arithmetic:
+    (q+2) d_n = q((q+1)^n - (-1)^n) and
+    (q+2)^2 d_n' = 2((q+1)^n - (-1)^n) + n q (q+2) (q+1)^(n-1)."""
+    d = analysis.dihedral_poly(n)
+    if n == 0:
+        return d == ONE
+    q_plus_2, core = IntPoly((2, 1)), Q_PLUS_ONE ** n - IntPoly(((-1) ** n,))
+    return (q_plus_2 * d == Q * core and q_plus_2 ** 2 * d.derivative()
+            == 2 * core + IntPoly((0, n)) * q_plus_2 * Q_PLUS_ONE ** (n - 1))
+
+
+def is_boolean_interval(group, interval) -> bool:
+    """Whether v -> {atoms below v} maps the interval one to one onto the
+    sets of its ell atoms, each v to a set of size length(v) - length(bottom):
+    an isomorphism onto the Boolean lattice of rank ell."""
+    base, ell = group.length[interval.bottom], interval.ell
+    atoms = [a for a in interval.members if group.length[a] == base + 1]
+    below = {frozenset(a for a in atoms if group.leq(a, v)): group.length[v] - base
+             for v in interval.members}
+    return (len(atoms) == ell and len(below) == len(interval) == 2 ** ell
+            and all(len(s) == rank for s, rank in below.items()))
+
+
+def is_dihedral_interval(graph) -> bool:
+    """Rank sizes 1, 2, ..., 2, 1, and each element covered by every element
+    one rank up, read off the built Bruhat graph."""
+    g, interval = graph.group, graph.interval
+    base, ell = g.length[interval.bottom], interval.ell
+    layers = [[v for v in interval.members if g.length[v] == base + r] for r in range(ell + 1)]
+    return ([len(layer) for layer in layers] == [min(r, ell - r, 1) + 1 for r in range(ell + 1)]
+            and all(set(above) <= {y for y, _ in graph.out_edges[v]}
+                    for below, above in zip(layers, layers[1:]) for v in below))
+
+
 def size_violations(sizes: dict, pairs) -> int:
     """How many listed pairs (u, w) have size(u) > size(w)."""
     return sum(sizes[u] > sizes[w] for u, w in pairs)
@@ -334,6 +381,70 @@ def edge_weight(height: int) -> IntPoly:
     if height < 1:
         raise ValueError("edge height must be >= 1")
     return Q_PLUS_ONE ** (height - 1) * Q
+
+
+def path_weight(group, path) -> IntPoly:
+    """The product of ``edge_weight`` over the edges of a path."""
+    length, vertices = group.length, path.vertices
+    return prod((edge_weight((length[y] - length[x] + 1) // 2)
+                 for x, y in zip(vertices, vertices[1:])), start=ONE)
+
+
+def rtilde_via_paths(paths) -> IntPoly:
+    """Sum of q^(absolute length) over listed label-increasing paths (Dyer)."""
+    return sum((monomial(path.absolute_length) for path in paths), ZERO)
+
+
+def shifted_r_via_weights(group, paths) -> IntPoly:
+    """Sum of the path weights over listed label-increasing paths."""
+    return sum((path_weight(group, path) for path in paths), ZERO)
+
+
+def absolute_distance(graph, u: int, w: int) -> int:
+    """Directed BFS distance from u to w inside a built Bruhat graph."""
+    seen, frontier, steps = {u}, [u], 0
+    while w not in seen:
+        frontier = [y for v in frontier for y, _ in graph.out_edges[v] if y not in seen]
+        if not frontier:
+            raise AssertionError("no directed path between comparable interval endpoints")
+        seen.update(frontier)
+        steps += 1
+    return steps
+
+
+def dihedral_reflection_subgroups(group) -> set[frozenset]:
+    """The subgroups generated by two distinct reflections, without repeats,
+    each as the closure of the identity under right multiplication by both."""
+    columns, out = group.reflection_columns(), set()
+    for t1, t2 in combinations(group.reflections, 2):
+        pair, seen, frontier = (columns[t1], columns[t2]), {group.identity}, [group.identity]
+        while frontier:
+            frontier = [y for v in frontier for col in pair if (y := col[v]) not in seen]
+            seen.update(frontier)
+        out.add(frozenset(seen))
+    return out
+
+
+def order_violations(group, order) -> list[tuple[int, ...]]:
+    """The dihedral chains whose ranks in ``order`` neither ascend nor descend;
+    a reflection order has none. A dihedral reflection subgroup has two
+    canonical generators r < s, the reflections t such that no other
+    reflection t' of the subgroup makes t't shorter than t, and its chain is
+    r, rsr, rsrsr, ..., srs, s."""
+    columns, length, out = group.reflection_columns(), group.length, []
+    for subgroup in dihedral_reflection_subgroups(group):
+        inside = sorted(t for t in group.reflections if t in subgroup)
+        r, s = [t for t in inside
+                if not any(x != t and length[columns[t][x]] < length[t] for x in inside)]
+        chain, p = [], group.identity
+        for _ in inside:
+            chain.append(columns[r][p])
+            p = columns[s][chain[-1]]
+        assert sorted(chain) == inside, "a dihedral chain lists its subgroup's reflections"
+        ranks = [order.rank[t] for t in chain]
+        if ranks != sorted(ranks) and ranks != sorted(ranks, reverse=True):
+            out.append(tuple(chain))
+    return out
 
 
 def naive_paths(group, u: int, w: int, order=None, short_only: bool = False) -> list:

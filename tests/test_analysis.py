@@ -13,15 +13,15 @@ from bruhatpoly import (
     default_reflection_order,
     enumerate_group,
     increasing_paths,
-    path_weight,
 )
 from bruhatpoly import analysis
 from bruhatpoly.cli import main
-from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size, split_fields
-from oracles import (coeff_sum, dihedral_bounds_per_pair, edge_size_tally_per_edge,
-                     fibonacci_rec, graph_degrees, interval_sum_per_member, reachability,
-                     regular_by_graph_degrees, shifted_interval_sum, upper_boolean_one_pass,
-                     upper_boolean_per_v)
+from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size, split_fields, total
+from oracles import (coeff_sum, dihedral_bounds_per_pair, dihedral_closed_form_ok,
+                     edge_size_tally_per_edge, fibonacci_rec, graph_degrees,
+                     interval_sum_per_member, is_boolean_interval, is_dihedral_interval,
+                     jacobsthal, path_weight, reachability, regular_by_graph_degrees,
+                     shifted_interval_sum, upper_boolean_one_pass, upper_boolean_per_v)
 
 
 def test_poincare_values(a3, a3_ctx, pid):
@@ -157,7 +157,7 @@ def test_splitting_identity_by_path_enumeration(a3, a3_ctx):
         for v in graph.interval.members:
             for path in increasing_paths(graph, a3.identity, v, order):
                 if path.coxeter_length != path.absolute_length:
-                    long_sum = long_sum + path_weight(path)
+                    long_sum = long_sum + path_weight(a3, path)
         expected = analysis.poincare(a3_ctx, w) + long_sum
         assert analysis.bruhat_poincare(a3_ctx, w) == expected
 
@@ -271,7 +271,7 @@ def test_regularity_notions_diverge_off_lower_intervals(a3, a3_ctx, pid):
     assert not analysis.is_regular(a3_ctx, u, w)
     assert max(graph_degrees(a3, u, w).values()) == 5
     assert analysis.regular_via_upper_boolean(a3_ctx, u, w)
-    assert analysis.f_tilde(a3_ctx, u, w, 1) == 4 == a3.length[w] - a3.length[u]
+    assert analysis.f_tilde_vector(a3_ctx, u, w)[1] == 4 == a3.length[w] - a3.length[u]
     assert analysis.interval_shifted_sum(a3_ctx, u, w) == Q_PLUS_ONE ** 4
 
 
@@ -304,19 +304,18 @@ def test_shifted_average_criterion_is_sound(a3, a3_ctx, a4, a4_ctx):
 def test_f_tilde_values(a3, a3_ctx, pid):
     e = a3.identity
     w = pid(a3, "3412")
-    assert analysis.f_tilde(a3_ctx, e, w, 0) == 1
-    assert analysis.f_tilde(a3_ctx, e, w, 1) == 5
+    vector = analysis.f_tilde_vector(a3_ctx, e, w)
+    assert vector[0] == 1
+    assert vector[1] == 5
     # five increasing two-step paths land on the rank-two elements and a
     # sixth continues to the top, so the q^2 coefficient is 2 + 6
-    assert analysis.f_tilde(a3_ctx, e, w, 2) == 8
-    assert analysis.f_tilde_vector(a3_ctx, e, w) == (1, 5, 8, 5, 1)
-    with pytest.raises(ValueError):
-        analysis.f_tilde(a3_ctx, e, w, 9)
+    assert vector[2] == 8
+    assert vector == (1, 5, 8, 5, 1)
 
 
 def test_f_tilde_zero_is_one_everywhere(a3, a3_ctx):
     for u, w in a3.comparable_pairs():
-        assert analysis.f_tilde(a3_ctx, u, w, 0) == 1
+        assert analysis.f_tilde_vector(a3_ctx, u, w)[0] == 1
 
 
 def test_p1_p2_values(a3, a3_ctx, i2_ctxs, pid):
@@ -359,7 +358,7 @@ def test_deodhar_on_boolean_intervals(a3, a3_ctx):
     found = 0
     for u, w in a3.comparable_pairs():
         interval = a3.interval(u, w)
-        if analysis.is_boolean_interval(a3, interval):
+        if is_boolean_interval(a3, interval):
             found += 1
             v = analysis.deodhar_check(a3_ctx, u, w)
             assert v.f1 == v.ell
@@ -390,18 +389,18 @@ def test_dihedral_polys_table(i2_ctxs):
     totals = (0, 1, 2, 6, 14, 34, 78, 178, 398)
     for n, poly in expected.items():
         assert analysis.dihedral_poly(n) == poly
-        s, t = analysis.dihedral_numbers(n)
-        assert (s, t) == (sizes[n], totals[n])
+        d = analysis.dihedral_poly(n)
+        assert (size(d), total(d)) == (sizes[n], totals[n])
 
 
 def test_dihedral_closed_form(i2_ctxs):
     for n in range(0, 21):
-        assert analysis.dihedral_closed_form_ok(n)
+        assert dihedral_closed_form_ok(n)
 
 
 def test_bound_polynomials_of_high_index():
     # n is above the interpreter's recursion limit; d_n is built by iteration
-    assert analysis.dihedral_closed_form_ok(1200)
+    assert dihedral_closed_form_ok(1200)
 
 
 def test_dihedral_series_matches_recursion():
@@ -425,13 +424,13 @@ def test_dihedral_table_extends_one_kept_list(monkeypatch, capsys):
 
 
 def test_jacobsthal():
-    assert [analysis.jacobsthal(n) for n in range(9)] == [0, 1, 1, 3, 5, 11, 21, 43, 85]
+    assert [jacobsthal(n) for n in range(9)] == [0, 1, 1, 3, 5, 11, 21, 43, 85]
     for n in range(1, 21):
-        assert analysis.dihedral_numbers(n)[0] == analysis.jacobsthal(n)
-        assert analysis.jacobsthal(n) == (2 ** n - (-1) ** n) // 3
+        assert size(analysis.dihedral_poly(n)) == jacobsthal(n)
+        assert jacobsthal(n) == (2 ** n - (-1) ** n) // 3
     # closed form for the totals
     for n in range(1, 15):
-        assert 9 * analysis.dihedral_numbers(n)[1] == \
+        assert 9 * total(analysis.dihedral_poly(n)) == \
             2 * (2 ** n - (-1) ** n + 3 * n * 2 ** (n - 2))
 
 
@@ -476,7 +475,7 @@ def test_bounds_reject_a_polynomial_above_d_n(a4):
 def test_boolean_intervals_attain_lower_bound(a3, a3_ctx):
     found = 0
     for u, w in a3.comparable_pairs():
-        if analysis.is_boolean_interval(a3, a3.interval(u, w)):
+        if is_boolean_interval(a3, a3.interval(u, w)):
             found += 1
             n = a3.length[w] - a3.length[u]
             assert a3_ctx.shifted(u, w) == monomial(n)
@@ -513,20 +512,20 @@ def test_four_way_agreement_s4(a3, a3_ctx):
 
 def test_boolean_interval_detector(a3, pid):
     e = a3.identity
-    assert analysis.is_boolean_interval(a3, a3.interval(e, pid(a3, "2143")))
-    assert analysis.is_boolean_interval(a3, a3.interval(e, e))
-    assert not analysis.is_boolean_interval(a3, a3.interval(e, pid(a3, "3412")))
-    assert not analysis.is_boolean_interval(a3, a3.interval(e, a3.w0))
+    assert is_boolean_interval(a3, a3.interval(e, pid(a3, "2143")))
+    assert is_boolean_interval(a3, a3.interval(e, e))
+    assert not is_boolean_interval(a3, a3.interval(e, pid(a3, "3412")))
+    assert not is_boolean_interval(a3, a3.interval(e, a3.w0))
 
 
 def test_dihedral_interval_detector(a3, i2_groups, pid):
     m5 = i2_groups[5]
     g5 = build_graph(m5, m5.interval(m5.identity, m5.w0))
-    assert analysis.is_dihedral_interval(g5)
+    assert is_dihedral_interval(g5)
     sq = build_graph(a3, a3.interval(a3.identity, pid(a3, "2143")))
-    assert analysis.is_dihedral_interval(sq)  # rank 2: Boolean and dihedral agree
+    assert is_dihedral_interval(sq)  # rank 2: Boolean and dihedral agree
     g3412 = build_graph(a3, a3.interval(a3.identity, pid(a3, "3412")))
-    assert not analysis.is_dihedral_interval(g3412)
+    assert not is_dihedral_interval(g3412)
 
 
 def test_dihedral_combinatorial_invariance(a3, a3_ctx, i2_ctxs):
@@ -537,7 +536,7 @@ def test_dihedral_combinatorial_invariance(a3, a3_ctx, i2_ctxs):
         for u, w in group.comparable_pairs():
             n = group.length[w] - group.length[u]
             graph = build_graph(group, group.interval(u, w))
-            if analysis.is_dihedral_interval(graph):
+            if is_dihedral_interval(graph):
                 seen.setdefault(n, set()).add(ctx.r(u, w).coeffs)
     assert seen
     for n, polys in seen.items():
@@ -553,7 +552,7 @@ def test_rank_three_boolean_from_commuting_generators():
     assert a5.length[w] == 3
     assert analysis.bruhat_poincare(ctx, w) == Q_PLUS_ONE ** 3
     assert analysis.poincare(ctx, w) == Q_PLUS_ONE ** 3
-    assert analysis.is_boolean_interval(a5, a5.interval(a5.identity, w))
+    assert is_boolean_interval(a5, a5.interval(a5.identity, w))
 
 
 def test_length_three_edge_r_shape(a3, a3_ctx):
@@ -664,7 +663,7 @@ def test_shifted_coefficients_stay_under_the_packing_cap(i2_groups, m):
     group = i2_groups.get(m) or enumerate_group(CoxeterDescriptor("I2", m))
     top = RContext(group).shifted(group.identity, group.w0)
     assert top == analysis.dihedral_poly(m)
-    assert top(1) == analysis.jacobsthal(m) <= 2 ** m
+    assert top(1) == jacobsthal(m) <= 2 ** m
 
 
 def test_packing_rejects_coefficients_outside_the_cap(a3):
@@ -728,8 +727,9 @@ def test_size_bounds_by_jacobsthal(a3, a3_ctx):
             continue
         s = a3_ctx.bruhat_size(u, w)
         t = a3_ctx.bruhat_total(u, w)
-        dn, dtot = analysis.dihedral_numbers(n)
-        assert 1 <= s <= dn == analysis.jacobsthal(n)
+        d = analysis.dihedral_poly(n)
+        dn, dtot = size(d), total(d)
+        assert 1 <= s <= dn == jacobsthal(n)
         assert n <= t <= dtot
 
 

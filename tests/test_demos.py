@@ -1,5 +1,7 @@
-"""Each demo script runs to completion and prints the output it always has."""
+"""Each demo script runs to completion, warning-free, and prints the output it
+always has, on the package alone."""
 
+import ast
 import hashlib
 import subprocess
 import sys
@@ -29,7 +31,17 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DEMO_STDOUT_SHA256))
 def test_demo_stdout(name):
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], capture_output=True,
-                          env=src_env())
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / name)],
+                          capture_output=True, env=src_env())
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STDOUT_SHA256))
+def test_demo_imports_only_the_package_and_the_stdlib(name):
+    tree = ast.parse((ROOT / "demos" / name).read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    roots = {module.partition(".")[0] for module in modules}
+    assert roots <= {"bruhatpoly"} | sys.stdlib_module_names

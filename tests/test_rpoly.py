@@ -14,8 +14,6 @@ from bruhatpoly import (
     gamma_form_text,
     increasing_paths,
     reassemble_r,
-    rtilde_via_paths,
-    shifted_r_via_weights,
 )
 from bruhatpoly import analysis
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
@@ -23,8 +21,9 @@ from bruhatpoly.cli import _r_classes
 from bruhatpoly.coxeter import GroupTable
 from bruhatpoly.rpoly import _RULES
 from conftest import src_env
-from oracles import (descent_leq, double_r_at, fibonacci_rec, form_product, generator_ids,
-                     r_by_recursion, shift_plus_one)
+from oracles import (absolute_distance, descent_leq, double_r_at, fibonacci_rec, form_product,
+                     generator_ids, r_by_recursion, rtilde_via_paths, shift_plus_one,
+                     shifted_r_via_weights)
 
 # R-polynomials of the lower intervals of S4, grouped into the nine classes
 # of equal polynomials (sizes 1,1,1,3,1,3,9,5,11 in this order)
@@ -145,7 +144,7 @@ def test_oracle_equivalence_spot(a3, a3_ctx, pid):
     order = default_reflection_order(a3)
     paths = increasing_paths(graph, e, w, order)
     assert rtilde_via_paths(paths) == a3_ctx.rtilde(e, w)
-    assert shifted_r_via_weights(paths) == a3_ctx.shifted(e, w)
+    assert shifted_r_via_weights(a3, paths) == a3_ctx.shifted(e, w)
     assert rtilde_via_paths(increasing_paths(graph, e, e, order)) == ONE
 
 
@@ -162,7 +161,6 @@ def test_gamma_vector_examples(a3, a3_ctx, pid):
 
 
 def test_gamma_min_support_is_graph_distance(a3, a3_ctx):
-    from bruhatpoly import absolute_distance
     for u, w in a3.comparable_pairs():
         gamma = a3_ctx.gamma_vector(u, w)
         graph = build_graph(a3, a3.interval(u, w))
