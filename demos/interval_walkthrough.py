@@ -55,8 +55,8 @@ print(f"\nPoincare polynomial        {p.text()}  (average {average(p)})")
 print(f"Bruhat-Poincare polynomial {pb.text()}  (average {average(pb)})")
 
 order = default_reflection_order(group)
-p1, p2 = analysis.p1_p2(ctx, graph, order)
-f_vec = analysis.f_tilde_vector(ctx, e, w)
+p1, p2 = analysis.p1_p2(graph, order, pb)
+f_vec = pb.coeffs
 print(f"\nedges from the bottom: {f_vec[1]}; "
       f"height excess p1 = {p1}, increasing two-step paths p2 = {p2}")
 print(f"q^2 coefficient of the interval sum: {f_vec[2]} (= p1 + p2)")

@@ -45,7 +45,6 @@ __all__ = [
     "is_bruhat_boolean",
     "regular_via_upper_boolean",
     "shifted_average_fires",
-    "f_tilde_vector",
     "p1_p2",
     "DeodharVerdict",
     "deodhar_check",
@@ -185,27 +184,19 @@ def shifted_average_fires(ctx: RContext, w: int) -> tuple[Fraction, bool]:
 # -- coefficient counts for interval sums ---------------------------------------
 
 
-def f_tilde_vector(ctx: RContext, u: int, w: int) -> tuple[int, ...]:
-    """All coefficients of the interval's shifted sum, constant term first."""
-    ell = ctx.group.length[w] - ctx.group.length[u]
-    s = interval_shifted_sum(ctx, u, w)
-    return tuple(s.coefficient(i) for i in range(ell + 1))
-
-
-def p1_p2(ctx: RContext, graph: BruhatGraph, order: ReflectionOrder) -> tuple[int, int]:
+def p1_p2(graph: BruhatGraph, order: ReflectionOrder, interval_sum: IntPoly) -> tuple[int, int]:
     """Height excess over edges from the bottom, and increasing two-step paths.
 
     p1 sums (height - 1) over the edges leaving the bottom element; p2
     counts label-increasing paths of absolute length two from the bottom
     to anywhere in the interval. Their sum is asserted to match the q^2
-    coefficient of the interval's shifted sum.
+    coefficient of ``interval_sum``, the interval's shifted sum.
     """
-    u, w = graph.interval.bottom, graph.interval.top
+    u = graph.interval.bottom
     length, row, rank = graph.group.length, graph.out_edges[u], order.rank
     p1 = sum((length[y] - length[u] - 1) // 2 for y, _ in row)
     p2 = sum(rank[t2] > rank[t] for y, t in row for _, t2 in graph.out_edges[y])
-    ell = graph.interval.ell
-    if ell >= 2 and p1 + p2 != f_tilde_vector(ctx, u, w)[2]:
+    if graph.interval.ell >= 2 and p1 + p2 != interval_sum.coefficient(2):
         raise AssertionError("p1 + p2 must equal the q^2 coefficient of the interval sum")
     return p1, p2
 
@@ -251,11 +242,11 @@ class DeodharVerdict(NamedTuple):
 def deodhar_check(ctx: RContext, u: int, w: int) -> DeodharVerdict:
     """Both degree inequalities for [u, w], with strictness records."""
     g = ctx.group
-    ell = g.length[w] - g.length[u]
-    vec = f_tilde_vector(ctx, u, w)
-    f1 = vec[1] if ell >= 1 else 0
-    f2 = vec[2] if ell >= 2 else 0
-    if f1 != _degree(g, g.interval(u, w).members)(u):  # every edge at u goes up
+    interval = g.interval(u, w)
+    ell = interval.ell
+    interval_sum = ctx.shifted_sum(u, interval.members, ell)
+    f1, f2 = interval_sum.coefficient(1), interval_sum.coefficient(2)
+    if f1 != _degree(g, interval.members)(u):  # every edge at u goes up
         raise AssertionError("q coefficient of the interval sum must be the out-degree")
     return DeodharVerdict(
         ell=ell,
@@ -483,11 +474,12 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
     criteria, and in type A the pattern criterion.
     """
     g = ctx.group
-    graph = build_graph(g, g.interval(u, w))
+    interval = g.interval(u, w)
+    graph = build_graph(g, interval)
     gamma = ctx.gamma_vector(u, w)
     shifted = ctx.shifted(u, w)
-    f_vec = f_tilde_vector(ctx, u, w)
-    p1, p2 = p1_p2(ctx, graph, default_reflection_order(g))
+    interval_sum = ctx.shifted_sum(u, interval.members, interval.ell)
+    p1, p2 = p1_p2(graph, default_reflection_order(g), interval_sum)
     regular = is_regular(ctx, u, w)
     regularity = {
         "regular": regular,
@@ -507,13 +499,13 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
         "size": ctx.bruhat_size(u, w),
         "total": ctx.bruhat_total(u, w),
         "average": _frac_str(average(shifted)) if shifted else None,
-        "f_tilde": {f"f{i}": v for i, v in enumerate(f_vec)},
-        "f1": f_vec[1] if len(f_vec) > 1 else 0,
-        "f2": f_vec[2] if len(f_vec) > 2 else 0,
+        "f_tilde": {f"f{i}": v for i, v in enumerate(interval_sum.coeffs)},
+        "f1": interval_sum.coefficient(1),
+        "f2": interval_sum.coefficient(2),
         "p1": p1,
         "p2": p2,
         "regularity": regularity,
-        "bruhat_boolean": is_bruhat_boolean(ctx, u, w),
+        "bruhat_boolean": interval_sum.coeffs == _boolean_coeffs(interval.ell),
         "dihedral_bounds_ok": dihedral_bounds_ok(ctx, u, w),
     }
     if u == g.identity:

@@ -22,7 +22,7 @@ import re
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 from . import analysis, suite
 from .coxeter import CoxeterDescriptor, EmptyIntervalError, GroupTable, enumerate_group
@@ -120,13 +120,18 @@ def _make_group(args: argparse.Namespace) -> GroupTable:
     return group
 
 
+def _write(stream: TextIO, text: str) -> None:
+    """Write ``text`` to stdout or stderr; a closed pipe leaves the exit status alone."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except BrokenPipeError:  # the reader left: drop the rest, the flush at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if not out:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except BrokenPipeError:  # the reader left: drop the rest, the flush at exit too
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(sys.stdout, text)
         return
     try:
         Path(out).write_text(text)
@@ -242,9 +247,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         _emit(suite.suite_text(args.group, results, args.max_interval_len), args.out)
     # timing goes to stderr so stdout stays byte-identical across runs
-    print(f"verify {args.group}: {elapsed:.2f}s", file=sys.stderr)
-    for r in results:
-        print(f"  {r.name}: {r.seconds:.2f}s (scope={r.scope_size})", file=sys.stderr)
+    _write(sys.stderr, f"verify {args.group}: {elapsed:.2f}s\n" + "".join(
+        f"  {r.name}: {r.seconds:.2f}s (scope={r.scope_size})\n" for r in results))
     return 0 if all(r.passed for r in results) else CHECK_FAILURE
 
 
@@ -386,11 +390,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliError, EmptyIntervalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return USAGE_ERROR
     except AssertionError as exc:
         message = " ".join(str(exc).split()) or "invariant failed"
-        print(f"error: internal: {message}", file=sys.stderr)
+        _write(sys.stderr, f"error: internal: {message}\n")
         return INTERNAL_ERROR
 
 

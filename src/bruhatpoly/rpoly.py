@@ -135,14 +135,12 @@ class RContext:
         lowest shared right descent, else their lowest shared left descent.
         Neither step changes the value (Bjorner-Brenti, Thm 5.1.1, and R(u, w) =
         R(u^-1, w^-1)) or comparability (Deodhar's Property Z). The memo holds
-        reduced pairs only. On a reduced pair the first right descent s of w
-        raises u, so every miss combines (u, ws) and (us, ws), on an explicit
-        stack that Python's recursion limit does not bound.
+        reduced pairs only, so it is read once per pair, after the reduction.
+        On a reduced pair the first right descent s of w raises u, so every
+        miss combines (u, ws) and (us, ws), on an explicit stack that Python's
+        recursion limit does not bound.
         """
         memo = self._memo[name]
-        if (value := memo.get((u, w))) is not None:  # most calls end here, before any set-up
-            self.hits += 1
-            return value
         g, step, kernel, interned = self.group, _RULES[name][2], self._kernels[name], self._interned
         right, descents, descent = g.right, g.descents, g.first_right_descent
         sides = right + g.left  # bit k of a descent mask is read from column k
@@ -150,13 +148,12 @@ class RContext:
         comparable = False  # whether u <= w is already known
         stack = []  # per missed pair: [(u, w), us, ws, value of (u, ws)]
         while True:
-            # reduce (u, w), right descents first; a pair in the memo ends the walk
-            while (value := ONE if u == w else memo.get((u, w))) is None and (
-                    shared := descents[u] & descents[w]):
+            # reduce (u, w), right descents first; no pair on the way can be a key
+            while u != w and (shared := descents[u] & descents[w]):
                 s = (shared & -shared).bit_length() - 1
                 col = sides[s]
                 u, w = col[u], col[w]
-            if value is not None:
+            if (value := ONE if u == w else memo.get((u, w))) is not None:
                 hits += u != w  # a memo hit unless (u, w) is diagonal
             # only comparable pairs enter the memo, so the order test can wait. By
             # the lifting property (Bjorner-Brenti, Prop. 2.2.7) u <= w gives

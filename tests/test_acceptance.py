@@ -267,9 +267,10 @@ def test_c10_deodhar_suite(a3, a3_ctx, a4, a4_ctx, pid):
         order = default_reflection_order(a3)
         w = pid(a3, "3412")
         graph = build_graph(a3, a3.interval(a3.identity, w))
-        assert analysis.f_tilde_vector(a3_ctx, a3.identity, w)[1] == 5
-        assert analysis.p1_p2(a3_ctx, graph, order) == (2, 6)
-        assert analysis.f_tilde_vector(a3_ctx, a3.identity, w)[2] == 8
+        interval_sum = analysis.interval_shifted_sum(a3_ctx, a3.identity, w)
+        assert interval_sum.coeffs[1] == 5
+        assert analysis.p1_p2(graph, order, interval_sum) == (2, 6)
+        assert interval_sum.coeffs[2] == 8
 
 
 @pytest.mark.xfail(strict=True,
@@ -280,9 +281,10 @@ def test_c10_literal_p2_f2(a3, a3_ctx, pid):
     order = default_reflection_order(a3)
     w = pid(a3, "3412")
     graph = build_graph(a3, a3.interval(a3.identity, w))
-    p1, p2 = analysis.p1_p2(a3_ctx, graph, order)
+    interval_sum = analysis.interval_shifted_sum(a3_ctx, a3.identity, w)
+    p1, p2 = analysis.p1_p2(graph, order, interval_sum)
     assert (p1, p2) == (2, 5)
-    assert analysis.f_tilde_vector(a3_ctx, a3.identity, w)[2] == 7
+    assert interval_sum.coeffs[2] == 7
 
 
 def test_c11_dihedral_bound_suite(a4, a4_ctx, i2_ctxs):

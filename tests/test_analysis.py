@@ -271,7 +271,7 @@ def test_regularity_notions_diverge_off_lower_intervals(a3, a3_ctx, pid):
     assert not analysis.is_regular(a3_ctx, u, w)
     assert max(graph_degrees(a3, u, w).values()) == 5
     assert analysis.regular_via_upper_boolean(a3_ctx, u, w)
-    assert analysis.f_tilde_vector(a3_ctx, u, w)[1] == 4 == a3.length[w] - a3.length[u]
+    assert analysis.interval_shifted_sum(a3_ctx, u, w).coeffs[1] == 4 == a3.length[w] - a3.length[u]
     assert analysis.interval_shifted_sum(a3_ctx, u, w) == Q_PLUS_ONE ** 4
 
 
@@ -304,7 +304,7 @@ def test_shifted_average_criterion_is_sound(a3, a3_ctx, a4, a4_ctx):
 def test_f_tilde_values(a3, a3_ctx, pid):
     e = a3.identity
     w = pid(a3, "3412")
-    vector = analysis.f_tilde_vector(a3_ctx, e, w)
+    vector = analysis.interval_shifted_sum(a3_ctx, e, w).coeffs
     assert vector[0] == 1
     assert vector[1] == 5
     # five increasing two-step paths land on the rank-two elements and a
@@ -313,22 +313,33 @@ def test_f_tilde_values(a3, a3_ctx, pid):
     assert vector == (1, 5, 8, 5, 1)
 
 
-def test_f_tilde_zero_is_one_everywhere(a3, a3_ctx):
-    for u, w in a3.comparable_pairs():
-        assert analysis.f_tilde_vector(a3_ctx, u, w)[0] == 1
+def test_f_tilde_zero_is_one_everywhere(a3_ctx, a4_ctx, i2_ctxs):
+    # the sum has degree exactly ell, with both end coefficients 1
+    for ctx in (a3_ctx, a4_ctx, i2_ctxs[8]):
+        length = ctx.group.length
+        for u, w in ctx.group.comparable_pairs():
+            coeffs = analysis.interval_shifted_sum(ctx, u, w).coeffs
+            assert len(coeffs) == length[w] - length[u] + 1
+            assert coeffs[0] == coeffs[-1] == 1
 
 
 def test_p1_p2_values(a3, a3_ctx, i2_ctxs, pid):
     order = default_reflection_order(a3)
     e = a3.identity
-    graph = build_graph(a3, a3.interval(e, pid(a3, "3412")))
-    assert analysis.p1_p2(a3_ctx, graph, order) == (2, 6)
+
+    def p1_p2(w):
+        graph = build_graph(a3, a3.interval(e, w))
+        return analysis.p1_p2(graph, order, analysis.interval_shifted_sum(a3_ctx, e, w))
+
+    assert p1_p2(pid(a3, "3412")) == (2, 6)
     s1 = a3.generator(0)
-    g1 = build_graph(a3, a3.interval(e, s1))
-    assert analysis.p1_p2(a3_ctx, g1, order) == (0, 0)
+    assert p1_p2(s1) == (0, 0)
     # Boolean square: a single increasing two-step chain
-    sq = build_graph(a3, a3.interval(e, pid(a3, "2143")))
-    assert analysis.p1_p2(a3_ctx, sq, order) == (0, 1)
+    assert p1_p2(pid(a3, "2143")) == (0, 1)
+    # the sum it is handed must carry p1 + p2 as its q^2 coefficient
+    graph = build_graph(a3, a3.interval(e, pid(a3, "3412")))
+    with pytest.raises(AssertionError, match="q\\^2 coefficient"):
+        analysis.p1_p2(graph, order, Q_PLUS_ONE ** 4)
 
 
 def test_p1_p2_sum_is_order_invariant(a3, a3_ctx):
@@ -336,7 +347,8 @@ def test_p1_p2_sum_is_order_invariant(a3, a3_ctx):
     orders = distinct_reflection_orders(a3)
     for u, w in a3.comparable_pairs():
         graph = build_graph(a3, a3.interval(u, w))
-        values = {analysis.p1_p2(a3_ctx, graph, o) for o in orders}
+        interval_sum = analysis.interval_shifted_sum(a3_ctx, u, w)
+        values = {analysis.p1_p2(graph, o, interval_sum) for o in orders}
         # p1 never moves; p2 is order-invariant as well
         assert len(values) == 1
 

@@ -623,31 +623,65 @@ PLANTED_SCAN = (
 )
 
 
-@pytest.mark.parametrize("args, code", [
+# a run whose report breaks a library invariant, so it ends in an internal error
+PLANTED_INVARIANT = (
+    "import sys\n"
+    "from bruhatpoly import analysis, cli\n"
+    "def broken(*args):\n"
+    "    raise AssertionError('planted')\n"
+    "analysis.interval_report = broken\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+PLANTED = {1: PLANTED_SCAN, 3: PLANTED_INVARIANT}
+
+# each closed stdout case, then the cases whose status stderr carried, with
+# stderr's reader gone alone or sharing stdout's pipe
+CLOSED_STDOUT_CASES = [
     (("interval", "--group", "A3", "--u", "e", "--w", "w0"), 0),  # fits the stdout buffer
     (("table", "--table", "r-polys", "--group", "A5", "--format", "json"), 0),  # does not
     (("export-dot", "--group", "A3", "--u", "e", "--w", "w0"), 0),
     (("verify", "--group", "A3"), 0),
     (("scan", "--group", "A3"), 0),
     (("scan", "--group", "A3"), 1),
-], ids=lambda a: " ".join(a) if isinstance(a, tuple) else f"exit {a}")
-def test_a_closed_output_pipe_keeps_the_commands_own_status(args, code):
-    # the reader of stdout is gone before the first byte: no traceback, no
-    # complaint from the flush at exit, and the exit status is the command's
+]
+CLOSED_STDERR_CASES = [
+    (("verify", "--group", "A3"), 0),
+    (("scan", "--group", "A3"), 1),
+    (("interval", "--group", "A3", "--u", "w0", "--w", "e"), 2),
+    (("interval", "--group", "A3", "--u", "e", "--w", "w0"), 3),
+]
+
+
+@pytest.mark.parametrize("args, code, closed", [
+    pytest.param(args, code, "stdout", id=f"{' '.join(args)}-exit {code}")
+    for args, code in CLOSED_STDOUT_CASES
+] + [
+    pytest.param(args, code, closed, id=f"{' '.join(args)}-exit {code}-closed {closed}")
+    for closed in ("stderr", "both") for args, code in CLOSED_STDERR_CASES
+])
+def test_a_closed_output_pipe_keeps_the_commands_own_status(args, code, closed):
+    # the reader of stdout, of stderr or of both (one pipe) is gone before the
+    # first byte: no traceback, no complaint from the flush at exit, and the
+    # exit status is the command's
     read, write = os.pipe()
     os.close(read)
-    program = ["-c", PLANTED_SCAN] if code else ["-m", "bruhatpoly"]
+    program = ["-c", PLANTED[code]] if code in PLANTED else ["-m", "bruhatpoly"]
+    streams = {name: write if closed in (name, "both") else subprocess.PIPE
+               for name in ("stdout", "stderr")}
     try:
-        proc = subprocess.run([sys.executable, *program, *args], stdout=write,
-                              stderr=subprocess.PIPE, text=True, env=src_env(), timeout=60)
+        proc = subprocess.run([sys.executable, *program, *args], **streams, text=True,
+                              env=src_env(), timeout=60)
     finally:
         os.close(write)
     assert proc.returncode == code, proc.stderr
-    lines = proc.stderr.splitlines()
-    if args[0] == "verify":  # the timings go to stderr, and only they
-        assert lines[0].startswith("verify A3: ") and len(lines) == 11, proc.stderr
-    else:
-        assert lines == []
+    if closed == "stderr":  # a report, unless the command was refused or broke
+        assert bool(proc.stdout) == (code < 2)
+    elif closed == "stdout":
+        lines = proc.stderr.splitlines()
+        if args[0] == "verify":  # the timings go to stderr, and only they
+            assert lines[0].startswith("verify A3: ") and len(lines) == 11, proc.stderr
+        else:
+            assert lines == []
 
 
 def test_cli_import_loads_no_pool_or_dataclass_machinery():

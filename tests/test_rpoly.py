@@ -15,7 +15,7 @@ from bruhatpoly import (
     increasing_paths,
     reassemble_r,
 )
-from bruhatpoly import analysis
+from bruhatpoly import analysis, suite
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
 from bruhatpoly.cli import _r_classes
 from bruhatpoly.coxeter import GroupTable
@@ -256,6 +256,39 @@ def test_table_r_polys_skips_order_tests_the_lifting_property_decides(monkeypatc
         assert value == r_by_recursion(a5, u, w, oracle)
     for (u, w), value in memo["shifted"].items():
         assert value == shift_plus_one(r_by_recursion(a5, u, w, oracle))
+
+
+class RecordedKeys(dict):
+    """A memo table that records each key read through ``get``, with the
+    descent masks of its group."""
+
+    def __init__(self, descents, read):
+        super().__init__()
+        self.descents, self.read = descents, read
+
+    def get(self, key, default=None):
+        self.read.append((self.descents, key))
+        return super().get(key, default)
+
+
+def test_the_memo_is_read_at_reduced_pairs_only(monkeypatch, a4, i2_groups):
+    # a pair whose ends share a left or right descent is never a key, so the
+    # walk reduces a pair fully before its one memo read
+    read = []
+
+    def recorded(ctx):
+        ctx._memo = {name: RecordedKeys(ctx.group.descents, read) for name in ctx._memo}
+        return ctx
+
+    _r_classes(recorded(RContext(enumerate_group(CoxeterDescriptor("A", 5)))))
+    monkeypatch.setattr(suite, "_ENVS", {})
+    recorded(suite._environment("A4", a4)["ctx"])
+    [result] = suite.run_suite("A4", ["th3"], group=a4)
+    assert result.passed
+    i2 = i2_groups[12]
+    analysis.interval_report(recorded(RContext(i2)), i2.generator(0), i2.w0)
+    assert len(read) > 1000
+    assert not [(u, w) for descents, (u, w) in read if descents[u] & descents[w]]
 
 
 @pytest.mark.parametrize("choice", ["min", "max"])  # the oracle's right descent
