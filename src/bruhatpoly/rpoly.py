@@ -13,20 +13,21 @@ coefficient polynomials of the second branch:
 The memo strips every descent that u and w share, on the right as in the
 first branch and on the left as in its mirror image, before it computes a
 pair; so only the second branch is ever computed. ``_RULES`` holds each
-(low, high) with a kernel that applies it in one pass over the two
+family's kernel, which applies its (low, high) in one pass over the two
 coefficient tuples, building a single polynomial.
 
 The shifted family is R evaluated at q+1, computed natively; the tests
 cross-check it against the substitution.
 
-Lower intervals read a second store: one lower row per family, a list
-indexed by element id whose entry x holds the value at (e, x). An entry is
-filled the first time a caller asks for it, so a short w fills only its
-own ideal; after that a sum over [e, w] or a size per element is a C-level
-``map`` over the row, with no call per pair. Rows are filled by the second
-branch at u = e: for a right descent s of x, (e, x) combines (e, xs) and
-(s, xs), and (s, xs) is a row entry or zero when s is a left descent of xs
-(the left form of the first branch lowers it to (e, s*xs)) or is not in the
+The values at (e, x) live in one lower row per family, a list indexed by
+element id whose entry x holds the value at (e, x); the memo keeps only
+pairs with u != e. An entry is filled the first time a caller or a memo
+walk reaches it, so a short w fills only its own ideal; after that a sum
+over [e, w] or a size per element is a C-level ``map`` over the row, with
+no call per pair. ``lower_row`` fills entries by the second branch at
+u = e: for a right descent s of x, (e, x) combines (e, xs) and (s, xs),
+and (s, xs) is a row entry or zero when s is a left descent of xs (the
+left form of the first branch lowers it to (e, s*xs)) or is not in the
 support of xs (then s is not below xs). Row fills and memo walks share one
 kernel cache per family, so each family combines each operand pair once.
 """
@@ -39,16 +40,7 @@ from operator import attrgetter, is_
 from typing import NamedTuple, Sequence
 
 from .coxeter import GroupTable
-from .poly import (
-    IntPoly,
-    ONE,
-    Q,
-    Q_MINUS_ONE,
-    Q_PLUS_ONE,
-    ZERO,
-    monomial,
-    split_fields,
-)
+from .poly import IntPoly, ONE, Q_MINUS_ONE, ZERO, monomial, split_fields
 
 __all__ = [
     "RContext",
@@ -57,14 +49,14 @@ __all__ = [
     "gamma_form_text",
 ]
 
-# family -> (low, high, kernel computing low * a + high * b on coefficient tuples)
+# family -> kernel computing low * a + high * b on coefficient tuples (see above)
 _RULES = {
-    "r": (Q_MINUS_ONE, Q, lambda a, b: IntPoly(  # q*(a+b) - a
-        [x + y - z for x, y, z in zip_longest((0,) + a, (0,) + b, a, fillvalue=0)])),
-    "rtilde": (Q, ONE, lambda a, b: IntPoly(  # q*a + b
-        [x + y for x, y in zip_longest((0,) + a, b, fillvalue=0)])),
-    "shifted": (Q, Q_PLUS_ONE, lambda a, b: IntPoly(  # q*(a+b) + b
-        [x + y + z for x, y, z in zip_longest((0,) + a, (0,) + b, b, fillvalue=0)])),
+    "r": lambda a, b: IntPoly(  # q*(a+b) - a
+        [x + y - z for x, y, z in zip_longest((0,) + a, (0,) + b, a, fillvalue=0)]),
+    "rtilde": lambda a, b: IntPoly(  # q*a + b
+        [x + y for x, y in zip_longest((0,) + a, b, fillvalue=0)]),
+    "shifted": lambda a, b: IntPoly(  # q*(a+b) + b
+        [x + y + z for x, y, z in zip_longest((0,) + a, (0,) + b, b, fillvalue=0)]),
 }
 
 _COEFFS = attrgetter("coeffs")
@@ -103,16 +95,13 @@ class RContext:
             s = group.first_right_descent(w)
             support[w] = support[right[s][w]] | 1 << s
         self._support = support
-        self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {
-            "r": {}, "rtilde": {}, "shifted": {}
-        }
-        # family -> its value at (e, x) by x, None where no caller asked yet
-        self._rows: dict[str, list] = {}
-        # family -> kernel value by the ids of its two operands, for rows and memo walks;
+        # family -> its value at reduced pairs (u, w) with u != e, by (u, w)
+        self._memo: dict[str, dict[tuple[int, int], IntPoly]] = {name: {} for name in _RULES}
+        # family -> its value at (e, x) by x, None where no caller or walk reached x yet
+        self._rows: dict[str, list] = {name: [None] * len(group) for name in _RULES}
+        # family -> kernel value by the ids of its two operands, for row fills and walks;
         # each operand lives in _interned (or is ONE or ZERO): an id stands for one value
-        self._kernels: dict[str, dict[tuple[int, int], IntPoly]] = {
-            "r": {}, "rtilde": {}, "shifted": {}
-        }
+        self._kernels: dict[str, dict[tuple[int, int], IntPoly]] = {name: {} for name in _RULES}
         # every memo and row value, by its coefficients: equal polynomials share one object
         self._interned: dict[tuple[int, ...], IntPoly] = {}
         # a shifted coefficient is at most 2^length(w0) (see ``shifted_sum``), and
@@ -122,39 +111,40 @@ class RContext:
         # packed shifted values by the id of the interned value, which _interned keeps alive
         self._packed: dict[int, int] = {}
         # _pack(shifted(e, x)) by x, None where no sum asked yet
-        self._packed_row: list = []
+        self._packed_row: list = [None] * len(group)
         # analysis verdicts keyed by (question tag, *arguments), shared by the checks
         self.verdicts: dict[tuple, bool] = {}
         self.hits = 0
         self.misses = 0
 
     def _family(self, name: str, u: int, w: int) -> IntPoly:
-        """The value of one family at (u, w), filling the memo on the way.
+        """The value of one family at (u, w), filling the memo and the lower
+        row on the way.
 
         Each pair is reduced first: while u != w, both ends step down their
         lowest shared right descent, else their lowest shared left descent.
         Neither step changes the value (Bjorner-Brenti, Thm 5.1.1, and R(u, w) =
-        R(u^-1, w^-1)) or comparability (Deodhar's Property Z). The memo holds
-        reduced pairs only, so it is read once per pair, after the reduction.
-        On a reduced pair the first right descent s of w raises u, so every
-        miss combines (u, ws) and (us, ws), on an explicit stack that Python's
-        recursion limit does not bound.
+        R(u^-1, w^-1)) or comparability (Deodhar's Property Z). A reduced pair
+        is read once: (e, w) from the lower row, any other from the memo, which
+        holds reduced pairs with u != e only. On a reduced pair the first right
+        descent s of w raises u, so every miss combines (u, ws) and (us, ws),
+        on an explicit stack that Python's recursion limit does not bound.
         """
-        memo = self._memo[name]
-        g, step, kernel, interned = self.group, _RULES[name][2], self._kernels[name], self._interned
-        right, descents, descent = g.right, g.descents, g.first_right_descent
+        memo, row = self._memo[name], self._rows[name]
+        g, step, kernel, interned = self.group, _RULES[name], self._kernels[name], self._interned
+        e, right, descents, descent = g.identity, g.right, g.descents, g.first_right_descent
         sides = right + g.left  # bit k of a descent mask is read from column k
         hits = misses = 0
         comparable = False  # whether u <= w is already known
-        stack = []  # per missed pair: [(u, w), us, ws, value of (u, ws)]
+        stack = []  # per missed pair: [its store, its key there, us, ws, value of (u, ws)]
         while True:
             # reduce (u, w), right descents first; no pair on the way can be a key
             while u != w and (shared := descents[u] & descents[w]):
                 s = (shared & -shared).bit_length() - 1
                 col = sides[s]
                 u, w = col[u], col[w]
-            if (value := ONE if u == w else memo.get((u, w))) is not None:
-                hits += u != w  # a memo hit unless (u, w) is diagonal
+            if (value := ONE if u == w else row[w] if u == e else memo.get((u, w))) is not None:
+                hits += u != w  # a row or memo hit unless (u, w) is diagonal
             # only comparable pairs enter the memo, so the order test can wait. By
             # the lifting property (Bjorner-Brenti, Prop. 2.2.7) u <= w gives
             # u <= ws; (us, ws) then needs a test.
@@ -163,22 +153,23 @@ class RContext:
                 s = descent(w)
                 col = right[s]
                 ws = col[w]
-                stack.append([(u, w), col[u], ws, None])
+                stack.append([row, w, col[u], ws, None] if u == e
+                             else [memo, (u, w), col[u], ws, None])
                 w, comparable = ws, True
                 continue
             else:
                 value = ZERO
             while stack:  # hand the value up to the first frame that needs a pair
                 frame = stack[-1]
-                if frame[3] is None:  # value is that of (u, ws); (us, ws) is next
-                    frame[3] = value
-                    u, w, comparable = frame[1], frame[2], False
+                if frame[4] is None:  # value is that of (u, ws); (us, ws) is next
+                    frame[4] = value
+                    u, w, comparable = frame[2], frame[3], False
                     break
-                # each operand is a memo value (interned, so alive), ONE or ZERO
-                if (made := kernel.get(key := (id(frame[3]), id(value)))) is None:
-                    made = step(frame[3].coeffs, value.coeffs)
+                # each operand is a row or memo value (interned, so alive), ONE or ZERO
+                if (made := kernel.get(key := (id(frame[4]), id(value)))) is None:
+                    made = step(frame[4].coeffs, value.coeffs)
                     made = kernel[key] = interned.setdefault(made.coeffs, made)
-                memo[frame[0]] = value = made
+                frame[0][frame[1]] = value = made
                 stack.pop()
             else:
                 self.hits += hits
@@ -206,16 +197,16 @@ class RContext:
         order (so by length): the family's kernel on ``row[xs]`` and
         ``row[s*xs]``, or on ``row[xs]`` and zero, for the first right descent
         s of x that allows it (see the module docstring). An x that no descent
-        serves, or whose operands are still None, goes through the memo.
-        Entries that no caller has asked for stay None.
+        serves, or whose operands are still None, goes through ``_family``,
+        whose walk reads (e, xs) from the row, sends only (s, xs) through the
+        memo and fills the row entries it computes on the way. Entries that
+        no caller or walk has reached stay None.
         """
-        row = self._rows.get(name)
-        if row is None:
-            row = self._rows[name] = [None] * len(self.group)
+        row = self._rows[name]
         g = self.group
         e, n, right, left = g.identity, g.num_generators, g.right, g.left
         descents, support, interned = g.descents, self._support, self._interned
-        step, kernel = _RULES[name][2], self._kernels[name]
+        step, kernel = _RULES[name], self._kernels[name]
         for x in sorted(compress(members, map(is_, map(row.__getitem__, members), repeat(None)))):
             value = None
             todo = descents[x] & ((1 << n) - 1)  # the right descents of x
@@ -270,8 +261,6 @@ class RContext:
         """
         if u == self.group.identity:
             row = self._packed_row
-            if not row:
-                row = self._packed_row = [None] * len(self.group)
             missing = list(compress(members, map(is_, map(row.__getitem__, members), repeat(None))))
             if missing:
                 shifted = self.lower_row("shifted", missing)

@@ -259,9 +259,9 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
 
     Before a pool starts, the parent fills the R and shifted lower rows of
     the scope's tops, which the forked workers inherit; a worker would
-    otherwise fill the row operands that lie in other chunks through the
-    pair memo. A sweep of ``_ROW_READERS`` alone starts no pool: filling
-    those rows is all its work.
+    otherwise fill the row operands that lie in other chunks through memo
+    walks into its own rows. A sweep of ``_ROW_READERS`` alone starts no
+    pool: filling those rows is all its work.
     """
     env = _environment(spec)
     pairs = _interval_scope(env["group"], cap)

@@ -153,9 +153,10 @@ def test_interval_on_a_short_w_fills_rows_inside_its_ideal(monkeypatch, capsys):
     group = ctx.group
     ideal = group.lower_ideal(group.from_word((0, 1, 2)))
     assert len(ideal) == 8
-    filled = {x for x, value in enumerate(ctx.lower_row("shifted", ())) if value is not None}
-    assert filled == set(ideal)
-    assert set(ctx._rows) == {"shifted"}
+    filled = {name: {x for x, value in enumerate(row) if value is not None}
+              for name, row in ctx._rows.items()}
+    assert filled["shifted"] == set(ideal)
+    assert all(entries <= set(ideal) for entries in filled.values()), filled
 
 
 def test_table_r_polys_csv(capsys):
@@ -742,8 +743,8 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 
 def test_a_negative_shifted_coefficient_stops_scan_as_internal(monkeypatch, capsys):
     # plant a shifted kernel that negates its value; the packed interval sum rejects it
-    low, high, kernel = rpoly._RULES["shifted"]
-    monkeypatch.setitem(rpoly._RULES, "shifted", (low, high, lambda a, b: -1 * kernel(a, b)))
+    kernel = rpoly._RULES["shifted"]
+    monkeypatch.setitem(rpoly._RULES, "shifted", lambda a, b: -1 * kernel(a, b))
     monkeypatch.setattr(suite, "_ENVS", {})  # no context with values computed earlier
     code = main(["scan", "--group", "A3"])
     captured = capsys.readouterr()
@@ -761,8 +762,8 @@ def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, c
         def __init__(self, *args, **kwargs):
             env = suite._ENVS[spec]
             ctx, tops = env["ctx"], {w for _, w in suite._interval_scope(env["group"])}
-            rows = (ctx._rows.get("r"), ctx._rows.get("shifted"))
-            filled.append([bool(row) and None not in map(row.__getitem__, tops) for row in rows])
+            rows = (ctx._rows["r"], ctx._rows["shifted"])
+            filled.append([None not in map(row.__getitem__, tops) for row in rows])
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CheckedPool)

@@ -245,13 +245,19 @@ def test_table_r_polys_skips_order_tests_the_lifting_property_decides(monkeypatc
     # every pair of the plain recursion; with an order test per miss it was
     # 5,070 leq calls. It was 1,952 / 1,634 and 2,002 leq calls until the R
     # row was filled from two row entries per x and the sizes were read
-    # from the rows, with only the x that no descent serves sent to the memo.
-    assert (ctx.hits, ctx.misses) == (644, 908)
-    assert len(calls) == 927
+    # from the rows, with only the x that no descent serves sent to the memo;
+    # then 644 / 908 and 927 leq calls until those walks read and filled the
+    # lower rows at u = e instead of keeping (e, x) in the memo too.
+    assert (ctx.hits, ctx.misses) == (588, 777)
+    assert len(calls) == 836
     memo, oracle = ctx._memo, {}
     assert memo["r"] and memo["shifted"]
     for x, value in enumerate(ctx.lower_row("r", ())):
         assert value == r_by_recursion(a5, a5.identity, x, oracle)
+    shifted = ctx.lower_row("shifted", ())  # filled where a walk reached (e, x)
+    assert any(shifted) and not all(shifted)
+    for x, value in enumerate(shifted):
+        assert value is None or value == shift_plus_one(r_by_recursion(a5, a5.identity, x, oracle))
     for (u, w), value in memo["r"].items():
         assert value == r_by_recursion(a5, u, w, oracle)
     for (u, w), value in memo["shifted"].items():
@@ -259,25 +265,27 @@ def test_table_r_polys_skips_order_tests_the_lifting_property_decides(monkeypatc
 
 
 class RecordedKeys(dict):
-    """A memo table that records each key read through ``get``, with the
-    descent masks of its group."""
+    """A memo table that records each key read through ``get``, with its
+    group."""
 
-    def __init__(self, descents, read):
+    def __init__(self, group, read):
         super().__init__()
-        self.descents, self.read = descents, read
+        self.group, self.read = group, read
 
     def get(self, key, default=None):
-        self.read.append((self.descents, key))
+        self.read.append((self.group, key))
         return super().get(key, default)
 
 
 def test_the_memo_is_read_at_reduced_pairs_only(monkeypatch, a4, i2_groups):
     # a pair whose ends share a left or right descent is never a key, so the
-    # walk reduces a pair fully before its one memo read
-    read = []
+    # walk reduces a pair fully before its one memo read; a pair (e, x) is
+    # read from and stored in the lower row, never in the memo
+    read, tables = [], []
 
     def recorded(ctx):
-        ctx._memo = {name: RecordedKeys(ctx.group.descents, read) for name in ctx._memo}
+        ctx._memo = {name: RecordedKeys(ctx.group, read) for name in ctx._memo}
+        tables.extend(ctx._memo.values())
         return ctx
 
     _r_classes(recorded(RContext(enumerate_group(CoxeterDescriptor("A", 5)))))
@@ -288,7 +296,10 @@ def test_the_memo_is_read_at_reduced_pairs_only(monkeypatch, a4, i2_groups):
     i2 = i2_groups[12]
     analysis.interval_report(recorded(RContext(i2)), i2.generator(0), i2.w0)
     assert len(read) > 1000
-    assert not [(u, w) for descents, (u, w) in read if descents[u] & descents[w]]
+    assert not [(u, w) for g, (u, w) in read if g.descents[u] & g.descents[w]]
+    assert not [(u, w) for g, (u, w) in read if u == g.identity]
+    assert sum(map(len, tables)) > 100
+    assert not [(u, w) for table in tables for u, w in table if u == table.group.identity]
 
 
 @pytest.mark.parametrize("choice", ["min", "max"])  # the oracle's right descent
@@ -348,9 +359,15 @@ def test_equal_memo_values_are_one_object(a4):
 KERNEL_INPUTS = [(), (1,), (-1,), (0, 1), (0, -1), (-1, 1), (2, -3, 1), (1, 1, -1), (0, 0, 0, 5)]
 
 
+# family -> (low, high): its second branch is low * (u, ws) + high * (us, ws)
+BRANCH_COEFFICIENTS = {"r": (Q_MINUS_ONE, Q), "rtilde": (Q, ONE), "shifted": (Q, Q_PLUS_ONE)}
+
+
 def test_family_kernels_match_polynomial_arithmetic():
+    assert set(_RULES) == set(BRANCH_COEFFICIENTS)
     cancelled = set()
-    for name, (low, high, step) in _RULES.items():
+    for name, (low, high) in BRANCH_COEFFICIENTS.items():
+        step = _RULES[name]
         for a, b in itertools.product(KERNEL_INPUTS, repeat=2):
             expected = low * IntPoly(a) + high * IntPoly(b)
             got = step(a, b)
@@ -385,7 +402,8 @@ def test_family_fill_does_not_recurse():
 def test_lower_rows_match_the_oracle_in_any_fill_order(spec):
     # the row route fills x from two earlier entries; members that are not
     # closed downward (w0 alone, one x at a time from the top) send x through
-    # the memo instead, and both must give the oracle's values
+    # a memo walk instead, which fills the row entries it meets below x, and
+    # both must give the oracle's values
     group = enumerate_group(CoxeterDescriptor.parse(spec))
     oracle, fresh = {}, RContext(group)
     expected = {"r": [r_by_recursion(group, group.identity, x, oracle) for x in group.elements()]}
@@ -401,20 +419,16 @@ def test_lower_rows_match_the_oracle_in_any_fill_order(spec):
     }
     for order, calls in orders.items():
         ctx = RContext(group)
-        family, memo_calls = ctx._family, []
-        ctx._family = lambda *pair: memo_calls.append(pair) or family(*pair)
+        asked = set().union(*calls)
+        below = set().union(*map(group.lower_ideal, asked))
         for name, values in expected.items():
-            memo_calls.clear()
             for members in calls:
                 row = ctx.lower_row(name, members)
-            asked = set().union(*calls)
-            for x, value in enumerate(row):
-                assert (value is None) == (x not in asked), (order, name, x)
-                assert value is None or value == values[x], (order, name, x)
-            # from the top no operand is filled yet, so every x takes the memo;
-            # in the other orders some x takes the row route
-            from_top = order in ("one at a time from the top", "w0 alone")
-            assert (len(memo_calls) == len(asked)) == from_top, (order, name)
+            filled = {x for x, value in enumerate(row) if value is not None}
+            assert asked <= filled <= below, (order, name)
+            assert all(row[x] == values[x] for x in filled), (order, name)
+        assert not [key for memo in ctx._memo.values() for key in memo
+                    if key[0] == group.identity], order
 
 
 def test_a5_lower_rows_take_the_row_route():
@@ -437,11 +451,11 @@ def test_each_operand_pair_is_combined_once_per_family(spec, monkeypatch):
     # so no pair of operands is combined twice: the table of A5 fills rows
     # and walks the memo, the report of [s1, w0] in I2(12) walks it alone
     ran = dict.fromkeys(_RULES, 0)
-    for name, (low, high, kernel) in _RULES.items():
+    for name, kernel in _RULES.items():
         def counted(a, b, name=name, kernel=kernel):
             ran[name] += 1
             return kernel(a, b)
-        monkeypatch.setitem(_RULES, name, (low, high, counted))
+        monkeypatch.setitem(_RULES, name, counted)
     group = enumerate_group(CoxeterDescriptor.parse(spec))
     ctx = RContext(group)
     if spec == "A5":
