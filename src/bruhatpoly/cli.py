@@ -10,7 +10,8 @@ Subcommands:
 
 Output is deterministic: identical arguments give byte-identical output,
 for any worker count. Exit codes: 0 success, 1 check failure, 2 bad usage,
-3 internal error (a library invariant failed; reported on one stderr line).
+3 internal error (a library invariant failed or the library raised
+ValueError; reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import analysis, suite
-from .coxeter import CoxeterDescriptor, EmptyIntervalError, GroupTable, enumerate_group
+from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
 from .graph import build_graph, to_dot
 from .poly import size as poly_size
 from .poly import total as poly_total
@@ -227,12 +228,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks = [c.strip() for c in args.suite.split(",") if c.strip()]
         if not checks:
             raise CliError(f"--suite {args.suite!r} names no check")
+        if unknown := [c for c in checks if c not in suite.CHECK_NAMES]:
+            raise CliError(f"unknown checks: {unknown}; available: {list(suite.CHECK_NAMES)}")
     started = time.perf_counter()
-    try:
-        results = suite.run_suite(args.group, checks=checks, workers=args.workers,
-                                  max_interval_len=args.max_interval_len, group=group)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    results = suite.run_suite(args.group, checks=checks, workers=args.workers,
+                              max_interval_len=args.max_interval_len, group=group)
     elapsed = time.perf_counter() - started
     if args.format == "json":
         payload = {
@@ -276,7 +276,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         except ValueError:
             raise CliError(f"pair {spec!r} must look like 'U..W'")
         u, w = parse_element(group, u_text), parse_element(group, w_text)
-        group.interval(u, w)  # raises EmptyIntervalError before any sweep, not after it
+        if not group.leq(u, w):  # refused before any sweep, not after it
+            raise CliError(f"[{group.display(u)}, {group.display(w)}] is empty: "
+                           "endpoints are not comparable")
         extra.append((u, w))
     report = suite.run_scan(
         args.group,
@@ -389,10 +391,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("table r-polys requires --group")
     try:
         return args.func(args)
-    except (CliError, EmptyIntervalError) as exc:
+    except CliError as exc:
         _write(sys.stderr, f"error: {exc}\n")
         return USAGE_ERROR
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         message = " ".join(str(exc).split()) or "invariant failed"
         _write(sys.stderr, f"error: internal: {message}\n")
         return INTERNAL_ERROR

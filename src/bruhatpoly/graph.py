@@ -11,19 +11,18 @@ here from reduced words of the longest element (the tests check the chain
 condition).
 
 ``IncreasingPathCounts`` counts the label-increasing paths from one bottom
-to every element above it, by absolute length, in one pass over the whole
-group's up-edges; by Dyer's theorem these counts are the coefficients of
-R-tilde, and weighted they give the shifted R-polynomial. It also walks the
-lexicographically first maximal chain, for Dyer's EL property. One
-depth-first walker lists the paths of one interval's graph
-(``increasing_paths``, ``short_paths``); no command calls it, and the tests
-list paths with it to check the one-pass counts.
+to every element above it, by absolute length, in one pass per reflection
+of the order over the whole group's ids; by Dyer's theorem these counts are
+the coefficients of R-tilde, and weighted they give the shifted
+R-polynomial. It also walks the lexicographically first maximal chain
+along rows of covers, for Dyer's EL property. One depth-first walker lists
+the paths of one interval's graph (``increasing_paths``, ``short_paths``);
+no command calls it, and the tests list paths with it to check the counts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coxeter import Frozen, GroupTable, Interval
@@ -274,80 +273,75 @@ def short_paths(graph: BruhatGraph, u: int, w: int) -> list[BruhatPath]:
 
 
 class IncreasingPathCounts:
-    """Label-increasing paths from one bottom u to every w above it, in one pass.
+    """Label-increasing paths from one bottom u to every w above it.
 
     Every Bruhat edge goes up in Bruhat order, so all paths from u to w in
-    the graph of the whole group stay inside [u, w], and one pass over the
-    up-edges in id order (ids ascend with length) serves every [u, w]. A
-    vertex sorts the path sets that reach it by the rank of their last
-    label, with prefix sums; an out-edge of rank r carries on the prefix of
-    the ranks below r. Counts by absolute length are packed ``width`` bits
+    the graph of the whole group stay inside [u, w]. For the order t_1 < ...
+    < t_N, the increasing paths come from extending every path along its
+    edge labelled t_k, for k = 1, ..., N (Dyer): the pass for t adds the
+    count at yt, one edge longer, to the count at y wherever yt < y. It
+    never changes the count at yt, as the edge yt -> y goes up, so it
+    updates in place. Counts by absolute length are packed ``width`` bits
     apart in one integer, as an increasing path is fixed by u and its label
-    set: no count passes 2^N for N reflections. The pass keeps its last
-    bottom and walks ids only up to the highest top asked.
+    set: no count passes 2^N. The passes keep their last bottom and run up
+    to a top id that at least doubles whenever a higher top is asked.
     """
 
     def __init__(self, group: GroupTable, order: ReflectionOrder) -> None:
         self.group = group
         self._columns = tuple(map(group.reflection_columns().__getitem__, order.sequence))
-        self._rows: list = [None] * len(group)  # x -> (ranks, targets) of its up-edges, by rank
+        self._covers: list = [None] * len(group)  # x -> its (rank, cover) pairs, by rank
         self._width = len(order.sequence) + 1
-        self._bottom, self._next = None, 0  # the first id the pass has not visited
-        self._incoming: dict = {}  # vertex -> [(rank of the last label, packed counts)]
-        self._counts: dict = {}  # visited vertex -> its ``counts``
+        self._bottom, self._top, self._count = None, -1, []
 
-    def _row(self, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self._rows[x] is None:
-            length = self.group.length
-            up = [(r, y) for r, y in enumerate(col[x] for col in self._columns)
-                  if length[y] > length[x]]
-            self._rows[x] = tuple(zip(*up)) or ((), ())
-        return self._rows[x]
+    def _packed(self, u: int, w: int) -> int:
+        """The counts of the increasing paths u -> w by absolute length, packed."""
+        if u != self._bottom or w > self._top:
+            top = min(len(self.group) - 1, max(w, 2 * self._top if u == self._bottom else u))
+            count, width = [0] * (top + 1), self._width
+            count[u] = 1
+            for col in self._columns:
+                for y in range(u + 1, top + 1):
+                    if (x := col[y]) < y and (c := count[x]):
+                        count[y] += c << width
+            self._bottom, self._top, self._count = u, top, count
+        return self._count[w]
 
     def counts(self, u: int, w: int) -> tuple[int, ...]:
         """c_a, the number of increasing paths u -> w of absolute length a, by a
         without trailing zeros: the coefficients of R-tilde(u, w) for a
         reflection order (Dyer)."""
-        if u != self._bottom:
-            self._bottom, self._next, self._incoming, self._counts = u, u, {u: [(-1, 1)]}, {}
-        incoming, width = self._incoming, self._width
-        for x in range(self._next, w + 1):
-            entries = incoming.pop(x, None)
-            if entries is None:  # no increasing path reaches x
-                continue
-            entries.sort()
-            ranks = [r for r, _ in entries]
-            # sums[i]: the paths whose last label is among the i lowest, one edge longer
-            sums = list(accumulate([c << width for _, c in entries], initial=0))
-            self._counts[x] = split_fields(sums[-1] >> width, width)
-            for r, y in zip(*self._row(x)):
-                if i := bisect_left(ranks, r):
-                    incoming.setdefault(y, []).append((r, sums[i]))
-        self._next = max(self._next, w + 1)
-        return self._counts.get(w, ())
+        return split_fields(self._packed(u, w), self._width)
 
     def shifted(self, u: int, w: int) -> IntPoly:
-        """The sum of c_a (q+1)^((l-a)/2) q^a, the shifted R-polynomial for a
-        reflection order, evaluated at q = 2^(2 width) where no coefficient
-        carries into the next."""
-        ell, width = self.group.length[w] - self.group.length[u], 2 * self._width
-        return IntPoly(split_fields(sum(c * ((1 << width) + 1) ** ((ell - a) // 2) << a * width
-                                        for a, c in enumerate(self.counts(u, w)) if c), width))
+        """The sum of c_a (q+1)^((l-a)/2) q^a over a = l mod 2, l mod 2 + 2, ...,
+        the shifted R-polynomial for a reflection order, by Horner's rule in q+1
+        at q = 2^(2 width), where no coefficient carries into the next."""
+        ell, narrow = self.group.length[w] - self.group.length[u], self._width
+        packed, mask, width, total = self._packed(u, w), (1 << narrow) - 1, 2 * narrow, 0
+        for a in range(ell % 2, ell + 1, 2):
+            total = (total << width) + total + ((packed >> a * narrow & mask) << a * width)
+        return IntPoly(split_fields(total, width))
+
+    def _cover_row(self, x: int) -> tuple[tuple[int, int], ...]:
+        if self._covers[x] is None:
+            length = self.group.length
+            self._covers[x] = tuple((r, y) for r, y in enumerate(col[x] for col in self._columns)
+                                    if length[y] == length[x] + 1)
+        return self._covers[x]
 
     def lex_first(self, u: int, w: int) -> list[int]:
         """Label ranks of the lexicographically first maximal chain of [u, w]:
-        the out-edges of a vertex carry distinct reflections, so its
+        the covers of a vertex carry distinct reflections, so its
         lowest-ranked cover in the kept lower ideal of w comes first."""
-        length, ideal, first = self.group.length, self.group.lower_ideal(w), []
+        ideal, first = self.group.lower_ideal(w), []
         while u != w:
-            ranks, targets = self._row(u)
-            for i, y in enumerate(targets):
-                if length[y] == length[u] + 1 and (j := bisect_left(ideal, y)) < len(ideal) \
-                        and ideal[j] == y:
+            for r, y in self._cover_row(u):
+                if (j := bisect_left(ideal, y)) < len(ideal) and ideal[j] == y:
                     break
             else:
                 raise AssertionError("every element below the top of an interval has a cover in it")
-            first.append(ranks[i])
+            first.append(r)
             u = y
         return first
 

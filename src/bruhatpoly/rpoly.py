@@ -34,13 +34,14 @@ kernel cache per family, so each family combines each operand pair once.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress, repeat, zip_longest
+from math import comb
 from operator import attrgetter, is_
 from typing import NamedTuple, Sequence
 
 from .coxeter import GroupTable
-from .poly import IntPoly, ONE, Q_MINUS_ONE, ZERO, monomial, split_fields
+from .poly import IntPoly, ONE, ZERO, split_fields
 
 __all__ = [
     "RContext",
@@ -329,18 +330,16 @@ class RContext:
         return via_shift
 
 
-@lru_cache(maxsize=None)
-def _gamma_term(ell: int, j: int) -> IntPoly:
-    """q^((ell-j)/2) (q-1)^j, the polynomial that gamma_j multiplies in R."""
-    return monomial((ell - j) // 2) * Q_MINUS_ONE ** j
-
-
 def reassemble_r(gamma: GammaVector) -> IntPoly:
-    """Rebuild R from its gamma vector: sum gamma_j q^((ell-j)/2) (q-1)^j."""
-    out = ZERO
-    for j, coeff in gamma.entries:
-        out = out + _gamma_term(gamma.coxeter_length, j) * coeff
-    return out
+    """Rebuild R from its gamma vector: sum gamma_j q^((ell-j)/2) (q-1)^j, with
+    (q-1)^j expanded as the signed binomial coefficients (-1)^(j-i) C(j, i) q^i."""
+    ell = gamma.coxeter_length
+    coeffs = [0] * (ell + 1)
+    for j, gamma_j in gamma.entries:
+        low = (ell - j) // 2
+        for i in range(j + 1):
+            coeffs[low + i] += comb(j, i) * (gamma_j if (j - i) % 2 == 0 else -gamma_j)
+    return IntPoly(coeffs)
 
 
 def gamma_form_text(gamma: GammaVector) -> str:

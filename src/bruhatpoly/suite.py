@@ -155,8 +155,8 @@ def _th3(env: dict, u: int, w: int) -> bool:
 
 
 def _path_counts(env: dict) -> list[IncreasingPathCounts]:
-    """One increasing-path pass per reflection order, made on first use; each
-    keeps its last bottom, and the sweep asks for the bottoms in order."""
+    """One increasing-path counter per reflection order, made on first use;
+    each keeps its last bottom, and the sweep asks for the bottoms in order."""
     if "paths" not in env:
         env["paths"] = [IncreasingPathCounts(env["group"], order) for order in env["orders"]]
     return env["paths"]

@@ -12,6 +12,7 @@ import pytest
 from bruhatpoly import (CoxeterDescriptor, GroupTable, RContext, analysis, cli,
                         enumerate_group, rpoly, suite)
 from bruhatpoly.cli import INTERNAL_ERROR, main
+from bruhatpoly.coxeter import EmptyIntervalError
 from bruhatpoly.suite import _pair_count, _pool_size, _reduced_pairs
 from conftest import src_env
 from oracles import capped_ideal_by_prefix, dot_leq, inversions, size_violations, th4_all_pairs
@@ -739,6 +740,26 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert code == INTERNAL_ERROR == 3
     assert captured.out == ""
     assert captured.err == "error: internal: sizes disagree second line\n"
+
+    # a ValueError or an EmptyIntervalError from inside the library is a fault
+    # too, not bad usage: the CLI refuses bad input at its own checks
+    def planted(error):
+        def fault(*args):
+            raise error
+        return fault
+
+    monkeypatch.setattr(analysis, "shifted_average_fires",
+                        planted(ValueError("planted library fault")))
+    monkeypatch.setattr(analysis, "interval_report",
+                        planted(EmptyIntervalError("planted report fault")))
+    for argv, message in ((["verify", "--group", "A3", "--suite", "th2"], "planted library fault"),
+                          (["interval", "--group", "A3", "--u", "e", "--w", "w0"],
+                           "planted report fault")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == INTERNAL_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: internal: {message}\n"
 
 
 def test_a_negative_shifted_coefficient_stops_scan_as_internal(monkeypatch, capsys):

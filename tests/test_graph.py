@@ -333,10 +333,12 @@ def test_chain_count_rejects_a_vertex_without_cover(a3, pid):
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "I2:2", "I2:5", "I2:8", "A5"])
 def test_path_counts_match_the_listing(spec):
-    # every interval, or every lower interval of A5: one pass per bottom and
+    # every interval, or every lower interval of A5: the counts per bottom and
     # order against one listing per (interval, order). The smallest rank word
     # of the maximal chains is found from the top down, and checked against
     # their listing except on A4 and A5, where they are too many to list.
+    # Where the pairs are all comparable pairs, fresh counters then walk them
+    # again in a seeded shuffle, so that bottoms interleave and tops descend.
     group = enumerate_group(CoxeterDescriptor.parse(spec))
     pairs = ([(group.identity, w) for w in group.elements()] if spec == "A5"
              else group.comparable_pairs())
@@ -344,6 +346,7 @@ def test_path_counts_match_the_listing(spec):
     orders = distinct_reflection_orders(group) + [shuffled]
     counters = [IncreasingPathCounts(group, order) for order in orders]
     failing = {order: ([], []) for order in orders}  # (by the pass, by the listing)
+    found = {}  # (order, u, w) -> what the counters gave in id order
     for u, w in pairs:
         g = build_graph(group, group.interval(u, w))
         chains = short_paths(g, u, w) if spec not in ("A4", "A5") else None
@@ -362,6 +365,13 @@ def test_path_counts_match_the_listing(spec):
                 failing[order][0].append((u, w))
             if len(listed_chains) != 1 or any(a >= b for a, b in zip(first, first[1:])):
                 failing[order][1].append((u, w))
+            found[order, u, w] = (paths.counts(u, w), paths.shifted(u, w), (count, first_increasing))
+    if spec != "A5":
+        counters = [IncreasingPathCounts(group, order) for order in orders]
+        for u, w in random.Random(11).sample(pairs, len(pairs)):
+            for order, paths in zip(orders, counters):
+                assert (paths.counts(u, w), paths.shifted(u, w),
+                        paths.increasing_chains(u, w)) == found[order, u, w]
     for order in orders:
         by_pass, by_listing = failing[order]
         assert by_pass == by_listing
