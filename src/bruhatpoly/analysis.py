@@ -381,7 +381,7 @@ def four_way_regularity(ctx: RContext, w: int) -> FourWayVerdict:
     _, avg_equal = carrell_peterson_equal(ctx, w)
     pattern: Optional[bool] = None
     if g.descriptor.family == "A":
-        pattern = not is_singular(g.forms[w])
+        pattern = not is_singular(g.form(w))
     return FourWayVerdict(
         w=w,
         degree_regular=is_regular(ctx, g.identity, w),
@@ -515,5 +515,5 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
         out["poincare_average"] = _frac_str(poincare_avg)
         out["bruhat_poincare_average"] = _frac_str(shifted_avg)
         if g.descriptor.family == "A":
-            regularity["by_pattern_smooth"] = not is_singular(g.forms[w])
+            regularity["by_pattern_smooth"] = not is_singular(g.form(w))
     return out

@@ -17,13 +17,14 @@ ValueError; reported on one stderr line).
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
 import sys
 import time
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO
+from itertools import chain, repeat
+from operator import add
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import analysis, suite
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
@@ -121,21 +122,22 @@ def _make_group(args: argparse.Namespace) -> GroupTable:
     return group
 
 
-def _write(stream: TextIO, text: str) -> None:
-    """Write ``text`` to stdout or stderr; a closed pipe leaves the exit status alone."""
+def _write(stream: TextIO, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its pieces, to stdout or stderr; a closed pipe keeps the exit status."""
     try:
-        stream.write(text)
+        stream.writelines([text] if isinstance(text, str) else text)
         stream.flush()
     except BrokenPipeError:  # the reader left: drop the rest, the flush at exit too
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
     if not out:
         _write(sys.stdout, text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            stream.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc.strerror or exc}")
 
@@ -165,6 +167,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
 
 
 def _r_classes(ctx: RContext) -> list[dict]:
+    """The classes of lower R-polynomials, every check made; a row holds its
+    member ids and no display string, so ``ctx`` can go before formatting."""
     group = ctx.group
     r_row = ctx.lower_row("r", range(len(group)))
     by_poly: dict[tuple, list[int]] = {}
@@ -177,47 +181,55 @@ def _r_classes(ctx: RContext) -> list[dict]:
         rows.append({
             "ell": gamma.coxeter_length,
             "absolute_length": gamma.absolute_length,
-            "members": [group.display(v) for v in members],
+            "members": members,
             "gamma_form": gamma_form_text(gamma),
             "r": r_row[members[0]].text(),
             "coeffs": [str(c) for c in coeffs],
             "size": size,
         })
-    rows.sort(key=lambda r: (r["ell"], r["absolute_length"], r["members"][0]))
+    rows.sort(key=lambda r: (r["ell"], r["absolute_length"], group.display(r["members"][0])))
     for i, row in enumerate(rows):
         row["class"] = i
     return rows
 
 
-def _emit_table(args: argparse.Namespace, payload: dict, header: list[str],
-                rows: Iterable[list]) -> None:
-    """One table: ``payload`` as JSON, or the CSV header and rows."""
+def _emit_table(args: argparse.Namespace, fields: dict, key: str, items: Iterable[dict],
+                header: list[str]) -> None:
+    """One table, made and written an item at a time. JSON: the text of
+    ``{**fields, key: list(items)}`` (scalar fields, at least one item), each
+    item dumped alone into the text of the table whose one item is 0. CSV:
+    the ``header``, then the fields it names of each item, a list space-separated."""
     if args.format == "json":
-        _emit(_json_text(payload), args.out)
-        return
-    import csv  # imported here, as only CSV tables need it
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+        import json
+        head, tail = _json_text({**fields, key: [0]}).split("\n    0\n")
+        dumps = (json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+                 for item in items)
+        commas = chain(["\n    "], repeat(",\n    "))
+        pieces = chain([head], map(add, commas, dumps), ["\n" + tail])
+    else:
+        import csv  # imported here, as only CSV tables need it
+        # writerow returns what the file's write returns: here, the line itself
+        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        pieces = map(line, chain([header], ([" ".join(v) if isinstance(v, list) else v
+                                             for v in map(item.get, header)] for item in items)))
+    _emit(pieces, args.out)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.table == "r-polys":
-        rows = _r_classes(RContext(_make_group(args)))
-        _emit_table(args, {"group": args.group, "classes": rows},
-                    ["class", "members", "gamma_form", "r", "size"],
-                    ([r["class"], " ".join(r["members"]), r["gamma_form"], r["r"], r["size"]]
-                     for r in rows))
+        group = _make_group(args)
+        rows = _r_classes(RContext(group))  # the context is freed here, before any text
+        _emit_table(args, {"group": args.group}, "classes",
+                    ({**r, "members": list(map(group.display, r["members"]))} for r in rows),
+                    ["class", "members", "gamma_form", "r", "size"])
         return 0
     if args.max_n > DIHEDRAL_MAX_N:
         raise CliError(f"--max-n {args.max_n} is above the cap {DIHEDRAL_MAX_N}")
-    rows = [{"n": n, "polynomial": d.text(), "coeffs": [str(c) for c in d.coeffs],
-             "size": poly_size(d), "total": poly_total(d)}
-            for n, d in enumerate(map(analysis.dihedral_poly, range(args.max_n + 1)))]
-    _emit_table(args, {"table": "dihedral", "rows": rows}, ["n", "polynomial", "size", "total"],
-                ([r["n"], r["polynomial"], r["size"], r["total"]] for r in rows))
+    polys = list(map(analysis.dihedral_poly, range(args.max_n + 1)))
+    _emit_table(args, {"table": "dihedral"}, "rows",
+                ({"n": n, "polynomial": d.text(), "coeffs": [str(c) for c in d.coeffs],
+                  "size": poly_size(d), "total": poly_total(d)} for n, d in enumerate(polys)),
+                ["n", "polynomial", "size", "total"])
     return 0
 
 

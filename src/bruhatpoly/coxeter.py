@@ -4,10 +4,12 @@ A :class:`GroupTable` holds one group: canonical forms, lengths, product
 tables, the reflection set and Bruhat order queries. Type A rank n is the
 symmetric group on n+1 letters, whose forms are one-line permutations kept
 as ``bytes`` (values 1..n+1); the dihedral group I2(m) of order 2m uses
-(rotation, flip) pairs. Forms are multiplied only while the group is
-enumerated, once per (form, generator) and on the left: s*f swaps the values
-i and i+1 of a type A form, one ``bytes.translate``. One pass finds each
-length level and the left product table with it. Every other table is read
+(rotation, flip) pairs as 4 ``bytes``. A table keeps its forms in one packed
+``bytes`` of fixed-width records in id order; a form is a slice of it.
+Forms are multiplied only while the group is enumerated, once per (form,
+generator) and on the left: s*f swaps the values i and i+1 of a type A
+form, one ``bytes.translate``. One pass finds each length level and the
+left product table with it. Every other table is read
 off that table and the level sizes: the length of x is its level, and the
 right table and the inverses are filled in id order from shorter elements.
 Then all is integer tables, and forms serve only to parse and display. The
@@ -132,18 +134,16 @@ class CoxeterDescriptor(NamedTuple("CoxeterDescriptor", [("family", str), ("para
 # -- canonical forms per family ---------------------------------------------
 #
 # Type A: one-line permutations of 1..n+1 as bytes, which index to the same
-# ints and compare in the same order as tuples of them.
-# Dihedral: (k, flip) meaning rot^k if flip == 0 else rot^k * s1,
-# where rot = s1*s2 has order m.
+# ints and compare in the same order as tuples of them. Dihedral: (k, flip)
+# meaning rot^k if flip == 0 else rot^k * s1, where rot = s1*s2 has order m,
+# as 4 bytes, k big-endian and then the flip: they sort as the pairs do.
 
 # one-line values to their digits, for display
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _identity_form(desc: CoxeterDescriptor):
-    if desc.family == "A":
-        return bytes(range(1, desc.param + 2))
-    return (0, 0)
+def _identity_form(desc: CoxeterDescriptor) -> bytes:
+    return bytes(range(1, desc.param + 2)) if desc.family == "A" else bytes(4)
 
 
 def _generator_maps(desc: CoxeterDescriptor) -> list:
@@ -151,8 +151,9 @@ def _generator_maps(desc: CoxeterDescriptor) -> list:
     if desc.family == "A":  # s_i swaps the values i and i+1, all in C
         return [(bytes.translate, bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
                 for i in range(1, desc.param + 1)]
-    m = desc.param  # s1 = (0, 1) and s2 = s1*rot
-    return [(lambda f, m: (-f[0] % m, f[1] ^ 1), m), (lambda f, m: ((-f[0] - 1) % m, f[1] ^ 1), m)]
+    m = desc.param  # s1 = (0, 1) and s2 = s1*rot: s_(c+1)*(k, flip) = (-k - c mod m, flip ^ 1)
+    return [(lambda f, c: ((-int.from_bytes(f[:3], "big") - c) % m << 8 | f[3] ^ 1)
+             .to_bytes(4, "big"), c) for c in (0, 1)]
 
 
 def _fill_down(table: tuple, left: tuple, first: tuple, start: int) -> tuple[int, ...]:
@@ -192,7 +193,8 @@ class GroupTable:
     Elements are dense integer ids, assigned in (length, canonical form)
     order, so id 0 is the identity and the last id is the longest element.
     Built by :func:`enumerate_group` from the forms and the left product
-    table in that id order, and the number of elements of each length.
+    table in that id order (the forms packed into ``forms``, records of one
+    width), and the number of elements of each length.
     The product tables are column-major: ``right[s][x]`` is x*s and
     ``left[s][x]`` is s*x, one tuple of ids per generator s. With t the
     first left descent of x, x*s = t*((t*x)*s) and x^-1 = (t*x)^-1*t read
@@ -204,7 +206,7 @@ class GroupTable:
     build raises AssertionError otherwise.
     """
 
-    def __init__(self, descriptor: CoxeterDescriptor, forms: tuple, left: tuple,
+    def __init__(self, descriptor: CoxeterDescriptor, forms: bytes, left: tuple,
                  sizes: Sequence[int]) -> None:
         self.descriptor = descriptor
         self.forms = forms
@@ -214,8 +216,9 @@ class GroupTable:
         self.length = length = tuple(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
         if sizes[-1] != 1:
             raise AssertionError("finite Coxeter group must have a unique longest element")
-        self.w0 = len(forms) - 1
-        ids = range(len(forms))
+        self.w0 = len(length) - 1
+        self._width = len(forms) // len(length)  # bytes per form
+        ids = range(len(length))
         for col in left:
             if not all(map(eq, map(col.__getitem__, col), ids)):
                 raise AssertionError("each generator column must be an involution")
@@ -243,10 +246,14 @@ class GroupTable:
         self._columns: dict[int, tuple[int, ...]] | None = None
         self._ideals: dict[Optional[int], dict[int, tuple[int, ...]]] = {}  # cap -> w -> ideal
 
+    def form(self, v: int) -> bytes:
+        """The canonical form of v: its record in ``forms``."""
+        return self.forms[v * self._width:(v + 1) * self._width]
+
     @cached_property
     def index(self) -> dict:
-        """Canonical form, as a tuple, -> id; built on first use (only parsing needs it)."""
-        return dict(zip(map(tuple, self.forms), range(len(self.forms))))
+        """Form, as a tuple of its bytes, -> id; built on first use (only parsing needs it)."""
+        return dict(zip(map(tuple, map(self.form, self.elements())), self.elements()))
 
     # -- construction helpers ------------------------------------------------
 
@@ -277,7 +284,7 @@ class GroupTable:
     # -- group structure -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.forms)
+        return len(self.length)
 
     def mul(self, a: int, b: int) -> int:
         """a*b, by a walk down the first right descents of b along ``right``."""
@@ -314,7 +321,7 @@ class GroupTable:
         return self.right[s][self.identity]
 
     def elements(self) -> Iterator[int]:
-        return iter(range(len(self.forms)))
+        return iter(range(len(self.length)))
 
     def left_descents(self, w: int) -> tuple[int, ...]:
         n, d = self.num_generators, self.descents[w]
@@ -399,7 +406,7 @@ class GroupTable:
     def comparable_pairs(self, cap: Optional[int] = None) -> list[tuple[int, int]]:
         """All ordered pairs (u, w) with u <= w and length(w) - length(u) <= cap
         (every pair without a cap), in id order, read off the kept ideals."""
-        return sorted((u, w) for w in range(len(self.forms)) for u in self.lower_ideal(w, cap))
+        return sorted((u, w) for w in range(len(self.length)) for u in self.lower_ideal(w, cap))
 
     # -- words and display -------------------------------------------------------
 
@@ -425,7 +432,7 @@ class GroupTable:
     def display(self, v: int) -> str:
         """Human-readable canonical form: one-line for type A, word for I2."""
         if self.descriptor.family == "A":  # A8 is the last rank under the cap: 9 letters
-            return self.forms[v].translate(_DIGITS).decode()
+            return self.form(v).translate(_DIGITS).decode()
         word = self.reduced_word(v)
         if not word:
             return "e"
@@ -441,8 +448,9 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
     in (length, canonical form) order with no relabelling. A level's products
     are one C-level ``map`` per generator, kept until the next level has ids,
     then extend the left product columns by index lookups: each product is
-    made once. More forms than the group order means a generator map is
-    not an involution, and raises AssertionError at once. A group of order
+    made once, and a level's records join the packed forms. More forms than
+    the group order means a generator map is not an involution, and raises
+    AssertionError at once. A group of order
     above ``DEFAULT_MAX_ORDER`` is refused before any element is built.
     """
     est = descriptor.order(cap=DEFAULT_MAX_ORDER)
@@ -451,24 +459,25 @@ def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:
         raise SizeLimitError(f"group {descriptor.spec_string()} has order {shown}"
                              f"above the cap {DEFAULT_MAX_ORDER}")
     gens = _generator_maps(descriptor)
-    forms, sizes, left = [], [], [[] for _ in gens]
+    forms, sizes, left, found = bytearray(), [], [[] for _ in gens], 0
     below, here = {}, {_identity_form(descriptor): 0}  # form -> id, per level
     while here:
-        forms += here
-        if len(forms) > est:
-            raise AssertionError(f"enumerated more than the {est} elements expected")
+        forms += b"".join(here)  # the records of a level, in id order
         sizes.append(len(here))
+        found += len(here)
+        if found > est:
+            raise AssertionError(f"enumerated more than the {est} elements expected")
         products = [list(map(times, here, repeat(by))) for times, by in gens]
         above = set(chain.from_iterable(products))
         above.difference_update(below, here)
-        above = dict(zip(sorted(above), count(len(forms))))
+        above = dict(zip(sorted(above), count(found)))
         below.update(here)  # the old level below is spent: it becomes the index
         below.update(above)  # of the three levels every product lies in
         for col, made in zip(left, products):
             col.extend(map(below.__getitem__, made))
         below, here = here, above
-    if len(forms) != est:
-        raise AssertionError(f"enumerated {len(forms)} elements, expected {est}")
+    if found != est:
+        raise AssertionError(f"enumerated {found} elements, expected {est}")
     for s in range(len(left)):  # one column list alive at a time
         left[s] = tuple(left[s])
-    return GroupTable(descriptor, tuple(forms), tuple(left), sizes)
+    return GroupTable(descriptor, bytes(forms), tuple(left), sizes)

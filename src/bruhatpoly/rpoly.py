@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import compress, repeat, zip_longest
-from math import comb
 from operator import attrgetter, is_
 from typing import NamedTuple, Sequence
 
@@ -332,13 +331,16 @@ class RContext:
 
 def reassemble_r(gamma: GammaVector) -> IntPoly:
     """Rebuild R from its gamma vector: sum gamma_j q^((ell-j)/2) (q-1)^j, with
-    (q-1)^j expanded as the signed binomial coefficients (-1)^(j-i) C(j, i) q^i."""
+    (q-1)^j expanded as the signed binomial coefficients (-1)^(j-i) C(j, i) q^i,
+    each from the one before."""
     ell = gamma.coxeter_length
     coeffs = [0] * (ell + 1)
     for j, gamma_j in gamma.entries:
         low = (ell - j) // 2
+        term = -gamma_j if j % 2 else gamma_j  # the coefficient of q^0 in gamma_j (q-1)^j
         for i in range(j + 1):
-            coeffs[low + i] += comb(j, i) * (gamma_j if (j - i) % 2 == 0 else -gamma_j)
+            coeffs[low + i] += term
+            term = -term * (j - i) // (i + 1)  # exact: C(j, i)(j-i) = C(j, i+1)(i+1)
     return IntPoly(coeffs)
 
 

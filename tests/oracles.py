@@ -44,9 +44,24 @@ def compose_forms(desc, fa, fb):
     return ((i + (-j if e else j)) % desc.param, e ^ d)
 
 
+def oracle_form(group, v: int) -> tuple:
+    """The form of v as the oracles write it, read off its packed record:
+    the one-line values for type A, (k, flip) for I2(m)."""
+    f = group.form(v)
+    return tuple(f) if group.descriptor.family == "A" else (int.from_bytes(f[:3], "big"), f[3])
+
+
+def oracle_id(group, form: tuple) -> int:
+    """The id of an oracle form, through the group's parse index."""
+    if group.descriptor.family == "I2":
+        form = (*form[0].to_bytes(3, "big"), form[1])
+    return group.index[tuple(form)]
+
+
 def form_product(group, a: int, b: int) -> int:
     """a*b through the canonical forms."""
-    return group.index[compose_forms(group.descriptor, group.forms[a], group.forms[b])]
+    return oracle_id(group, compose_forms(group.descriptor, oracle_form(group, a),
+                                          oracle_form(group, b)))
 
 
 def row_wise_enumeration(desc) -> SimpleNamespace:
@@ -105,7 +120,7 @@ def generator_ids(group) -> list[int]:
     transpositions for type A, the flips (0, 1) and (m-1, 1) for I2(m)."""
     desc = group.descriptor
     if desc.family == "I2":
-        return [group.index[(0, 1)], group.index[(desc.param - 1, 1)]]
+        return [oracle_id(group, (0, 1)), oracle_id(group, (desc.param - 1, 1))]
     out = []
     for i in range(desc.param):
         form = list(range(1, desc.param + 2))

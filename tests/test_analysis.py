@@ -508,7 +508,7 @@ def test_pattern_containment(a3, pid):
 
 def test_singularity_matches_irregularity(a3, a3_ctx):
     for w in a3.elements():
-        assert analysis.is_singular(a3.forms[w]) == \
+        assert analysis.is_singular(a3.form(w)) == \
             (not analysis.is_regular(a3_ctx, a3.identity, w))
 
 

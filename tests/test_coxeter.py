@@ -13,6 +13,8 @@ from oracles import (
     form_product,
     generator_ids,
     inversions,
+    oracle_form,
+    oracle_id,
     reachability,
     row_wise_enumeration,
 )
@@ -46,7 +48,7 @@ def test_size_cap_names_order():
 def test_type_a_lengths_are_inversions(a3, a4):
     for group in (a3, a4):
         for v in group.elements():
-            assert group.length[v] == inversions(group.forms[v])
+            assert group.length[v] == inversions(group.form(v))
 
 
 def test_s6_contains_564312_with_length_13():
@@ -72,7 +74,7 @@ def test_reflections(a2, a3, i2_groups):
             form = list(range(1, 5))
             form[i - 1], form[j - 1] = form[j - 1], form[i - 1]
             transpositions.add(tuple(form))
-    assert {tuple(a3.forms[t]) for t in a3.reflections} == transpositions
+    assert {tuple(a3.form(t)) for t in a3.reflections} == transpositions
     assert len(i2_groups[5].reflections) == 5
     # S3: the two generators plus their braid conjugate
     s1, s2 = a2.generator(0), a2.generator(1)
@@ -118,8 +120,11 @@ def test_tables_match_the_form_product(a1, a2, a3, a4, i2_groups):
 def test_tables_match_the_row_wise_enumeration(spec):
     desc = CoxeterDescriptor.parse(spec)
     group, ref = enumerate_group(desc), row_wise_enumeration(desc)
-    assert tuple(map(tuple, group.forms)) == ref.forms
-    assert group.index == ref.index
+    # the packed records decode to the oracle's forms in its (length, form)
+    # order, so I2's 4-byte records sort as the (k, flip) pairs do
+    assert tuple(oracle_form(group, v) for v in group.elements()) == ref.forms
+    assert {f: oracle_id(group, f) for f in ref.index} == ref.index
+    assert len(group.index) == len(ref.index) == len(group.forms) // len(group.form(0))
     assert group.right == tuple(zip(*ref.right))
     assert group.left == tuple(zip(*ref.left))
     assert group.length == ref.length
@@ -191,10 +196,13 @@ def test_a_faulty_generator_column_is_refused(spec, fault, message):
         GroupTable(group.descriptor, group.forms, left, sizes)
 
 
-def test_a6_tables_keep_at_most_260_bytes_per_element():
-    # traced bytes that the group and a fresh R context keep: 225 per
-    # element with bytes forms, 287 with tuple forms, 439 with row tuples
-    # for both product tables and a per-context copy of the descent masks
+def test_a6_tables_keep_at_most_226_bytes_per_element():
+    # traced bytes that the group and a fresh R context keep: 215.8 per
+    # element with the forms packed in one bytes (the bound is that plus
+    # about 5 %). Before: 256.8 with one bytes object per form, once the
+    # context made its lower rows up front (225 when they were made on
+    # first use), 287 with tuple forms, and 439 with row tuples for both
+    # product tables and a per-context copy of the descent masks
     gc.collect()
     tracemalloc.start()
     try:
@@ -203,7 +211,7 @@ def test_a6_tables_keep_at_most_260_bytes_per_element():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept / len(ctx.group) <= 260
+    assert kept / len(ctx.group) <= 226
 
 
 def test_mul_walk_matches_the_form_product(a3, i2_groups):
@@ -242,7 +250,7 @@ def _assert_order_matches(group, below) -> None:
 
 def test_bruhat_matches_dot_criterion(a1, a2, a3, a4):
     for group in (a1, a2, a3, a4):
-        _assert_order_matches(group, lambda u, w: dot_leq(group.forms[u], group.forms[w]))
+        _assert_order_matches(group, lambda u, w: dot_leq(group.form(u), group.form(w)))
 
 
 def test_bruhat_matches_descent_recursion(a1, a2, a3, a4):
@@ -318,14 +326,14 @@ def test_descents(a3, pid):
     assert descent_bits(a3, a3.w0, 1) == a3.left_descents(a3.w0) == (0, 1, 2)
     # one-line rule: descent positions i with w(i) > w(i+1)
     w = pid(a3, "3412")
-    positions = tuple(i for i in range(3) if a3.forms[w][i] > a3.forms[w][i + 1])
+    positions = tuple(i for i in range(3) if a3.form(w)[i] > a3.form(w)[i + 1])
     assert positions == (1,)
     assert descent_bits(a3, w, 0) == (1,)
 
 
 def test_descents_match_one_line_rule(a4):
     for v in a4.elements():
-        form = a4.forms[v]
+        form = a4.form(v)
         rule = tuple(i for i in range(4) if form[i] > form[i + 1])
         assert descent_bits(a4, v, 0) == rule
         # left descents: i + 2 stands before i + 1 in the one-line form
@@ -334,7 +342,7 @@ def test_descents_match_one_line_rule(a4):
 
 
 def test_elements_sorted_by_length_then_form(a3):
-    keys = [(a3.length[v], a3.forms[v]) for v in a3.elements()]
+    keys = [(a3.length[v], a3.form(v)) for v in a3.elements()]
     assert keys == sorted(keys)
 
 
