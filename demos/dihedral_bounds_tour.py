@@ -13,14 +13,16 @@ from bruhatpoly import analysis
 from bruhatpoly.poly import coeffwise_leq, monomial, size, total
 
 
-def is_boolean(group, interval):
-    """Whether v -> {atoms below v} maps the interval one to one onto the
-    sets of its atoms, each v to a set of size length(v) - length(bottom)."""
-    base, ell = group.length[interval.bottom], interval.ell
-    atoms = [a for a in interval.members if group.length[a] == base + 1]
+def is_boolean(group, members):
+    """Whether v -> {atoms below v} maps the interval with ascending ids
+    ``members`` one to one onto the sets of its atoms, each v to a set of
+    size length(v) - length(bottom)."""
+    base = group.length[members[0]]
+    ell = group.length[members[-1]] - base
+    atoms = [a for a in members if group.length[a] == base + 1]
     below = {frozenset(a for a in atoms if group.leq(a, v)): group.length[v] - base
-             for v in interval.members}
-    return (len(atoms) == ell and len(below) == len(interval) == 2 ** ell
+             for v in members}
+    return (len(atoms) == ell and len(below) == len(members) == 2 ** ell
             and all(len(s) == rank for s, rank in below.items()))
 
 
@@ -45,9 +47,9 @@ for u, w in pairs:
     if n >= 1:
         assert coeffwise_leq(monomial(n), sh)
         assert coeffwise_leq(sh, analysis.dihedral_poly(n))
-    interval = group.interval(u, w)
-    ranks = Counter(group.length[v] - group.length[u] for v in interval.members)
-    if is_boolean(group, interval):
+    members = group.interval(u, w)
+    ranks = Counter(group.length[v] - group.length[u] for v in members)
+    if is_boolean(group, members):
         booleans += 1
         assert sh == monomial(n)
     elif [ranks[r] for r in range(n + 1)] == [1] + [2] * (n - 1) + [1]:  # dihedral

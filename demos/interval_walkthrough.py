@@ -25,12 +25,12 @@ w = group.index[(3, 4, 1, 2)]
 print(f"group A3 has {len(group)} elements; longest element "
       f"{group.display(group.w0)} of length {group.length[group.w0]}")
 
-interval = group.interval(e, w)
-graph = build_graph(group, interval)
+members = group.interval(e, w)
+graph = build_graph(group, members)
 print(f"\ninterval [{group.display(e)}, {group.display(w)}]: "
       f"{graph.num_vertices} vertices, {graph.num_edges} edges")
 print("members by length:")
-for v in interval.members:
+for v in members:
     marker = " <- degree 5" if graph.degree(v) == 5 else ""
     print(f"  {group.display(v)}  (length {group.length[v]}, "
           f"degree {graph.degree(v)}){marker}")

@@ -16,7 +16,6 @@ from bruhatpoly import (
     enumerate_group,
     increasing_paths,
 )
-from bruhatpoly.graph import lex_min_w0_word
 from bruhatpoly.poly import Q_PLUS_ONE, ZERO, monomial
 
 
@@ -31,7 +30,7 @@ ctx = RContext(group)
 e = group.identity
 w = group.index[(3, 4, 1, 2)]
 
-word = lex_min_w0_word(group)
+word = group.reduced_word(group.w0)
 print("lexicographically smallest reduced word of the longest element:",
       " ".join(f"s{i+1}" for i in word))
 

@@ -11,7 +11,6 @@ from .coxeter import (
     CoxeterDescriptor,
     EmptyIntervalError,
     GroupTable,
-    Interval,
     SizeLimitError,
     enumerate_group,
 )

@@ -69,7 +69,7 @@ def poincare(ctx: RContext, w: int) -> IntPoly:
     """Rank generating function of the lower interval of w."""
     g = ctx.group
     counts: dict[int, int] = {}
-    for v in g.interval(g.identity, w).members:
+    for v in g.interval(g.identity, w):
         counts[g.length[v]] = counts.get(g.length[v], 0) + 1
     top = max(counts)
     return IntPoly(tuple(counts.get(i, 0) for i in range(top + 1)))
@@ -100,7 +100,7 @@ def is_regular(ctx: RContext, u: int, w: int) -> bool:
     verdict = ctx.verdicts.get(key)
     if verdict is None:
         g, descents = ctx.group, ctx.group.descents
-        members, ell = g.interval(u, w).members, g.length[w] - g.length[u]
+        members, ell = g.interval(u, w), g.length[w] - g.length[u]
         fixed, degree = descents[w] & ~descents[u], _degree(g, members)
         verdict = ctx.verdicts[key] = all(
             degree(x) == ell for x in members if not descents[x] & fixed)
@@ -122,8 +122,8 @@ def _boolean_coeffs(ell: int) -> tuple[int, ...]:
 def interval_shifted_sum(ctx: RContext, u: int, w: int) -> IntPoly:
     """Sum of the shifted polynomials from u over the whole interval [u, w]
     (``RContext.shifted_sum``)."""
-    interval = ctx.group.interval(u, w)
-    return ctx.shifted_sum(u, interval.members, interval.ell)
+    g = ctx.group
+    return ctx.shifted_sum(u, g.interval(u, w), g.length[w] - g.length[u])
 
 
 def bruhat_poincare(ctx: RContext, w: int) -> IntPoly:
@@ -166,7 +166,7 @@ def regular_via_upper_boolean(ctx: RContext, u: int, w: int) -> bool:
         g, descents = ctx.group, ctx.group.descents
         top = descents[w]
         verdict = ctx.verdicts[key] = all(
-            is_bruhat_boolean(ctx, v, w) for v in g.interval(u, w).members
+            is_bruhat_boolean(ctx, v, w) for v in g.interval(u, w)
             if descents[v] & top == top)
     return verdict
 
@@ -192,11 +192,11 @@ def p1_p2(graph: BruhatGraph, order: ReflectionOrder, interval_sum: IntPoly) -> 
     to anywhere in the interval. Their sum is asserted to match the q^2
     coefficient of ``interval_sum``, the interval's shifted sum.
     """
-    u = graph.interval.bottom
+    u, w = graph.members[0], graph.members[-1]
     length, row, rank = graph.group.length, graph.out_edges[u], order.rank
     p1 = sum((length[y] - length[u] - 1) // 2 for y, _ in row)
     p2 = sum(rank[t2] > rank[t] for y, t in row for _, t2 in graph.out_edges[y])
-    if graph.interval.ell >= 2 and p1 + p2 != interval_sum.coefficient(2):
+    if length[w] - length[u] >= 2 and p1 + p2 != interval_sum.coefficient(2):
         raise AssertionError("p1 + p2 must equal the q^2 coefficient of the interval sum")
     return p1, p2
 
@@ -242,11 +242,10 @@ class DeodharVerdict(NamedTuple):
 def deodhar_check(ctx: RContext, u: int, w: int) -> DeodharVerdict:
     """Both degree inequalities for [u, w], with strictness records."""
     g = ctx.group
-    interval = g.interval(u, w)
-    ell = interval.ell
-    interval_sum = ctx.shifted_sum(u, interval.members, ell)
+    members, ell = g.interval(u, w), g.length[w] - g.length[u]
+    interval_sum = ctx.shifted_sum(u, members, ell)
     f1, f2 = interval_sum.coefficient(1), interval_sum.coefficient(2)
-    if f1 != _degree(g, interval.members)(u):  # every edge at u goes up
+    if f1 != _degree(g, members)(u):  # every edge at u goes up
         raise AssertionError("q coefficient of the interval sum must be the out-degree")
     return DeodharVerdict(
         ell=ell,
@@ -474,11 +473,11 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
     criteria, and in type A the pattern criterion.
     """
     g = ctx.group
-    interval = g.interval(u, w)
-    graph = build_graph(g, interval)
+    members, ell = g.interval(u, w), g.length[w] - g.length[u]
+    graph = build_graph(g, members)
     gamma = ctx.gamma_vector(u, w)
     shifted = ctx.shifted(u, w)
-    interval_sum = ctx.shifted_sum(u, interval.members, interval.ell)
+    interval_sum = ctx.shifted_sum(u, members, ell)
     p1, p2 = p1_p2(graph, default_reflection_order(g), interval_sum)
     regular = is_regular(ctx, u, w)
     regularity = {
@@ -490,7 +489,7 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
         "group": g.descriptor.spec_string(),
         "u": g.display(u),
         "w": g.display(w),
-        "ell": graph.interval.ell,
+        "ell": ell,
         "absolute_length": gamma.absolute_length,
         "r": _poly_json(ctx.r(u, w)),
         "rtilde": _poly_json(ctx.rtilde(u, w)),
@@ -505,7 +504,7 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
         "p1": p1,
         "p2": p2,
         "regularity": regularity,
-        "bruhat_boolean": interval_sum.coeffs == _boolean_coeffs(interval.ell),
+        "bruhat_boolean": interval_sum.coeffs == _boolean_coeffs(ell),
         "dihedral_bounds_ok": dihedral_bounds_ok(ctx, u, w),
     }
     if u == g.identity:

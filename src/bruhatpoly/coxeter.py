@@ -22,7 +22,9 @@ cut at a length cap, are built lazily on first use, from the columns of
 ``right``; only the ideals callers ask for are kept, per table and cap. A
 kept ideal is a pure function of its top element and cap, so sharing a
 table between worker processes (or rebuilding it per worker) gives
-identical answers.
+identical answers. An interval [u, w] is the ascending tuple of its ids:
+the kept ideal of w for u the identity, else the members of that ideal
+above u.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq, gt, lshift, or_, sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "CoxeterDescriptor",
     "GroupTable",
-    "Interval",
     "SizeLimitError",
     "EmptyIntervalError",
     "enumerate_group",
@@ -52,27 +53,6 @@ class SizeLimitError(ValueError):
 
 class EmptyIntervalError(ValueError):
     """Raised when asked for [u, w] with u not below w in Bruhat order."""
-
-
-class Frozen:
-    """A read-only record on slots, for the records that cannot be tuples:
-    ``__init__`` sets the fields ``_fields`` in order, and a record pickles
-    as its class and field values. The other records are ``NamedTuple``
-    classes, which cost far less to import and create than dataclasses."""
-
-    __slots__ = _fields = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(map(self.__getattribute__, self._fields))
 
 
 class CoxeterDescriptor(NamedTuple("CoxeterDescriptor", [("family", str), ("param", int)])):
@@ -167,26 +147,6 @@ def _fill_down(table: tuple, left: tuple, first: tuple, start: int) -> tuple[int
     return tuple(out)
 
 
-class Interval(Frozen):
-    """A Bruhat interval [bottom, top] of length difference ``ell``: its
-    ``members`` are ids sorted by (length, form), and ``len`` counts them."""
-
-    __slots__ = _fields = ("bottom", "top", "ell", "members")
-    bottom: int
-    top: int
-    ell: int
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Interval and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-
 class GroupTable:
     """A fully enumerated finite Coxeter group.
 
@@ -277,7 +237,7 @@ class GroupTable:
         if len(out) != self.length[self.w0]:
             raise AssertionError("reflection count must equal the length of the longest element")
         for t in out:
-            if self.mul(t, t) != self.identity:
+            if self._inverse[t] != t:
                 raise AssertionError("reflections must be involutions")
         return out
 
@@ -390,18 +350,19 @@ class GroupTable:
             below = ideals[top] = tuple(sorted(below))
         return below
 
-    def interval(self, u: int, w: int) -> Interval:
-        """The Bruhat interval [u, w]; raises EmptyIntervalError if u is not below w."""
+    def interval(self, u: int, w: int) -> tuple[int, ...]:
+        """The ids of the Bruhat interval [u, w] in ascending order, so u first
+        and w last; for u the identity, the kept lower ideal of w itself.
+        Raises EmptyIntervalError if u is not below w."""
         if not self.leq(u, w):
             raise EmptyIntervalError(
                 f"[{self.display(u)}, {self.display(w)}] is empty: endpoints are not comparable"
             )
-        lu, lw = self.length[u], self.length[w]
         members = self.lower_ideal(w)
         if u != self.identity:
-            length = self.length
+            length, lu = self.length, self.length[u]
             members = tuple(v for v in members if length[v] >= lu and self.leq(u, v))
-        return Interval(u, w, lw - lu, members)
+        return members
 
     def comparable_pairs(self, cap: Optional[int] = None) -> list[tuple[int, int]]:
         """All ordered pairs (u, w) with u <= w and length(w) - length(u) <= cap
@@ -419,12 +380,14 @@ class GroupTable:
             v = self.right[s][v]
         return v
 
-    def reduced_word(self, v: int) -> tuple[int, ...]:
-        """Lexicographically smallest reduced word (greedy left descents)."""
+    def reduced_word(self, v: int, pick: Callable = min) -> tuple[int, ...]:
+        """The reduced word of v that takes the ``pick`` of the left descents
+        at each step: with ``min`` the lexicographically smallest, with
+        ``max`` the largest (every reduced word starts with a left descent)."""
         word = []
         cur = v
         while cur != self.identity:
-            s = min(self.left_descents(cur))
+            s = pick(self.left_descents(cur))
             word.append(s)
             cur = self.left[s][cur]
         return tuple(word)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .coxeter import Frozen, GroupTable, Interval
+from .coxeter import GroupTable
 from .poly import IntPoly, split_fields
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "InvalidWordError",
     "build_graph",
     "reflection_order_from_word",
-    "lex_min_w0_word",
-    "lex_max_w0_word",
     "default_reflection_order",
     "distinct_reflection_orders",
     "increasing_paths",
@@ -66,24 +64,39 @@ class BruhatPath(NamedTuple):
         return len(self.labels)
 
 
-class BruhatGraph(Frozen):
+class BruhatGraph:
     """The Bruhat graph induced on one interval.
 
+    ``members`` are the ids of the interval, ascending (``GroupTable.interval``).
     ``out_edges[x]`` is the row of x: one (y, t) per edge x -> y = x*t, in
-    target order. ``in_degree[y]`` counts the edges into y. Graphs compare
-    by identity and take weak references.
+    target order. ``in_degree[y]`` counts the edges into y. A graph is
+    read-only on slots: ``__init__`` sets the fields ``_fields`` in order,
+    and it pickles as its class and field values. Graphs compare by
+    identity and take weak references.
     """
 
-    _fields = ("group", "interval", "out_edges", "in_degree")
+    _fields = ("group", "members", "out_edges", "in_degree")
     __slots__ = _fields + ("__weakref__",)
     group: GroupTable
-    interval: Interval
+    members: tuple[int, ...]
     out_edges: dict[int, tuple[tuple[int, int], ...]]
     in_degree: dict[int, int]
 
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
     @property
     def num_vertices(self) -> int:
-        return len(self.interval.members)
+        return len(self.members)
 
     @property
     def num_edges(self) -> int:
@@ -93,13 +106,14 @@ class BruhatGraph(Frozen):
         return len(self.out_edges[v]) + self.in_degree[v]
 
 
-def build_graph(group: GroupTable, interval: Interval) -> BruhatGraph:
-    """All edges x -> y with both ends in the interval and increasing length."""
-    in_degree = dict.fromkeys(interval.members, 0)
+def build_graph(group: GroupTable, members: tuple[int, ...]) -> BruhatGraph:
+    """All edges x -> y with both ends in the interval whose ascending ids are
+    ``members`` (``GroupTable.interval``) and increasing length."""
+    in_degree = dict.fromkeys(members, 0)
     length = group.length
     columns = tuple(group.reflection_columns().items())
     out_edges = {}
-    for x in interval.members:
+    for x in members:
         lx = length[x]
         row = []
         for t, col in columns:
@@ -110,7 +124,7 @@ def build_graph(group: GroupTable, interval: Interval) -> BruhatGraph:
                 row.append((y, t))
                 in_degree[y] += 1
         out_edges[x] = tuple(sorted(row))
-    return BruhatGraph(group, interval, out_edges, in_degree)
+    return BruhatGraph(group, members, out_edges, in_degree)
 
 
 class ReflectionOrder:
@@ -169,34 +183,19 @@ def reflection_order_from_word(group: GroupTable, word: Sequence[int]) -> Reflec
     return ReflectionOrder(sequence)
 
 
-def lex_min_w0_word(group: GroupTable) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word of w0 (greedy left descents)."""
-    return group.reduced_word(group.w0)
-
-
-def lex_max_w0_word(group: GroupTable) -> tuple[int, ...]:
-    """Greedy largest-left-descent reduced word of w0."""
-    word = []
-    cur = group.w0
-    while cur != group.identity:
-        s = max(group.left_descents(cur))
-        word.append(s)
-        cur = group.left[s][cur]
-    return tuple(word)
-
-
 def default_reflection_order(group: GroupTable) -> ReflectionOrder:
-    return reflection_order_from_word(group, lex_min_w0_word(group))
+    return reflection_order_from_word(group, group.reduced_word(group.w0))
 
 
 def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
-    """The default reflection order, the order of the greedy largest-descent
-    word of w0 and the reverse of the default, less repeats: three on A3 and
-    up, two on A2 and on every dihedral group (which admits exactly two) and
-    one on A1."""
+    """The default reflection order, the order of the lexicographically
+    largest reduced word of w0 and the reverse of the default, less repeats:
+    three on A3 and up, two on A2 and on every dihedral group (which admits
+    exactly two) and one on A1."""
     base = default_reflection_order(group)
     orders = [base]
-    for order in (reflection_order_from_word(group, lex_max_w0_word(group)), base.reversed()):
+    largest = group.reduced_word(group.w0, max)
+    for order in (reflection_order_from_word(group, largest), base.reversed()):
         if order not in orders:
             orders.append(order)
     return orders
@@ -359,9 +358,9 @@ def to_dot(graph: BruhatGraph) -> str:
     """Graphviz DOT rendering: deterministic order, long edges dashed."""
     g = graph.group
     lines = ["digraph bruhat {", "  rankdir=BT;"]
-    for v in graph.interval.members:
+    for v in graph.members:
         lines.append(f'  "{g.display(v)}" [label="{g.display(v)} ({g.length[v]})"];')
-    for x in graph.interval.members:  # ascending ids, rows in target order
+    for x in graph.members:  # ascending ids, rows in target order
         for y, _ in graph.out_edges[x]:
             height = (g.length[y] - g.length[x] + 1) // 2
             style = "" if height == 1 else f' [style=dashed, label="h={height}"]'

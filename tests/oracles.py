@@ -237,7 +237,7 @@ def double_r_at(gamma, p: IntPoly, q: IntPoly) -> IntPoly:
 def graph_degrees(group, u: int, w: int) -> dict[int, int]:
     """The total (undirected) degree of every vertex of the built Bruhat graph of [u, w]."""
     graph = build_graph(group, group.interval(u, w))
-    return {v: graph.degree(v) for v in graph.interval.members}
+    return {v: graph.degree(v) for v in graph.members}
 
 
 def regular_by_graph_degrees(group, u: int, w: int) -> bool:
@@ -250,7 +250,7 @@ def upper_boolean_per_v(ctx, u: int, w: int) -> bool:
     """Every upper subinterval [v, w] of [u, w] is Bruhat-Boolean, one
     interval and one shifted sum per v."""
     return all(analysis.is_bruhat_boolean(ctx, v, w)
-               for v in ctx.group.interval(u, w).members)
+               for v in ctx.group.interval(u, w))
 
 
 def upper_boolean_one_pass(ctx, u: int, w: int) -> bool:
@@ -258,7 +258,7 @@ def upper_boolean_one_pass(ctx, u: int, w: int) -> bool:
     pass: each x in [u, w] joins the list of every v of its lower ideal
     inside [u, w], so the list of v is [v, w]; then one shifted sum per v."""
     g = ctx.group
-    members = g.interval(u, w).members
+    members = g.interval(u, w)
     above: dict[int, list[int]] = {v: [] for v in members}
     for x in members:
         for v in g.lower_ideal(x):
@@ -283,7 +283,7 @@ def coeff_sum(polys) -> tuple[int, ...]:
 def interval_sum_per_member(ctx, u: int, w: int) -> IntPoly:
     """Sum of shifted(u, x) over the members of [u, w], one memo query and
     one polynomial addition per member."""
-    return sum((ctx.shifted(u, x) for x in ctx.group.interval(u, w).members), ZERO)
+    return sum((ctx.shifted(u, x) for x in ctx.group.interval(u, w)), ZERO)
 
 
 def capped_ideal_by_prefix(group, w: int, cap: int) -> tuple[int, ...]:
@@ -354,24 +354,27 @@ def dihedral_closed_form_ok(n: int) -> bool:
             == 2 * core + IntPoly((0, n)) * q_plus_2 * Q_PLUS_ONE ** (n - 1))
 
 
-def is_boolean_interval(group, interval) -> bool:
-    """Whether v -> {atoms below v} maps the interval one to one onto the
-    sets of its ell atoms, each v to a set of size length(v) - length(bottom):
-    an isomorphism onto the Boolean lattice of rank ell."""
-    base, ell = group.length[interval.bottom], interval.ell
-    atoms = [a for a in interval.members if group.length[a] == base + 1]
+def is_boolean_interval(group, members) -> bool:
+    """Whether v -> {atoms below v} maps the interval with ascending ids
+    ``members`` one to one onto the sets of its ell atoms, each v to a set
+    of size length(v) - length(bottom): an isomorphism onto the Boolean
+    lattice of rank ell."""
+    base = group.length[members[0]]
+    ell = group.length[members[-1]] - base
+    atoms = [a for a in members if group.length[a] == base + 1]
     below = {frozenset(a for a in atoms if group.leq(a, v)): group.length[v] - base
-             for v in interval.members}
-    return (len(atoms) == ell and len(below) == len(interval) == 2 ** ell
+             for v in members}
+    return (len(atoms) == ell and len(below) == len(members) == 2 ** ell
             and all(len(s) == rank for s, rank in below.items()))
 
 
 def is_dihedral_interval(graph) -> bool:
     """Rank sizes 1, 2, ..., 2, 1, and each element covered by every element
     one rank up, read off the built Bruhat graph."""
-    g, interval = graph.group, graph.interval
-    base, ell = g.length[interval.bottom], interval.ell
-    layers = [[v for v in interval.members if g.length[v] == base + r] for r in range(ell + 1)]
+    g, members = graph.group, graph.members
+    base = g.length[members[0]]
+    ell = g.length[members[-1]] - base
+    layers = [[v for v in members if g.length[v] == base + r] for r in range(ell + 1)]
     return ([len(layer) for layer in layers] == [min(r, ell - r, 1) + 1 for r in range(ell + 1)]
             and all(set(above) <= {y for y, _ in graph.out_edges[v]}
                     for below, above in zip(layers, layers[1:]) for v in below))
@@ -500,7 +503,7 @@ def smallest_rank_word_top_down(graph, u: int, w: int, order) -> tuple[int, ...]
     graph's interval down, each vertex keeps its smallest word to w."""
     length, rank = graph.group.length, order.rank
     best = {w: ()}
-    for x in reversed(graph.interval.members):  # members ascend in length
+    for x in reversed(graph.members):  # members ascend in length
         words = [(rank[t],) + best[y] for y, t in graph.out_edges[x]
                  if length[y] == length[x] + 1]
         if words:

@@ -154,7 +154,7 @@ def test_splitting_identity_by_path_enumeration(a3, a3_ctx):
     for w in a3.elements():
         graph = build_graph(a3, a3.interval(a3.identity, w))
         long_sum = ZERO
-        for v in graph.interval.members:
+        for v in graph.members:
             for path in increasing_paths(graph, a3.identity, v, order):
                 if path.coxeter_length != path.absolute_length:
                     long_sum = long_sum + path_weight(a3, path)
@@ -369,8 +369,7 @@ def test_deodhar_examples(a3, a3_ctx, i2_ctxs, pid):
 def test_deodhar_on_boolean_intervals(a3, a3_ctx):
     found = 0
     for u, w in a3.comparable_pairs():
-        interval = a3.interval(u, w)
-        if is_boolean_interval(a3, interval):
+        if is_boolean_interval(a3, a3.interval(u, w)):
             found += 1
             v = analysis.deodhar_check(a3_ctx, u, w)
             assert v.f1 == v.ell
@@ -649,12 +648,12 @@ def test_packed_interval_sums_match_the_coefficient_transpose(spec, tops):
         pairs = [(e, w) for w in (ws if tops == "lower" else random.Random(21).sample(ws, tops))]
     ctx, oracle = RContext(group), RContext(group)
     for u, w in pairs:
-        interval = group.interval(u, w)
+        members = group.interval(u, w)
         packed = analysis.interval_shifted_sum(ctx, u, w)
         # the packed memo values, also on the lower intervals that read the packed row
-        via_memo = split_fields(sum(ctx._pack(ctx.shifted(u, x)) for x in interval.members),
+        via_memo = split_fields(sum(ctx._pack(ctx.shifted(u, x)) for x in members),
                                 ctx._packed_width)
-        transposed = coeff_sum(oracle.shifted(u, x) for x in interval.members)
+        transposed = coeff_sum(oracle.shifted(u, x) for x in members)
         assert packed.coeffs == via_memo == transposed
         assert packed == interval_sum_per_member(oracle, u, w)
 
@@ -715,7 +714,7 @@ def test_blanco_inequality(a3, a3_ctx, a4, a4_ctx):
 
 def test_brenti_chain_inequality(a3, a3_ctx):
     for u, v in a3.comparable_pairs():
-        for x in a3.interval(u, v).members:
+        for x in a3.interval(u, v):
             gap = a3.length[v] - a3.length[x]
             lhs = monomial(gap) * a3_ctx.rtilde(u, x)
             assert coeffwise_leq(lhs, a3_ctx.rtilde(u, v))

@@ -20,7 +20,7 @@ from bruhatpoly import (
     short_paths,
     to_dot,
 )
-from bruhatpoly.graph import InvalidWordError, lex_min_w0_word
+from bruhatpoly.graph import InvalidWordError
 from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, average, size
 from bruhatpoly.suite import _interval_scope
 from oracles import (absolute_distance, edge_weight, el_holds, naive_paths, order_violations,
@@ -68,11 +68,11 @@ def test_edge_parity_and_heights(a3, a4):
 def test_in_degree_law_exhaustive(a3):
     for w in a3.elements():
         g = lower_graph(a3, w)
-        into = dict.fromkeys(g.interval.members, 0)
+        into = dict.fromkeys(g.members, 0)
         for row in g.out_edges.values():
             for y, _ in row:
                 into[y] += 1
-        for v in g.interval.members:
+        for v in g.members:
             assert into[v] == g.in_degree[v] == a3.length[v]
 
 
@@ -84,7 +84,7 @@ def test_absolute_distance(a3, pid):
     some_target, _ = g.out_edges[e][0]
     assert absolute_distance(g, e, some_target) == 1
     # parity agrees with the Coxeter length difference
-    for v in g.interval.members:
+    for v in g.members:
         d = absolute_distance(g, e, v)
         assert (a3.length[v] - d) % 2 == 0 and d <= a3.length[v]
 
@@ -122,7 +122,7 @@ def test_reflection_order_construction_dihedral(i2_groups):
 
 
 def test_reflection_order_construction_s3(a2):
-    order = reflection_order_from_word(a2, lex_min_w0_word(a2))
+    order = reflection_order_from_word(a2, a2.reduced_word(a2.w0))
     assert len(set(order.sequence)) == 3 == a2.length[a2.w0]
     assert not order_violations(a2, order)
 
@@ -284,9 +284,9 @@ def test_short_paths_are_saturated(a3, pid):
     chains = short_paths(g, a3.identity, w)
     assert all(c.absolute_length == 6 for c in chains)
     # independent count: dynamic programming over covering edges
-    counts = dict.fromkeys(g.interval.members, 0)
+    counts = dict.fromkeys(g.members, 0)
     counts[a3.identity] = 1
-    for x in g.interval.members:  # ascending length: counts[x] is final here
+    for x in g.members:  # ascending length: counts[x] is final here
         for y, _ in g.out_edges[x]:
             if a3.length[y] == a3.length[x] + 1:
                 counts[y] += counts[x]
