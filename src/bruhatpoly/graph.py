@@ -15,15 +15,15 @@ to every element above it, by absolute length, in one pass per reflection
 of the order over the whole group's ids; by Dyer's theorem these counts are
 the coefficients of R-tilde, and weighted they give the shifted
 R-polynomial. It also walks the lexicographically first maximal chain
-along rows of covers, for Dyer's EL property. One depth-first walker lists
-the paths of one interval's graph (``increasing_paths``, ``short_paths``);
-no command calls it, and the tests list paths with it to check the counts.
+along rows of covers, for Dyer's EL property. One walker lists the paths
+of one interval's graph level by level (``increasing_paths``,
+``short_paths``); no command calls it, and the tests check the counts by it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .coxeter import GroupTable
 from .poly import IntPoly, split_fields
@@ -64,35 +64,18 @@ class BruhatPath(NamedTuple):
         return len(self.labels)
 
 
-class BruhatGraph:
+class BruhatGraph(NamedTuple):
     """The Bruhat graph induced on one interval.
 
     ``members`` are the ids of the interval, ascending (``GroupTable.interval``).
     ``out_edges[x]`` is the row of x: one (y, t) per edge x -> y = x*t, in
-    target order. ``in_degree[y]`` counts the edges into y. A graph is
-    read-only on slots: ``__init__`` sets the fields ``_fields`` in order,
-    and it pickles as its class and field values. Graphs compare by
-    identity and take weak references.
+    target order. ``in_degree[y]`` counts the edges into y.
     """
 
-    _fields = ("group", "members", "out_edges", "in_degree")
-    __slots__ = _fields + ("__weakref__",)
     group: GroupTable
     members: tuple[int, ...]
     out_edges: dict[int, tuple[tuple[int, int], ...]]
     in_degree: dict[int, int]
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(map(self.__getattribute__, self._fields))
 
     @property
     def num_vertices(self) -> int:
@@ -204,51 +187,34 @@ def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
 # -- path enumeration ---------------------------------------------------------
 
 
-def _edge_table(graph: BruhatGraph, order: Optional[ReflectionOrder],
-                short_only: bool) -> dict[int, list[tuple[int, int, int]]]:
-    """Each vertex -> its admissible out-edges as (label rank, target, reflection):
-    every edge, or covering edges only, sorted by label rank in ``order``.
-    Without an order every rank is 0, which leaves the edges in target order.
-    """
-    rank = order.rank if order is not None else dict.fromkeys(graph.group.reflections, 0)
-    length = graph.group.length
-    return {x: sorted([(rank[t], y, t) for y, t in row
-                       if not short_only or length[y] == length[x] + 1])
-            for x, row in graph.out_edges.items()}
-
-
 def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
-          short_only: bool) -> Iterator[BruhatPath]:
-    """Every path u -> ... -> w along the admissible edges of ``_edge_table``.
+          short_only: bool) -> list[BruhatPath]:
+    """Every path u -> ... -> w along the admissible edges: covers only with
+    ``short_only``, and with an order only labels ranked above the last one.
 
-    Depth first in table order, so with an order the paths whose labels
-    strictly increase come out in lexicographic rank order. The stack of
-    edge iterators is explicit: a recursive closure would refer to itself,
-    and that reference cycle would keep the graph alive until the cyclic
-    collector ran.
+    The partial paths grow by one edge a round, and those that reach w are
+    kept, sorted by label-rank word with an order and by vertices without
+    one (either fixes a path): the order of a depth-first walk.
     """
-    ell = graph.group.length[w] - graph.group.length[u]
-    if u == w:
-        yield BruhatPath((u,), (), ell)
-        return
-    table = _edge_table(graph, order, short_only)
-    vertices, labels = [u], [None]  # labels[0] stands for the edge into u
-    stack = [iter(table[u])]
-    while stack:
-        for r, x, t in stack[-1]:
+    length = graph.group.length
+    ell = length[w] - length[u]
+    partial, found = [((u,), ())], []
+    while partial:
+        grown = []
+        for vertices, labels in partial:
+            x = vertices[-1]
             if x == w:
-                yield BruhatPath((*vertices, x), (*labels[1:], t), ell)
+                key = tuple(map(order.rank.__getitem__, labels)) if order is not None else vertices
+                found.append((key, BruhatPath(vertices, labels, ell)))
                 continue
-            row = table[x]
-            vertices.append(x)
-            labels.append(t)
-            # later labels must rank above r, and the row ascends in rank
-            stack.append(iter(row[bisect_left(row, (r + 1,)):] if order is not None else row))
-            break
-        else:  # the top vertex has no edge left: step back
-            stack.pop()
-            vertices.pop()
-            labels.pop()
+            for y, t in graph.out_edges[x]:
+                if short_only and length[y] != length[x] + 1:
+                    continue
+                if order is not None and labels and order.rank[t] <= order.rank[labels[-1]]:
+                    continue
+                grown.append(((*vertices, y), (*labels, t)))
+        partial = grown
+    return [path for _, path in sorted(found)]
 
 
 def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
@@ -260,12 +226,12 @@ def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
     increasing maximal chains. Results come out sorted lexicographically by
     label rank.
     """
-    return list(_walk(graph, u, w, order, short_only))
+    return _walk(graph, u, w, order, short_only)
 
 
 def short_paths(graph: BruhatGraph, u: int, w: int) -> list[BruhatPath]:
     """All saturated chains (paths of covering edges) from u to w."""
-    return list(_walk(graph, u, w, None, True))
+    return _walk(graph, u, w, None, True)
 
 
 # -- increasing paths from one bottom to every top --------------------------------

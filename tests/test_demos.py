@@ -45,3 +45,18 @@ def test_demo_imports_only_the_package_and_the_stdlib(name):
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     roots = {module.partition(".")[0] for module in modules}
     assert roots <= {"bruhatpoly"} | sys.stdlib_module_names
+
+
+def test_readme_library_tour_holds():
+    # the tour's code runs as printed, and each line it marks "# True" is true
+    tour = (ROOT / "README.md").read_text().split("\n## Library tour\n", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, claims = block.splitlines(), {}, 0
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        if lines[node.end_lineno - 1].partition("#")[2].strip().startswith("True"):
+            assert eval(code, namespace) is True, code
+            claims += 1
+        else:
+            exec(code, namespace)
+    assert claims == block.count("# True") > 0

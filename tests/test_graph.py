@@ -264,14 +264,19 @@ def test_path_listings_match_naive_lister(spec):
     lambda g, u, w: increasing_paths(g, u, w, default_reflection_order(g.group)),
     lambda g, u, w: short_paths(g, u, w),
 ], ids=["increasing_paths", "short_paths"])
-def test_walk_keeps_no_graph_alive(a3, walk):
+def test_walk_keeps_no_graph_alive(walk):
     # with the cyclic collector off, only a reference cycle can outlive the
-    # last reference; the walk must not build one through the graph
-    g = lower_graph(a3, a3.w0)
-    gone = weakref.ref(g)
+    # last reference; the walk must not build one through the graph, which
+    # would keep the graph's group alive (a graph, a tuple, takes no weak
+    # reference, so the test watches a freshly enumerated group)
+    group = enumerate_group(CoxeterDescriptor.parse("A3"))
+    g = lower_graph(group, group.w0)
+    gone = weakref.ref(group)
+    e, w0 = group.identity, group.w0
+    del group
     gc.disable()
     try:
-        assert walk(g, a3.identity, a3.w0)
+        assert walk(g, e, w0)
         del g
         assert gone() is None
     finally:

@@ -1,8 +1,7 @@
 """The record contract: every result record is read-only and pickles whole.
 
-The records are tuples (``NamedTuple``) or, where a tuple cannot serve (``BruhatGraph``
-compares by identity and takes weak references), a read-only slotted class; these tests
-pin what either must give to the code that holds them.
+The records are tuples (``NamedTuple``); these tests pin what each must give to the
+code that holds them.
 """
 
 import pickle
@@ -57,7 +56,7 @@ def test_a_record_survives_a_pickle_round_trip(records, name):
     record = records[name]
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
-    if isinstance(record, BruhatGraph):  # graphs compare by identity
+    if isinstance(record, BruhatGraph):  # its group compares by identity
         assert copy != record
         assert copy.members == record.members
         assert copy.out_edges == record.out_edges
