@@ -14,14 +14,13 @@ from bruhatpoly import (
     build_graph,
     distinct_reflection_orders,
     enumerate_group,
-    increasing_paths,
 )
+from bruhatpoly.graph import increasing_paths
 from bruhatpoly.poly import Q_PLUS_ONE, ZERO, monomial
 
 
-def weight(path):
+def weight(ell, a):
     """(q+1)^((ell-a)/2) q^a for a path of Coxeter length ell and absolute length a."""
-    ell, a = path.coxeter_length, path.absolute_length
     return Q_PLUS_ONE ** ((ell - a) // 2) * monomial(a)
 
 
@@ -29,6 +28,7 @@ group = enumerate_group(CoxeterDescriptor.parse("A3"))
 ctx = RContext(group)
 e = group.identity
 w = group.index[(3, 4, 1, 2)]
+ell = group.length[w] - group.length[e]  # the Coxeter length of every path e -> w
 
 word = group.reduced_word(group.w0)
 print("lexicographically smallest reduced word of the longest element:",
@@ -47,18 +47,18 @@ graph = build_graph(group, group.interval(e, w))
 print(f"\nincreasing paths from {group.display(e)} to {group.display(w)}:")
 for i, order in enumerate(orders):
     paths = increasing_paths(graph, e, w, order)
-    chain = increasing_paths(graph, e, w, order, short_only=True)[0]
+    chain_vertices, _ = increasing_paths(graph, e, w, order, short_only=True)[0]
     print(f"  order {i}: {len(paths)} increasing paths; unique saturated chain "
-          + " -> ".join(group.display(v) for v in chain.vertices))
-    for p in paths:
-        print(f"    absolute length {p.absolute_length}, weight {weight(p).text()}")
+          + " -> ".join(group.display(v) for v in chain_vertices))
+    for _, labels in paths:
+        print(f"    absolute length {len(labels)}, weight {weight(ell, len(labels)).text()}")
 
 print("\nthe generating functions are order-independent and match the recursions:")
 for order in orders:
     paths = increasing_paths(graph, e, w, order)
     counts = IncreasingPathCounts(group, order)
-    assert sum((monomial(p.absolute_length) for p in paths), ZERO) == ctx.rtilde(e, w)
-    assert sum((weight(p) for p in paths), ZERO) == ctx.shifted(e, w)
+    assert sum((monomial(len(labels)) for _, labels in paths), ZERO) == ctx.rtilde(e, w)
+    assert sum((weight(ell, len(labels)) for _, labels in paths), ZERO) == ctx.shifted(e, w)
     assert counts.counts(e, w) == ctx.rtilde(e, w).coeffs
     assert counts.shifted(e, w) == ctx.shifted(e, w)
 print(f"  sum of q^(absolute length) = {ctx.rtilde(e, w).text()}")

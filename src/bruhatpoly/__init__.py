@@ -16,15 +16,12 @@ from .coxeter import (
 )
 from .graph import (
     BruhatGraph,
-    BruhatPath,
     IncreasingPathCounts,
     ReflectionOrder,
     build_graph,
     default_reflection_order,
     distinct_reflection_orders,
-    increasing_paths,
     reflection_order_from_word,
-    short_paths,
     to_dot,
 )
 from .poly import (

@@ -11,10 +11,11 @@ function; coefficient sums against weighted path counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, islice
-from operator import and_, eq, gt, itemgetter, lt
+from operator import and_, eq, gt, itemgetter, lt, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coxeter import GroupTable
@@ -34,7 +35,7 @@ from .poly import (
     coeffwise_leq,
     monomial,
 )
-from .rpoly import RContext
+from .rpoly import RContext, reassemble_r
 
 __all__ = [
     "poincare",
@@ -66,13 +67,12 @@ __all__ = [
 
 
 def poincare(ctx: RContext, w: int) -> IntPoly:
-    """Rank generating function of the lower interval of w."""
+    """Rank generating function of the lower interval of w: ids ascend with
+    length, so the members of length k are one run of the ascending ideal."""
     g = ctx.group
-    counts: dict[int, int] = {}
-    for v in g.interval(g.identity, w):
-        counts[g.length[v]] = counts.get(g.length[v], 0) + 1
-    top = max(counts)
-    return IntPoly(tuple(counts.get(i, 0) for i in range(top + 1)))
+    ideal = g.interval(g.identity, w)
+    cuts = [bisect_left(ideal, bisect_left(g.length, k)) for k in range(g.length[w] + 2)]
+    return IntPoly(tuple(map(sub, cuts[1:], cuts)))
 
 
 # -- regularity ----------------------------------------------------------------
@@ -475,7 +475,9 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
     g = ctx.group
     members, ell = g.interval(u, w), g.length[w] - g.length[u]
     graph = build_graph(g, members)
-    gamma = ctx.gamma_vector(u, w)
+    gamma, r = ctx.gamma_vector(u, w), ctx.r(u, w)
+    if reassemble_r(gamma) != r:  # R-tilde's route against R's
+        raise AssertionError(f"the gamma vector of [{g.display(u)}, {g.display(w)}] is not its R")
     shifted = ctx.shifted(u, w)
     interval_sum = ctx.shifted_sum(u, members, ell)
     p1, p2 = p1_p2(graph, default_reflection_order(g), interval_sum)
@@ -491,7 +493,7 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
         "w": g.display(w),
         "ell": ell,
         "absolute_length": gamma.absolute_length,
-        "r": _poly_json(ctx.r(u, w)),
+        "r": _poly_json(r),
         "rtilde": _poly_json(ctx.rtilde(u, w)),
         "shifted_r": _poly_json(shifted),
         "gamma": {str(j): c for j, c in gamma.entries},

@@ -31,7 +31,7 @@ from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
 from .graph import build_graph, to_dot
 from .poly import size as poly_size
 from .poly import total as poly_total
-from .rpoly import RContext, gamma_form_text
+from .rpoly import RContext, gamma_form_text, reassemble_r
 
 CHECK_FAILURE = 1
 USAGE_ERROR = 2
@@ -178,6 +178,8 @@ def _r_classes(ctx: RContext) -> list[dict]:
     rows = []
     for (coeffs, members), size in zip(by_poly.items(), ctx.lower_sizes(firsts)):
         gamma = ctx.gamma_vector(group.identity, members[0])
+        if reassemble_r(gamma) != r_row[members[0]]:  # R-tilde's route against R's
+            raise AssertionError(f"the gamma form of {group.display(members[0])} is not its R")
         rows.append({
             "ell": gamma.coxeter_length,
             "absolute_length": gamma.absolute_length,

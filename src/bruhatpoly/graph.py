@@ -17,7 +17,10 @@ the coefficients of R-tilde, and weighted they give the shifted
 R-polynomial. It also walks the lexicographically first maximal chain
 along rows of covers, for Dyer's EL property. One walker lists the paths
 of one interval's graph level by level (``increasing_paths``,
-``short_paths``); no command calls it, and the tests check the counts by it.
+``short_paths``), each as its (vertices, labels) pair of id tuples. It is
+not exported: no command calls it, and it stays only as the tests'
+reference route for the counts and as a layer the benchmark's traced runs
+wrap.
 """
 
 from __future__ import annotations
@@ -30,38 +33,18 @@ from .poly import IntPoly, split_fields
 
 __all__ = [
     "BruhatGraph",
-    "BruhatPath",
     "ReflectionOrder",
     "InvalidWordError",
     "build_graph",
     "reflection_order_from_word",
     "default_reflection_order",
     "distinct_reflection_orders",
-    "increasing_paths",
-    "short_paths",
     "IncreasingPathCounts",
     "to_dot",
 ]
 
 class InvalidWordError(ValueError):
     """A word that is not a reduced expression for the longest element."""
-
-
-class BruhatPath(NamedTuple):
-    """A directed path in a Bruhat graph.
-
-    ``vertices`` lists the visited element ids; ``labels`` the reflections,
-    one per edge. The Coxeter length is the length difference between the
-    endpoints, the absolute length is the number of edges.
-    """
-
-    vertices: tuple[int, ...]
-    labels: tuple[int, ...]
-    coxeter_length: int
-
-    @property
-    def absolute_length(self) -> int:
-        return len(self.labels)
 
 
 class BruhatGraph(NamedTuple):
@@ -186,18 +169,20 @@ def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
 
 # -- path enumeration ---------------------------------------------------------
 
+PathPair = tuple[tuple[int, ...], tuple[int, ...]]  # (vertices, labels) of a listed path
+
 
 def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
-          short_only: bool) -> list[BruhatPath]:
-    """Every path u -> ... -> w along the admissible edges: covers only with
-    ``short_only``, and with an order only labels ranked above the last one.
+          short_only: bool) -> list[PathPair]:
+    """Every path u -> ... -> w along the admissible edges, as its pair
+    (vertices, labels): covers only with ``short_only``, and with an order
+    only labels ranked above the last one.
 
     The partial paths grow by one edge a round, and those that reach w are
     kept, sorted by label-rank word with an order and by vertices without
     one (either fixes a path): the order of a depth-first walk.
     """
     length = graph.group.length
-    ell = length[w] - length[u]
     partial, found = [((u,), ())], []
     while partial:
         grown = []
@@ -205,7 +190,7 @@ def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
             x = vertices[-1]
             if x == w:
                 key = tuple(map(order.rank.__getitem__, labels)) if order is not None else vertices
-                found.append((key, BruhatPath(vertices, labels, ell)))
+                found.append((key, (vertices, labels)))
                 continue
             for y, t in graph.out_edges[x]:
                 if short_only and length[y] != length[x] + 1:
@@ -218,7 +203,7 @@ def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
 
 
 def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
-                     short_only: bool = False) -> list[BruhatPath]:
+                     short_only: bool = False) -> list[PathPair]:
     """All paths u -> ... -> w whose labels strictly increase in the order.
 
     Paths of absolute length 0 and 1 are increasing by convention. With
@@ -229,8 +214,8 @@ def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
     return _walk(graph, u, w, order, short_only)
 
 
-def short_paths(graph: BruhatGraph, u: int, w: int) -> list[BruhatPath]:
-    """All saturated chains (paths of covering edges) from u to w."""
+def short_paths(graph: BruhatGraph, u: int, w: int) -> list[PathPair]:
+    """All saturated chains (paths of covering edges) from u to w, as pairs."""
     return _walk(graph, u, w, None, True)
 
 

@@ -30,8 +30,8 @@ from itertools import combinations, zip_longest
 from math import prod
 from types import SimpleNamespace
 
-from bruhatpoly import (BruhatPath, IntPoly, analysis, build_graph, increasing_paths,
-                        short_paths)
+from bruhatpoly import IntPoly, analysis, build_graph
+from bruhatpoly.graph import increasing_paths, short_paths
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
 
 
@@ -402,15 +402,15 @@ def edge_weight(height: int) -> IntPoly:
 
 
 def path_weight(group, path) -> IntPoly:
-    """The product of ``edge_weight`` over the edges of a path."""
-    length, vertices = group.length, path.vertices
+    """The product of ``edge_weight`` over the edges of a (vertices, labels) path."""
+    length, (vertices, _) = group.length, path
     return prod((edge_weight((length[y] - length[x] + 1) // 2)
                  for x, y in zip(vertices, vertices[1:])), start=ONE)
 
 
 def rtilde_via_paths(paths) -> IntPoly:
     """Sum of q^(absolute length) over listed label-increasing paths (Dyer)."""
-    return sum((monomial(path.absolute_length) for path in paths), ZERO)
+    return sum((monomial(len(labels)) for _, labels in paths), ZERO)
 
 
 def shifted_r_via_weights(group, paths) -> IntPoly:
@@ -469,14 +469,14 @@ def naive_paths(group, u: int, w: int, order=None, short_only: bool = False) -> 
     """Every Bruhat path u -> ... -> w, with no graph: the steps from x are
     x*t over all reflections t that raise the length and stay <= w, taken in
     target order, or with an order only those of higher label rank, taken in
-    rank order. ``short_only`` keeps the steps that raise the length by one."""
-    ell = group.length[w] - group.length[u]
+    rank order. ``short_only`` keeps the steps that raise the length by one.
+    Each path is its pair (vertices, labels)."""
     out = []
 
     def extend(vertices: tuple, labels: tuple) -> None:
         x = vertices[-1]
         if x == w:
-            out.append(BruhatPath(vertices, labels, ell))
+            out.append((vertices, labels))
             return
         steps = []
         for t in group.reflections:
@@ -495,7 +495,7 @@ def naive_paths(group, u: int, w: int, order=None, short_only: bool = False) -> 
 def smallest_rank_word(chains, order) -> tuple[int, ...]:
     """Smallest label-rank word over listed maximal chains (``short_paths``)."""
     rank = order.rank.__getitem__
-    return min(tuple(map(rank, c.labels)) for c in chains)
+    return min(tuple(map(rank, labels)) for _, labels in chains)
 
 
 def smallest_rank_word_top_down(graph, u: int, w: int, order) -> tuple[int, ...]:
@@ -515,7 +515,7 @@ def el_holds(graph, u: int, w: int, order) -> bool:
     """Exactly one increasing maximal chain, and its rank word is the smallest."""
     increasing = increasing_paths(graph, u, w, order, short_only=True)
     return (len(increasing) == 1
-            and tuple(order.rank[t] for t in increasing[0].labels)
+            and tuple(order.rank[t] for t in increasing[0][1])
             == smallest_rank_word(short_paths(graph, u, w), order))
 
 

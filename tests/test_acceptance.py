@@ -23,11 +23,10 @@ from bruhatpoly import (
     build_graph,
     default_reflection_order,
     distinct_reflection_orders,
-    increasing_paths,
     reassemble_r,
-    short_paths,
 )
 from bruhatpoly import analysis, suite
+from bruhatpoly.graph import increasing_paths, short_paths
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, average, monomial, size
 from conftest import src_env
 from oracles import (dihedral_closed_form_ok, double_r_at, el_holds, is_boolean_interval,
@@ -217,9 +216,9 @@ def test_c08_el_shellability(a3):
             for order in orders:
                 inc = increasing_paths(graph, u, w, order, short_only=True)
                 assert len(inc) == 1
-                winner = tuple(order.rank[t] for t in inc[0].labels)
-                assert winner == min(tuple(order.rank[t] for t in c.labels)
-                                     for c in chains)
+                winner = tuple(order.rank[t] for t in inc[0][1])
+                assert winner == min(tuple(order.rank[t] for t in labels)
+                                     for _, labels in chains)
 
 
 def test_c08_el_check_rejects_a_non_reflection_order(a3):

@@ -12,9 +12,9 @@ from bruhatpoly import (
     coeffwise_leq,
     default_reflection_order,
     enumerate_group,
-    increasing_paths,
 )
 from bruhatpoly import analysis
+from bruhatpoly.graph import increasing_paths
 from bruhatpoly.cli import main
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size, split_fields, total
 from oracles import (coeff_sum, dihedral_bounds_per_pair, dihedral_closed_form_ok,
@@ -28,6 +28,19 @@ def test_poincare_values(a3, a3_ctx, pid):
     assert analysis.poincare(a3_ctx, pid(a3, "3412")) == IntPoly((1, 3, 5, 4, 1))
     assert analysis.poincare(a3_ctx, a3.identity) == ONE
     assert analysis.poincare(a3_ctx, pid(a3, "4231")) == IntPoly((1, 3, 5, 6, 4, 1))
+
+
+@pytest.mark.parametrize("spec", ["A4", "I2:7"])
+def test_poincare_counts_every_lower_interval_by_rank(spec):
+    # the ranks of {v : w is reachable from v} along the Bruhat edges
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    ctx, reach = RContext(group), reachability(group)
+    for w in group.elements():
+        ranks = [0] * (group.length[w] + 1)
+        for v in group.elements():
+            if w in reach[v]:
+                ranks[group.length[v]] += 1
+        assert analysis.poincare(ctx, w) == IntPoly(tuple(ranks)), group.display(w)
 
 
 def test_poincare_at_minus_one(a3, a3_ctx):
@@ -156,7 +169,7 @@ def test_splitting_identity_by_path_enumeration(a3, a3_ctx):
         long_sum = ZERO
         for v in graph.members:
             for path in increasing_paths(graph, a3.identity, v, order):
-                if path.coxeter_length != path.absolute_length:
+                if a3.length[v] != len(path[1]):  # l(v) - l(e) against the edge count
                     long_sum = long_sum + path_weight(a3, path)
         expected = analysis.poincare(a3_ctx, w) + long_sum
         assert analysis.bruhat_poincare(a3_ctx, w) == expected

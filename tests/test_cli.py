@@ -548,6 +548,33 @@ def test_a_table_fault_writes_nothing(method, fmt, monkeypatch, capsys, tmp_path
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["table", "--table", "r-polys", "--group", "A4", "--format", "json"],
+    ["interval", "--group", "A3", "--u", "e", "--w", "3412"],
+], ids=["table", "interval"])
+def test_a_gamma_form_that_is_not_r_exits_3(command, monkeypatch, capsys, tmp_path):
+    # both commands print the gamma form, from the R-tilde recursion, next to
+    # R, from the R recursion, and require the two to agree: a planted gamma
+    # vector whose top entry is one too large stops them before any output
+    target = tmp_path / "out.txt"
+    assert main([*command, "--out", str(target)]) == 0 and target.read_text()
+    target.unlink()
+    original = RContext.gamma_vector
+
+    def planted(ctx, u, w):
+        gamma = original(ctx, u, w)
+        (j, c), = gamma.entries[-1:]
+        return gamma._replace(entries=(*gamma.entries[:-1], (j, c + 1)))
+
+    monkeypatch.setattr(RContext, "gamma_vector", planted)
+    for out in ([], ["--out", str(target)]):
+        code = main([*command, *out])
+        captured = capsys.readouterr()
+        assert code == INTERNAL_ERROR == 3
+        assert captured.out == "" and "is not its R" in captured.err
+    assert not target.exists()
+
+
 def test_a_reader_that_leaves_early_ends_the_table_quietly():
     # the reader takes 100 bytes and closes its end of a one-page pipe, so
     # the table, written a class at a time, meets a closed pipe part way

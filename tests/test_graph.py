@@ -14,13 +14,11 @@ from bruhatpoly import (
     default_reflection_order,
     distinct_reflection_orders,
     enumerate_group,
-    increasing_paths,
     monomial,
     reflection_order_from_word,
-    short_paths,
     to_dot,
 )
-from bruhatpoly.graph import InvalidWordError
+from bruhatpoly.graph import InvalidWordError, increasing_paths, short_paths
 from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, average, size
 from bruhatpoly.suite import _interval_scope
 from oracles import (absolute_distance, edge_weight, el_holds, naive_paths, order_violations,
@@ -103,11 +101,13 @@ def test_edge_weight_values():
 
 def test_path_weight_multiplicative(a3, pid):
     # the product of the edge weights is (q+1)^((ell-a)/2) q^a
-    g = lower_graph(a3, pid(a3, "3412"))
-    for path in naive_paths(a3, a3.identity, pid(a3, "3412")):
-        for a, b in zip(path.vertices, path.vertices[1:]):
+    w = pid(a3, "3412")
+    g = lower_graph(a3, w)
+    for path in naive_paths(a3, a3.identity, w):
+        vertices, labels = path
+        for a, b in zip(vertices, vertices[1:]):
             assert [y for y, _ in g.out_edges[a] if y == b] == [b]
-        ell, a = path.coxeter_length, path.absolute_length
+        ell, a = a3.length[w], len(labels)
         assert path_weight(a3, path) == Q_PLUS_ONE ** ((ell - a) // 2) * monomial(a)
 
 
@@ -190,16 +190,28 @@ def test_increasing_paths_basics(a3, pid):
     w = pid(a3, "3412")
     g = lower_graph(a3, w)
     order = default_reflection_order(a3)
-    empty = increasing_paths(g, e, e, order)
-    assert len(empty) == 1 and empty[0].absolute_length == 0
+    assert increasing_paths(g, e, e, order) == [((e,), ())]
     poly = ZERO
-    for path in increasing_paths(g, e, w, order):
-        poly = poly + monomial(path.absolute_length)
+    for _, labels in increasing_paths(g, e, w, order):
+        poly = poly + monomial(len(labels))
     assert poly == IntPoly((0, 0, 1, 0, 1))  # q^4 + q^2
     a_target, _ = g.out_edges[e][0]
-    singletons = [p for p in increasing_paths(g, e, a_target, order)
-                  if p.absolute_length == 1]
+    singletons = [p for p in increasing_paths(g, e, a_target, order) if len(p[1]) == 1]
     assert len(singletons) == 1
+    # each listed path is a pair of id tuples, one more vertex than labels,
+    # from u to w, each vertex the one before times its edge's label
+    for u, top in ((e, w), (pid(a3, "1324"), w), (e, a_target)):
+        listed = (increasing_paths(g, u, top, order) + increasing_paths(g, u, top, order, True)
+                  + short_paths(g, u, top))
+        assert listed
+        for path in listed:
+            assert type(path) is tuple and len(path) == 2
+            vertices, labels = path
+            assert type(vertices) is tuple and type(labels) is tuple
+            assert len(vertices) == len(labels) + 1
+            assert (vertices[0], vertices[-1]) == (u, top)
+            for k, t in enumerate(labels):
+                assert vertices[k + 1] == a3.mul(vertices[k], t)
 
 
 def test_increasing_path_sum_is_order_invariant(a3, i2_groups):
@@ -210,8 +222,8 @@ def test_increasing_path_sum_is_order_invariant(a3, i2_groups):
             sums = []
             for order in orders:
                 acc = ZERO
-                for p in increasing_paths(g, u, w, order):
-                    acc = acc + monomial(p.absolute_length)
+                for _, labels in increasing_paths(g, u, w, order):
+                    acc = acc + monomial(len(labels))
                 sums.append(acc)
             assert len(set(sums)) == 1
 
@@ -223,7 +235,7 @@ def test_short_only_gives_unique_maximal_chain(a3, pid):
         g = lower_graph(a3, w)
         chains = increasing_paths(g, a3.identity, w, order, short_only=True)
         assert len(chains) == 1
-        assert chains[0].absolute_length == a3.length[w]
+        assert len(chains[0][1]) == a3.length[w]
         # a short path of length k weighs exactly q^k
         assert path_weight(a3, chains[0]) == monomial(a3.length[w])
 
@@ -240,10 +252,10 @@ def test_all_paths_examples(a3, i2_groups, pid):
     # Boolean square: two saturated chains, no long edges
     square_top = pid(a3, "2143")
     paths = naive_paths(a3, a3.identity, square_top)
-    assert len(paths) == 2 and all(p.absolute_length == 2 for p in paths)
+    assert len(paths) == 2 and all(len(labels) == 2 for _, labels in paths)
     # the full dihedral interval of I2(3) contains the long edge bottom -> top
     m3 = i2_groups[3]
-    lengths = {p.absolute_length for p in naive_paths(m3, m3.identity, m3.w0)}
+    lengths = {len(labels) for _, labels in naive_paths(m3, m3.identity, m3.w0)}
     assert 1 in lengths
 
 
@@ -287,7 +299,7 @@ def test_short_paths_are_saturated(a3, pid):
     w = pid(a3, "4321")
     g = lower_graph(a3, w)
     chains = short_paths(g, a3.identity, w)
-    assert all(c.absolute_length == 6 for c in chains)
+    assert all(len(labels) == 6 for _, labels in chains)
     # independent count: dynamic programming over covering edges
     counts = dict.fromkeys(g.members, 0)
     counts[a3.identity] = 1

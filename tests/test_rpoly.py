@@ -12,10 +12,10 @@ from bruhatpoly import (
     default_reflection_order,
     enumerate_group,
     gamma_form_text,
-    increasing_paths,
     reassemble_r,
 )
 from bruhatpoly import analysis, suite
+from bruhatpoly.graph import increasing_paths
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
 from bruhatpoly.cli import _r_classes
 from bruhatpoly.coxeter import GroupTable

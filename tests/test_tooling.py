@@ -1,5 +1,6 @@
 """The traced benchmark run wraps library functions by name; keep them resolvable."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -42,6 +43,25 @@ def test_every_exported_name_resolves():
         exported += len(names)
         missing += [f"{info.name}.{name}" for name in names if not hasattr(module, name)]
     assert missing == [] and exported > 50
+
+
+def test_only_graph_names_the_path_lister():
+    # the lister is the tests' reference route and a traced layer of the
+    # benchmark; no other module of the package may come to depend on it
+    lister = {"increasing_paths", "short_paths", "_walk"}
+    package = Path(bruhatpoly.__file__).parent
+    named = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "graph":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in lister:
+                named.setdefault(path.name, []).append(name)
+    assert len(list(package.glob("*.py"))) > 5 and named == {}
 
 
 def test_run_suite_takes_spec_and_checks_first():
