@@ -195,19 +195,35 @@ def _r_classes(ctx: RContext) -> list[dict]:
     return rows
 
 
+def _json_items(items: Iterable[dict]) -> Iterator[str]:
+    """The text of each item, a nonempty dict of scalars and lists of scalars,
+    as an element of a table's list, indented as ``_json_text`` indents it
+    there, in C-level passes: the C encoder, with a newline and indent in
+    its item separator, writes the item's keys at depth 3 with each nonempty
+    list as the sentinel [0, 0], and each list's elements at depth 4; each
+    list's text is then spliced in at its sentinel (keys in sorted order).
+    The sentinel's text holds a newline, which no encoded string does."""
+    import json
+    fields = json.JSONEncoder(separators=(",\n      ", ": "), sort_keys=True).encode
+    elements = json.JSONEncoder(separators=(",\n        ", ": ")).encode
+    for item in items:
+        lists = sorted(k for k, v in item.items() if isinstance(v, list) and v)
+        parts = fields({**item, **dict.fromkeys(lists, [0, 0])})[1:-1].split("[0,\n      0]")
+        texts = (f"[\n        {elements(item[k])[1:-1]}\n      ]" for k in lists)
+        yield "{\n      " + "".join(chain.from_iterable(zip(parts, texts))) + parts[-1] + "\n    }"
+
+
 def _emit_table(args: argparse.Namespace, fields: dict, key: str, items: Iterable[dict],
                 header: list[str]) -> None:
     """One table, made and written an item at a time. JSON: the text of
     ``{**fields, key: list(items)}`` (scalar fields, at least one item), each
-    item dumped alone into the text of the table whose one item is 0. CSV:
-    the ``header``, then the fields it names of each item, a list space-separated."""
+    item dumped alone by ``_json_items`` into the text of the table whose one
+    item is 0. CSV: the ``header``, then the fields it names of each item, a
+    list space-separated."""
     if args.format == "json":
-        import json
         head, tail = _json_text({**fields, key: [0]}).split("\n    0\n")
-        dumps = (json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
-                 for item in items)
         commas = chain(["\n    "], repeat(",\n    "))
-        pieces = chain([head], map(add, commas, dumps), ["\n" + tail])
+        pieces = chain([head], map(add, commas, _json_items(items)), ["\n" + tail])
     else:
         import csv  # imported here, as only CSV tables need it
         # writerow returns what the file's write returns: here, the line itself
@@ -221,8 +237,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.table == "r-polys":
         group = _make_group(args)
         rows = _r_classes(RContext(group))  # the context is freed here, before any text
+        displays = group.display_pass()
         _emit_table(args, {"group": args.group}, "classes",
-                    ({**r, "members": list(map(group.display, r["members"]))} for r in rows),
+                    ({**r, "members": displays(r["members"])} for r in rows),
                     ["class", "members", "gamma_form", "r", "size"])
         return 0
     if args.max_n > DIHEDRAL_MAX_N:

@@ -33,7 +33,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq, gt, lshift, or_, sub
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "CoxeterDescriptor",
@@ -159,8 +159,9 @@ class GroupTable:
     ``left[s][x]`` is s*x, one tuple of ids per generator s. With t the
     first left descent of x, x*s = t*((t*x)*s) and x^-1 = (t*x)^-1*t read
     only shorter elements, so the right columns and the inverses fill in id
-    order. ``descents[x]`` has bit s set iff s is a right descent of x and
-    bit n + s iff s is a left one (n generators); equal masks share one int.
+    order; ``inverse[x]`` is the id of x^-1. ``descents[x]`` has bit s set
+    iff s is a right descent of x and bit n + s iff s is a left one (n
+    generators); equal masks share one int.
     Each ``left[s]`` must be an involution that moves every element one
     length level, and only the identity may have no left descent; the
     build raises AssertionError otherwise.
@@ -194,7 +195,7 @@ class GroupTable:
         first_left = tuple(map(first.__getitem__, masks))
         # x*s = t*((t*x)*s) and x^-1 = (t*x)^-1*t, t the first left descent of x
         self.right = right = tuple(_fill_down(left, left, first_left, col[0]) for col in left)
-        self._inverse = inverse = _fill_down(right, left, first_left, 0)
+        self.inverse = inverse = _fill_down(right, left, first_left, 0)
         # the right descents of x are the left descents of x^-1, so the right
         # masks are the left masks permuted and share their first descents
         right_masks = list(map(masks.__getitem__, inverse))
@@ -237,7 +238,7 @@ class GroupTable:
         if len(out) != self.length[self.w0]:
             raise AssertionError("reflection count must equal the length of the longest element")
         for t in out:
-            if self._inverse[t] != t:
+            if self.inverse[t] != t:
                 raise AssertionError("reflections must be involutions")
         return out
 
@@ -272,9 +273,6 @@ class GroupTable:
                     map(col.__getitem__, map(cols[t].__getitem__, col)))
             self._columns = {t: cols[t] for t in self.reflections}
         return self._columns
-
-    def inv(self, a: int) -> int:
-        return self._inverse[a]
 
     def generator(self, s: int) -> int:
         """Element id of the generator with index s (0-based)."""
@@ -400,6 +398,15 @@ class GroupTable:
         if not word:
             return "e"
         return "".join(f"s{s + 1}" for s in word)
+
+    def display_pass(self) -> Callable[[Iterable[int]], list[str]]:
+        """A function from ids to ``list(map(self.display, ids))``. In type A
+        it slices one ``translate`` of the packed forms, made here; a
+        dihedral element keeps its word display."""
+        if self.descriptor.family != "A":
+            return lambda ids: list(map(self.display, ids))
+        text, width = self.forms.translate(_DIGITS).decode(), self._width
+        return lambda ids: [text[v * width:(v + 1) * width] for v in ids]
 
 
 def enumerate_group(descriptor: CoxeterDescriptor) -> GroupTable:

@@ -138,7 +138,7 @@ def reflection_order_from_word(group: GroupTable, word: Sequence[int]) -> Reflec
         if not 0 <= s < group.num_generators:
             raise InvalidWordError(f"generator index {s} out of range at position {pos}")
         nxt = group.right[s][prefix]
-        sequence.append(group.mul(nxt, group.inv(prefix)))
+        sequence.append(group.mul(nxt, group.inverse[prefix]))
         if group.length[nxt] != group.length[prefix] + 1:
             raise InvalidWordError(f"word is not reduced at position {pos}")
         prefix = nxt

@@ -8,6 +8,8 @@ Python integers. No floating point is used anywhere; averages are
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap, zip_longest
+from operator import le
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -188,9 +190,9 @@ def average(f: IntPoly) -> Fraction:
 
 
 def coeffwise_leq(f: IntPoly, g: IntPoly) -> bool:
-    """True when every coefficient of f is <= the matching coefficient of g."""
-    n = max(len(f.coeffs), len(g.coeffs))
-    return all(f.coefficient(i) <= g.coefficient(i) for i in range(n))
+    """True when every coefficient of f is <= the matching coefficient of g
+    (one C-level pass; the shorter tuple is padded with zeros)."""
+    return all(starmap(le, zip_longest(f.coeffs, g.coeffs, fillvalue=0)))
 
 
 def split_fields(packed: int, width: int) -> tuple[int, ...]:

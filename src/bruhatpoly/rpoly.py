@@ -24,12 +24,18 @@ element id whose entry x holds the value at (e, x); the memo keeps only
 pairs with u != e. An entry is filled the first time a caller or a memo
 walk reaches it, so a short w fills only its own ideal; after that a sum
 over [e, w] or a size per element is a C-level ``map`` over the row, with
-no call per pair. ``lower_row`` fills entries by the second branch at
-u = e: for a right descent s of x, (e, x) combines (e, xs) and (s, xs),
-and (s, xs) is a row entry or zero when s is a left descent of xs (the
-left form of the first branch lowers it to (e, s*xs)) or is not in the
-support of xs (then s is not below xs). Row fills and memo walks share one
-kernel cache per family, so each family combines each operand pair once.
+no call per pair. ``lower_row`` fills an entry by the first of three
+routes that applies. Every family takes the same value at (u, w) and
+(u^-1, w^-1) (Bjorner-Brenti, ch. 5), so (e, x) is a copy of (e, x^-1)
+once that is filled. Else, for a right descent s of x, the second branch
+at u = e combines (e, xs) and (s, xs), and (s, xs) is a row entry or zero
+when s is a left descent of xs (the left form of the first branch lowers
+it to (e, s*xs)) or is not in the support of xs (then s is not below xs).
+Else, for a left descent s of x, the mirror image of that branch combines
+(e, sx) and (s, sx) by the same kernel, with (s, sx) the row entry at
+sx*s when s is a right descent of sx and zero when s is not in its
+support. Row fills and memo walks share one kernel cache per family, so
+each family combines each operand pair once.
 """
 
 from __future__ import annotations
@@ -194,39 +200,50 @@ class RContext:
         """The lower row of a family: ``row[x]`` is its value at (e, x).
 
         Every x of ``members`` is filled if it is not yet, in ascending id
-        order (so by length): the family's kernel on ``row[xs]`` and
-        ``row[s*xs]``, or on ``row[xs]`` and zero, for the first right descent
-        s of x that allows it (see the module docstring). An x that no descent
-        serves, or whose operands are still None, goes through ``_family``,
-        whose walk reads (e, xs) from the row, sends only (s, xs) through the
-        memo and fills the row entries it computes on the way. Entries that
-        no caller or walk has reached stay None.
+        order (so by length), by the first of three routes that applies
+        (see the module docstring):
+
+        1. ``row[x^-1]``, if it is filled: every family takes the same value
+           at (e, x) and (e, x^-1);
+        2. for a right descent s of x, the family's kernel on ``row[xs]`` and
+           ``row[s*xs]`` (s a left descent of xs), or on ``row[xs]`` and zero
+           (s not in the support of xs);
+        3. for a left descent s of x, the mirror image: the kernel on
+           ``row[sx]`` and ``row[sx*s]`` (s a right descent of sx), or on
+           ``row[sx]`` and zero (s not in the support of sx).
+
+        A descent whose operands are still None is passed over. An x that no
+        route serves goes through ``_family``, whose walk reads (e, xs) from
+        the row, sends only (s, xs) through the memo and fills the row entries
+        it computes on the way. Entries that no caller or walk has reached
+        stay None.
         """
         row = self._rows[name]
         g = self.group
-        e, n, right, left = g.identity, g.num_generators, g.right, g.left
-        descents, support, interned = g.descents, self._support, self._interned
+        e, n, inverse, descents = g.identity, g.num_generators, g.inverse, g.descents
+        sides = g.right + g.left  # bit k of a descent mask is read from column k
+        support, interned = self._support, self._interned
         step, kernel = _RULES[name], self._kernels[name]
         for x in sorted(compress(members, map(is_, map(row.__getitem__, members), repeat(None)))):
-            value = None
-            todo = descents[x] & ((1 << n) - 1)  # the right descents of x
+            value = row[inverse[x]]
+            todo = 0 if value is not None else descents[x]  # right descents, then left
             while todo:
-                s = (todo & -todo).bit_length() - 1
-                todo ^= 1 << s
-                xs = right[s][x]
-                if descents[xs] >> (n + s) & 1:
-                    b = row[left[s][xs]]
-                elif support[xs] >> s & 1:
-                    continue  # (s, xs) is a pair of its own: try the next descent
+                k = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                s, mirror = k % n, (k + n) % (2 * n)  # the generator and its other side
+                y = sides[k][x]  # xs, or sx for a left descent
+                if descents[y] >> mirror & 1:
+                    b = row[sides[mirror][y]]  # (s, y) lowers to (e, s*xs), or (e, sx*s)
+                elif support[y] >> s & 1:
+                    continue  # (s, y) is a pair of its own: try the next descent
                 else:
-                    b = ZERO
-                a = row[xs]
-                if a is not None and b is not None:
+                    b = ZERO  # s is not below y
+                if (a := row[y]) is not None and b is not None:
                     key = (id(a), id(b))
                     if (value := kernel.get(key)) is None:
                         value = step(a.coeffs, b.coeffs)
                         value = kernel[key] = interned.setdefault(value.coeffs, value)
-                break
+                    break
             row[x] = self._family(name, e, x) if value is None else value
         return row
 

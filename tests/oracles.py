@@ -390,7 +390,7 @@ def conjugate_reflections(group) -> tuple[int, ...]:
     refl = set()
     for v in group.elements():
         for s in range(group.num_generators):
-            refl.add(group.mul(group.mul(v, group.generator(s)), group.inv(v)))
+            refl.add(group.mul(group.mul(v, group.generator(s)), group.inverse[v]))
     return tuple(sorted(refl))
 
 

@@ -210,6 +210,37 @@ def test_table_json_format(capsys):
     assert d["rows"][3]["coeffs"] == ["0", "1", "1", "1"]
 
 
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "I2:2", "I2:7"])
+def test_r_polys_json_is_the_indented_dump_of_itself(spec, tmp_path, capsys):
+    # the table is written in C-level pieces spliced together; on stdout and
+    # in an --out file it must be what json.dumps(indent=2) makes of its data
+    argv = ["table", "--table", "r-polys", "--group", spec, "--format", "json"]
+    code, out = capture(capsys, argv)
+    target = tmp_path / "table.json"
+    assert capture(capsys, [*argv, "--out", str(target)]) == (0, "")
+    for text in (out, target.read_text()):
+        assert code == 0 and text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_a7_r_polys_json_golden(capsys):
+    # SHA-256 recorded before the table's members were displayed by one
+    # translate of the packed forms and encoded by the C encoder
+    argv = ["table", "--table", "r-polys", "--group", "A7", "--format", "json"]
+    code, out = capture(capsys, argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "28dfc0810fcaa6ba65db0ada3cc81c3caf71f9ad7dd8520f70b902cd4be60270")
+
+
+def test_the_display_pass_is_the_display_of_each_id(a3, a4, i2_groups):
+    # in type A one translate of the packed forms, sliced; in I2 the words
+    groups = [enumerate_group(CoxeterDescriptor("A", n)) for n in (1, 2, 5)]
+    for group in (*groups, a3, a4, i2_groups[7]):
+        ids = list(group.elements())
+        displays = group.display_pass()
+        assert displays(ids) == list(map(group.display, ids))
+        assert displays(ids[::-3]) == list(map(group.display, ids[::-3])) and displays([]) == []
+
+
 def test_table_output_is_stable(capsys):
     _, first = capture(capsys, ["table", "--table", "r-polys", "--group", "A3"])
     _, second = capture(capsys, ["table", "--table", "r-polys", "--group", "A3"])

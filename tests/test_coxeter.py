@@ -119,8 +119,8 @@ def test_tables_match_the_form_product(a1, a2, a3, a4, i2_groups):
             for s, g in enumerate(gens):
                 assert group.right[s][v] == form_product(group, v, g)
                 assert group.left[s][v] == form_product(group, g, v)
-            assert form_product(group, v, group.inv(v)) == e
-            assert form_product(group, group.inv(v), v) == e
+            assert form_product(group, v, group.inverse[v]) == e
+            assert form_product(group, group.inverse[v], v) == e
             for t, col in columns.items():
                 assert col[v] == form_product(group, v, t)
 
@@ -138,7 +138,7 @@ def test_tables_match_the_row_wise_enumeration(spec):
     assert group.right == tuple(zip(*ref.right))
     assert group.left == tuple(zip(*ref.left))
     assert group.length == ref.length
-    assert tuple(map(group.inv, group.elements())) == ref.inverse
+    assert group.inverse == ref.inverse
     assert tuple(map(group.first_right_descent, group.elements())) == ref.first_descent
     assert group.descents == ref.descents
     assert group.reflections == ref.reflections
@@ -147,7 +147,7 @@ def test_tables_match_the_row_wise_enumeration(spec):
 def test_product_columns_are_involutions_conjugate_by_the_inverse(a1, a3, a4, i2_groups):
     for group in (a1, a3, a4, i2_groups[2], i2_groups[7]):
         ids = tuple(group.elements())
-        inv = tuple(map(group.inv, ids))
+        inv = group.inverse
         assert len(group.right) == len(group.left) == group.num_generators
         for right, left in zip(group.right, group.left):
             for col in (right, left):  # col o col = id makes col a permutation of ids

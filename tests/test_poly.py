@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruhatpoly.poly import (
@@ -123,6 +123,18 @@ def test_coeffwise_order_passes_to_derivatives(f, deltas1, deltas2):
     assert coeffwise_leq(f, g) and coeffwise_leq(g, h)
     assert coeffwise_leq(f.derivative(), g.derivative())
     assert coeffwise_leq(g.derivative(), h.derivative())
+
+
+@given(polys, polys)
+@example(ZERO, ZERO)
+@example(ZERO, IntPoly((0, 0, -1)))  # a longer g whose only coefficient is negative
+@example(IntPoly((-2,)), ZERO)
+@example(IntPoly((1, 2)), IntPoly((1, 2, 3)))
+@example(IntPoly((1, 2, -3)), IntPoly((1, 2)))  # a longer f, below g's padded zero
+def test_coeffwise_leq_is_the_per_coefficient_order(f, g):
+    # the one-pass comparison against its definition, coefficient by coefficient
+    n = max(f.degree, g.degree) + 1
+    assert coeffwise_leq(f, g) == all(f.coefficient(i) <= g.coefficient(i) for i in range(n))
 
 
 @given(st.lists(st.integers(0, 2 ** 8 - 1), max_size=8), st.integers(8, 12))

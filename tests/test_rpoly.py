@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -14,7 +16,7 @@ from bruhatpoly import (
     gamma_form_text,
     reassemble_r,
 )
-from bruhatpoly import analysis, suite
+from bruhatpoly import analysis, rpoly, suite
 from bruhatpoly.graph import increasing_paths
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
 from bruhatpoly.cli import _r_classes
@@ -247,9 +249,11 @@ def test_table_r_polys_skips_order_tests_the_lifting_property_decides(monkeypatc
     # row was filled from two row entries per x and the sizes were read
     # from the rows, with only the x that no descent serves sent to the memo;
     # then 644 / 908 and 927 leq calls until those walks read and filled the
-    # lower rows at u = e instead of keeping (e, x) in the memo too.
-    assert (ctx.hits, ctx.misses) == (588, 777)
-    assert len(calls) == 836
+    # lower rows at u = e instead of keeping (e, x) in the memo too; then
+    # 588 / 777 and 836 leq calls until the row fill copied (e, x) from
+    # (e, x^-1) and took left descents as well as right ones.
+    assert (ctx.hits, ctx.misses) == (416, 597)
+    assert len(calls) == 625
     memo, oracle = ctx._memo, {}
     assert memo["r"] and memo["shifted"]
     for x, value in enumerate(ctx.lower_row("r", ())):
@@ -280,7 +284,9 @@ class RecordedKeys(dict):
 def test_the_memo_is_read_at_reduced_pairs_only(monkeypatch, a4, i2_groups):
     # a pair whose ends share a left or right descent is never a key, so the
     # walk reduces a pair fully before its one memo read; a pair (e, x) is
-    # read from and stored in the lower row, never in the memo
+    # read from and stored in the lower row, never in the memo. th4-bounds
+    # reads reduced pairs of A4 too, since the A5 table and th3 alone read
+    # fewer than 1,000 keys once the row fill took inverses and left descents
     read, tables = [], []
 
     def recorded(ctx):
@@ -291,8 +297,7 @@ def test_the_memo_is_read_at_reduced_pairs_only(monkeypatch, a4, i2_groups):
     _r_classes(recorded(RContext(enumerate_group(CoxeterDescriptor("A", 5)))))
     monkeypatch.setattr(suite, "_ENVS", {})
     recorded(suite._environment("A4", a4)["ctx"])
-    [result] = suite.run_suite("A4", ["th3"], group=a4)
-    assert result.passed
+    assert all(r.passed for r in suite.run_suite("A4", ["th3", "th4-bounds"], group=a4))
     i2 = i2_groups[12]
     analysis.interval_report(recorded(RContext(i2)), i2.generator(0), i2.w0)
     assert len(read) > 1000
@@ -400,10 +405,11 @@ def test_family_fill_does_not_recurse():
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "I2:2", "I2:3", "I2:5", "I2:8"])
 def test_lower_rows_match_the_oracle_in_any_fill_order(spec):
-    # the row route fills x from two earlier entries; members that are not
-    # closed downward (w0 alone, one x at a time from the top) send x through
-    # a memo walk instead, which fills the row entries it meets below x, and
-    # both must give the oracle's values
+    # the row routes fill x from its inverse or from two earlier entries;
+    # members that are not closed downward (w0 alone, one x at a time from
+    # the top, one of each inverse pair) send x through a memo walk instead,
+    # which fills the row entries it meets below x, and all must give the
+    # oracle's values
     group = enumerate_group(CoxeterDescriptor.parse(spec))
     oracle, fresh = {}, RContext(group)
     expected = {"r": [r_by_recursion(group, group.identity, x, oracle) for x in group.elements()]}
@@ -416,6 +422,12 @@ def test_lower_rows_match_the_oracle_in_any_fill_order(spec):
         "one at a time from the top": [[x] for x in reversed(everything)],
         "w0 alone": [[group.w0]],
         "short prefix first": [[x for x in everything if group.length[x] <= 3], everything],
+        # x before x^-1, where x^-1 has the smaller id, and then the rest
+        "later of each inverse pair first": [[x for x in everything if group.inverse[x] < x],
+                                             everything],
+        # x^-1 first, so that x copies it
+        "earlier of each inverse pair first": [[x for x in everything if group.inverse[x] > x],
+                                               everything],
     }
     for order, calls in orders.items():
         ctx = RContext(group)
@@ -431,18 +443,89 @@ def test_lower_rows_match_the_oracle_in_any_fill_order(spec):
                     if key[0] == group.identity], order
 
 
+def _row_walks(group, name, calls=None, lower_row=RContext.lower_row):
+    """A fresh context after ``lower_row`` calls on each member list of
+    ``calls`` (one full fill by default), and the pairs they sent through
+    ``_family``."""
+    ctx, walked = RContext(group), []
+    family = ctx._family
+    ctx._family = lambda *pair: walked.append(pair) or family(*pair)
+    for members in calls or [range(len(group))]:
+        lower_row(ctx, name, members)
+    return ctx, walked
+
+
 def test_a5_lower_rows_take_the_row_route():
-    # a full fill of a row sends to the memo only the x that no right
-    # descent serves (the identity among them); the kernel results, of the
-    # row and of the memo walks alike, are few because the values are few
+    # a full fill of a row sends to the memo only the x that neither its
+    # inverse nor a right or left descent serves (the identity among them):
+    # 53 walks with right descents alone; the kernel results, of the row and
+    # of the memo walks alike, are few because the values are few (104 then)
     a5 = enumerate_group(CoxeterDescriptor("A", 5))
     for name in _RULES:
-        ctx = RContext(a5)
-        family, calls = ctx._family, []
-        ctx._family = lambda *pair: calls.append(pair) or family(*pair)
-        ctx.lower_row(name, range(len(a5)))
-        assert len(calls) == 53, name
-        assert len(ctx._kernels[name]) == 104, name
+        ctx, calls = _row_walks(a5, name)
+        assert len(calls) == 18, name
+        assert len(ctx._kernels[name]) == 97, name
+
+
+def _planted_lower_row(old: str, new: str):
+    """``RContext.lower_row`` with one piece of its source replaced: a planted fault."""
+    source = textwrap.dedent(inspect.getsource(RContext.lower_row))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(rpoly))
+    exec(source.replace(old, new), namespace)
+    return namespace["lower_row"]
+
+
+def _oracle_r_row(group):
+    oracle = {}
+    return [r_by_recursion(group, group.identity, x, oracle) for x in group.elements()]
+
+
+def test_the_oracle_catches_a_swapped_inverse_entry():
+    # the copy route trusts the inverse column: with two entries swapped, y
+    # copies the value of x^-1, so of x, another element of its length
+    group = enumerate_group(CoxeterDescriptor("A", 4))
+    expected, inverse = _oracle_r_row(group), list(group.inverse)
+    x, y = next((x, y) for x, y in itertools.combinations(group.elements(), 2)
+                if group.length[x] == group.length[y] and inverse[x] < x and inverse[y] < y
+                and expected[x] != expected[y])
+    assert RContext(group).lower_row("r", range(len(group))) == expected
+    inverse[x], inverse[y] = inverse[y], inverse[x]
+    group.inverse = tuple(inverse)
+    row = RContext(group).lower_row("r", range(len(group)))
+    assert row[y] == expected[x] != expected[y]
+
+
+@pytest.mark.parametrize("spec", ["A4", "I2:5"])
+def test_the_oracle_catches_a_left_route_that_ignores_the_support(spec):
+    # s in the support of sx is below sx, so (s, sx) is a pair of its own; a
+    # left route that reads it as zero there gives wrong values
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    expected = _oracle_r_row(group)
+    planted = _planted_lower_row("elif support[y] >> s & 1:",
+                                 "elif k < n and support[y] >> s & 1:")
+    ctx, _ = _row_walks(group, "r", lower_row=planted)
+    assert [x for x, value in enumerate(ctx._rows["r"]) if value != expected[x]]
+
+
+def test_a_left_route_reading_the_left_column_costs_walks_only():
+    # (s, sx) lowers on the right, to (e, sx*s). A left route that reads the
+    # left column there reads (e, s*sx) = (e, x), the entry being filled,
+    # which is still None, so that route serves no x: the oracle cannot see
+    # the fault in any fill order, but a fill that reaches x before x^-1 walks
+    # more. A full ascending fill does not: there the right route for the
+    # same s serves each such x first.
+    a5 = enumerate_group(CoxeterDescriptor("A", 5))
+    expected, everything = _oracle_r_row(a5), list(a5.elements())
+    later_first = [[x for x in everything if a5.inverse[x] < x], everything]
+    planted = _planted_lower_row("b = row[sides[mirror][y]]",
+                                 "b = row[sides[k if k >= n else mirror][y]]")
+    for calls in ([everything], later_first, [[x] for x in reversed(everything)]):
+        ctx, _ = _row_walks(a5, "r", calls, planted)
+        assert ctx._rows["r"] == expected
+    assert len(_row_walks(a5, "r", [everything], planted)[1]) == 18
+    assert len(_row_walks(a5, "r", later_first)[1]) == 26
+    assert len(_row_walks(a5, "r", later_first, planted)[1]) == 40
 
 
 @pytest.mark.parametrize("spec", ["A5", "I2:12"])
