@@ -9,12 +9,12 @@ averages, and the regularity verdicts.
 from bruhatpoly import (
     CoxeterDescriptor,
     RContext,
-    build_graph,
     default_reflection_order,
     enumerate_group,
     gamma_form_text,
 )
 from bruhatpoly import analysis
+from bruhatpoly.graph import build_graph
 from bruhatpoly.poly import average
 
 group = enumerate_group(CoxeterDescriptor.parse("A3"))
@@ -28,12 +28,13 @@ print(f"group A3 has {len(group)} elements; longest element "
 members = group.interval(e, w)
 graph = build_graph(group, members)
 print(f"\ninterval [{group.display(e)}, {group.display(w)}]: "
-      f"{graph.num_vertices} vertices, {graph.num_edges} edges")
+      f"{len(graph.members)} vertices, {graph.num_edges} edges")
 print("members by length:")
 for v in members:
-    marker = " <- degree 5" if graph.degree(v) == 5 else ""
+    degree = len(graph.out_edges[v]) + graph.in_degree[v]
+    marker = " <- degree 5" if degree == 5 else ""
     print(f"  {group.display(v)}  (length {group.length[v]}, "
-          f"degree {graph.degree(v)}){marker}")
+          f"degree {degree}){marker}")
 
 # the lowest power of q in R-tilde is the directed distance in the graph (Dyer)
 gamma = ctx.gamma_vector(e, w)
@@ -55,7 +56,7 @@ print(f"\nPoincare polynomial        {p.text()}  (average {average(p)})")
 print(f"Bruhat-Poincare polynomial {pb.text()}  (average {average(pb)})")
 
 order = default_reflection_order(group)
-p1, p2 = analysis.p1_p2(graph, order, pb)
+p1, p2 = analysis.p1_p2(group, members, order, pb)
 f_vec = pb.coeffs
 print(f"\nedges from the bottom: {f_vec[1]}; "
       f"height excess p1 = {p1}, increasing two-step paths p2 = {p2}")

@@ -11,11 +11,10 @@ from bruhatpoly import (
     CoxeterDescriptor,
     IncreasingPathCounts,
     RContext,
-    build_graph,
     distinct_reflection_orders,
     enumerate_group,
 )
-from bruhatpoly.graph import increasing_paths
+from bruhatpoly.graph import build_graph, increasing_paths
 from bruhatpoly.poly import Q_PLUS_ONE, ZERO, monomial
 
 
@@ -41,7 +40,7 @@ for i, order in enumerate(orders):
     # holds exactly for the orders that pass the chain condition
     counts = IncreasingPathCounts(group, order)
     assert all(counts.increasing_chains(u, v) == (1, True) for u, v in group.comparable_pairs())
-    print(f"  order {i}: " + " < ".join(group.display(t) for t in order.sequence))
+    print(f"  order {i}: " + " < ".join(group.display(t) for t in order))
 
 graph = build_graph(group, group.interval(e, w))
 print(f"\nincreasing paths from {group.display(e)} to {group.display(w)}:")
@@ -68,4 +67,4 @@ print("\na dihedral group pins its reflection order down to a single chain")
 print("and its reverse:")
 m5 = enumerate_group(CoxeterDescriptor.parse("I2:5"))
 for order in distinct_reflection_orders(m5):
-    print("  " + " < ".join(m5.display(t) for t in order.sequence))
+    print("  " + " < ".join(m5.display(t) for t in order))

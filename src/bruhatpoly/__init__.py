@@ -15,10 +15,7 @@ from .coxeter import (
     enumerate_group,
 )
 from .graph import (
-    BruhatGraph,
     IncreasingPathCounts,
-    ReflectionOrder,
-    build_graph,
     default_reflection_order,
     distinct_reflection_orders,
     reflection_order_from_word,

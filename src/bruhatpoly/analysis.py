@@ -19,12 +19,7 @@ from operator import and_, eq, gt, itemgetter, lt, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coxeter import GroupTable
-from .graph import (
-    BruhatGraph,
-    ReflectionOrder,
-    build_graph,
-    default_reflection_order,
-)
+from .graph import default_reflection_order, edge_row
 from .poly import (
     IntPoly,
     ONE,
@@ -184,18 +179,22 @@ def shifted_average_fires(ctx: RContext, w: int) -> tuple[Fraction, bool]:
 # -- coefficient counts for interval sums ---------------------------------------
 
 
-def p1_p2(graph: BruhatGraph, order: ReflectionOrder, interval_sum: IntPoly) -> tuple[int, int]:
+def p1_p2(group: GroupTable, members: tuple[int, ...], order: tuple[int, ...],
+          interval_sum: IntPoly) -> tuple[int, int]:
     """Height excess over edges from the bottom, and increasing two-step paths.
 
-    p1 sums (height - 1) over the edges leaving the bottom element; p2
-    counts label-increasing paths of absolute length two from the bottom
-    to anywhere in the interval. Their sum is asserted to match the q^2
-    coefficient of ``interval_sum``, the interval's shifted sum.
+    On the interval whose ascending ids are ``members``, p1 sums (height - 1)
+    over the edges leaving the bottom element; p2 counts label-increasing
+    paths of absolute length two from the bottom to anywhere in the
+    interval. Only the rows of the bottom and of its out-neighbours are
+    read. Their sum is asserted to match the q^2 coefficient of
+    ``interval_sum``, the interval's shifted sum.
     """
-    u, w = graph.members[0], graph.members[-1]
-    length, row, rank = graph.group.length, graph.out_edges[u], order.rank
+    u, w, length = members[0], members[-1], group.length
+    inside, rank = frozenset(members), {t: i for i, t in enumerate(order)}
+    row = edge_row(group, inside, u)
     p1 = sum((length[y] - length[u] - 1) // 2 for y, _ in row)
-    p2 = sum(rank[t2] > rank[t] for y, t in row for _, t2 in graph.out_edges[y])
+    p2 = sum(rank[t2] > rank[t] for y, t in row for _, t2 in edge_row(group, inside, y))
     if length[w] - length[u] >= 2 and p1 + p2 != interval_sum.coefficient(2):
         raise AssertionError("p1 + p2 must equal the q^2 coefficient of the interval sum")
     return p1, p2
@@ -474,13 +473,12 @@ def interval_report(ctx: RContext, u: int, w: int) -> dict:
     """
     g = ctx.group
     members, ell = g.interval(u, w), g.length[w] - g.length[u]
-    graph = build_graph(g, members)
     gamma, r = ctx.gamma_vector(u, w), ctx.r(u, w)
     if reassemble_r(gamma) != r:  # R-tilde's route against R's
         raise AssertionError(f"the gamma vector of [{g.display(u)}, {g.display(w)}] is not its R")
     shifted = ctx.shifted(u, w)
     interval_sum = ctx.shifted_sum(u, members, ell)
-    p1, p2 = p1_p2(graph, default_reflection_order(g), interval_sum)
+    p1, p2 = p1_p2(g, members, default_reflection_order(g), interval_sum)
     regular = is_regular(ctx, u, w)
     regularity = {
         "regular": regular,

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import analysis, suite
 from .coxeter import CoxeterDescriptor, GroupTable, enumerate_group
-from .graph import build_graph, to_dot
+from .graph import to_dot
 from .poly import size as poly_size
 from .poly import total as poly_total
 from .rpoly import RContext, gamma_form_text, reassemble_r
@@ -331,8 +331,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     cap = args.max_interval_len
     if cap is not None and group.length[w] - group.length[u] > cap:
         raise CliError("interval longer than --max-interval-len")
-    graph = build_graph(group, group.interval(u, w))
-    _emit(to_dot(graph), args.out)
+    _emit(to_dot(group, group.interval(u, w)), args.out)
     return 0
 
 

@@ -1,41 +1,41 @@
 """Bruhat graphs on intervals, reflection orders and label-increasing paths.
 
 The directed Bruhat graph has an edge x -> y whenever y = x*t for a
-reflection t and the length goes up. The graph of an interval [u, w] keeps
-one row per vertex x: the pairs (y, t) of its out-edges, in target order.
+reflection t and the length goes up. On an interval [u, w] the row of a
+vertex x is the pairs (y, t) of its out-edges, in target order, read off
+the reflection columns by ``edge_row``, the one place the edge rule is
+written; ``p1_p2`` and ``to_dot`` read rows this way and build no graph.
 An edge's height h = (length difference + 1)/2 is read off the lengths;
 height 1 edges are the covering ("short") edges. A reflection order is a
 total order on the reflection set whose restriction to every dihedral
-reflection subgroup is one of the two natural chains; such orders are built
-here from reduced words of the longest element (the tests check the chain
-condition).
+reflection subgroup is one of the two natural chains, held as the tuple
+of its reflection ids; such orders are built here from reduced words of
+the longest element (the tests check the chain condition).
 
 ``IncreasingPathCounts`` counts the label-increasing paths from one bottom
 to every element above it, by absolute length, in one pass per reflection
 of the order over the whole group's ids; by Dyer's theorem these counts are
 the coefficients of R-tilde, and weighted they give the shifted
 R-polynomial. It also walks the lexicographically first maximal chain
-along rows of covers, for Dyer's EL property. One walker lists the paths
-of one interval's graph level by level (``increasing_paths``,
-``short_paths``), each as its (vertices, labels) pair of id tuples. It is
-not exported: no command calls it, and it stays only as the tests'
-reference route for the counts and as a layer the benchmark's traced runs
-wrap.
+along rows of covers, for Dyer's EL property. A whole interval's graph
+(``build_graph``, a ``BruhatGraph``) and one walker that lists its paths
+level by level (``increasing_paths``, ``short_paths``), each as its
+(vertices, labels) pair of id tuples, are not exported: no command calls
+them, and they stay only as the tests' reference route for the counts and
+as layers the benchmark's traced runs wrap.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Container, NamedTuple, Optional, Sequence
 
 from .coxeter import GroupTable
 from .poly import IntPoly, split_fields
 
 __all__ = [
-    "BruhatGraph",
-    "ReflectionOrder",
     "InvalidWordError",
-    "build_graph",
+    "edge_row",
     "reflection_order_from_word",
     "default_reflection_order",
     "distinct_reflection_orders",
@@ -51,8 +51,8 @@ class BruhatGraph(NamedTuple):
     """The Bruhat graph induced on one interval.
 
     ``members`` are the ids of the interval, ascending (``GroupTable.interval``).
-    ``out_edges[x]`` is the row of x: one (y, t) per edge x -> y = x*t, in
-    target order. ``in_degree[y]`` counts the edges into y.
+    ``out_edges[x]`` is the row of x (``edge_row``). ``in_degree[y]`` counts
+    the edges into y.
     """
 
     group: GroupTable
@@ -61,65 +61,35 @@ class BruhatGraph(NamedTuple):
     in_degree: dict[int, int]
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.members)
-
-    @property
     def num_edges(self) -> int:
         return sum(self.in_degree.values())
 
-    def degree(self, v: int) -> int:
-        return len(self.out_edges[v]) + self.in_degree[v]
+
+def edge_row(group: GroupTable, inside: Container[int], x: int) -> tuple[tuple[int, int], ...]:
+    """The row of x in the Bruhat graph on the ids ``inside``: one (y, t) per
+    edge x -> y = x*t, with y inside and longer than x, in target order."""
+    length, lx, row = group.length, group.length[x], []
+    for t, col in group.reflection_columns().items():
+        y = col[x]
+        if y in inside and length[y] > lx:
+            if (length[y] - lx) % 2 == 0:
+                raise AssertionError("Bruhat edges must have odd length difference")
+            row.append((y, t))
+    return tuple(sorted(row))
 
 
 def build_graph(group: GroupTable, members: tuple[int, ...]) -> BruhatGraph:
-    """All edges x -> y with both ends in the interval whose ascending ids are
-    ``members`` (``GroupTable.interval``) and increasing length."""
-    in_degree = dict.fromkeys(members, 0)
-    length = group.length
-    columns = tuple(group.reflection_columns().items())
-    out_edges = {}
-    for x in members:
-        lx = length[x]
-        row = []
-        for t, col in columns:
-            y = col[x]
-            if y in in_degree and length[y] > lx:
-                if (length[y] - lx) % 2 == 0:
-                    raise AssertionError("Bruhat edges must have odd length difference")
-                row.append((y, t))
-                in_degree[y] += 1
-        out_edges[x] = tuple(sorted(row))
+    """Every edge of the interval whose ascending ids are ``members``
+    (``GroupTable.interval``), row by row."""
+    inside, in_degree = frozenset(members), dict.fromkeys(members, 0)
+    out_edges = {x: edge_row(group, inside, x) for x in members}
+    for row in out_edges.values():
+        for y, _ in row:
+            in_degree[y] += 1
     return BruhatGraph(group, members, out_edges, in_degree)
 
 
-class ReflectionOrder:
-    """A total order on the reflection set, held as a ranked sequence."""
-
-    __slots__ = ("sequence", "rank")
-
-    def __init__(self, sequence: Iterable[int]) -> None:
-        self.sequence: tuple[int, ...] = tuple(sequence)
-        if len(set(self.sequence)) != len(self.sequence):
-            raise ValueError("reflection order contains repeats")
-        self.rank: dict[int, int] = {t: i for i, t in enumerate(self.sequence)}
-
-    def reversed(self) -> "ReflectionOrder":
-        return ReflectionOrder(self.sequence[::-1])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ReflectionOrder):
-            return self.sequence == other.sequence
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.sequence)
-
-    def __repr__(self) -> str:
-        return f"ReflectionOrder({self.sequence})"
-
-
-def reflection_order_from_word(group: GroupTable, word: Sequence[int]) -> ReflectionOrder:
+def reflection_order_from_word(group: GroupTable, word: Sequence[int]) -> tuple[int, ...]:
     """Order the reflections by the inversion sequence of a reduced word.
 
     For a reduced word s_{i1} ... s_{iN} of the longest element, the k-th
@@ -146,14 +116,14 @@ def reflection_order_from_word(group: GroupTable, word: Sequence[int]) -> Reflec
         raise InvalidWordError("word does not multiply to the longest element")
     if len(set(sequence)) != n_expected:
         raise AssertionError("inversion sequence of a reduced word must be distinct")
-    return ReflectionOrder(sequence)
+    return tuple(sequence)
 
 
-def default_reflection_order(group: GroupTable) -> ReflectionOrder:
+def default_reflection_order(group: GroupTable) -> tuple[int, ...]:
     return reflection_order_from_word(group, group.reduced_word(group.w0))
 
 
-def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
+def distinct_reflection_orders(group: GroupTable) -> list[tuple[int, ...]]:
     """The default reflection order, the order of the lexicographically
     largest reduced word of w0 and the reverse of the default, less repeats:
     three on A3 and up, two on A2 and on every dihedral group (which admits
@@ -161,7 +131,7 @@ def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
     base = default_reflection_order(group)
     orders = [base]
     largest = group.reduced_word(group.w0, max)
-    for order in (reflection_order_from_word(group, largest), base.reversed()):
+    for order in (reflection_order_from_word(group, largest), base[::-1]):
         if order not in orders:
             orders.append(order)
     return orders
@@ -172,7 +142,7 @@ def distinct_reflection_orders(group: GroupTable) -> list[ReflectionOrder]:
 PathPair = tuple[tuple[int, ...], tuple[int, ...]]  # (vertices, labels) of a listed path
 
 
-def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
+def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[tuple[int, ...]],
           short_only: bool) -> list[PathPair]:
     """Every path u -> ... -> w along the admissible edges, as its pair
     (vertices, labels): covers only with ``short_only``, and with an order
@@ -183,26 +153,27 @@ def _walk(graph: BruhatGraph, u: int, w: int, order: Optional[ReflectionOrder],
     one (either fixes a path): the order of a depth-first walk.
     """
     length = graph.group.length
+    rank = {t: i for i, t in enumerate(order)} if order is not None else None
     partial, found = [((u,), ())], []
     while partial:
         grown = []
         for vertices, labels in partial:
             x = vertices[-1]
             if x == w:
-                key = tuple(map(order.rank.__getitem__, labels)) if order is not None else vertices
+                key = tuple(map(rank.__getitem__, labels)) if rank is not None else vertices
                 found.append((key, (vertices, labels)))
                 continue
             for y, t in graph.out_edges[x]:
                 if short_only and length[y] != length[x] + 1:
                     continue
-                if order is not None and labels and order.rank[t] <= order.rank[labels[-1]]:
+                if rank is not None and labels and rank[t] <= rank[labels[-1]]:
                     continue
                 grown.append(((*vertices, y), (*labels, t)))
         partial = grown
     return [path for _, path in sorted(found)]
 
 
-def increasing_paths(graph: BruhatGraph, u: int, w: int, order: ReflectionOrder,
+def increasing_paths(graph: BruhatGraph, u: int, w: int, order: tuple[int, ...],
                      short_only: bool = False) -> list[PathPair]:
     """All paths u -> ... -> w whose labels strictly increase in the order.
 
@@ -237,11 +208,13 @@ class IncreasingPathCounts:
     to a top id that at least doubles whenever a higher top is asked.
     """
 
-    def __init__(self, group: GroupTable, order: ReflectionOrder) -> None:
+    def __init__(self, group: GroupTable, order: tuple[int, ...]) -> None:
+        if sorted(order) != sorted(group.reflections):
+            raise ValueError("a reflection order must list every reflection exactly once")
         self.group = group
-        self._columns = tuple(map(group.reflection_columns().__getitem__, order.sequence))
+        self._columns = tuple(map(group.reflection_columns().__getitem__, order))
         self._covers: list = [None] * len(group)  # x -> its (rank, cover) pairs, by rank
-        self._width = len(order.sequence) + 1
+        self._width = len(order) + 1
         self._bottom, self._top, self._count = None, -1, []
 
     def _packed(self, u: int, w: int) -> int:
@@ -305,16 +278,17 @@ class IncreasingPathCounts:
                 all(a < b for a, b in zip(first, first[1:])))
 
 
-def to_dot(graph: BruhatGraph) -> str:
-    """Graphviz DOT rendering: deterministic order, long edges dashed."""
-    g = graph.group
+def to_dot(group: GroupTable, members: tuple[int, ...]) -> str:
+    """Graphviz DOT rendering of the Bruhat graph on the interval whose
+    ascending ids are ``members``: deterministic order, long edges dashed."""
+    inside = frozenset(members)
     lines = ["digraph bruhat {", "  rankdir=BT;"]
-    for v in graph.members:
-        lines.append(f'  "{g.display(v)}" [label="{g.display(v)} ({g.length[v]})"];')
-    for x in graph.members:  # ascending ids, rows in target order
-        for y, _ in graph.out_edges[x]:
-            height = (g.length[y] - g.length[x] + 1) // 2
+    for v in members:
+        lines.append(f'  "{group.display(v)}" [label="{group.display(v)} ({group.length[v]})"];')
+    for x in members:  # ascending ids, rows in target order
+        for y, _ in edge_row(group, inside, x):
+            height = (group.length[y] - group.length[x] + 1) // 2
             style = "" if height == 1 else f' [style=dashed, label="h={height}"]'
-            lines.append(f'  "{g.display(x)}" -> "{g.display(y)}"{style};')
+            lines.append(f'  "{group.display(x)}" -> "{group.display(y)}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,8 +9,9 @@ conjugates of the generators, Bruhat paths listed by products with every
 reflection and an order test, Dyer's EL property by listing every maximal
 chain, the R recursion in polynomial arithmetic with an order test per
 pair, degree regularity read off the built Bruhat graph at every vertex,
-Booleanness of every upper subinterval one interval at a time or
-in one pass over [u, w], interval sums over the order relation, lower
+p1 and p2 read off the built graph's rows, Booleanness of every upper
+subinterval one interval at a time or in one pass over [u, w],
+interval sums over the order relation, lower
 interval sums as one memo query per member, coefficientwise sums by
 transposing coefficient tuples, capped ideals cut from the
 full lower ideal, the edge-size tally edge by edge, the dihedral bounds
@@ -30,8 +31,8 @@ from itertools import combinations, zip_longest
 from math import prod
 from types import SimpleNamespace
 
-from bruhatpoly import IntPoly, analysis, build_graph
-from bruhatpoly.graph import increasing_paths, short_paths
+from bruhatpoly import IntPoly, analysis
+from bruhatpoly.graph import build_graph, increasing_paths, short_paths
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, coeffwise_leq, monomial
 
 
@@ -237,13 +238,24 @@ def double_r_at(gamma, p: IntPoly, q: IntPoly) -> IntPoly:
 def graph_degrees(group, u: int, w: int) -> dict[int, int]:
     """The total (undirected) degree of every vertex of the built Bruhat graph of [u, w]."""
     graph = build_graph(group, group.interval(u, w))
-    return {v: graph.degree(v) for v in graph.members}
+    return {v: len(graph.out_edges[v]) + graph.in_degree[v] for v in graph.members}
 
 
 def regular_by_graph_degrees(group, u: int, w: int) -> bool:
     """Every vertex of the Bruhat graph of [u, w] has degree length(w) - length(u)."""
     ell = group.length[w] - group.length[u]
     return all(d == ell for d in graph_degrees(group, u, w).values())
+
+
+def p1_p2_from_graph(graph, order) -> tuple[int, int]:
+    """p1, the sum of (height - 1) over the built edges out of the bottom,
+    and p2, the label-increasing two-step paths from the bottom along the
+    built rows."""
+    u = graph.members[0]
+    length, row = graph.group.length, graph.out_edges[u]
+    p1 = sum((length[y] - length[u] - 1) // 2 for y, _ in row)
+    p2 = sum(order.index(t2) > order.index(t) for y, t in row for _, t2 in graph.out_edges[y])
+    return p1, p2
 
 
 def upper_boolean_per_v(ctx, u: int, w: int) -> bool:
@@ -459,7 +471,7 @@ def order_violations(group, order) -> list[tuple[int, ...]]:
             chain.append(columns[r][p])
             p = columns[s][chain[-1]]
         assert sorted(chain) == inside, "a dihedral chain lists its subgroup's reflections"
-        ranks = [order.rank[t] for t in chain]
+        ranks = [order.index(t) for t in chain]
         if ranks != sorted(ranks) and ranks != sorted(ranks, reverse=True):
             out.append(tuple(chain))
     return out
@@ -483,9 +495,9 @@ def naive_paths(group, u: int, w: int, order=None, short_only: bool = False) -> 
             y = group.mul(x, t)
             gain = group.length[y] - group.length[x]
             if gain > 0 and (gain == 1 or not short_only) and group.leq(y, w):
-                steps.append((order.rank[t] if order is not None else y, y, t))
+                steps.append((order.index(t) if order is not None else y, y, t))
         for key, y, t in sorted(steps):
-            if order is None or not labels or key > order.rank[labels[-1]]:
+            if order is None or not labels or key > order.index(labels[-1]):
                 extend(vertices + (y,), labels + (t,))
 
     extend((u,), ())
@@ -494,17 +506,15 @@ def naive_paths(group, u: int, w: int, order=None, short_only: bool = False) -> 
 
 def smallest_rank_word(chains, order) -> tuple[int, ...]:
     """Smallest label-rank word over listed maximal chains (``short_paths``)."""
-    rank = order.rank.__getitem__
-    return min(tuple(map(rank, labels)) for _, labels in chains)
+    return min(tuple(map(order.index, labels)) for _, labels in chains)
 
 
 def smallest_rank_word_top_down(graph, u: int, w: int, order) -> tuple[int, ...]:
     """``smallest_rank_word`` without listing the chains: from the top of the
     graph's interval down, each vertex keeps its smallest word to w."""
-    length, rank = graph.group.length, order.rank
-    best = {w: ()}
+    length, best = graph.group.length, {w: ()}
     for x in reversed(graph.members):  # members ascend in length
-        words = [(rank[t],) + best[y] for y, t in graph.out_edges[x]
+        words = [(order.index(t),) + best[y] for y, t in graph.out_edges[x]
                  if length[y] == length[x] + 1]
         if words:
             best[x] = min(words)
@@ -515,7 +525,7 @@ def el_holds(graph, u: int, w: int, order) -> bool:
     """Exactly one increasing maximal chain, and its rank word is the smallest."""
     increasing = increasing_paths(graph, u, w, order, short_only=True)
     return (len(increasing) == 1
-            and tuple(order.rank[t] for t in increasing[0][1])
+            and tuple(map(order.index, increasing[0][1]))
             == smallest_rank_word(short_paths(graph, u, w), order))
 
 

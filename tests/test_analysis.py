@@ -8,20 +8,20 @@ from bruhatpoly import (
     CoxeterDescriptor,
     IntPoly,
     RContext,
-    build_graph,
     coeffwise_leq,
     default_reflection_order,
     enumerate_group,
 )
 from bruhatpoly import analysis
-from bruhatpoly.graph import increasing_paths
+from bruhatpoly.graph import build_graph, increasing_paths
 from bruhatpoly.cli import main
 from bruhatpoly.poly import ONE, Q, Q_PLUS_ONE, ZERO, monomial, size, split_fields, total
 from oracles import (coeff_sum, dihedral_bounds_per_pair, dihedral_closed_form_ok,
                      edge_size_tally_per_edge, fibonacci_rec, graph_degrees,
                      interval_sum_per_member, is_boolean_interval, is_dihedral_interval,
-                     jacobsthal, path_weight, reachability, regular_by_graph_degrees,
-                     shifted_interval_sum, upper_boolean_one_pass, upper_boolean_per_v)
+                     jacobsthal, p1_p2_from_graph, path_weight, reachability,
+                     regular_by_graph_degrees, shifted_interval_sum, upper_boolean_one_pass,
+                     upper_boolean_per_v)
 
 
 def test_poincare_values(a3, a3_ctx, pid):
@@ -341,8 +341,8 @@ def test_p1_p2_values(a3, a3_ctx, i2_ctxs, pid):
     e = a3.identity
 
     def p1_p2(w):
-        graph = build_graph(a3, a3.interval(e, w))
-        return analysis.p1_p2(graph, order, analysis.interval_shifted_sum(a3_ctx, e, w))
+        members = a3.interval(e, w)
+        return analysis.p1_p2(a3, members, order, analysis.interval_shifted_sum(a3_ctx, e, w))
 
     assert p1_p2(pid(a3, "3412")) == (2, 6)
     s1 = a3.generator(0)
@@ -350,20 +350,35 @@ def test_p1_p2_values(a3, a3_ctx, i2_ctxs, pid):
     # Boolean square: a single increasing two-step chain
     assert p1_p2(pid(a3, "2143")) == (0, 1)
     # the sum it is handed must carry p1 + p2 as its q^2 coefficient
-    graph = build_graph(a3, a3.interval(e, pid(a3, "3412")))
+    members = a3.interval(e, pid(a3, "3412"))
     with pytest.raises(AssertionError, match="q\\^2 coefficient"):
-        analysis.p1_p2(graph, order, Q_PLUS_ONE ** 4)
+        analysis.p1_p2(a3, members, order, Q_PLUS_ONE ** 4)
 
 
 def test_p1_p2_sum_is_order_invariant(a3, a3_ctx):
     from bruhatpoly import distinct_reflection_orders
     orders = distinct_reflection_orders(a3)
     for u, w in a3.comparable_pairs():
-        graph = build_graph(a3, a3.interval(u, w))
+        members = a3.interval(u, w)
         interval_sum = analysis.interval_shifted_sum(a3_ctx, u, w)
-        values = {analysis.p1_p2(graph, o, interval_sum) for o in orders}
+        values = {analysis.p1_p2(a3, members, o, interval_sum) for o in orders}
         # p1 never moves; p2 is order-invariant as well
         assert len(values) == 1
+
+
+def test_p1_p2_matches_the_built_graph(a3_ctx, a4_ctx, i2_ctxs):
+    # p1_p2 reads two levels of rows off the reflection columns; the oracle
+    # reads them off the whole built graph, on every interval
+    for ctx in (a3_ctx, a4_ctx, i2_ctxs[7]):
+        group = ctx.group
+        base = default_reflection_order(group)
+        for u, w in group.comparable_pairs():
+            members = group.interval(u, w)
+            graph = build_graph(group, members)
+            interval_sum = analysis.interval_shifted_sum(ctx, u, w)
+            for order in (base, base[::-1]):
+                assert (analysis.p1_p2(group, members, order, interval_sum)
+                        == p1_p2_from_graph(graph, order))
 
 
 def test_deodhar_examples(a3, a3_ctx, i2_ctxs, pid):

@@ -9,8 +9,6 @@ from bruhatpoly import (
     CoxeterDescriptor,
     IncreasingPathCounts,
     IntPoly,
-    ReflectionOrder,
-    build_graph,
     default_reflection_order,
     distinct_reflection_orders,
     enumerate_group,
@@ -18,7 +16,7 @@ from bruhatpoly import (
     reflection_order_from_word,
     to_dot,
 )
-from bruhatpoly.graph import InvalidWordError, increasing_paths, short_paths
+from bruhatpoly.graph import InvalidWordError, build_graph, increasing_paths, short_paths
 from bruhatpoly.poly import Q, Q_PLUS_ONE, ZERO, average, size
 from bruhatpoly.suite import _interval_scope
 from oracles import (absolute_distance, edge_weight, el_holds, naive_paths, order_violations,
@@ -32,13 +30,13 @@ def lower_graph(group, w):
 
 def test_figure_one_counts(a3, pid):
     g = lower_graph(a3, pid(a3, "3412"))
-    assert g.num_vertices == 14
+    assert len(g.members) == 14
     assert g.num_edges == 29
 
 
 def test_single_vertex_graph(a3):
     g = build_graph(a3, a3.interval(a3.w0, a3.w0))
-    assert g.num_vertices == 1 and g.num_edges == 0
+    assert len(g.members) == 1 and g.num_edges == 0
 
 
 def test_s3_edge_count_matches_poincare_derivative(a2):
@@ -117,13 +115,13 @@ def test_reflection_order_construction_dihedral(i2_groups):
     s1 = m3.generator(0)
     s2 = m3.generator(1)
     s1s2s1 = m3.from_word((0, 1, 0))
-    assert order.sequence == (s1, s1s2s1, s2)
+    assert order == (s1, s1s2s1, s2)
     assert not order_violations(m3, order)
 
 
 def test_reflection_order_construction_s3(a2):
     order = reflection_order_from_word(a2, a2.reduced_word(a2.w0))
-    assert len(set(order.sequence)) == 3 == a2.length[a2.w0]
+    assert len(set(order)) == 3 == a2.length[a2.w0]
     assert not order_violations(a2, order)
 
 
@@ -143,9 +141,9 @@ def test_default_order_valid_on_s4(a3):
 def test_midchain_swap_is_rejected_in_i2_5(i2_groups):
     m5 = i2_groups[5]
     good = default_reflection_order(m5)
-    seq = list(good.sequence)
+    seq = list(good)
     seq[1], seq[2] = seq[2], seq[1]  # displace one interior chain entry
-    [chain] = order_violations(m5, ReflectionOrder(seq))
+    [chain] = order_violations(m5, tuple(seq))
     assert set(chain) == set(m5.reflections)
 
 
@@ -153,7 +151,7 @@ def test_any_order_on_i2_2_is_valid(i2_groups):
     m2 = i2_groups[2]
     t1, t2 = m2.reflections
     for seq in ((t1, t2), (t2, t1)):
-        assert not order_violations(m2, ReflectionOrder(seq))
+        assert not order_violations(m2, seq)
 
 
 def test_dihedral_groups_admit_exactly_two_orders(i2_groups):
@@ -162,7 +160,7 @@ def test_dihedral_groups_admit_exactly_two_orders(i2_groups):
     import itertools
     m5 = i2_groups[5]
     valid = [seq for seq in itertools.permutations(m5.reflections)
-             if not order_violations(m5, ReflectionOrder(seq))]
+             if not order_violations(m5, seq)]
     assert len(valid) == 2
     assert valid[0] == tuple(reversed(valid[1]))
     assert len(distinct_reflection_orders(m5)) == 2
@@ -174,13 +172,13 @@ def test_dihedral_groups_admit_exactly_two_orders(i2_groups):
 def test_distinct_reflection_orders_per_group(spec, count):
     # the three seeds alone: a dihedral group admits exactly two orders
     orders = distinct_reflection_orders(enumerate_group(CoxeterDescriptor.parse(spec)))
-    assert len({o.sequence for o in orders}) == len(orders) == count
+    assert len(set(orders)) == len(orders) == count
 
 
 def test_three_distinct_valid_orders_on_s4(a3):
     orders = distinct_reflection_orders(a3)
     assert len(orders) == 3
-    assert len({o.sequence for o in orders}) == 3
+    assert len(set(orders)) == 3
     for o in orders:
         assert not order_violations(a3, o)
 
@@ -314,7 +312,7 @@ def shuffled_order(group, seed):
     """A seeded random order on the reflections, mostly not a reflection order."""
     sequence = list(group.reflections)
     random.Random(seed).shuffle(sequence)
-    return ReflectionOrder(sequence)
+    return tuple(sequence)
 
 
 def test_chain_count_matches_enumeration(a1, a2, a3, a4, i2_groups):
@@ -346,6 +344,17 @@ def test_chain_count_rejects_a_vertex_without_cover(a3, pid):
     assert a3.length[u] < a3.length[w] and not a3.leq(u, w)
     with pytest.raises(AssertionError):
         paths.increasing_chains(u, w)
+
+
+def test_path_counts_refuse_an_order_that_is_not_a_permutation(a3, i2_groups):
+    # a repeated or a dropped reflection would count paths wrongly, silently
+    base = default_reflection_order(a3)
+    for order in ((*base[:-1], base[0]), base[:-1]):
+        with pytest.raises(ValueError, match="every reflection"):
+            IncreasingPathCounts(a3, order)
+    for group in (a3, i2_groups[5]):
+        for order in distinct_reflection_orders(group):
+            assert IncreasingPathCounts(group, order).counts(group.identity, group.w0)
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "I2:2", "I2:5", "I2:8", "A5"])
@@ -399,20 +408,20 @@ def test_path_counts_match_the_listing(spec):
 
 def test_dot_export(a3, i2_groups, pid):
     g = lower_graph(a3, pid(a3, "3412"))
-    dot = to_dot(g)
+    dot = to_dot(a3, g.members)
     assert dot.count(" -> ") == 29
     assert dot.count('label="') == 14 + dot.count("style=dashed")
     assert dot.count("style=dashed") == 2  # the two long edges from the bottom
-    assert to_dot(g) == dot  # deterministic
+    assert to_dot(a3, g.members) == dot  # deterministic
     # full dihedral interval of I2(5): enumeration gives 25 edges,
     # 16 covering and 9 long (the in-degree law forces the total)
     m5 = i2_groups[5]
     g5 = lower_graph(m5, m5.w0)
-    assert g5.num_vertices == 10
+    assert len(g5.members) == 10
     assert g5.num_edges == sum(m5.length) == 25
     short = [m5.length[y] - m5.length[x] == 1 for x, row in g5.out_edges.items() for y, _ in row]
     assert short.count(True) == 16
     assert short.count(False) == 9
-    d5 = to_dot(g5)
+    d5 = to_dot(m5, g5.members)
     assert d5.count(" -> ") == 25
     assert d5.count("style=dashed") == 9

@@ -10,14 +10,13 @@ from bruhatpoly import (
     CoxeterDescriptor,
     IntPoly,
     RContext,
-    build_graph,
     default_reflection_order,
     enumerate_group,
     gamma_form_text,
     reassemble_r,
 )
 from bruhatpoly import analysis, rpoly, suite
-from bruhatpoly.graph import increasing_paths
+from bruhatpoly.graph import build_graph, increasing_paths
 from bruhatpoly.poly import ONE, Q, Q_MINUS_ONE, Q_PLUS_ONE, ZERO, monomial
 from bruhatpoly.cli import _r_classes
 from bruhatpoly.coxeter import GroupTable

@@ -12,6 +12,7 @@ import pytest
 
 import bruhatpoly
 from bruhatpoly import RContext, graph, suite
+from bruhatpoly.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -46,9 +47,10 @@ def test_every_exported_name_resolves():
 
 
 def test_only_graph_names_the_path_lister():
-    # the lister is the tests' reference route and a traced layer of the
-    # benchmark; no other module of the package may come to depend on it
-    lister = {"increasing_paths", "short_paths", "_walk"}
+    # the lister and the whole-interval graph are the tests' reference routes
+    # and traced layers of the benchmark; no other module of the package may
+    # come to depend on them, nor export them
+    lister = {"increasing_paths", "short_paths", "_walk", "build_graph", "BruhatGraph"}
     package = Path(bruhatpoly.__file__).parent
     named = {}
     for path in sorted(package.glob("*.py")):
@@ -121,15 +123,9 @@ def test_every_check_has_one_runner():
                                  and all(isinstance(d, str) for d in row[2:]))
 
 
-@pytest.mark.parametrize("spec, checks", [
-    ("A3", None),  # every comparable pair of the small-group scope
-    ("A4", None),  # lower intervals
-    ("A4", ["th2"]),
-    ("A4", ["el-unique", "oracle-eq"]),
-    ("I2:8", None),
-])
-def test_verify_builds_no_graph(monkeypatch, spec, checks):
-    # counted wherever build_graph is called from, in every module that imports it
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The build_graph calls made, wherever from, in every module that imports it."""
     calls = []
     original = graph.build_graph
 
@@ -140,6 +136,28 @@ def test_verify_builds_no_graph(monkeypatch, spec, checks):
     for name, module in list(sys.modules.items()):
         if name.startswith("bruhatpoly") and getattr(module, "build_graph", None) is original:
             monkeypatch.setattr(module, "build_graph", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec, checks", [
+    ("A3", None),  # every comparable pair of the small-group scope
+    ("A4", None),  # lower intervals
+    ("A4", ["th2"]),
+    ("A4", ["el-unique", "oracle-eq"]),
+    ("I2:8", None),
+])
+def test_verify_builds_no_graph(monkeypatch, graph_builds, spec, checks):
     monkeypatch.setattr(suite, "_ENVS", {})
     assert all(r.passed for r in suite.run_suite(spec, checks))
-    assert calls == []
+    assert graph_builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--group", "A4", "--u", "e", "--w", "w0"],  # a lower interval
+    ["interval", "--group", "A4", "--u", "s1", "--w", "w0"],
+    ["export-dot", "--group", "A4", "--u", "e", "--w", "w0"],
+])
+def test_interval_and_export_dot_build_no_graph(capsys, graph_builds, argv):
+    # both read the Bruhat edges they need off the reflection columns
+    assert main(argv) == 0
+    assert capsys.readouterr().out and graph_builds == []
