@@ -15,7 +15,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, islice
-from operator import and_, eq, gt, itemgetter, lt, sub
+from operator import itemgetter, lt, not_, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coxeter import GroupTable
@@ -424,28 +424,31 @@ def edge_size_tally(ctx: RContext) -> EdgeSizeTally:
     Monotonicity is asserted (never decreasing); the tally reports how
     often the size stays equal versus strictly grows, with the first few
     examples of each in (u, reflection) order. Descriptive only: the
-    general strictness question is open. Each reflection column is compared
-    against the sizes whole, one C-level pass per comparison.
+    general strictness question is open. In the column of a reflection t,
+    u -> ut is an edge iff u < ut as ids: ids ascend with length, and t
+    changes the length by an odd amount. Each column keeps its up-edges
+    and their size differences, one list each in C-level passes; the
+    edges never decrease iff the least difference is at least 0, the equal
+    ones are the zeros, and the examples are read off by ``compress``.
     """
     g = ctx.group
-    length = g.length
     sizes = ctx.lower_sizes(range(len(g)))
+    get = sizes.__getitem__
     columns = tuple(g.reflection_columns().values())
     edges = equal = 0
     # (u, column index) of the first examples of each kind, per column
     equal_at: list[tuple[int, int]] = []
     strict_at: list[tuple[int, int]] = []
     for k, col in enumerate(columns):
-        up = list(map(lt, length, map(length.__getitem__, col)))  # u -> u*t is an edge
-        above = list(map(sizes.__getitem__, col))
-        if any(map(and_, up, map(gt, sizes, above))):
+        up = list(map(lt, count(), col))  # u -> u*t is an edge
+        bottoms = list(compress(count(), up))
+        grew = list(map(sub, map(get, compress(col, up)), map(get, bottoms)))
+        if min(grew) < 0:
             raise AssertionError("size must not decrease along a Bruhat edge")
-        same = list(map(and_, up, map(eq, sizes, above)))
-        grew = map(and_, up, map(lt, sizes, above))  # read only up to the last example
-        edges += sum(up)
-        equal += sum(same)
-        equal_at += ((u, k) for u in islice(compress(count(), same), TALLY_EXAMPLES))
-        strict_at += ((u, k) for u in islice(compress(count(), grew), TALLY_EXAMPLES))
+        edges += len(grew)
+        equal += grew.count(0)
+        equal_at += ((u, k) for u in islice(compress(bottoms, map(not_, grew)), TALLY_EXAMPLES))
+        strict_at += ((u, k) for u in islice(compress(bottoms, grew), TALLY_EXAMPLES))
 
     def examples(at: list[tuple[int, int]]) -> tuple[tuple[str, str], ...]:
         return tuple((g.display(u), g.display(columns[k][u]))

@@ -18,8 +18,12 @@ is x*s and ``left[s][x]`` is s*x. ``mul`` walks the first right descents of
 its second factor, and the columns x -> x*t per reflection t are built on
 first use. Tables are immutable after construction. Bruhat order is
 answered by a walk down right descents (no memo); lower ideals, whole or
-cut at a length cap, are built lazily on first use, from the columns of
-``right``; only the ideals callers ask for are kept, per table and cap. A
+cut at a length cap, are built lazily on first use. Each step down from w
+takes a descent s whose ideal is kept, if one is: [e, w] is [e, ws] and
+its image under x -> xs, read off ``right[s]``, or, for a left descent,
+[e, sw] and its image under x -> sx, read off ``left[s]`` (the lifting
+property mirrored through x -> x^-1). Only the ideals callers ask for are
+kept, per table and cap. A
 kept ideal is a pure function of its top element and cap, so sharing a
 table between worker processes (or rebuilding it per worker) gives
 identical answers. An interval [u, w] is the ascending tuple of its ids:
@@ -317,32 +321,47 @@ class GroupTable:
         without a cap) in ascending order, built lazily and kept per cap.
         Only the ideal of the w asked for is kept: those on the descent chain
         below it, down to the nearest kept one, are built as temporary sets
-        (sorted once, at the top), and in an id-order sweep each of them is
-        an earlier top.
+        (sorted once, at the top).
 
-        With s the first right descent of w: [e, w] = [e, ws] union [e, ws]*s,
-        the second part read off the column of s. A capped ideal is built
-        from the capped ideal of ws, and no full ideal is: u <= w iff
-        min(u, us) <= ws (the lifting property), and min(u, us) is at most
-        one shorter than u, so the capped ideal of w is every x and xs for x
-        in the capped ideal of ws, cut at length(w) - cap. Ids run in length
-        order, so the cut drops the ids below one bound. A cap of at least length(w0) cuts
-        nothing and shares the whole ideals.
+        Each step down the chain takes the first descent of its element whose
+        ideal is kept: right descents first, then left ones, lowest index
+        first; if none is kept, the first right descent. For a right descent
+        s, [e, w] = [e, ws] union [e, ws]*s, the second part read off
+        ``right[s]``; for a left descent s, [e, w] = [e, sw] union s*[e, sw],
+        read off ``left[s]``. In an id-order sweep the first right descent's
+        ideal is always an earlier top, so the chain is one step. A capped
+        ideal is built from the capped ideal of ws, and no full ideal is:
+        u <= w iff min(u, us) <= ws (the lifting property, Bjorner-Brenti,
+        Prop. 2.2.7), and min(u, us) is at most one shorter than u, so the
+        capped ideal of w is every x and xs for x in the capped ideal of ws,
+        cut at length(w) - cap. x -> x^-1 keeps the order and swaps the
+        sides, so the same holds with sw and sx. Ids run in length order, so
+        the cut drops the ids below one bound. A cap of at least length(w0)
+        cuts nothing and shares the whole ideals.
         """
         if cap is not None and cap >= self.length[self.w0]:
             cap = None
         ideals = self._ideals.get(cap)
         if ideals is None:
             ideals = self._ideals[cap] = {self.identity: (self.identity,)}
-        length, right, first = self.length, self.right, self._first_descent
-        top, chain = w, []
+        length, descents, first = self.length, self.descents, self._first_descent
+        sides = self.right + self.left  # bit k of a descent mask is read from column k
+        top, chain = w, []  # per step down: its element and the column it steps along
         while (below := ideals.get(w)) is None:
-            chain.append(w)
-            w = right[first[w]][w]
+            todo = descents[w]
+            while todo:  # right descents, then left, lowest index first
+                k = (todo & -todo).bit_length() - 1
+                if sides[k][w] in ideals:
+                    break
+                todo &= todo - 1
+            else:
+                k = first[w]
+            chain.append((w, sides[k]))
+            w = sides[k][w]
         if chain:
             below = set(below)
-            for x in reversed(chain):
-                below.update(list(map(right[first[x]].__getitem__, below)))
+            for x, col in reversed(chain):
+                below.update(list(map(col.__getitem__, below)))
                 if cap is not None:
                     below = set(filter(bisect_left(length, length[x] - cap).__le__, below))
             below = ideals[top] = tuple(sorted(below))

@@ -116,8 +116,10 @@ class RContext:
         self._packed_width = (len(group) * self._coefficient_cap).bit_length()
         # packed shifted values by the id of the interned value, which _interned keeps alive
         self._packed: dict[int, int] = {}
-        # _pack(shifted(e, x)) by x, None where no sum asked yet
+        # _pack(shifted(e, x)) by x, None where no sum asked yet; whole once
+        # ``fill_packed_row`` has run, and then a lower sum scans no entry for None
         self._packed_row: list = [None] * len(group)
+        self._packed_row_whole = False
         # analysis verdicts keyed by (question tag, *arguments), shared by the checks
         self.verdicts: dict[tuple, bool] = {}
         self.hits = 0
@@ -267,8 +269,10 @@ class RContext:
         Each term is packed into one int, coefficient i in bits [i*b, (i+1)*b)
         with b = (|W| * 2^length(w0)).bit_length(), so the sum is one C-level
         ``sum`` and one split into fields. For u = e the terms come from the
-        packed lower row, filled from the shifted lower row where a sum asks;
-        for other u, from the memo. Each distinct value is packed once, and its
+        packed lower row: once ``fill_packed_row`` has made it whole, the sum
+        is read straight off it; before, the members whose entries are None
+        are filled first, from the shifted lower row. For other u the terms
+        come from the memo. Each distinct value is packed once, and its
         coefficients are checked then to lie in [0, 2^length(w0)]. The cap
         holds for every shifted value: shifted(u, x) <= d_n coefficientwise
         with n = length(u, x) (the dihedral upper bound that ``th4-bounds``
@@ -278,8 +282,8 @@ class RContext:
         """
         if u == self.group.identity:
             row = self._packed_row
-            missing = list(compress(members, map(is_, map(row.__getitem__, members), repeat(None))))
-            if missing:
+            if not self._packed_row_whole and (missing := list(
+                    compress(members, map(is_, map(row.__getitem__, members), repeat(None))))):
                 shifted = self.lower_row("shifted", missing)
                 for x in missing:
                     row[x] = self._pack(shifted[x])
@@ -290,6 +294,14 @@ class RContext:
         if total >> (degree + 1) * width:
             raise AssertionError("a packed sum has a coefficient above its degree")
         return IntPoly(split_fields(total, width))
+
+    def fill_packed_row(self) -> None:
+        """Fill the shifted lower row and the packed row for every element,
+        each distinct value packed (and its coefficients checked) once."""
+        if not self._packed_row_whole:
+            shifted = self.lower_row("shifted", range(len(self.group)))
+            self._packed_row = list(map(self._pack, shifted))
+            self._packed_row_whole = True
 
     def _pack(self, value: IntPoly) -> int:
         """A shifted value as one int in the format of ``shifted_sum``."""

@@ -260,15 +260,22 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
     Before a pool starts, the parent fills the R and shifted lower rows of
     the scope's tops, which the forked workers inherit; a worker would
     otherwise fill the row operands that lie in other chunks through memo
-    walks into its own rows. A sweep of ``_ROW_READERS`` alone starts no
-    pool: filling those rows is all its work.
+    walks into its own rows. When the scope is every lower interval, the
+    packed row is made whole there too (``RContext.fill_packed_row``), so
+    no lower sum scans its members for unfilled entries. A sweep of
+    ``_ROW_READERS`` alone starts no pool: filling those rows is all its
+    work.
     """
     env = _environment(spec)
-    pairs = _interval_scope(env["group"], cap)
+    group, ctx = env["group"], env["ctx"]
+    pairs = _interval_scope(group, cap)
     if _ROW_READERS.issuperset(names):
         workers = 1
-    elif _pool_size(workers, _usable_cpus(), len(pairs)) > 1:
-        env["ctx"].lower_sizes(sorted({w for _, w in pairs}))
+    else:
+        if len(pairs) == len(group) > SMALL_GROUP_LIMIT:  # every lower interval
+            ctx.fill_packed_row()
+        if _pool_size(workers, _usable_cpus(), len(pairs)) > 1:
+            ctx.lower_sizes(sorted({w for _, w in pairs}))
     outcomes = _pmap(spec, partial(_task_interval, names), pairs, workers)
     results = {}
     for name, column in zip(names, zip(*outcomes)):
@@ -394,6 +401,11 @@ def run_scan(spec: str, workers: int = 1, sample: Optional[int] = None,
     for pair in extra_pairs:
         if pair not in pairs:
             pairs.append(pair)
+    # the tally fills the shifted row whole anyway: filled before the sums (and
+    # a pool), it spares each lower sum a scan for unfilled entries. The sums
+    # stay ahead of the tally, so a negative shifted coefficient is reported
+    # before the size routes are compared
+    ctx.fill_packed_row()
     violations = [v for v in _pmap(spec, _task_scan_pair, pairs, workers) if v is not None]
     violations.sort(key=lambda v: (v["u"], v["w"]))
     tally = analysis.edge_size_tally(ctx)

@@ -628,12 +628,25 @@ def test_edge_size_tally(a3, a3_ctx):
     assert tally.equal_examples and tally.strict_examples
 
 
-@pytest.mark.parametrize("spec", ["A3", "A4", "I2:7"])
+@pytest.mark.parametrize("spec", ["A3", "A4", "A5", "I2:7"])
 def test_edge_size_tally_matches_the_per_edge_oracle(spec):
     ctx = RContext(enumerate_group(CoxeterDescriptor.parse(spec)))
     tally = analysis.edge_size_tally(ctx)
     assert (tally.edges, tally.equal, tally.strict, tally.equal_examples,
             tally.strict_examples) == edge_size_tally_per_edge(ctx, analysis.TALLY_EXAMPLES)
+
+
+def test_a_decreasing_size_stops_the_edge_tally(a3, monkeypatch):
+    # plant a size of 0 at w0 alone: only the edges into w0 decrease
+    sizes = RContext.lower_sizes
+
+    def planted(self, members):
+        return [0 if x == self.group.w0 else size
+                for x, size in zip(members, sizes(self, members))]
+
+    monkeypatch.setattr(RContext, "lower_sizes", planted)
+    with pytest.raises(AssertionError, match="^size must not decrease along a Bruhat edge$"):
+        analysis.edge_size_tally(RContext(a3))
 
 
 def test_conjecture_violation_names_the_boolean_floor(a3, a3_ctx, monkeypatch):
@@ -656,6 +669,28 @@ def test_lower_row_sums_match_per_member_sums(spec, sample):
     for w in tops:
         assert (analysis.interval_shifted_sum(rows, group.identity, w)
                 == interval_sum_per_member(oracle, group.identity, w))
+
+
+@pytest.mark.parametrize("spec", ["A4", "I2:7"])
+def test_lower_sums_match_per_member_sums_before_and_after_the_packed_row_is_whole(
+        spec, monkeypatch):
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    e, tops = group.identity, random.Random(38).sample(range(len(group)), len(group))
+    ctx, oracle = RContext(group), RContext(group)
+    expected = {w: interval_sum_per_member(oracle, e, w) for w in tops}
+    # the shorter tops first, whose sums leave part of the packed row None
+    short = [w for w in tops if 2 * group.length[w] < group.length[group.w0]]
+    assert {w: analysis.interval_shifted_sum(ctx, e, w) for w in short} == {
+        w: expected[w] for w in short}
+    assert None in ctx._packed_row
+    ctx.fill_packed_row()
+    assert None not in ctx._packed_row
+
+    def refuse(*args):
+        raise AssertionError("lower_row called")
+
+    monkeypatch.setattr(ctx, "lower_row", refuse)
+    assert {w: analysis.interval_shifted_sum(ctx, e, w) for w in tops} == expected
 
 
 @pytest.mark.parametrize("spec, tops", [

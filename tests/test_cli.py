@@ -340,8 +340,9 @@ def test_capped_checks_build_no_full_ideal(monkeypatch):
 
 
 def test_a_sampled_scan_keeps_only_the_ideals_it_asks_for(monkeypatch):
-    # each sampled top walks its chain of first right descents down to a kept
-    # ideal; the ideals built on the way are not kept
+    # each sampled top steps down to a kept ideal, along a descent on either
+    # side whose ideal is kept if it has one; the ideals built on the way are
+    # not kept
     monkeypatch.setattr(suite, "_ENVS", {})
     group = enumerate_group(CoxeterDescriptor.parse("A6"))
     suite.run_scan("A6", sample=500, group=group)
@@ -888,6 +889,48 @@ def test_a_negative_shifted_coefficient_stops_scan_as_internal(monkeypatch, caps
     assert captured.err == "error: internal: a shifted polynomial has a negative coefficient\n"
 
 
+def test_a_decreasing_size_stops_scan_as_internal(monkeypatch, capsys):
+    # plant a size of 0 at w0 alone; the edge tally asserts monotonicity
+    sizes = RContext.lower_sizes
+    monkeypatch.setattr(RContext, "lower_sizes", lambda self, members: [
+        0 if x == self.group.w0 else size for x, size in zip(members, sizes(self, members))])
+    monkeypatch.setattr(suite, "_ENVS", {})
+    code = main(["scan", "--group", "A3"])
+    captured = capsys.readouterr()
+    assert code == INTERNAL_ERROR == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal: size must not decrease along a Bruhat edge\n"
+
+
+def test_scan_sums_read_the_whole_packed_row(monkeypatch, capsys):
+    # the packed row is whole before the first sum, so no sum fills a row entry
+    sums = []
+    shifted_sum = RContext.shifted_sum
+
+    def checked(self, u, members, degree):
+        sums.append(self._packed_row_whole and None not in self._packed_row)
+        return shifted_sum(self, u, members, degree)
+
+    monkeypatch.setattr(RContext, "shifted_sum", checked)
+    monkeypatch.setattr(suite, "_ENVS", {})
+    assert main(["scan", "--group", "A5", "--sample", "40"]) == 0
+    capsys.readouterr()
+    assert len(sums) == 41 and all(sums)  # the sample and the probe pair
+
+
+@pytest.mark.parametrize("argv, whole", [
+    (["--suite", "th2"], True),
+    (["--suite", "th2", "--max-interval-len", "5"], False),  # not every lower interval
+    (["--suite", "th1-odd"], False),  # reads the size rows alone
+])
+def test_a_sweep_of_every_lower_interval_makes_the_packed_row_whole(argv, whole, monkeypatch,
+                                                                    capsys):
+    monkeypatch.setattr(suite, "_ENVS", {})
+    assert main(["verify", "--group", "A4", *argv]) == 0
+    capsys.readouterr()
+    assert suite._ENVS["A4"]["ctx"]._packed_row_whole is whole
+
+
 def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, capsys):
     import concurrent.futures
 
@@ -1033,6 +1076,11 @@ GOLDEN_STDOUT_SHA256 = {
         "8b088eb69556b0763822236d20f5e23885539d0b0d4f06545bc1b91060cd0af7",
     ("table", "--table", "r-polys", "--group", "A6", "--format", "json"):
         "29136c724912620370cd8c469b64a77c3ddf942901b2db7a01f09914c2c5514f",
+    # the scan-A6 benchmark workload, recorded before lower ideals stepped
+    # down left descents, sums read a whole packed row and the tally kept
+    # only the up-edges
+    ("scan", "--group", "A6"):
+        "689c3e5c93997db2bf036af87486b27f2dd983fa6fb557b13d9cb09308ab74b0",
 }
 
 

@@ -1,5 +1,7 @@
+import collections
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -279,6 +281,58 @@ def test_bruhat_matches_edge_reachability(a3, i2_groups):
     for group in (a3, *(i2_groups[m] for m in (2, 3, 5, 7, 8, 12))):
         reach = reachability(group)
         _assert_order_matches(group, lambda u, w: w in reach[u])
+
+
+@pytest.mark.parametrize("spec", ["A4", "I2:7"])
+def test_lower_ideals_asked_in_a_shuffled_order_match_the_order_oracle(spec):
+    # out of id order, a top often finds a kept ideal only one step down some
+    # left descent, or a later right one, and steps down it; the oracle knows
+    # nothing of steps: the dot criterion in type A, edge reachability else
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    n, length = len(group), group.length
+    if group.descriptor.family == "A":
+        forms = list(map(group.form, group.elements()))
+        below = {w: {v for v in range(n) if dot_leq(forms[v], forms[w])} for w in range(n)}
+    else:
+        reach = reachability(group)
+        below = {w: {v for v in range(n) if w in reach[v]} for w in range(n)}
+    tops = random.Random(45).sample(range(n), n)  # takes left steps on both groups
+    for cap in (None, *range(length[group.w0] + 1)):
+        for w in tops:
+            expected = tuple(sorted(v for v in below[w]
+                                    if cap is None or length[w] - length[v] <= cap))
+            assert group.lower_ideal(w, cap) == expected, (w, cap)
+
+
+def test_a_step_down_a_left_descent_reads_its_left_column(monkeypatch):
+    # w = s1 s2 s3 has s1 as its only left descent and s3 as its only right
+    # one; with the ideal of s1*w = s2 s3 kept and that of w*s3 = s1 s2 not,
+    # [e, w] is [e, s2 s3] and its image under x -> s1*x, read off left[s1]
+    group = enumerate_group(CoxeterDescriptor("A", 3))
+    w, sw = group.from_word((0, 1, 2)), group.from_word((1, 2))
+    assert group.left[0][w] == sw and group.left_descents(w) == (0,)
+    assert group.first_right_descent(w) == 2 and group.descents[w] & 0b0111 == 0b100
+    kept = group.lower_ideal(sw)
+    assert sorted(group._ideals[None]) == [group.identity, sw]
+    reads = collections.Counter()
+
+    def spy(side, s, col):
+        class Column(tuple):
+            def __getitem__(self, x):
+                reads[side, s] += 1
+                return tuple.__getitem__(self, x)
+        return Column(col)
+
+    for side in ("left", "right"):
+        monkeypatch.setattr(group, side, tuple(spy(side, s, col)
+                                              for s, col in enumerate(getattr(group, side))))
+    ideal = group.lower_ideal(w)
+    assert ideal == tuple(v for v in group.elements() if dot_leq(group.form(v), group.form(w)))
+    assert len(ideal) == 2 * len(kept)
+    assert reads["left", 0] >= len(kept)  # every member of [e, s2 s3] moved by s1
+    # the right column of s3 is read once, to find w*s3's ideal not kept
+    assert {key: n for key, n in reads.items() if key[0] == "right"} == {("right", 2): 1}
+    assert sorted(group._ideals[None]) == [group.identity, sw, w]
 
 
 def test_interval_members_strictly_ascending(a3):
