@@ -198,19 +198,18 @@ def _r_classes(ctx: RContext) -> list[dict]:
 def _json_items(items: Iterable[dict]) -> Iterator[str]:
     """The text of each item, a nonempty dict of scalars and lists of scalars,
     as an element of a table's list, indented as ``_json_text`` indents it
-    there, in C-level passes: the C encoder, with a newline and indent in
-    its item separator, writes the item's keys at depth 3 with each nonempty
-    list as the sentinel [0, 0], and each list's elements at depth 4; each
-    list's text is then spliced in at its sentinel (keys in sorted order).
-    The sentinel's text holds a newline, which no encoded string does."""
+    there: key by key in sorted order, each key, scalar and list by the C
+    encoder, whose item separator holds a newline and indent, so that the
+    elements of a nonempty list stand at depth 4."""
     import json
-    fields = json.JSONEncoder(separators=(",\n      ", ": "), sort_keys=True).encode
-    elements = json.JSONEncoder(separators=(",\n        ", ": ")).encode
+    encode = json.JSONEncoder(separators=(",\n        ", ": ")).encode
+
+    def value(v) -> str:
+        return f"[\n        {encode(v)[1:-1]}\n      ]" if isinstance(v, list) and v else encode(v)
+
     for item in items:
-        lists = sorted(k for k, v in item.items() if isinstance(v, list) and v)
-        parts = fields({**item, **dict.fromkeys(lists, [0, 0])})[1:-1].split("[0,\n      0]")
-        texts = (f"[\n        {elements(item[k])[1:-1]}\n      ]" for k in lists)
-        yield "{\n      " + "".join(chain.from_iterable(zip(parts, texts))) + parts[-1] + "\n    }"
+        yield "{\n      " + ",\n      ".join(
+            f"{encode(k)}: {value(v)}" for k, v in sorted(item.items())) + "\n    }"
 
 
 def _emit_table(args: argparse.Namespace, fields: dict, key: str, items: Iterable[dict],

@@ -3,16 +3,16 @@
 One ordered table, ``_CHECKS``, names every check: a whole-group runner or
 a per-interval test. Each check sweeps a deterministic scope (all intervals
 for small groups, lower intervals once the group passes 48 elements) and
-reports one pass/fail line. The per-interval tests run in one sweep, which
-builds no Bruhat graph: th1-odd reads the lower row of sizes, th2, th3 and
-cp-fourway share the verdicts kept on the context, and el-unique and
-oracle-eq one increasing-path pass per bottom and reflection order, over
-the whole group. Sweeps can be spread over worker processes: forked
-workers inherit the parent's group and memos (workers started any other way
-build their own from the spec string), the item list is chunked in a fixed
-order and results are concatenated in submission order, so the output is
-identical for any worker count. A worker keeps the shared work for its
-own chunk only, so a sweep per check would compute it again.
+reports one pass/fail line. The th1 checks read the lower row of sizes in
+one pass. The per-interval tests run in one sweep, which builds no Bruhat
+graph: th2, th3 and cp-fourway share the verdicts kept on the context, and
+el-unique and oracle-eq one increasing-path pass per bottom and reflection
+order, over the whole group. Sweeps can be spread over worker processes:
+forked workers inherit the parent's group and memos (workers started any
+other way build their own from the spec string), the item list is chunked
+in a fixed order and results are concatenated in submission order, so the
+output is identical for any worker count. A worker keeps the shared work
+for its own chunk only, so a sweep per check would compute it again.
 """
 
 from __future__ import annotations
@@ -140,10 +140,6 @@ def _task_scan_pair(env: dict, pair: tuple[int, int]) -> Optional[dict]:
 # -- per-interval tests, called as (env, u, w) --------------------------------------
 
 
-def _th1_odd(env: dict, u: int, w: int) -> bool:
-    return env["ctx"].lower_sizes((w,))[0] % 2 == 1
-
-
 def _th2(env: dict, u: int, w: int) -> bool:
     _, fired = analysis.shifted_average_fires(env["ctx"], w)
     return not fired or not analysis.is_regular(env["ctx"], u, w)
@@ -242,6 +238,16 @@ def _check_th1_monotone(spec: str, workers: int, cap: Optional[int]) -> CheckRes
                        "sizes never decrease up the order" if bad == 0 else f"{bad} violations")
 
 
+def _check_th1_odd(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
+    """Every lower interval [e, w] of ``_interval_scope`` has an odd size,
+    read for all its tops in one row pass."""
+    env = _environment(spec)
+    group: GroupTable = env["group"]
+    tops = [w for u, w in _interval_scope(group, cap) if u == group.identity]
+    ok = all(size % 2 == 1 for size in env["ctx"].lower_sizes(tops))
+    return CheckResult("th1-odd", ok, len(tops), "every size is odd" if ok else "even size found")
+
+
 def _check_th4(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
     """Dihedral bounds on the pairs that share no descent; the scope is every
     capped comparable pair, which these stand for."""
@@ -262,20 +268,15 @@ def _check_intervals(names: tuple[str, ...], spec: str, workers: int,
     otherwise fill the row operands that lie in other chunks through memo
     walks into its own rows. When the scope is every lower interval, the
     packed row is made whole there too (``RContext.fill_packed_row``), so
-    no lower sum scans its members for unfilled entries. A sweep of
-    ``_ROW_READERS`` alone starts no pool: filling those rows is all its
-    work.
+    no lower sum scans its members for unfilled entries.
     """
     env = _environment(spec)
     group, ctx = env["group"], env["ctx"]
     pairs = _interval_scope(group, cap)
-    if _ROW_READERS.issuperset(names):
-        workers = 1
-    else:
-        if len(pairs) == len(group) > SMALL_GROUP_LIMIT:  # every lower interval
-            ctx.fill_packed_row()
-        if _pool_size(workers, _usable_cpus(), len(pairs)) > 1:
-            ctx.lower_sizes(sorted({w for _, w in pairs}))
+    if len(pairs) == len(group) > SMALL_GROUP_LIMIT:  # every lower interval
+        ctx.fill_packed_row()
+    if _pool_size(workers, _usable_cpus(), len(pairs)) > 1:
+        ctx.lower_sizes(sorted({w for _, w in pairs}))
     outcomes = _pmap(spec, partial(_task_interval, names), pairs, workers)
     results = {}
     for name, column in zip(names, zip(*outcomes)):
@@ -307,7 +308,7 @@ def _check_gen_func(spec: str, workers: int, cap: Optional[int]) -> CheckResult:
 _CHECKS: dict[str, Union[Callable[[str, int, Optional[int]], CheckResult],
                          tuple[Callable[[dict, int, int], bool], bool, str, str]]] = {
     "th1-monotone": _check_th1_monotone,
-    "th1-odd": (_th1_odd, True, "every size is odd", "even size found"),
+    "th1-odd": _check_th1_odd,
     "th2": (_th2, True, "fired averages all irregular", "criterion misfired"),
     "th3": (_th3, False, "both degree inequalities hold", "inequality failed"),
     "th4-bounds": _check_th4,
@@ -318,8 +319,6 @@ _CHECKS: dict[str, Union[Callable[[str, int, Optional[int]], CheckResult],
     "gen-func": _check_gen_func,
 }
 CHECK_NAMES = tuple(_CHECKS)
-# the per-interval rows that read only the lower rows a parent fills before its pool starts
-_ROW_READERS = frozenset({"th1-odd"})
 
 
 def run_suite(spec: str, checks: Optional[Sequence[str]] = None,

@@ -222,6 +222,20 @@ def test_r_polys_json_is_the_indented_dump_of_itself(spec, tmp_path, capsys):
         assert code == 0 and text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("item", [
+    {"members": [], "size": 1},
+    {"r": 'say "hi"', "gamma_form": "back\\slash", "class": "caf\u00e9, ]"},
+    {"coeffs": ['"', "\\", "\u00e9", ", ", "]", "[0,\n0]"], "size": 2},
+    {"n": -3, "total": -1},
+    {"members": ["e"], "coeffs": ["-7"], "ell": 0},
+], ids=["empty-list", "escaped-strings", "escaped-list", "negative-int", "one-element-lists"])
+def test_json_items_are_the_indented_dump_of_each_item(item):
+    # cases no table makes: the key-by-key text of an item, as the one
+    # element of a list inside a list, is what json.dumps(indent=2) makes
+    text, = cli._json_items([item])
+    assert "[\n  [\n    " + text + "\n  ]\n]" == json.dumps([[item]], indent=2, sort_keys=True)
+
+
 def test_a7_r_polys_json_golden(capsys):
     # SHA-256 recorded before the table's members were displayed by one
     # translate of the packed forms and encoded by the C encoder
@@ -424,6 +438,30 @@ def test_th1_odd_reports_a_planted_even_size(spec, cap, monkeypatch, capsys):
         assert code == 0 and line == f"th1-odd: PASS (scope={tops}) every size is odd"
     else:
         assert code == 1 and line == f"th1-odd: FAIL (scope={tops}) even size found"
+
+
+@pytest.mark.parametrize("spec, cap", [("A3", None), ("A4", None), ("A4", 3)])
+def test_th1_odd_reads_the_sizes_of_its_tops_in_one_call(spec, cap, monkeypatch, capsys):
+    # one lower_sizes call, whose members are the tops of the scope's lower
+    # intervals in id order: every element of A3 (all-pairs scope) and of A4
+    # (lower scope), and under a cap those of length at most the cap
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    calls = []
+    lower_sizes = RContext.lower_sizes
+
+    def counted(self, members):
+        calls.append(list(members))
+        return lower_sizes(self, members)
+
+    monkeypatch.setattr(RContext, "lower_sizes", counted)
+    monkeypatch.setattr(suite, "_ENVS", {})
+    args = ["verify", "--group", spec, "--suite", "th1-odd"]
+    if cap is not None:
+        args += ["--max-interval-len", str(cap)]
+    code, out = capture(capsys, args)
+    tops = [v for v in group.elements() if cap is None or group.length[v] <= cap]
+    assert code == 0 and calls == [tops]
+    assert out.splitlines()[1] == f"th1-odd: PASS (scope={len(tops)}) every size is odd"
 
 
 def test_verify_reports_each_check_on_stderr():
@@ -934,7 +972,7 @@ def test_a_sweep_of_every_lower_interval_makes_the_packed_row_whole(argv, whole,
 def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, capsys):
     import concurrent.futures
 
-    spec, suite_names, filled = "A5", "th1-odd,th2", []
+    spec, suite_names, filled = "A5", "th2", []
 
     class CheckedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -954,13 +992,12 @@ def test_interval_sweep_fills_the_lower_rows_before_a_pool_starts(monkeypatch, c
         outputs.append(capsys.readouterr().out)
     assert filled == [[True, True]]  # one pool, started with every top's rows filled
     assert outputs[0] == outputs[1] == (
-        "group: A5\nth1-odd: PASS (scope=720) every size is odd\n"
-        "th2: PASS (scope=720) fired averages all irregular\nsuite: PASS (2/2)\n")
+        "group: A5\nth2: PASS (scope=720) fired averages all irregular\nsuite: PASS (1/1)\n")
 
 
 def test_a_sweep_of_row_readers_alone_starts_no_pool(monkeypatch, capsys):
-    # th1-odd reads only the lower rows that a parent fills before its pool
-    # starts, so the pool would add its start and nothing else
+    # th1-odd reads its sizes in one row pass and runs no sweep, so a pool
+    # would add its start and nothing else
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
