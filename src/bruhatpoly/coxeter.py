@@ -10,8 +10,12 @@ Forms are multiplied only while the group is enumerated, once per (form,
 generator) and on the left: s*f swaps the values i and i+1 of a type A
 form, one ``bytes.translate``. One pass finds each length level and the
 left product table with it. Every other table is read
-off that table and the level sizes: the length of x is its level, and the
-right table and the inverses are filled in id order from shorter elements.
+off that table and the level sizes: the length of x is its level. Each left
+column is checked in C-level passes through an ``itemgetter`` of its own
+entries (its square must be the identity map, every step must change the
+length by one), which also give its left descent bits, packed one byte per
+element into one int for all generators. The right table and the inverses
+are then filled in one id-order pass from shorter elements.
 Then all is integer tables, and forms serve only to parse and display. The
 tables are column-major, one tuple of ids per generator s: ``right[s][x]``
 is x*s and ``left[s][x]`` is s*x. ``mul`` walks the first right descents of
@@ -36,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, count, repeat
-from operator import eq, gt, lshift, or_, sub
+from operator import eq, itemgetter, lshift, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -140,15 +144,27 @@ def _generator_maps(desc: CoxeterDescriptor) -> list:
              .to_bytes(4, "big"), c) for c in (0, 1)]
 
 
-def _fill_down(table: tuple, left: tuple, first: tuple, start: int) -> tuple[int, ...]:
-    """The column c with c[0] = start and c[x] = table[t][c[t*x]], t the first
-    left descent of x, filled in id order: t*x is shorter than x, so its id
-    is smaller and its entry is already filled."""
-    out = [start] * len(first)
+# a byte mask to the index of its lowest set bit (0 for the mask 0, which
+# only the identity has and no reader looks up)
+_FIRST = bytes((d & -d).bit_length() - 1 if d else 0 for d in range(256))
+
+
+def _fill_right(left: tuple, first: bytes) -> tuple[tuple, tuple[int, ...]]:
+    """The right columns and the inverses, filled in id order from
+    x*s = t*((t*x)*s) and x^-1 = (t*x)^-1*t, t the first left descent of x:
+    t*x is shorter than x, so its id is smaller and its entries are filled."""
+    right = [[col[0]] * len(first) for col in left]  # e*s = s*e
+    inverse = [0] * len(first)
     for x in range(1, len(first)):
         t = first[x]
-        out[x] = table[t][out[left[t][x]]]
-    return tuple(out)
+        lt = left[t]
+        y = lt[x]
+        for col in right:
+            col[x] = lt[col[y]]
+        inverse[x] = right[t][inverse[y]]
+    for s in range(len(right)):  # one column list alive at a time
+        right[s] = tuple(right[s])
+    return tuple(right), tuple(inverse)
 
 
 class GroupTable:
@@ -166,9 +182,14 @@ class GroupTable:
     order; ``inverse[x]`` is the id of x^-1. ``descents[x]`` has bit s set
     iff s is a right descent of x and bit n + s iff s is a left one (n
     generators); equal masks share one int.
-    Each ``left[s]`` must be an involution that moves every element one
-    length level, and only the identity may have no left descent; the
-    build raises AssertionError otherwise.
+    Each ``left[s]`` must have one entry per element and be an involution
+    that moves every element one length level, and only the identity may
+    have no left descent; the build raises AssertionError otherwise. Each
+    column is read through one ``itemgetter`` of its entries: its square
+    must match the first square (checked once against range), and
+    up - length o col (up = length + 1) must be ``bytes`` of 0s and 2s, a
+    2 where s lowers x. Shifted by s and added into one int, those bytes
+    make every left mask one byte (at most 8 generators under the cap).
     """
 
     def __init__(self, descriptor: CoxeterDescriptor, forms: bytes, left: tuple,
@@ -183,30 +204,43 @@ class GroupTable:
             raise AssertionError("finite Coxeter group must have a unique longest element")
         self.w0 = len(length) - 1
         self._width = len(forms) // len(length)  # bytes per form
-        ids = range(len(length))
-        for col in left:
-            if not all(map(eq, map(col.__getitem__, col), ids)):
+        if len(left) > 8:  # a left mask is one byte; A8 has the most generators under the cap
+            raise AssertionError("a table holds at most 8 generators")
+        # up[x] - length[s*x] is 2 if s lowers x and 0 if it raises it
+        up = tuple(chain.from_iterable(map(repeat, range(1, len(sizes) + 1), sizes)))
+        ids, packed = None, 0
+        for s, col in enumerate(left):
+            if len(col) != len(length):
+                raise AssertionError("each generator column must have one entry per element")
+            at = itemgetter(*col)  # at(seq)[x] is seq[s*x], in one C-level pass
+            square = at(col)
+            # col is an involution iff its square is the identity map. The first
+            # square, checked against range, then stands in for range: it holds the
+            # columns' own id objects, so later comparisons match by identity
+            if ids is None and all(map(eq, square, count())):
+                ids = square
+            if square != ids:
                 raise AssertionError("each generator column must be an involution")
-            if not set(map(sub, map(length.__getitem__, col), length)) <= {-1, 1}:
+            try:  # bytes() refuses a negative value: a step two or more levels up
+                steps = bytes(map(sub, up, at(length)))
+            except ValueError:
+                steps = None
+            if steps is None or steps.translate(None, b"\0\2"):
                 raise AssertionError("each generator must move every element one level")
-        # left descents, a column at a time: ids ascend with length, so s
-        # lowers x iff s*x < x as ids
-        bits = (map(lshift, map(gt, ids, col), repeat(s)) for s, col in enumerate(left))
-        masks = list(map(sum, zip(*bits)))
+            packed |= int.from_bytes(steps, "little") << s  # bit s + 1 of byte x: s lowers x
+        del ids, square, up  # freed before the fill, which sets the build's peak memory
+        # masks[x] has bit s set iff s is a left descent of x
+        masks = (packed >> 1).to_bytes(len(length), "little")
         if masks.count(0) != 1:
             raise AssertionError("only the identity may have no left descent")
-        first = {d: (d & -d).bit_length() - 1 for d in set(masks)}
-        first_left = tuple(map(first.__getitem__, masks))
-        # x*s = t*((t*x)*s) and x^-1 = (t*x)^-1*t, t the first left descent of x
-        self.right = right = tuple(_fill_down(left, left, first_left, col[0]) for col in left)
-        self.inverse = inverse = _fill_down(right, left, first_left, 0)
+        self.right, self.inverse = _fill_right(left, masks.translate(_FIRST))
         # the right descents of x are the left descents of x^-1, so the right
-        # masks are the left masks permuted and share their first descents
-        right_masks = list(map(masks.__getitem__, inverse))
-        self._first_descent = tuple(map(first.__getitem__, right_masks))
+        # masks are the left masks permuted
+        right_masks = bytes(itemgetter(*self.inverse)(masks))
+        self._first_descent = right_masks.translate(_FIRST)  # x -> its first right descent
         shared = {}
-        masks = list(map(or_, right_masks, map(lshift, masks, repeat(n))))
-        self.descents = tuple(map(shared.setdefault, masks, masks))
+        both = list(map(or_, right_masks, map(lshift, masks, repeat(n))))
+        self.descents = tuple(map(shared.setdefault, both, both))
         self.reflections = self._find_reflections()
         self._columns: dict[int, tuple[int, ...]] | None = None
         self._ideals: dict[Optional[int], dict[int, tuple[int, ...]]] = {}  # cap -> w -> ideal
@@ -291,7 +325,7 @@ class GroupTable:
 
     def first_right_descent(self, w: int) -> int:
         """Smallest-index right descent; -1 for the identity."""
-        return self._first_descent[w]
+        return self._first_descent[w] if w else -1
 
     # -- Bruhat order ----------------------------------------------------------
 

@@ -180,7 +180,15 @@ COLUMN_FAULTS = {
     "to-identity": lambda l0, l1: (l0[:-1] + (0,), l1),
     "re-pair": lambda l0, l1: (_repaired(l0, 1, 2), l1),
     "unpair": lambda l0, l1: (_swapped(l0, 3, l0[3]), l1),  # 3 and s*3 become fixed points
+    # the one-level test at its bounds: e paired with s2*s1 (length 2), w0 with s2*s1*w0
+    "e-two-up": lambda l0, l1: (_repaired(l0, 0, l1[l0[0]]), l1),
+    "w0-two-down": lambda l0, l1: (_repaired(l0, len(l0) - 1, l1[l0[-1]]), l1),
+    "short": lambda l0, l1: (l0[:-1], l1),
+    "long": lambda l0, l1: (l0 + (5, 7), l1),
+    "nine-plus": lambda l0, l1: (l0, l1) * 5,  # a left descent mask holds 8 generators
 }
+TOO_MANY = "a table holds at most 8 generators"
+WRONG_SIZE = "each generator column must have one entry per element"
 NO_INVOLUTION = "each generator column must be an involution"
 NOT_ONE_LEVEL = "each generator must move every element one level"
 NO_DESCENT = "only the identity may have no left descent"
@@ -193,6 +201,10 @@ FAULT_CASES = [
     ("I2:5", "compose", NO_INVOLUTION), ("I2:5", "to-identity", NO_INVOLUTION),
     ("I2:5", "re-pair", NOT_ONE_LEVEL), ("A3", "unpair", NOT_ONE_LEVEL),
     ("I2:5", "unpair", NOT_ONE_LEVEL),
+    ("A3", "e-two-up", NOT_ONE_LEVEL), ("I2:5", "e-two-up", NOT_ONE_LEVEL),
+    ("A3", "w0-two-down", NOT_ONE_LEVEL), ("I2:5", "w0-two-down", NOT_ONE_LEVEL),
+    ("A3", "short", WRONG_SIZE), ("A3", "long", WRONG_SIZE),
+    ("I2:5", "short", WRONG_SIZE), ("I2:5", "long", WRONG_SIZE), ("A3", "nine-plus", TOO_MANY),
 ]
 
 
@@ -206,6 +218,20 @@ def test_a_faulty_generator_column_is_refused(spec, fault, message):
     left = COLUMN_FAULTS[fault](*group.left[:2]) + group.left[2:]
     with pytest.raises(AssertionError, match=message):
         GroupTable(group.descriptor, group.forms, left, sizes)
+
+
+@pytest.mark.parametrize("spec", ["A7", "I2:1000"])
+def test_descent_masks_match_a_per_element_recomputation(spec):
+    # A7 has 7 generators, so 14 mask bits; ids ascend with length, so s is a
+    # descent of x on a side iff the product on that side has a smaller id
+    group = enumerate_group(CoxeterDescriptor.parse(spec))
+    n = group.num_generators
+    for x in group.elements():
+        right = [s for s in range(n) if group.right[s][x] < x]
+        left = [s for s in range(n) if group.left[s][x] < x]
+        assert group.descents[x] == sum(1 << s for s in right) + sum(1 << n + s for s in left)
+        assert group.first_right_descent(x) == (right[0] if right else -1)
+    assert group.first_right_descent(group.identity) == -1
 
 
 def test_a6_tables_keep_at_most_226_bytes_per_element():
